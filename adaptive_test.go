@@ -105,10 +105,11 @@ func TestPlannerAdaptiveDifferential(t *testing.T) {
 	}
 }
 
-// TestPlannerAdaptiveStaleness checks the staleness contract end to end:
-// mutating the store flips the statistics fingerprint, which misses the
-// adaptive plan cache's fingerprinted keys, re-collects statistics, and
-// re-plans — and the re-planned query is correct on the mutated data.
+// TestPlannerAdaptiveStaleness checks what a write that goes around the
+// backend costs: the mutated table is noticed by its version and rescanned
+// once (StatsCollects 1 -> 2), the snapshot fingerprint moves, the query's
+// cache entry survives (no re-translation), and the answer is correct on the
+// mutated data.
 func TestPlannerAdaptiveStaleness(t *testing.T) {
 	ctx := context.Background()
 	s := workloads.XMark()
@@ -171,11 +172,11 @@ func TestPlannerAdaptiveStaleness(t *testing.T) {
 	if st2.StatsCollects != 2 {
 		t.Fatalf("StatsCollects = %d after mutation, want 2", st2.StatsCollects)
 	}
-	if st2.Misses <= st1.Misses {
-		t.Fatalf("mutation did not force a re-plan (misses %d -> %d)", st1.Misses, st2.Misses)
+	if st2.Misses != st1.Misses {
+		t.Fatalf("mutation forced a re-translation (misses %d -> %d)", st1.Misses, st2.Misses)
 	}
 
-	// The re-planned query answers correctly on the mutated store.
+	// The query answers correctly on the mutated store.
 	q, err := xmlsql.ParseQuery(query)
 	if err != nil {
 		t.Fatal(err)

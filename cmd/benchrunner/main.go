@@ -39,9 +39,13 @@ func validateFlags() error {
 			if v := get().(time.Duration); v <= 0 {
 				err = fmt.Errorf("-%s must be a positive duration, got %v", f.Name, v)
 			}
-		case "frontend-overload-max-p99x", "frontend-over-rate", "updates-min-audit-speedup", "recovery-min-relative", "sharded-min-speedup":
+		case "frontend-overload-max-p99x", "frontend-over-rate", "updates-min-audit-speedup", "recovery-min-relative":
 			if v := get().(float64); v <= 0 {
 				err = fmt.Errorf("-%s must be positive, got %v", f.Name, v)
+			}
+		case "sharded-min-speedup":
+			if v := get().(float64); v < 0 {
+				err = fmt.Errorf("-%s must not be negative, got %v", f.Name, v)
 			}
 		case "scale", "sharded-gate-shards":
 			if v := get().(int); v <= 0 {
@@ -77,7 +81,7 @@ func main() {
 	recoveryGate := flag.Float64("recovery-min-relative", 0.5, "fail if durable (fsync-per-commit) update throughput falls below this fraction of volatile throughput")
 	shardedSuite := flag.Bool("sharded", false, "also run the sharded scatter-gather suite (shard-count sweeps at scale=10/100 with differential verification and the mixed read/write serving comparison)")
 	shardedGateShards := flag.Int("sharded-gate-shards", 4, "the shard count the sharded mixed-serving gate applies to")
-	shardedGateSpeedup := flag.Float64("sharded-min-speedup", 1.5, "fail if the gated shard count's mixed-serving speedup over the single store falls below this at the largest measured scale")
+	shardedGateSpeedup := flag.Float64("sharded-min-speedup", 1.5, "fail if the gated shard count's mixed-serving speedup over the single store falls below this at the largest measured scale (0: gate on differential verification only)")
 	backendName := flag.String("backend", "mem", "where measured queries run: mem (in-memory engine) or fakedb (database/sql over the in-repo fake driver)")
 	jsonPath := flag.String("json", "", "write the comparison table as JSON to this file (\"-\" for stdout)")
 	flag.Parse()

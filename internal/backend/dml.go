@@ -49,27 +49,50 @@ func (m *Mem) SetCommitLog(l CommitLog) { m.log = l }
 // truncated on replay) or the post-batch state (record durable), never a
 // torn one. Batches are serialized so record order always matches apply
 // order.
+//
+// Once the log has accepted the batch, and before the transaction's change
+// list is discarded, the list is folded into the statistics tracker (if
+// anyone created one): statistics follow the commit instead of a rescan.
 func (m *Mem) ApplyDML(ctx context.Context, stmts []sqlast.DMLStmt) error {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
+	tr := m.tracker.Load()
+	if tr != nil {
+		tr.BeginWrite()
+	}
 	tx := m.store.Begin()
+	if err := m.applyAndLog(ctx, tx, stmts); err != nil {
+		tx.Rollback()
+		if tr != nil {
+			// Nothing to fold: the tables the batch touched and restored
+			// moved their versions and get rescanned.
+			tr.EndWrite(nil)
+		}
+		return err
+	}
+	if tr != nil {
+		tr.EndWrite(tx.Changes())
+	}
+	tx.Commit()
+	return nil
+}
+
+// applyAndLog interprets the statements under tx and, if they all applied,
+// offers the batch to the commit log.
+func (m *Mem) applyAndLog(ctx context.Context, tx *relational.StoreTx, stmts []sqlast.DMLStmt) error {
 	for _, stmt := range stmts {
 		if err := ctx.Err(); err != nil {
-			tx.Rollback()
 			return err
 		}
 		if _, err := ApplyStmt(tx, m.store, stmt); err != nil {
-			tx.Rollback()
 			return err
 		}
 	}
 	if m.log != nil {
 		if err := m.log.Commit(stmts); err != nil {
-			tx.Rollback()
 			return fmt.Errorf("backend: commit log: %w", err)
 		}
 	}
-	tx.Commit()
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"xmlsql/internal/schema"
 	"xmlsql/internal/shred"
 	"xmlsql/internal/sqlast"
+	"xmlsql/internal/stats"
 	"xmlsql/internal/xmltree"
 )
 
@@ -28,6 +29,10 @@ type Mem struct {
 	writeMu sync.Mutex
 	// log, when set, is consulted before a batch commits: see SetCommitLog.
 	log CommitLog
+	// tracker is the store's live statistics, created by the first caller
+	// that wants statistics (see StatsTracker); nil until then, so a backend
+	// nobody plans adaptively against pays nothing for it.
+	tracker atomic.Pointer[stats.Tracker]
 
 	// Accumulated shared-work memo counters across every Execute, so a
 	// serving layer can report engine-level reuse per backend (and, with
@@ -88,6 +93,31 @@ func (m *Mem) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result, err
 		m.sharedSavedRows.Add(st.SharedSavedRows)
 	}
 	return res, err
+}
+
+// StatsTracker returns the store's live statistics tracker, creating it on
+// first use. From then on every ApplyDML batch folds its change list into it
+// at commit, so snapshots stay exact without rescans; writes that bypass
+// ApplyDML are noticed per table by version (see stats.Tracker). Creation
+// takes the write lock so it never lands in the middle of a batch.
+func (m *Mem) StatsTracker() *stats.Tracker {
+	if tr := m.tracker.Load(); tr != nil {
+		return tr
+	}
+	m.writeMu.Lock()
+	defer m.writeMu.Unlock()
+	tr := m.tracker.Load()
+	if tr == nil {
+		tr = stats.NewTracker(m.store)
+		m.tracker.Store(tr)
+	}
+	return tr
+}
+
+// CollectStats implements StatsCollector with the live tracker's snapshot.
+func (m *Mem) CollectStats(context.Context, *schema.Schema) (*stats.Stats, error) {
+	snap, _ := m.StatsTracker().Snapshot()
+	return snap, nil
 }
 
 // EngineStats returns the shared-work memo counters accumulated across every

@@ -10,31 +10,23 @@ import (
 )
 
 // StatsCollector is implemented by backends that can produce their own
-// statistics snapshot better than the generic probe path — the sharded
+// statistics snapshot better than the generic probe path: Mem maintains its
+// statistics from each committed batch's change list, and the sharded
 // composite caches per-shard snapshots keyed by shard version and recollects
-// only mutated shards, so a write's statistics cost scales with one shard,
-// not the instance.
+// only mutated shards.
 type StatsCollector interface {
 	CollectStats(ctx context.Context, s *schema.Schema) (*stats.Stats, error)
 }
 
 // CollectStats gathers a statistics snapshot over any Backend for the
-// relations of the mapping s. The Mem backend is scanned directly (every
-// table of its store, one pass each); other backends are probed with one
-// dialect-rendered SELECT * per mapped relation, feeding the same
-// stats.CollectRows kernel — so identical data yields identical statistics
-// regardless of where it lives.
-//
-// Statistics are a snapshot: the returned Stats carries the store's
-// mutation version where one is observable (Mem), or a per-collection
-// counter otherwise, and its Fingerprint() is what plan caches embed to
-// age out decisions made against since-mutated data.
+// relations of the mapping s. A StatsCollector answers for itself; other
+// backends are probed with one dialect-rendered SELECT * per mapped
+// relation, feeding the same stats.CollectRows kernel — so identical data
+// yields identical statistics regardless of where it lives. A probed
+// snapshot carries version 0.
 func CollectStats(ctx context.Context, b Backend, s *schema.Schema) (*stats.Stats, error) {
 	if sc, ok := b.(StatsCollector); ok {
 		return sc.CollectStats(ctx, s)
-	}
-	if m, ok := b.(*Mem); ok {
-		return stats.CollectStore(m.Store()), nil
 	}
 	rels, err := s.DeriveRelations()
 	if err != nil {

@@ -64,7 +64,8 @@ type entry struct {
 	value any
 	// rels are the relations the cached plan reads (its invalidation tags).
 	// Entries stored without tags are purged by any PurgeTagged call — not
-	// knowing a plan's footprint must never keep it alive across a write.
+	// knowing a plan's footprint must never keep it alive when some
+	// relation's contents have been impeached.
 	rels []string
 }
 
@@ -130,9 +131,10 @@ func (c *Cache) Get(k Key) (any, bool) {
 // footprint is known.
 func (c *Cache) Put(k Key, v any) { c.PutTagged(k, v, nil) }
 
-// PutTagged stores v under k tagged with the relations the plan reads, so a
-// write batch can invalidate exactly the entries whose plans could observe
-// it (PurgeTagged) while unrelated hot entries keep serving.
+// PutTagged stores v under k tagged with the relations the plan reads, so an
+// audit that pins violations on some relations can drop exactly the entries
+// whose plans read them (PurgeTagged) while unrelated hot entries keep
+// serving.
 func (c *Cache) PutTagged(k Key, v any, rels []string) {
 	s := c.shardFor(k)
 	s.mu.Lock()
@@ -181,7 +183,8 @@ func (c *Cache) Purge() {
 // PurgeTagged drops every entry whose relation tags intersect rels, plus
 // every untagged entry (their footprint is unknown, so they cannot be
 // proven unaffected). Entries tagged with disjoint relations survive — the
-// scoped invalidation a write batch performs. Returns the number of entries
+// scoped invalidation a trust demotion performs (writes purge nothing: a
+// translation does not depend on rows). Returns the number of entries
 // dropped.
 func (c *Cache) PurgeTagged(rels []string) int {
 	if len(rels) == 0 {

@@ -72,12 +72,16 @@ func (s *Store) TableNames() []string {
 	return names
 }
 
-// DropAllRows clears the contents of every table but keeps the catalog.
+// DropAllRows clears the contents of every table but keeps the catalog. The
+// fresh tables continue the old ones' version counters, so a table's version
+// never repeats and Version stays strictly monotone.
 func (s *Store) DropAllRows() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, t := range s.tables {
-		s.tables[name] = NewTable(t.schema)
+		fresh := NewTable(t.schema)
+		fresh.version = t.Version() + 1
+		s.tables[name] = fresh
 	}
 }
 

@@ -75,10 +75,10 @@ type Table struct {
 	rows    []Row
 	pkIndex map[string]int      // primary key value -> row ordinal
 	indexes map[string]*hashIdx // column name -> index
-	// version counts row mutations (inserts, deletes, updates). Statistics
-	// snapshots record the store-level aggregate at collection time; a
-	// mismatch later marks them stale, and the stats fingerprint embedded in
-	// plan-cache keys then forces a re-plan (see internal/stats).
+	// version counts row mutations (inserts, deletes, updates) and never
+	// repeats. A statistics tracker records the version its counts account
+	// for; a mismatch later means someone else wrote, and the table is
+	// rescanned (see internal/stats).
 	version uint64
 }
 

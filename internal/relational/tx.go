@@ -3,10 +3,13 @@ package relational
 import "fmt"
 
 // StoreTx is an undo-log transaction over a Store: every mutation made
-// through it records a compensating action, and Rollback replays those in
-// reverse so the store returns to its pre-transaction contents. It exists
-// for the XML update path, where a batch of DML must apply atomically — a
-// failed statement mid-batch must leave the instance exactly as it was.
+// through it records the rows it removed and the rows it added, and Rollback
+// replays those records in reverse so the store returns to its
+// pre-transaction contents. It exists for the XML update path, where a batch
+// of DML must apply atomically — a failed statement mid-batch must leave the
+// instance exactly as it was. The same records are the batch's delta:
+// Changes hands them, grouped by table, to whoever maintains derived state
+// (statistics) from the write instead of from a rescan.
 //
 // StoreTx provides atomicity, not isolation: mutations are visible to
 // concurrent readers as they happen (with the same snapshot caveats as
@@ -14,8 +17,28 @@ import "fmt"
 // Planner.Update holds a write mutex for the whole batch.
 type StoreTx struct {
 	store *Store
-	undo  []func() error
+	log   []txRecord
 	done  bool
+}
+
+// txRecord is one applied mutation: an insert adds one row, a delete removes
+// rows, an update removes removed[i] and adds added[i] in its place. Each
+// record advanced its table's version exactly once.
+type txRecord struct {
+	table          *Table
+	removed, added []Row
+}
+
+// TableChange is one table's share of a transaction's delta. It is not
+// netted: a row the transaction both added and removed appears on both
+// sides, so consumers keeping counts fold Added before Removed.
+type TableChange struct {
+	Table          string
+	Removed, Added []Row
+	// Mutations is how many times the transaction advanced the table's
+	// version. A reader that knew the table at version v may adopt the
+	// change iff the table now stands at v+Mutations: nobody else wrote.
+	Mutations uint64
 }
 
 // Begin starts an undo-log transaction on the store.
@@ -32,7 +55,7 @@ func (tx *StoreTx) table(name string) (*Table, error) {
 	return t, nil
 }
 
-// Insert appends a row to the named table, recording its removal as undo.
+// Insert appends a row to the named table.
 func (tx *StoreTx) Insert(table string, r Row) error {
 	t, err := tx.table(table)
 	if err != nil {
@@ -42,34 +65,11 @@ func (tx *StoreTx) Insert(table string, r Row) error {
 	if err := t.Insert(r); err != nil {
 		return err
 	}
-	tx.undo = append(tx.undo, func() error {
-		removed := false
-		var match func(Row) bool
-		if pk := t.Schema().PrimaryKey; pk != "" {
-			pi := t.Schema().ColumnIndex(pk)
-			key := r[pi].Key()
-			match = func(row Row) bool { return row[pi].Key() == key }
-		} else {
-			key := r.Key()
-			match = func(row Row) bool { return row.Key() == key }
-		}
-		t.DeleteWhere(func(row Row) bool {
-			if removed || !match(row) {
-				return false
-			}
-			removed = true
-			return true
-		})
-		if !removed {
-			return fmt.Errorf("relational: table %s: undo insert: row vanished", table)
-		}
-		return nil
-	})
+	tx.log = append(tx.log, txRecord{table: t, added: []Row{r}})
 	return nil
 }
 
-// DeleteWhere removes matching rows from the named table, recording their
-// re-insertion as undo.
+// DeleteWhere removes matching rows from the named table.
 func (tx *StoreTx) DeleteWhere(table string, pred func(Row) bool) (int, error) {
 	t, err := tx.table(table)
 	if err != nil {
@@ -84,20 +84,12 @@ func (tx *StoreTx) DeleteWhere(table string, pred func(Row) bool) (int, error) {
 		return false
 	})
 	if n > 0 {
-		tx.undo = append(tx.undo, func() error {
-			for _, r := range removed {
-				if err := t.Insert(r); err != nil {
-					return fmt.Errorf("relational: table %s: undo delete: %w", table, err)
-				}
-			}
-			return nil
-		})
+		tx.log = append(tx.log, txRecord{table: t, removed: removed})
 	}
 	return n, nil
 }
 
-// UpdateWhere rewrites matching rows in the named table, recording the
-// restoration of the originals as undo.
+// UpdateWhere rewrites matching rows in the named table.
 func (tx *StoreTx) UpdateWhere(table string, pred func(Row) bool, fn func(Row) Row) (int, error) {
 	t, err := tx.table(table)
 	if err != nil {
@@ -121,14 +113,97 @@ func (tx *StoreTx) UpdateWhere(table string, pred func(Row) bool, fn func(Row) R
 	if uerr != nil || n == 0 {
 		return n, uerr
 	}
-	tx.undo = append(tx.undo, func() error {
-		// Restore each rewritten row to its original, matching by the
-		// rewritten contents (exact under a primary key; multiset-correct
-		// without one).
+	tx.log = append(tx.log, txRecord{table: t, removed: olds, added: news})
+	return n, nil
+}
+
+// Changes returns the transaction's delta so far, one entry per written
+// table in first-write order. It is valid until Commit or Rollback, which
+// discard the log.
+func (tx *StoreTx) Changes() []TableChange {
+	var out []TableChange
+	at := map[*Table]int{}
+	for _, rec := range tx.log {
+		i, ok := at[rec.table]
+		if !ok {
+			i = len(out)
+			at[rec.table] = i
+			out = append(out, TableChange{Table: rec.table.schema.Name})
+		}
+		out[i].Removed = append(out[i].Removed, rec.removed...)
+		out[i].Added = append(out[i].Added, rec.added...)
+		out[i].Mutations++
+	}
+	return out
+}
+
+// Commit finalizes the transaction, discarding the undo log. The mutations
+// are already applied; Commit only marks the transaction finished.
+func (tx *StoreTx) Commit() {
+	tx.log = nil
+	tx.done = true
+}
+
+// Rollback undoes the logged mutations in reverse, returning the store to
+// its pre-transaction contents. It is a no-op after Commit or a prior
+// Rollback.
+func (tx *StoreTx) Rollback() error {
+	if tx.done {
+		return nil
+	}
+	tx.done = true
+	var first error
+	for i := len(tx.log) - 1; i >= 0; i-- {
+		if err := tx.log[i].undo(); err != nil && first == nil {
+			first = err
+		}
+	}
+	tx.log = nil
+	return first
+}
+
+func (rec txRecord) undo() error {
+	t := rec.table
+	name := t.schema.Name
+	switch {
+	case len(rec.removed) == 0:
+		// Insert: take the one added row out again, matched by primary key
+		// where there is one and by full contents otherwise.
+		r := rec.added[0]
+		var match func(Row) bool
+		if pk := t.schema.PrimaryKey; pk != "" {
+			pi := t.schema.ColumnIndex(pk)
+			key := r[pi].Key()
+			match = func(row Row) bool { return row[pi].Key() == key }
+		} else {
+			key := r.Key()
+			match = func(row Row) bool { return row.Key() == key }
+		}
+		removed := false
+		t.DeleteWhere(func(row Row) bool {
+			if removed || !match(row) {
+				return false
+			}
+			removed = true
+			return true
+		})
+		if !removed {
+			return fmt.Errorf("relational: table %s: undo insert: row vanished", name)
+		}
+	case len(rec.added) == 0:
+		for _, r := range rec.removed {
+			if err := t.Insert(r); err != nil {
+				return fmt.Errorf("relational: table %s: undo delete: %w", name, err)
+			}
+		}
+	default:
+		// Update: restore each rewritten row to its original, matching by
+		// the rewritten contents (exact under a primary key;
+		// multiset-correct without one).
 		remaining := map[string][]Row{}
-		for i := range news {
-			k := news[i].Key()
-			remaining[k] = append(remaining[k], olds[i])
+		for i, nr := range rec.added {
+			k := nr.Key()
+			remaining[k] = append(remaining[k], rec.removed[i])
 		}
 		restored := 0
 		_, err := t.UpdateWhere(
@@ -142,36 +217,11 @@ func (tx *StoreTx) UpdateWhere(table string, pred func(Row) bool, fn func(Row) R
 			},
 		)
 		if err != nil {
-			return fmt.Errorf("relational: table %s: undo update: %w", table, err)
+			return fmt.Errorf("relational: table %s: undo update: %w", name, err)
 		}
-		if restored != len(olds) {
-			return fmt.Errorf("relational: table %s: undo update: restored %d of %d rows", table, restored, len(olds))
-		}
-		return nil
-	})
-	return n, nil
-}
-
-// Commit finalizes the transaction, discarding the undo log. The mutations
-// are already applied; Commit only marks the transaction finished.
-func (tx *StoreTx) Commit() {
-	tx.undo = nil
-	tx.done = true
-}
-
-// Rollback replays the undo log in reverse, returning the store to its
-// pre-transaction contents. It is a no-op after Commit or a prior Rollback.
-func (tx *StoreTx) Rollback() error {
-	if tx.done {
-		return nil
-	}
-	tx.done = true
-	var first error
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		if err := tx.undo[i](); err != nil && first == nil {
-			first = err
+		if restored != len(rec.removed) {
+			return fmt.Errorf("relational: table %s: undo update: restored %d of %d rows", name, restored, len(rec.removed))
 		}
 	}
-	tx.undo = nil
-	return first
+	return nil
 }

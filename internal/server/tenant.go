@@ -313,13 +313,16 @@ type TenantStats struct {
 
 	PlanCache PlanCacheStats `json:"plan_cache"`
 
-	Audits          int64  `json:"audits"`
-	ViolationsFound int64  `json:"violations_found"`
-	SafeModeServes  int64  `json:"safe_mode_serves"`
-	StatsCollects   int64  `json:"stats_collects"`
-	Updates         int64  `json:"updates"`
-	UpdateRejects   int64  `json:"update_rejects"`
-	Trust           string `json:"trust"`
+	Audits          int64 `json:"audits"`
+	ViolationsFound int64 `json:"violations_found"`
+	SafeModeServes  int64 `json:"safe_mode_serves"`
+	StatsCollects   int64 `json:"stats_collects"`
+	// DecisionRefreshes counts adaptive plan decisions re-made because a
+	// relation the query reads had changed.
+	DecisionRefreshes int64  `json:"decision_refreshes"`
+	Updates           int64  `json:"updates"`
+	UpdateRejects     int64  `json:"update_rejects"`
+	Trust             string `json:"trust"`
 	// Recovery is the durability lifecycle state ("volatile" when the tenant
 	// has no write-ahead log).
 	Recovery string `json:"recovery"`
@@ -342,15 +345,16 @@ func (t *Tenant) Stats() TenantStats {
 		PlanCache: PlanCacheStats{
 			Hits: ps.Hits, Misses: ps.Misses, Evictions: ps.Evictions, Entries: ps.Entries,
 		},
-		Audits:          ps.Audits,
-		ViolationsFound: ps.ViolationsFound,
-		SafeModeServes:  ps.SafeModeServes,
-		StatsCollects:   ps.StatsCollects,
-		Updates:         ps.Updates,
-		UpdateRejects:   ps.UpdateRejects,
-		Trust:           ps.Trust.String(),
-		Recovery:        string(t.RecoveryState()),
-		Limits:          t.limits,
+		Audits:            ps.Audits,
+		ViolationsFound:   ps.ViolationsFound,
+		SafeModeServes:    ps.SafeModeServes,
+		StatsCollects:     ps.StatsCollects,
+		DecisionRefreshes: ps.DecisionRefreshes,
+		Updates:           ps.Updates,
+		UpdateRejects:     ps.UpdateRejects,
+		Trust:             ps.Trust.String(),
+		Recovery:          string(t.RecoveryState()),
+		Limits:            t.limits,
 	}
 	if q := st.Queries; q > 0 {
 		st.MeanExecNs = float64(t.execNs.Load()) / float64(q)

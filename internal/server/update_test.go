@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"xmlsql"
+	"xmlsql/internal/relational"
 	"xmlsql/internal/server"
 )
 
@@ -177,9 +178,9 @@ func TestLineProtoUpdate(t *testing.T) {
 	}
 }
 
-// TestUpdateDoesNotDisturbOtherTenants is the multi-tenant face of scoped
-// invalidation: a write to one tenant leaves another tenant's hot plan-cache
-// entries (and trust state) untouched.
+// TestUpdateDoesNotDisturbOtherTenants is the multi-tenant face of writes
+// leaving cached plans alone: a write to one tenant is served by that tenant
+// without re-translating, and is invisible to the other tenant.
 func TestUpdateDoesNotDisturbOtherTenants(t *testing.T) {
 	srv := server.New(server.Config{Logf: func(string, ...any) {}})
 	cfgA, _ := newXMarkTenant(t, "a", nil)
@@ -215,18 +216,37 @@ func TestUpdateDoesNotDisturbOtherTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tenant b's hot entry still hits; tenant a re-plans.
-	if _, err := tb.Planner().Exec(ctx, q); err != nil {
+	// Tenant b's hot entry still hits and its answer is unchanged; tenant a
+	// serves the written element from the plan it already had.
+	rowsB, err := tb.Planner().Exec(ctx, q)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := tb.Planner().Stats().Misses; got != missesB {
 		t.Fatalf("tenant b re-planned after tenant a's write (%d -> %d misses)", missesB, got)
 	}
 	missesA := ta.Planner().Stats().Misses
-	if _, err := ta.Planner().Exec(ctx, q); err != nil {
+	rowsA, err := ta.Planner().Exec(ctx, q)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ta.Planner().Stats().Misses; got == missesA {
-		t.Fatal("tenant a kept serving a stale plan for its touched relation")
+	if got := ta.Planner().Stats().Misses; got != missesA {
+		t.Fatalf("tenant a re-translated after its own write (%d -> %d misses)", missesA, got)
+	}
+	has := func(res *xmlsql.Result) bool {
+		for _, row := range res.Rows {
+			for _, v := range row {
+				if v.Identical(relational.String("tenant-a-only")) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if !has(rowsA) {
+		t.Fatal("tenant a's answer does not contain the element it wrote")
+	}
+	if has(rowsB) {
+		t.Fatal("tenant b serves an element written to tenant a")
 	}
 }

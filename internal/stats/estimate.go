@@ -191,6 +191,9 @@ func (r *relEst) col(name string) *colEst {
 type Bound struct {
 	est  *Estimator
 	ctes map[string]*relEst
+	// base memoizes the base-table estimates: a union of join chains names
+	// the same few relations in every branch, and they are never mutated.
+	base map[string]*relEst
 	Est  *QueryEstimate
 }
 
@@ -204,7 +207,7 @@ func (e *Estimator) EstimateQuery(q *sqlast.Query) *QueryEstimate {
 // Bind estimates q and returns the bound context (see Bound). The error is
 // advisory: estimation always completes with defaults on unknown shapes.
 func (e *Estimator) Bind(q *sqlast.Query) (*Bound, error) {
-	b := &Bound{est: e, ctes: map[string]*relEst{}, Est: &QueryEstimate{}}
+	b := &Bound{est: e, ctes: map[string]*relEst{}, base: map[string]*relEst{}, Est: &QueryEstimate{}}
 	var firstErr error
 	for _, cte := range q.With {
 		ce, err := b.bindCTE(cte)
@@ -395,7 +398,12 @@ func (b *Bound) resolve(source string) *relEst {
 	if r, ok := b.ctes[source]; ok {
 		return r
 	}
-	return b.est.baseRel(source)
+	r, ok := b.base[source]
+	if !ok {
+		r = b.est.baseRel(source)
+		b.base[source] = r
+	}
+	return r
 }
 
 func (f *frame) add(fi sqlast.FromItem) *relEst {

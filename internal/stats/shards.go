@@ -6,7 +6,6 @@ package stats
 // two shards), almost everything merges exactly:
 //
 //   - Rows, Nulls and TotalRows add;
-//   - Min/Max combine;
 //   - histograms add bucket-wise. A merged histogram that exceeds
 //     HistogramCap demotes to a distinct count — still exact, since the
 //     buckets were exhaustive.
@@ -38,6 +37,9 @@ func MergeShards(snaps []*Stats) *Stats {
 			out.TotalRows += t.Rows
 			mergeTableStats(acc, t)
 		}
+	}
+	for _, t := range out.Relations {
+		t.seal()
 	}
 	return out
 }
@@ -73,18 +75,6 @@ func mergeTableStats(acc, t *TableStats) {
 			continue
 		}
 		a.Nulls += cs.Nulls
-		if cs.HasMinMax {
-			if !a.HasMinMax {
-				a.HasMinMax, a.Min, a.Max = true, cs.Min, cs.Max
-			} else {
-				if cs.Min < a.Min {
-					a.Min = cs.Min
-				}
-				if cs.Max > a.Max {
-					a.Max = cs.Max
-				}
-			}
-		}
 		switch {
 		case a.Histogram != nil && cs.Histogram != nil:
 			for k, v := range cs.Histogram {

@@ -8,26 +8,25 @@
 // even on the handful of queries where pruning removes only a one-row join
 // and the measured "win" is noise. This package supplies the missing
 // ingredient for choosing per query: per-relation row counts, per-column
-// distinct counts and min/max, small-domain value histograms (the
+// distinct counts, small-domain value histograms (the
 // parentcode/kindcode selectivity the translators filter on), and
 // parent→child join fan-out — plus an estimator that walks a sqlast tree
 // and predicts output rows and intermediate-join sizes per branch.
 //
 // Collection is a single scan per relation (CollectStore for the in-memory
-// store, Collect for any row source, e.g. a Backend's SELECT * probe), so
-// it piggybacks naturally on shred/load time. Statistics carry the store's
-// mutation version and a content fingerprint; plan caches embed the
-// fingerprint in their keys so stale statistics re-plan instead of serving
-// decisions made against data that has since changed.
+// store, CollectRows for any row source, e.g. a Backend's SELECT * probe).
+// A Tracker keeps a store's statistics current from each committed batch's
+// change list instead of rescanning. Every TableStats carries a content
+// fingerprint; an adaptive plan decision records the fingerprints of the
+// relations it read and is re-made when one of them moves.
 package stats
 
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"xmlsql/internal/relational"
 )
@@ -46,10 +45,6 @@ type ColumnStats struct {
 	Distinct int64 `json:"distinct"`
 	// Nulls is the number of NULL entries.
 	Nulls int64 `json:"nulls,omitempty"`
-	// Min/Max bound integer columns (valid when HasMinMax).
-	HasMinMax bool  `json:"has_min_max,omitempty"`
-	Min       int64 `json:"min,omitempty"`
-	Max       int64 `json:"max,omitempty"`
 	// Histogram maps Value.Key() to its exact occurrence count, kept only
 	// while the column stays within HistogramCap distinct values. For the
 	// edge-condition columns the translators filter on (parentcode,
@@ -63,6 +58,8 @@ type TableStats struct {
 	Rows     int64  `json:"rows"`
 	// Columns is keyed by column name.
 	Columns map[string]*ColumnStats `json:"columns"`
+
+	fp uint64 // content fingerprint, see Fingerprint
 }
 
 // Stats is a full statistics snapshot of one relational instance.
@@ -76,7 +73,8 @@ type Stats struct {
 	// TotalRows sums Rows across relations.
 	TotalRows int64 `json:"total_rows"`
 
-	fp string // memoized fingerprint
+	fpOnce sync.Once
+	fp     string
 }
 
 // Table returns the named relation's statistics, or nil.
@@ -153,95 +151,89 @@ func (t *TableStats) NullFraction(col string) float64 {
 // predicates on columns without statistics.
 const defaultEqSelectivity = 0.1
 
-// Fingerprint returns a stable content hash of the snapshot (relation and
-// column counts, histograms, and the mutation version). Two snapshots of
-// the same data fingerprint identically; any mutation that changes a row
-// count, a histogram bucket, or the store version changes it. Plan caches
-// embed it in keys so decisions made against stale statistics age out.
+// Fingerprint returns the relation's content fingerprint: a hash of its row
+// count and every column's distinct count, null count and histogram, computed
+// once when the statistics were built (CollectRows, Tracker, MergeShards). Two
+// TableStats over the same data fingerprint identically wherever they were
+// built; an absent relation (nil) fingerprints as 0. Adaptive plan decisions
+// record the fingerprints of the relations they read and stay valid exactly
+// while those are unchanged.
+func (t *TableStats) Fingerprint() uint64 {
+	if t == nil {
+		return 0
+	}
+	return t.fp
+}
+
+// seal computes the content fingerprint. Per-column and per-bucket hashes are
+// summed, so map iteration order does not matter and nothing is sorted.
+func (t *TableStats) seal() {
+	var cols uint64
+	for name, c := range t.Columns {
+		var buckets uint64
+		for k, n := range c.Histogram {
+			buckets += mix(hashString(k), uint64(n))
+		}
+		cols += mix(mix(mix(hashString(name), uint64(c.Distinct)), uint64(c.Nulls)), buckets)
+	}
+	t.fp = mix(mix(hashString(t.Relation), uint64(t.Rows)), cols) | 1 // 0 means absent
+}
+
+// hashString is 64-bit FNV-1a.
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
+// mix folds v into h with a multiply-xorshift round (order-sensitive).
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0xff51afd7ed558ccd
+	return h ^ h>>33
+}
+
+// Fingerprint returns a stable content hash of the snapshot: the mutation
+// version and every relation's content fingerprint. Two snapshots of the same
+// data at the same version fingerprint identically; any mutation changes it.
+// It identifies a snapshot in dumps and explanations and is computed at most
+// once, safely under concurrent callers.
 func (s *Stats) Fingerprint() string {
 	if s == nil {
 		return "stats:none"
 	}
-	if s.fp != "" {
-		return s.fp
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "v%d|", s.Version)
-	names := make([]string, 0, len(s.Relations))
-	for n := range s.Relations {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		t := s.Relations[n]
-		fmt.Fprintf(h, "%s:%d{", n, t.Rows)
-		cols := make([]string, 0, len(t.Columns))
-		for c := range t.Columns {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		for _, cn := range cols {
-			c := t.Columns[cn]
-			fmt.Fprintf(h, "%s=%d,%d,%d,%d;", cn, c.Distinct, c.Nulls, c.Min, c.Max)
-			if c.Histogram != nil {
-				keys := make([]string, 0, len(c.Histogram))
-				for k := range c.Histogram {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					fmt.Fprintf(h, "%s=%d,", k, c.Histogram[k])
-				}
-			}
-		}
-		h.Write([]byte("}"))
-	}
-	s.fp = "stats:" + strconv.FormatUint(h.Sum64(), 36)
+	s.fpOnce.Do(func() {
+		s.fp = "stats:" + strconv.FormatUint(mix(s.Version, s.relationsHash(nil)), 36)
+	})
 	return s.fp
 }
 
-// FingerprintFor hashes only the named relations' statistics, without the
-// store-wide Version. A plan cached under the scoped fingerprint of the
-// relations it reads stays valid across writes to *other* relations — the
-// store version moves, but this hash does not — while a refreshed snapshot
-// of a touched relation changes the hash and forces a re-plan. rels is
-// sorted internally; unknown relations hash as absent.
+// FingerprintFor hashes only the named relations' content fingerprints,
+// without the store-wide Version: it moves exactly when one of those
+// relations' statistics do. Order-insensitive; unknown relations hash as
+// absent.
 func (s *Stats) FingerprintFor(rels []string) string {
 	if s == nil {
 		return "stats:none"
 	}
-	h := fnv.New64a()
-	names := append([]string(nil), rels...)
-	sort.Strings(names)
-	for _, n := range names {
-		t := s.Relations[n]
-		if t == nil {
-			fmt.Fprintf(h, "%s:absent{}", n)
-			continue
+	return "stats/rel:" + strconv.FormatUint(s.relationsHash(rels), 36)
+}
+
+// relationsHash sums the (name, fingerprint) hashes of the named relations,
+// or of every relation when rels is nil.
+func (s *Stats) relationsHash(rels []string) uint64 {
+	var sum uint64
+	if rels == nil {
+		for name, t := range s.Relations {
+			sum += mix(hashString(name), t.fp)
 		}
-		fmt.Fprintf(h, "%s:%d{", n, t.Rows)
-		cols := make([]string, 0, len(t.Columns))
-		for c := range t.Columns {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		for _, cn := range cols {
-			c := t.Columns[cn]
-			fmt.Fprintf(h, "%s=%d,%d,%d,%d;", cn, c.Distinct, c.Nulls, c.Min, c.Max)
-			if c.Histogram != nil {
-				keys := make([]string, 0, len(c.Histogram))
-				for k := range c.Histogram {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					fmt.Fprintf(h, "%s=%d,", k, c.Histogram[k])
-				}
-			}
-		}
-		h.Write([]byte("}"))
+		return sum
 	}
-	return "stats/rel:" + strconv.FormatUint(h.Sum64(), 36)
+	for _, name := range rels {
+		sum += mix(hashString(name), s.Relations[name].Fingerprint())
+	}
+	return sum
 }
 
 // MarshalJSON includes the fingerprint alongside the snapshot so dumps

@@ -11,7 +11,7 @@ import (
 
 // Decision is the adaptive chooser's record of one query's plan-level
 // selections, with the estimates that justified them; xml2sql -explain
-// prints it and the plan cache keys on KnobKey().
+// prints it.
 type Decision struct {
 	// UsePruned reports that the pruned (constraint-exploiting) translation
 	// was chosen over the baseline. The pruned plan must clear
@@ -35,9 +35,8 @@ type Decision struct {
 	Query *sqlast.Query
 }
 
-// KnobKey is the compact knob vector identifying this decision in plan
-// cache keys: two cached plans for the same query text differ exactly when
-// their decisions differ.
+// KnobKey is the compact knob vector naming this decision in explanations
+// and reports.
 func (d *Decision) KnobKey() string {
 	plan := "baseline"
 	if d.UsePruned {

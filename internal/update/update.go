@@ -144,8 +144,8 @@ func (e *Error) Error() string {
 
 // Result reports one applied batch.
 type Result struct {
-	// Touched is the batch's tuple footprint; its Relations() drive scoped
-	// cache and statistics invalidation.
+	// Touched is the batch's tuple footprint: what the incremental audit
+	// re-checks.
 	Touched integrity.Touched
 	// Stmts counts the DML statements applied.
 	Stmts int

@@ -34,8 +34,8 @@ type (
 	// UpdateApplier plans and applies mutation batches for one mapping over
 	// one backend, for callers that bypass the Planner.
 	UpdateApplier = update.Applier
-	// TouchedTuples is an applied batch's tuple-level footprint; its
-	// Relations() drive scoped cache and statistics invalidation.
+	// TouchedTuples is an applied batch's tuple-level footprint: the input
+	// of the incremental audit.
 	TouchedTuples = integrity.Touched
 )
 
@@ -67,15 +67,15 @@ func NewUpdateApplier(s *Schema, store *Store, opts UpdateOptions) (*UpdateAppli
 }
 
 // Update plans, validates, and atomically applies one mutation batch on the
-// planner's backend, then performs the scoped bookkeeping that keeps serving
-// consistent:
+// planner's backend. Serving needs no invalidation afterwards:
 //
-//   - Plan-cache invalidation is limited to entries whose plans read a
-//     touched relation; hot queries over untouched relations keep their
-//     cached plans (and their statistics fingerprints, which are scoped to
-//     each query's own relation set, are unchanged too).
-//   - The cached statistics snapshot is dropped for database backends; the
-//     in-memory snapshot refreshes itself off the store's mutation version.
+//   - Cached translations stay: a translation is a function of (mapping, path
+//     expression), valid on every instance satisfying the lossless constraint,
+//     so no write can make one wrong. An adaptive entry re-validates its
+//     decision by statistics fingerprint (see planAdaptive).
+//   - The in-memory backend folded the batch's change list into its
+//     statistics at commit; a probed snapshot (database backends) is dropped
+//     so the next adaptive plan re-probes.
 //   - Trust transitions follow the incremental audit of the touched
 //     neighborhood: a clean audit leaves TrustVerified standing without a
 //     global scan (the batch demonstrably preserved the constraint where it
@@ -100,14 +100,7 @@ func (p *Planner) Update(ctx context.Context, b UpdateBatch) (*UpdateResult, err
 	}
 	p.updates.Add(1)
 
-	if rels := res.Touched.Relations(); len(rels) > 0 {
-		p.cache.PurgeTagged(rels)
-		if cur := p.statsSnap.Load(); cur != nil && cur.store == nil {
-			// A database backend's snapshot has no mutation version to watch;
-			// drop it so the next adaptive plan re-probes.
-			p.statsSnap.Store(nil)
-		}
-	}
+	p.probed.Store(nil)
 
 	switch {
 	case !res.Audit.Clean():

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xmlsql"
+	"xmlsql/internal/relational"
 	"xmlsql/internal/workloads"
 )
 
@@ -99,10 +100,28 @@ func TestPlannerUpdateRejectionIsCountedAndAtomic(t *testing.T) {
 	}
 }
 
-// TestPlannerUpdateScopedInvalidation is the acceptance criterion for scoped
-// plan-cache invalidation: after a valid batch, a previously-hot query
-// re-plans only if its relations were touched. Verified via the planner's
-// hit/miss counters on the cached (non-adaptive) plan path.
+// servesValue reports whether query's answer contains the string value.
+func servesValue(t *testing.T, p *xmlsql.Planner, query, value string) bool {
+	t.Helper()
+	res, err := p.Exec(context.Background(), query)
+	if err != nil {
+		t.Fatalf("exec %q: %v", query, err)
+	}
+	for _, row := range res.Rows {
+		for _, v := range row {
+			if v.Identical(relational.String(value)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestPlannerUpdateScopedInvalidation pins what a write means for cached
+// plans on the plain (non-adaptive) path: nothing. A translation does not
+// depend on rows, so after a valid batch both the query over the written
+// relation and the one over untouched relations keep their cache entries —
+// and the touched query's answer contains the written element.
 func TestPlannerUpdateScopedInvalidation(t *testing.T) {
 	ctx := context.Background()
 	p, _ := newUpdatePlanner(t, nil)
@@ -129,24 +148,23 @@ func TestPlannerUpdateScopedInvalidation(t *testing.T) {
 		t.Fatalf("update: %v", err)
 	}
 
-	// The untouched query keeps its cached plan...
-	m1 := p.Stats().Misses
 	countRows(t, p, qUntouched)
-	if m := p.Stats().Misses; m != m1 {
-		t.Fatalf("untouched query re-planned after unrelated write (%d -> %d misses)", m1, m)
+	if m := p.Stats().Misses; m != m0 {
+		t.Fatalf("untouched query re-planned after unrelated write (%d -> %d misses)", m0, m)
 	}
-	// ...while the touched one re-plans.
-	countRows(t, p, qTouched)
-	if m := p.Stats().Misses; m == m1 {
-		t.Fatal("touched query did not re-plan after a write to its relation")
+	if !servesValue(t, p, qTouched, "post-write") {
+		t.Fatal("touched query's answer does not contain the written element")
+	}
+	if m := p.Stats().Misses; m != m0 {
+		t.Fatalf("touched query re-translated after a write (%d -> %d misses); translations do not depend on rows", m0, m)
 	}
 }
 
-// TestPlannerUpdateScopedInvalidationAdaptive checks the same criterion on
-// the adaptive path, where invalidation is carried by relation-scoped
-// statistics fingerprints: a write to InCat changes the InCat-reading query's
-// fingerprint but leaves the Site-only query's fingerprint — and therefore
-// its cache entries — intact.
+// TestPlannerUpdateScopedInvalidationAdaptive pins the same on the adaptive
+// path, where only the *decision* depends on data: a write to InCat re-runs
+// the chooser exactly once for the InCat-reading query (its relation's
+// statistics fingerprint moved) and not at all for the Site-only query, no
+// cache entry is lost, and the write costs no statistics rescan.
 func TestPlannerUpdateScopedInvalidationAdaptive(t *testing.T) {
 	ctx := context.Background()
 	p, _ := newUpdatePlanner(t, func(cfg *xmlsql.PlannerConfig) {
@@ -154,14 +172,21 @@ func TestPlannerUpdateScopedInvalidationAdaptive(t *testing.T) {
 	})
 	const qTouched = "//Item/InCategory/Category"
 	const qUntouched = "/Site"
+	decision := func(q string) *xmlsql.PlanDecision {
+		t.Helper()
+		ex, err := p.Explain(ctx, q)
+		if err != nil {
+			t.Fatalf("explain %q: %v", q, err)
+		}
+		return ex.Decision
+	}
 
 	countRows(t, p, qTouched)
 	countRows(t, p, qUntouched)
-	m0 := p.Stats().Misses
-	countRows(t, p, qTouched)
-	countRows(t, p, qUntouched)
-	if m := p.Stats().Misses; m != m0 {
-		t.Fatalf("warm adaptive queries missed the cache (%d -> %d misses)", m0, m)
+	decTouched, decUntouched := decision(qTouched), decision(qUntouched)
+	st0 := p.Stats()
+	if st0.StatsCollects != 1 || st0.DecisionRefreshes != 0 {
+		t.Fatalf("after warm-up: %d collects, %d decision refreshes, want 1 and 0", st0.StatsCollects, st0.DecisionRefreshes)
 	}
 
 	if _, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{{
@@ -172,14 +197,30 @@ func TestPlannerUpdateScopedInvalidationAdaptive(t *testing.T) {
 		t.Fatalf("update: %v", err)
 	}
 
-	m1 := p.Stats().Misses
 	countRows(t, p, qUntouched)
-	if m := p.Stats().Misses; m != m1 {
-		t.Fatalf("untouched adaptive query re-planned after unrelated write (%d -> %d misses)", m1, m)
+	if got := decision(qUntouched); got != decUntouched {
+		t.Fatal("untouched adaptive query's decision was re-made after an unrelated write")
+	}
+	if st := p.Stats(); st.Misses != st0.Misses || st.DecisionRefreshes != 0 {
+		t.Fatalf("untouched adaptive query: misses %d -> %d, decision refreshes %d, want no movement",
+			st0.Misses, st.Misses, st.DecisionRefreshes)
+	}
+	if !servesValue(t, p, qTouched, "adaptive-write") {
+		t.Fatal("touched adaptive query's answer does not contain the written element")
 	}
 	countRows(t, p, qTouched)
-	if m := p.Stats().Misses; m == m1 {
-		t.Fatal("touched adaptive query did not re-plan after a write to its relation")
+	if got := decision(qTouched); got == decTouched {
+		t.Fatal("touched adaptive query kept a decision made against pre-write statistics")
+	}
+	st := p.Stats()
+	if st.Misses != st0.Misses {
+		t.Fatalf("touched adaptive query re-translated after a write (%d -> %d misses)", st0.Misses, st.Misses)
+	}
+	if st.DecisionRefreshes != 1 {
+		t.Fatalf("DecisionRefreshes = %d after one write to the touched query's relation, want 1", st.DecisionRefreshes)
+	}
+	if st.StatsCollects != 1 {
+		t.Fatalf("StatsCollects = %d after an Update, want 1 (statistics follow the commit)", st.StatsCollects)
 	}
 }
 

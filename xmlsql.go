@@ -21,6 +21,7 @@ import (
 	"database/sql"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,9 +134,8 @@ type (
 	// identifier quoting, keyword case, placeholders, and DDL type names.
 	Dialect = sqlast.Dialect
 	// Statistics is a snapshot of per-relation/per-column table statistics
-	// (row counts, distinct counts, min/max, small-domain histograms, join
-	// fan-out) collected over a shredded instance; the adaptive planner's
-	// raw material.
+	// (row counts, distinct counts, small-domain histograms, join fan-out)
+	// over a shredded instance; the adaptive planner's raw material.
 	Statistics = stats.Stats
 	// Estimator estimates output rows and intermediate-join sizes of
 	// generated SQL against one Statistics snapshot.
@@ -413,15 +413,15 @@ func FactorSharedPrefixes(s *Schema, q *SQL) (*SQL, bool) {
 
 // CollectStatistics scans every table of an in-memory store and returns the
 // statistics snapshot the adaptive planner plans against: per-relation row
-// counts, per-column distinct counts and min/max, small-domain histograms
-// (kindcode/parentcode selectivities), and the parent→child join fan-outs
-// they imply. The snapshot carries the store's mutation version, and its
-// Fingerprint() changes whenever the data (not just the version) changes.
+// counts, per-column distinct counts, small-domain histograms (kindcode/
+// parentcode selectivities), and the parent→child join fan-outs they imply.
+// The snapshot carries the store's mutation version; its Fingerprint()
+// changes whenever the data or the version changes.
 func CollectStatistics(store *Store) *Statistics { return stats.CollectStore(store) }
 
 // CollectBackendStatistics collects the same snapshot over any Backend: the
-// in-memory backend is scanned directly, database backends are probed with
-// one SELECT per mapped relation of s.
+// in-memory backend answers from its live statistics, database backends are
+// probed with one SELECT per mapped relation of s.
 func CollectBackendStatistics(ctx context.Context, b Backend, s *Schema) (*Statistics, error) {
 	return backend.CollectStats(ctx, b, s)
 }
@@ -520,10 +520,14 @@ type Planner struct {
 	violations atomic.Int64
 	safeServes atomic.Int64
 
-	// Adaptive machinery: the cached statistics snapshot (refreshed when the
-	// observed store's mutation version moves) and the re-plan counter.
-	statsSnap     atomic.Pointer[statsEntry]
-	statsCollects atomic.Int64
+	// Adaptive machinery. A Mem backend keeps its own live statistics; live
+	// is the tracker for the store an explicit-store Eval last read, probed
+	// the snapshot of a backend that can only be probed (kept until
+	// RefreshStats or an Update drops it).
+	live              atomic.Pointer[stats.Tracker]
+	probed            atomic.Pointer[Statistics]
+	statsCollects     atomic.Int64
+	decisionRefreshes atomic.Int64
 
 	// Update machinery: the lazily-built batch applier (rebuilt when the
 	// installed schema changes) and the write counters. applierMu guards
@@ -533,14 +537,6 @@ type Planner struct {
 	applier       *update.Applier
 	updates       atomic.Int64
 	updateRejects atomic.Int64
-}
-
-// statsEntry is one cached statistics snapshot. store is the in-memory store
-// it was scanned from (nil when it came from a database backend, which has
-// no cheap mutation version — refresh those with RefreshStats).
-type statsEntry struct {
-	store *Store
-	snap  *Statistics
 }
 
 // NewPlanner creates a Planner for the schema with default configuration.
@@ -655,89 +651,115 @@ const safeModeKey = "safe-mode"
 // adaptive reports whether this planner plans cost-based per query.
 func (p *Planner) adaptive() bool { return p.cfg.Translate.Adaptive }
 
-// adaptivePlan is one cached adaptive decision: the chosen translation plus
-// the Decision that justifies it (Exec feeds the Decision's estimate to the
-// engine's Auto mode; Explain prints it).
+// adaptivePlan is the one cache entry of an adaptively planned query. The
+// candidate translations and their relation footprint depend only on
+// (schema, query, options), never on rows, so a write leaves them alone;
+// only the choice between them depends on data. decision holds that choice
+// together with the statistics fingerprints of the footprint's relations it
+// was made against, and is swapped when one of them has moved.
 type adaptivePlan struct {
+	naive, pruned *SQL // pruned is nil when there is nothing to choose
+	classes       []core.PrunedClass
+	rels          []string
+	decision      atomic.Pointer[adaptiveDecision]
+}
+
+// adaptiveDecision is one outcome of the chooser: the translation Exec
+// serves, the Decision behind it (its estimate drives the engine's Auto mode;
+// Explain prints it), and fps[i], rels[i]'s statistics fingerprint then.
+type adaptiveDecision struct {
 	tr  *Translation
 	dec *PlanDecision
+	fps []uint64
+}
+
+// decide runs the chooser over the candidates against snap and installs it.
+func (ap *adaptivePlan) decide(s *Schema, snap *Statistics) *adaptiveDecision {
+	dec := translate.ChoosePlan(ap.naive, ap.pruned, s, stats.NewEstimator(snap))
+	d := &adaptiveDecision{
+		tr:  &Translation{Query: dec.Query, Fallback: !dec.UsePruned},
+		dec: dec,
+		fps: make([]uint64, len(ap.rels)),
+	}
+	if dec.UsePruned {
+		d.tr.Classes = ap.classes
+	}
+	for i, r := range ap.rels {
+		d.fps[i] = snap.Table(r).Fingerprint()
+	}
+	ap.decision.Store(d)
+	return d
 }
 
 // StatsSnapshot returns current statistics for the serving backend,
-// collecting on first use. For the in-memory backend the snapshot
-// auto-refreshes whenever the store's mutation version has moved; database
-// backends are probed once and kept until RefreshStats.
+// collecting on first use. The in-memory backend maintains its statistics
+// from every committed batch, so its snapshot is always current; other
+// backends are probed once and kept until RefreshStats or an Update.
 func (p *Planner) StatsSnapshot(ctx context.Context) (*Statistics, error) {
 	if m, ok := p.backend().(*backend.Mem); ok {
-		return p.storeStats(m.Store()), nil
+		return p.liveStats(m.StatsTracker()), nil
 	}
-	if cur := p.statsSnap.Load(); cur != nil && cur.store == nil {
-		return cur.snap, nil
+	if snap := p.probed.Load(); snap != nil {
+		return snap, nil
 	}
 	snap, err := backend.CollectStats(ctx, p.backend(), p.schema.Load())
 	if err != nil {
 		return nil, err
 	}
 	p.statsCollects.Add(1)
-	p.statsSnap.Store(&statsEntry{snap: snap})
+	p.probed.Store(snap)
 	return snap, nil
 }
 
-// storeStats returns a fresh-enough snapshot for an in-memory store: the
-// cached one while the store's mutation version is unchanged, a re-scan
-// otherwise. A mutated store therefore changes the snapshot's fingerprint,
-// which changes the adaptive plan-cache keys, which forces a re-plan — the
-// staleness contract.
-func (p *Planner) storeStats(store *Store) *Statistics {
-	v := store.Version()
-	if cur := p.statsSnap.Load(); cur != nil && cur.store == store && cur.snap.Version == v {
-		return cur.snap
+// liveStats snapshots a tracker, counting the call as a collection when it
+// had to scan a table (first use, or a write that bypassed the backend).
+func (p *Planner) liveStats(tr *stats.Tracker) *Statistics {
+	snap, scanned := tr.Snapshot()
+	if scanned {
+		p.statsCollects.Add(1)
 	}
-	snap := stats.CollectStore(store)
-	p.statsCollects.Add(1)
-	p.statsSnap.Store(&statsEntry{store: store, snap: snap})
 	return snap
 }
 
-// RefreshStats drops the cached statistics snapshot and collects a new one —
+// storeStats is liveStats for an explicit store (the Eval path).
+func (p *Planner) storeStats(store *Store) *Statistics {
+	tr := p.live.Load()
+	if tr == nil || tr.Store() != store {
+		tr = stats.NewTracker(store)
+		p.live.Store(tr)
+	}
+	return p.liveStats(tr)
+}
+
+// RefreshStats drops a probed statistics snapshot and collects a new one —
 // for database backends (whose mutations the planner cannot observe) after
 // loads, or on a timer.
 func (p *Planner) RefreshStats(ctx context.Context) (*Statistics, error) {
-	p.statsSnap.Store(nil)
+	p.probed.Store(nil)
 	return p.StatsSnapshot(ctx)
 }
 
-// planAdaptive runs the cost-based plan path: translate both candidates,
-// choose with the estimator over snap, cache the outcome. Caching is
-// three-level, so the keys literally incorporate the chosen knob vector and
-// the statistics fingerprint of exactly the relations the query reads: a
-// relation-set entry (options = base options + "|rels") maps the query to its
-// relation footprint, an index entry (options = base options + "|auto|" +
-// scoped stats fingerprint) maps it to its chosen knob vector, and the full
-// entry (options = base options + "|" + knob vector + "|" + fingerprint)
-// holds the plan. Mutating a relation the query reads changes the scoped
-// fingerprint (stats.FingerprintFor), misses the lower levels, and re-plans
-// against fresh statistics — while a query whose relations were *not* touched
-// keeps hitting its existing entries: writes invalidate only the plans that
-// could observe them. All three levels are tagged with the relation set, so
-// a write batch's PurgeTagged drops them together.
+// planAdaptive runs the cost-based plan path. A query has one cache entry,
+// keyed by (schema fingerprint, query, options) and tagged with its relation
+// footprint (trust demotion purges by relation). A hit compares the
+// decision's recorded per-relation statistics fingerprints with snap's and
+// serves; if a relation the query reads has changed, the chooser re-runs
+// over the cached candidates — no parse, PathId, prune or SQLGen — and the
+// new decision is swapped in. Writes to other relations cost nothing.
 func (p *Planner) planAdaptive(query string, snap *Statistics) (*Translation, *PlanDecision, error) {
 	s := p.schema.Load()
-	base := plancache.Key{SchemaFP: s.Fingerprint(), Query: query}
-	relsKey := base
-	relsKey.Options = p.optKey + "|rels"
-	if v, ok := p.cache.Get(relsKey); ok {
-		fp := snap.FingerprintFor(v.([]string))
-		idx := base
-		idx.Options = p.optKey + "|auto|" + fp
-		if v, ok := p.cache.Get(idx); ok {
-			full := base
-			full.Options = v.(string)
-			if v2, ok := p.cache.Get(full); ok {
-				ap := v2.(*adaptivePlan)
-				return ap.tr, ap.dec, nil
+	k := plancache.Key{SchemaFP: s.Fingerprint(), Query: query, Options: p.optKey + "|adaptive"}
+	if v, ok := p.cache.Get(k); ok {
+		ap := v.(*adaptivePlan)
+		d := ap.decision.Load()
+		for i, r := range ap.rels {
+			if snap.Table(r).Fingerprint() != d.fps[i] {
+				d = ap.decide(s, snap)
+				p.decisionRefreshes.Add(1)
+				break
 			}
 		}
+		return d.tr, d.dec, nil
 	}
 	q, err := ParseQuery(query)
 	if err != nil {
@@ -750,49 +772,28 @@ func (p *Planner) planAdaptive(query string, snap *Statistics) (*Translation, *P
 	if err != nil {
 		return nil, nil, err
 	}
-	naive, pruned := tr.Baseline, tr.Query
-	if tr.Fallback || naive == nil {
+	ap := &adaptivePlan{naive: tr.Baseline, pruned: tr.Query, classes: tr.Classes}
+	if tr.Fallback || ap.naive == nil {
 		// Fallback translations and empty ones (no schema match, so no
 		// Baseline either) leave a single candidate: nothing to choose.
-		naive, pruned = tr.Query, nil
-	}
-	dec := translate.ChoosePlan(naive, pruned, s, stats.NewEstimator(snap))
-	out := &Translation{Query: dec.Query, Fallback: !dec.UsePruned}
-	if dec.UsePruned {
-		out.Classes = tr.Classes
+		ap.naive, ap.pruned = tr.Query, nil
 	}
 	// The footprint is the union over both candidates: whichever plan a
 	// future statistics state favors, its relations are covered.
-	rels := relationUnion(naive, pruned)
-	fp := snap.FingerprintFor(rels)
-	full := base
-	full.Options = p.optKey + "|" + dec.KnobKey() + "|" + fp
-	idx := base
-	idx.Options = p.optKey + "|auto|" + fp
-	p.cache.PutTagged(full, &adaptivePlan{tr: out, dec: dec}, rels)
-	p.cache.PutTagged(idx, full.Options, rels)
-	p.cache.PutTagged(relsKey, rels, rels)
-	return out, dec, nil
+	ap.rels = relationUnion(ap.naive, ap.pruned)
+	d := ap.decide(s, snap)
+	p.cache.PutTagged(k, ap, ap.rels)
+	return d.tr, d.dec, nil
 }
 
 // relationUnion is the sorted union of the relations two candidate plans read.
 func relationUnion(a, b *SQL) []string {
-	ra := sqlast.Relations(a)
-	if b == nil {
-		return ra
+	rels := sqlast.Relations(a)
+	if b != nil {
+		rels = append(rels, sqlast.Relations(b)...)
 	}
-	seen := make(map[string]bool, len(ra))
-	for _, r := range ra {
-		seen[r] = true
-	}
-	for _, r := range sqlast.Relations(b) {
-		if !seen[r] {
-			seen[r] = true
-			ra = append(ra, r)
-		}
-	}
-	sort.Strings(ra)
-	return ra
+	sort.Strings(rels)
+	return slices.Compact(rels)
 }
 
 // Explanation is the adaptive planner's answer to "what would you do with
@@ -803,7 +804,7 @@ type Explanation struct {
 	// Query is the path expression explained.
 	Query string
 	// StatsFingerprint identifies the statistics snapshot the decision was
-	// made against (it appears in the plan-cache keys).
+	// checked against.
 	StatsFingerprint string
 	// Decision is the chooser's outcome: plan choice, rewrites, and the
 	// per-candidate estimates behind them.
@@ -1048,9 +1049,12 @@ type PlannerStats struct {
 	// translation because the instance was not trusted — the integrity
 	// counterpart of the resilience layer's Fallbacks counter.
 	SafeModeServes int64 `json:"safe_mode_serves"`
-	// StatsCollects counts statistics snapshot collections; under a steady
-	// adaptive workload it grows only when the data actually mutates.
-	StatsCollects int64 `json:"stats_collects"`
+	// StatsCollects counts statistics passes that scanned or probed data: 1
+	// after first use, +1 per noticed write that bypassed the backend, +0 per
+	// Update. DecisionRefreshes counts adaptive decisions re-made because a
+	// relation the query reads had changed.
+	StatsCollects     int64 `json:"stats_collects"`
+	DecisionRefreshes int64 `json:"decision_refreshes"`
 	// Updates counts mutation batches applied through Update;
 	// UpdateRejects counts batches rejected (invalid, conflicting, or
 	// failed) — rejected batches left the instance untouched.
@@ -1066,13 +1070,14 @@ func (p *Planner) Stats() PlannerStats {
 	st := p.cache.Stats()
 	return PlannerStats{
 		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: st.Entries,
-		Audits:          p.audits.Load(),
-		ViolationsFound: p.violations.Load(),
-		SafeModeServes:  p.safeServes.Load(),
-		StatsCollects:   p.statsCollects.Load(),
-		Updates:         p.updates.Load(),
-		UpdateRejects:   p.updateRejects.Load(),
-		Trust:           TrustState(p.trust.Load()),
+		Audits:            p.audits.Load(),
+		ViolationsFound:   p.violations.Load(),
+		SafeModeServes:    p.safeServes.Load(),
+		StatsCollects:     p.statsCollects.Load(),
+		DecisionRefreshes: p.decisionRefreshes.Load(),
+		Updates:           p.updates.Load(),
+		UpdateRejects:     p.updateRejects.Load(),
+		Trust:             TrustState(p.trust.Load()),
 	}
 }
 
