@@ -102,6 +102,37 @@ func TestJoinNullNeverMatches(t *testing.T) {
 	}
 }
 
+// Joins keep only the columns read after them; a later join key and a
+// predicate spanning the first and last alias must still find theirs.
+func TestJoinsKeepColumnsReadLater(t *testing.T) {
+	s := buildStore(t)
+	q := sqlast.SingleSelect(&sqlast.Select{
+		Cols: []sqlast.SelectItem{sqlast.Col("P", "kind"), sqlast.Col("C2", "v")},
+		From: []sqlast.FromItem{sqlast.From("P", "P"), sqlast.From("C", "C"), sqlast.From("C", "C2")},
+		Where: sqlast.Conj(
+			sqlast.Eq(sqlast.ColRef{Table: "C", Column: "parentid"}, sqlast.ColRef{Table: "P", Column: "id"}),
+			sqlast.Eq(sqlast.ColRef{Table: "C2", Column: "id"}, sqlast.ColRef{Table: "C", Column: "id"}),
+			sqlast.Disj(
+				sqlast.Eq(sqlast.ColRef{Table: "P", Column: "kind"}, sqlast.IntLit(2)),
+				sqlast.Eq(sqlast.ColRef{Table: "C2", Column: "v"}, sqlast.StringLit("a")),
+			),
+		),
+	})
+	want := &engine.Result{Rows: []relational.Row{
+		{relational.Int(1), relational.String("a")},
+		{relational.Int(2), relational.String("c")},
+	}}
+	for _, opts := range []engine.Options{{}, {DisableIndexes: true}, {ForceNestedLoop: true}} {
+		res, err := engine.ExecuteOpts(s, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.MultisetEqual(want) {
+			t.Errorf("%+v:\n%s", opts, res.MultisetDiff(want))
+		}
+	}
+}
+
 func TestNestedLoopMatchesHashJoin(t *testing.T) {
 	s := buildStore(t)
 	q := sqlast.SingleSelect(&sqlast.Select{

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -554,6 +554,46 @@ func (f *frame) hasAlias(alias string) bool {
 	return false
 }
 
+// allColumns, as the columns a join must keep, keeps every column: a star
+// with no alias.
+var allColumns = []sqlast.ColRef{{Column: "*"}}
+
+// extend lays out the frame that joining f with a relation produces, keeping
+// the columns some ref reads; a "*" ref reads all of its alias's columns, or
+// of every alias when it names none. src is each kept column's offset in f's
+// row followed by the relation's, or nil when all are kept.
+func (f *frame) extend(alias string, cols []string, refs []sqlast.ColRef) (next *frame, src []int) {
+	next = &frame{bindings: make([]binding, 0, len(f.bindings)+1)}
+	src = make([]int, 0, f.width+len(cols))
+	add := func(alias string, cols []string, base int) {
+		from := len(src)
+		for i, c := range cols {
+			if slices.ContainsFunc(refs, func(r sqlast.ColRef) bool {
+				return (r.Table == "" || r.Table == alias) && (r.Column == c || r.Column == "*")
+			}) {
+				src = append(src, base+i)
+			}
+		}
+		b := binding{alias: alias, cols: cols, offset: next.width}
+		if kept := src[from:]; len(kept) < len(cols) {
+			b.cols = make([]string, len(kept))
+			for j, k := range kept {
+				b.cols[j] = cols[k-base]
+			}
+		}
+		next.bindings = append(next.bindings, b)
+		next.width += len(b.cols)
+	}
+	for _, b := range f.bindings {
+		add(b.alias, b.cols, b.offset)
+	}
+	add(alias, cols, f.width)
+	if next.width == f.width+len(cols) {
+		src = nil
+	}
+	return next, src
+}
+
 func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 	if len(s.From) == 0 {
 		return nil, fmt.Errorf("engine: select with empty FROM")
@@ -577,6 +617,21 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 		plan = ex.memoPlan(s, conjuncts)
 	}
 
+	// Joins carry only the columns read after them: need lists those the
+	// projection reads. Memoized frames are shared by branches with other
+	// projections, so they keep them all.
+	need := allColumns
+	if plan == nil {
+		need = nil
+		for _, item := range s.Cols {
+			if item.Star {
+				need = append(need, sqlast.ColRef{Table: item.StarTable, Column: "*"})
+			} else {
+				walkRefs(item.Expr, func(c sqlast.ColRef) { need = append(need, c) })
+			}
+		}
+	}
+
 	// Build left-deep join in FROM order.
 	var cur *frame
 	remaining := conjuncts
@@ -591,7 +646,7 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 		if plan != nil && plan.memoize[i] {
 			next, rest, err = ex.memoStep(plan, i, cur, rel, alias, remaining)
 		} else {
-			next, rest, err = ex.joinStep(cur, rel, alias, remaining)
+			next, rest, err = ex.joinStep(cur, rel, alias, remaining, need)
 		}
 		if err != nil {
 			return nil, err
@@ -602,84 +657,58 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 
 	// Residual predicates (e.g. ORs across aliases).
 	if len(remaining) > 0 {
-		pred := sqlast.Conj(remaining...)
-		filtered := cur.rows[:0:0]
-		countdown := cancelCheckInterval
-		for _, row := range cur.rows {
-			if err := ex.tick(&countdown); err != nil {
-				return nil, err
-			}
-			ok, err := evalPred(pred, cur, row)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				filtered = append(filtered, row)
-			}
+		pred, err := bindAll(remaining, cur, true)
+		if err != nil {
+			return nil, err
 		}
-		cur = &frame{bindings: cur.bindings, rows: filtered, width: cur.width}
+		rows, err := ex.filter(cur.rows, pred)
+		if err != nil {
+			return nil, err
+		}
+		cur = &frame{bindings: cur.bindings, rows: rows, width: cur.width}
 	}
 
 	// Projection.
-	type proj struct {
-		idx  int
-		lit  relational.Value
-		name string
-	}
-	var projs []proj
+	var projs []operand
+	var names []string
 	for _, item := range s.Cols {
 		if item.Star {
-			found := false
-			for _, b := range cur.bindings {
-				if b.alias != item.StarTable {
-					continue
-				}
-				for i, c := range b.cols {
-					projs = append(projs, proj{idx: b.offset + i, name: c})
-				}
-				found = true
-				break
-			}
-			if !found {
+			bi := slices.IndexFunc(cur.bindings, func(b binding) bool { return b.alias == item.StarTable })
+			if bi < 0 {
 				return nil, fmt.Errorf("engine: star over unknown alias %s", item.StarTable)
+			}
+			for i, c := range cur.bindings[bi].cols {
+				projs = append(projs, operand{idx: cur.bindings[bi].offset + i})
+				names = append(names, c)
 			}
 			continue
 		}
-		switch e := item.Expr.(type) {
-		case sqlast.ColRef:
-			idx, err := cur.find(e.Table, e.Column)
-			if err != nil {
-				return nil, err
-			}
-			name := item.As
-			if name == "" {
-				name = e.Column
-			}
-			projs = append(projs, proj{idx: idx, name: name})
-		case sqlast.Lit:
-			projs = append(projs, proj{idx: -1, lit: e.Value, name: item.As})
-		default:
-			return nil, fmt.Errorf("engine: only column and literal projections are supported, got %T", item.Expr)
+		p, err := bindOperand(item.Expr, cur)
+		if err != nil {
+			return nil, err
 		}
-	}
-	res := &Result{Cols: make([]string, len(projs))}
-	for i, p := range projs {
-		res.Cols[i] = p.name
+		name := item.As
+		if c, ok := item.Expr.(sqlast.ColRef); ok && name == "" {
+			name = c.Column
+		}
+		projs = append(projs, p)
+		names = append(names, name)
 	}
 	if err := ex.charge(len(cur.rows)); err != nil {
 		return nil, err
 	}
-	res.Rows = make([]relational.Row, 0, len(cur.rows))
-	for _, row := range cur.rows {
-		out := make(relational.Row, len(projs))
-		for i, p := range projs {
-			if p.idx < 0 {
-				out[i] = p.lit
-				continue
-			}
-			out[i] = row[p.idx]
+	// One arena holds every projected value; each row is a capacity-capped
+	// window onto it, so an append to one row copies instead of writing into
+	// its neighbour.
+	w := len(projs)
+	arena := make([]relational.Value, len(cur.rows)*w)
+	res := &Result{Cols: names, Rows: make([]relational.Row, len(cur.rows))}
+	for i, row := range cur.rows {
+		out := arena[i*w : (i+1)*w : (i+1)*w]
+		for j, p := range projs {
+			out[j] = p.get(row)
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows[i] = out
 	}
 	return res, nil
 }
@@ -693,8 +722,9 @@ func aliasOf(f sqlast.FromItem) string {
 
 // joinStep joins the current frame with a new relation bound to alias,
 // consuming from `conjuncts` every predicate that becomes fully evaluable.
-// It returns the new frame and the still-pending conjuncts.
-func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts []sqlast.Expr) (*frame, []sqlast.Expr, error) {
+// It returns the new frame and the still-pending conjuncts. The new frame
+// keeps the columns that need or a pending conjunct reads (see extend).
+func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts []sqlast.Expr, need []sqlast.ColRef) (*frame, []sqlast.Expr, error) {
 	// Local predicates on the new relation alone.
 	solo := &frame{bindings: []binding{{alias: alias, cols: rel.cols}}, width: len(rel.cols)}
 	var local, pending []sqlast.Expr
@@ -706,103 +736,56 @@ func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts 
 			local = append(local, c)
 		case cur != nil && isJoinEq(c, cur, alias):
 			joinConds = append(joinConds, c.(sqlast.Cmp))
-		case cur != nil && coveredBy(aliases, cur, alias):
-			// Fully evaluable after this join but not a plain equality:
-			// apply as a post-join filter below by treating it as local to
-			// the joined frame.
-			pending = append(pending, c)
 		default:
+			// applyCovered filters by it once the frame covers its aliases.
 			pending = append(pending, c)
 		}
 	}
 
 	rows := rel.rows
 	if len(local) > 0 {
-		pred := sqlast.Conj(local...)
-		filtered := make([]relational.Row, 0, len(rows))
-		countdown := cancelCheckInterval
-		for _, r := range rows {
-			if err := ex.tick(&countdown); err != nil {
-				return nil, nil, err
-			}
-			ok, err := evalPred(pred, solo, r)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				filtered = append(filtered, r)
-			}
+		pred, err := bindAll(local, solo, true)
+		if err != nil {
+			return nil, nil, err
 		}
-		rows = filtered
+		if rows, err = ex.filter(rows, pred); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	if cur == nil {
 		return &frame{bindings: solo.bindings, rows: rows, width: solo.width}, pending, nil
 	}
 
-	next := &frame{
-		bindings: append(append([]binding(nil), cur.bindings...), binding{alias: alias, cols: rel.cols, offset: cur.width}),
-		width:    cur.width + len(rel.cols),
+	refs := slices.Clip(need)
+	for _, c := range pending {
+		walkRefs(c, func(c sqlast.ColRef) { refs = append(refs, c) })
 	}
-
-	if len(joinConds) > 0 && !ex.opts.ForceNestedLoop {
+	next, src := cur.extend(alias, rel.cols, refs)
+	arena := rowArena{width: next.width, src: src}
+	keys, err := bindJoinKeys(joinConds, cur, solo, alias)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch {
+	case len(keys) == 0 || ex.opts.ForceNestedLoop:
+		next.rows, err = ex.nestedLoopJoin(cur, rows, keys, arena)
+	case !ex.opts.DisableIndexes && len(keys) == 1 && len(local) == 0 && rel.table != nil && rel.table.HasIndex(keys[0].column):
 		// Index probe: a single equality join against an unfiltered base
 		// table with a persistent index on the join column avoids building
 		// the per-query hash table.
-		if !ex.opts.DisableIndexes && len(joinConds) == 1 && len(local) == 0 && rel.table != nil {
-			if joined, ok, err := ex.indexJoin(cur, rel, alias, joinConds[0], next.width); err != nil {
-				return nil, nil, err
-			} else if ok {
-				next.rows = joined
-				return ex.applyCovered(next, pending)
-			}
-		}
-		joined, err := ex.hashJoin(cur, rows, rel.cols, alias, joinConds)
-		if err != nil {
-			return nil, nil, err
-		}
-		next.rows = joined
-		return ex.applyCovered(next, pending)
+		next.rows, err = ex.indexJoin(cur, rel.table, keys[0], arena)
+	default:
+		next.rows, err = ex.hashJoin(cur, rows, keys, arena)
 	}
-
-	// Nested loop (cartesian) with join conditions as filter.
-	pred := sqlast.Expr(nil)
-	if len(joinConds) > 0 {
-		kids := make([]sqlast.Expr, len(joinConds))
-		for i, c := range joinConds {
-			kids[i] = c
-		}
-		pred = sqlast.Conj(kids...)
-	}
-	countdown := cancelCheckInterval
-	for _, lrow := range cur.rows {
-		for _, rrow := range rows {
-			if err := ex.tick(&countdown); err != nil {
-				return nil, nil, err
-			}
-			combined := make(relational.Row, 0, next.width)
-			combined = append(combined, lrow...)
-			combined = append(combined, rrow...)
-			if pred != nil {
-				ok, err := evalPred(pred, next, combined)
-				if err != nil {
-					return nil, nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if err := ex.charge(1); err != nil {
-				return nil, nil, err
-			}
-			next.rows = append(next.rows, combined)
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 	return ex.applyCovered(next, pending)
 }
 
 // applyCovered filters the frame by every pending conjunct that is now fully
-// evaluable, returning the frame unchanged on error and the rest pending.
+// evaluable, returning the filtered frame and the rest pending.
 func (ex *executor) applyCovered(f *frame, pending []sqlast.Expr) (*frame, []sqlast.Expr, error) {
 	var apply, rest []sqlast.Expr
 	for _, c := range pending {
@@ -823,73 +806,44 @@ func (ex *executor) applyCovered(f *frame, pending []sqlast.Expr) (*frame, []sql
 	if len(apply) == 0 {
 		return f, rest, nil
 	}
-	pred := sqlast.Conj(apply...)
-	filtered := make([]relational.Row, 0, len(f.rows))
-	for _, row := range f.rows {
-		ok, err := evalPred(pred, f, row)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			filtered = append(filtered, row)
-		}
+	pred, err := bindAll(apply, f, true)
+	if err != nil {
+		return nil, nil, err
 	}
-	return &frame{bindings: f.bindings, rows: filtered, width: f.width}, rest, nil
+	rows, err := ex.filter(f.rows, pred)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &frame{bindings: f.bindings, rows: rows, width: f.width}, rest, nil
 }
 
-// indexJoin probes a persistent table index for a single equi-join. The
-// second result reports whether an index on the join column exists; when it
-// does not, the caller falls back to the per-query hash join.
-func (ex *executor) indexJoin(cur *frame, rel *relation, alias string, cond sqlast.Cmp, width int) ([]relational.Row, bool, error) {
-	l := cond.Left.(sqlast.ColRef)
-	r := cond.Right.(sqlast.ColRef)
-	if l.Table == alias { // normalize: l on current frame, r on new alias
-		l, r = r, l
-	}
-	if _, hit := rel.table.Lookup(r.Column, relational.Int(0)); !hit {
-		return nil, false, nil
-	}
-	li, err := cur.find(l.Table, l.Column)
-	if err != nil {
-		return nil, false, err
-	}
+// filter returns the rows pred accepts, polling for cancellation.
+func (ex *executor) filter(rows []relational.Row, pred predicate) ([]relational.Row, error) {
 	var out []relational.Row
 	countdown := cancelCheckInterval
-	for _, lrow := range cur.rows {
+	for _, r := range rows {
 		if err := ex.tick(&countdown); err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		v := lrow[li]
-		if v.IsNull() {
-			continue // NULL never joins
-		}
-		matches, _ := rel.table.Lookup(r.Column, v)
-		if err := ex.charge(len(matches)); err != nil {
-			return nil, false, err
-		}
-		for _, rrow := range matches {
-			combined := make(relational.Row, 0, width)
-			combined = append(combined, lrow...)
-			combined = append(combined, rrow...)
-			out = append(out, combined)
+		if pred(r) {
+			out = append(out, r)
 		}
 	}
-	return out, true, nil
+	return out, nil
 }
 
-// hashJoin builds a hash table over the (usually smaller, pre-filtered)
-// right rows keyed by the equi-join columns and probes it with the current
-// frame's rows.
-func (ex *executor) hashJoin(cur *frame, rightRows []relational.Row, rightCols []string, alias string, conds []sqlast.Cmp) ([]relational.Row, error) {
-	type keyPart struct {
-		leftIdx  int
-		rightIdx int
-	}
-	rightFrame := &frame{bindings: []binding{{alias: alias, cols: rightCols}}}
-	parts := make([]keyPart, 0, len(conds))
-	for _, c := range conds {
-		l := c.Left.(sqlast.ColRef)
-		r := c.Right.(sqlast.ColRef)
+// joinKey is one equi-join condition bound to offsets: left into the current
+// frame's rows, right into the new relation's rows, whose column it names
+// for index probes.
+type joinKey struct {
+	left, right int
+	column      string
+}
+
+func bindJoinKeys(conds []sqlast.Cmp, cur, solo *frame, alias string) ([]joinKey, error) {
+	keys := make([]joinKey, len(conds))
+	for i, c := range conds {
+		l, r := c.Left.(sqlast.ColRef), c.Right.(sqlast.ColRef)
 		if l.Table == alias { // normalize: l on current frame, r on new alias
 			l, r = r, l
 		}
@@ -897,60 +851,142 @@ func (ex *executor) hashJoin(cur *frame, rightRows []relational.Row, rightCols [
 		if err != nil {
 			return nil, err
 		}
-		ri, err := rightFrame.find(r.Table, r.Column)
+		ri, err := solo.find(r.Table, r.Column)
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, keyPart{leftIdx: li, rightIdx: ri})
+		keys[i] = joinKey{left: li, right: ri, column: r.Column}
 	}
+	return keys, nil
+}
 
-	buildKey := func(row relational.Row, right bool) (string, bool) {
-		var b strings.Builder
-		for _, p := range parts {
-			var v relational.Value
-			if right {
-				v = row[p.rightIdx]
-			} else {
-				v = row[p.leftIdx]
-			}
-			if v.IsNull() {
-				return "", false // NULL never joins
-			}
-			b.WriteString(v.Key())
-			b.WriteByte('|')
+// keysMatch reports whether every key joins l to r; NULL never joins.
+func keysMatch(keys []joinKey, l, r relational.Row) bool {
+	for _, k := range keys {
+		if !l[k.left].Equal(r[k.right]) {
+			return false
 		}
-		return b.String(), true
 	}
+	return true
+}
 
-	buckets := make(map[string][]relational.Row, len(rightRows))
-	for _, rrow := range rightRows {
-		k, ok := buildKey(rrow, true)
-		if !ok {
-			continue
+// Join arenas start at arenaMinRows rows and double up to arenaMaxRows: a
+// join that emits one row stays small (hot point queries), and one that
+// emits n rows allocates O(log n) times up to the cap.
+const (
+	arenaMinRows = 8
+	arenaMaxRows = 4096
+)
+
+// rowArena carves a join's combined rows from shared chunks. Each row is
+// capacity-capped, so an append to one row copies instead of writing into
+// its neighbour. src picks the kept columns from the left row followed by
+// the right one; nil keeps them all.
+type rowArena struct {
+	width, chunk int
+	src          []int
+	free         []relational.Value
+}
+
+func (a *rowArena) join(l, r relational.Row) relational.Row {
+	if len(a.free) < a.width {
+		a.chunk = min(max(2*a.chunk, arenaMinRows), arenaMaxRows)
+		a.free = make([]relational.Value, a.chunk*a.width)
+	}
+	row := a.free[:a.width:a.width]
+	a.free = a.free[a.width:]
+	if a.src == nil {
+		copy(row[copy(row, l):], r)
+	}
+	for j, s := range a.src {
+		if s < len(l) {
+			row[j] = l[s]
+		} else {
+			row[j] = r[s-len(l)]
 		}
-		buckets[k] = append(buckets[k], rrow)
 	}
+	return row
+}
 
-	width := cur.width + len(rightCols)
+// nestedLoopJoin pairs every current row with every right row the keys
+// accept (all of them when there are no keys).
+func (ex *executor) nestedLoopJoin(cur *frame, rightRows []relational.Row, keys []joinKey, arena rowArena) ([]relational.Row, error) {
+	var out []relational.Row
+	countdown := cancelCheckInterval
+	for _, lrow := range cur.rows {
+		for _, rrow := range rightRows {
+			if err := ex.tick(&countdown); err != nil {
+				return nil, err
+			}
+			if !keysMatch(keys, lrow, rrow) {
+				continue
+			}
+			if err := ex.charge(1); err != nil {
+				return nil, err
+			}
+			out = append(out, arena.join(lrow, rrow))
+		}
+	}
+	return out, nil
+}
+
+// indexJoin probes a persistent table index for a single equi-join.
+func (ex *executor) indexJoin(cur *frame, t *relational.Table, k joinKey, arena rowArena) ([]relational.Row, error) {
+	var out, matches []relational.Row
+	countdown := cancelCheckInterval
+	for _, lrow := range cur.rows {
+		if err := ex.tick(&countdown); err != nil {
+			return nil, err
+		}
+		v := lrow[k.left]
+		if v.IsNull() {
+			continue // NULL never joins
+		}
+		matches = t.AppendLookup(matches[:0], k.column, v)
+		if err := ex.charge(len(matches)); err != nil {
+			return nil, err
+		}
+		for _, rrow := range matches {
+			out = append(out, arena.join(lrow, rrow))
+		}
+	}
+	return out, nil
+}
+
+// hashJoin chains the (usually smaller, pre-filtered) right rows by the
+// first key's value and probes the chains with the current frame's rows,
+// checking any further keys per candidate.
+func (ex *executor) hashJoin(cur *frame, rightRows []relational.Row, keys []joinKey, arena rowArena) ([]relational.Row, error) {
+	// head maps a value to its first right row (1-based); next links rows of
+	// equal value. Chaining from the last row keeps each chain in row order.
+	first, rest := keys[0], keys[1:]
+	head := make(map[relational.Value]int, len(rightRows))
+	next := make([]int, len(rightRows))
+	for i := len(rightRows) - 1; i >= 0; i-- {
+		if v := rightRows[i][first.right]; !v.IsNull() { // NULL never joins
+			next[i] = head[v]
+			head[v] = i + 1
+		}
+	}
 	var out []relational.Row
 	countdown := cancelCheckInterval
 	for _, lrow := range cur.rows {
 		if err := ex.tick(&countdown); err != nil {
 			return nil, err
 		}
-		k, ok := buildKey(lrow, false)
-		if !ok {
+		v := lrow[first.left]
+		if v.IsNull() {
 			continue
 		}
-		matches := buckets[k]
-		if err := ex.charge(len(matches)); err != nil {
-			return nil, err
+		n := 0
+		for j := head[v]; j != 0; j = next[j-1] {
+			if rrow := rightRows[j-1]; keysMatch(rest, lrow, rrow) {
+				out = append(out, arena.join(lrow, rrow))
+				n++
+			}
 		}
-		for _, rrow := range matches {
-			combined := make(relational.Row, 0, width)
-			combined = append(combined, lrow...)
-			combined = append(combined, rrow...)
-			out = append(out, combined)
+		if err := ex.charge(n); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -973,27 +1009,31 @@ func splitConjuncts(e sqlast.Expr) []sqlast.Expr {
 
 // exprAliases collects the table aliases an expression references.
 func exprAliases(e sqlast.Expr, acc map[string]bool) map[string]bool {
+	walkRefs(e, func(c sqlast.ColRef) { acc[c.Table] = true })
+	return acc
+}
+
+// walkRefs calls visit on every column reference in e.
+func walkRefs(e sqlast.Expr, visit func(sqlast.ColRef)) {
 	switch e := e.(type) {
 	case sqlast.ColRef:
-		acc[e.Table] = true
+		visit(e)
 	case sqlast.Cmp:
-		exprAliases(e.Left, acc)
-		exprAliases(e.Right, acc)
+		walkRefs(e.Left, visit)
+		walkRefs(e.Right, visit)
 	case sqlast.In:
-		exprAliases(e.Left, acc)
+		walkRefs(e.Left, visit)
 	case sqlast.IsNull:
-		exprAliases(e.Left, acc)
+		walkRefs(e.Left, visit)
 	case sqlast.And:
 		for _, k := range e.Kids {
-			exprAliases(k, acc)
+			walkRefs(k, visit)
 		}
 	case sqlast.Or:
 		for _, k := range e.Kids {
-			exprAliases(k, acc)
+			walkRefs(k, visit)
 		}
-	case sqlast.Lit:
 	}
-	return acc
 }
 
 func onlyAlias(aliases map[string]bool, alias string) bool {
@@ -1003,18 +1043,6 @@ func onlyAlias(aliases map[string]bool, alias string) bool {
 		}
 	}
 	return len(aliases) > 0
-}
-
-func coveredBy(aliases map[string]bool, cur *frame, alias string) bool {
-	for a := range aliases {
-		if a == alias {
-			continue
-		}
-		if !cur.hasAlias(a) {
-			return false
-		}
-	}
-	return true
 }
 
 // isJoinEq reports whether c is `left.col = right.col` connecting the current
@@ -1038,83 +1066,103 @@ func isJoinEq(e sqlast.Expr, cur *frame, alias string) bool {
 	return false
 }
 
-// evalPred evaluates a boolean expression over a composite row.
-func evalPred(e sqlast.Expr, f *frame, row relational.Row) (bool, error) {
-	switch e := e.(type) {
-	case sqlast.Cmp:
-		l, err := evalScalar(e.Left, f, row)
-		if err != nil {
-			return false, err
-		}
-		r, err := evalScalar(e.Right, f, row)
-		if err != nil {
-			return false, err
-		}
-		switch e.Op {
-		case sqlast.OpEq:
-			return l.Equal(r), nil
-		case sqlast.OpNe:
-			if l.IsNull() || r.IsNull() {
-				return false, nil
-			}
-			return !l.Equal(r), nil
-		}
-		return false, fmt.Errorf("engine: unknown comparison op %v", e.Op)
-	case sqlast.In:
-		l, err := evalScalar(e.Left, f, row)
-		if err != nil {
-			return false, err
-		}
-		for _, lit := range e.List {
-			if l.Equal(lit.Value) {
-				return true, nil
-			}
-		}
-		return false, nil
-	case sqlast.IsNull:
-		l, err := evalScalar(e.Left, f, row)
-		if err != nil {
-			return false, err
-		}
-		return l.IsNull(), nil
-	case sqlast.And:
-		for _, k := range e.Kids {
-			ok, err := evalPred(k, f, row)
-			if err != nil {
-				return false, err
-			}
-			if !ok {
-				return false, nil
-			}
-		}
-		return true, nil
-	case sqlast.Or:
-		for _, k := range e.Kids {
-			ok, err := evalPred(k, f, row)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("engine: expression %T is not a predicate", e)
-	}
+// predicate is a WHERE conjunct bound to frame offsets.
+type predicate func(relational.Row) bool
+
+// operand is a scalar bound to a frame offset, or a literal when idx < 0.
+type operand struct {
+	idx int
+	lit relational.Value
 }
 
-func evalScalar(e sqlast.Expr, f *frame, row relational.Row) (relational.Value, error) {
+func (o operand) get(row relational.Row) relational.Value {
+	if o.idx < 0 {
+		return o.lit
+	}
+	return row[o.idx]
+}
+
+func bindOperand(e sqlast.Expr, f *frame) (operand, error) {
 	switch e := e.(type) {
 	case sqlast.ColRef:
 		idx, err := f.find(e.Table, e.Column)
-		if err != nil {
-			return relational.Null, err
-		}
-		return row[idx], nil
+		return operand{idx: idx}, err
 	case sqlast.Lit:
-		return e.Value, nil
-	default:
-		return relational.Null, fmt.Errorf("engine: expression %T is not scalar", e)
+		return operand{idx: -1, lit: e.Value}, nil
 	}
+	return operand{}, fmt.Errorf("engine: expression %T is not scalar", e)
+}
+
+// bindPred resolves every column reference in e against f once, so the row
+// loops applying the result compare values at fixed offsets.
+func bindPred(e sqlast.Expr, f *frame) (predicate, error) {
+	switch e := e.(type) {
+	case sqlast.Cmp:
+		l, err := bindOperand(e.Left, f)
+		if err != nil {
+			return nil, err
+		}
+		r, err := bindOperand(e.Right, f)
+		if err != nil {
+			return nil, err
+		}
+		switch e.Op {
+		case sqlast.OpEq:
+			return func(row relational.Row) bool { return l.get(row).Equal(r.get(row)) }, nil
+		case sqlast.OpNe:
+			return func(row relational.Row) bool {
+				a, b := l.get(row), r.get(row)
+				return !a.IsNull() && !b.IsNull() && !a.Equal(b)
+			}, nil
+		}
+		return nil, fmt.Errorf("engine: unknown comparison op %v", e.Op)
+	case sqlast.In:
+		l, err := bindOperand(e.Left, f)
+		if err != nil {
+			return nil, err
+		}
+		return func(row relational.Row) bool {
+			v := l.get(row)
+			for _, lit := range e.List {
+				if v.Equal(lit.Value) {
+					return true
+				}
+			}
+			return false
+		}, nil
+	case sqlast.IsNull:
+		l, err := bindOperand(e.Left, f)
+		if err != nil {
+			return nil, err
+		}
+		return func(row relational.Row) bool { return l.get(row).IsNull() }, nil
+	case sqlast.And:
+		return bindAll(e.Kids, f, true)
+	case sqlast.Or:
+		return bindAll(e.Kids, f, false)
+	}
+	return nil, fmt.Errorf("engine: expression %T is not a predicate", e)
+}
+
+// bindAll binds the conjunction (all) or the disjunction (!all) of es: the
+// first kid whose verdict differs from all decides, and otherwise all does.
+func bindAll(es []sqlast.Expr, f *frame, all bool) (predicate, error) {
+	kids := make([]predicate, len(es))
+	for i, e := range es {
+		var err error
+		if kids[i], err = bindPred(e, f); err != nil {
+			return nil, err
+		}
+	}
+	if len(kids) == 1 {
+		return kids[0], nil
+	}
+	return func(row relational.Row) bool {
+		for _, k := range kids {
+			if k(row) != all {
+				return !all
+			}
+		}
+		return all
+	}, nil
 }

@@ -231,7 +231,7 @@ func (ex *executor) memoStep(plan *memoPlan, i int, cur *frame, rel *relation, a
 			close(e.done)
 		}
 	}()
-	next, rest, err := ex.joinStep(cur, rel, alias, remaining)
+	next, rest, err := ex.joinStep(cur, rel, alias, remaining, allColumns)
 	if err != nil {
 		e.err = err
 		published = true

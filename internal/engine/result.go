@@ -9,6 +9,7 @@ package engine
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 
 	"xmlsql/internal/relational"
@@ -105,7 +106,7 @@ func (r *Result) MultisetDiff(o *Result) string {
 			b.WriteString("only in right (x")
 			e.count = -e.count
 		}
-		b.WriteString(itoa(e.count))
+		b.WriteString(strconv.Itoa(e.count))
 		b.WriteString("): ")
 		for i, v := range e.row {
 			if i > 0 {
@@ -116,19 +117,6 @@ func (r *Result) MultisetDiff(o *Result) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-func itoa(n int) string {
-	digits := "0123456789"
-	if n == 0 {
-		return "0"
-	}
-	var buf []byte
-	for n > 0 {
-		buf = append([]byte{digits[n%10]}, buf...)
-		n /= 10
-	}
-	return string(buf)
 }
 
 // Values returns the first column of every row, convenient for single-column

@@ -221,11 +221,10 @@ func (p storeProbe) FetchByParent(ctx context.Context, rel string, parents []int
 	if pi < 0 {
 		return nil, nil
 	}
-	if _, indexed := t.Lookup(schema.ParentIDColumn, relational.Int(parents[0])); indexed {
+	if t.HasIndex(schema.ParentIDColumn) {
 		var out []relational.Row
 		for _, par := range parents {
-			rows, _ := t.Lookup(schema.ParentIDColumn, relational.Int(par))
-			out = append(out, rows...)
+			out = t.AppendLookup(out, schema.ParentIDColumn, relational.Int(par))
 		}
 		return out, nil
 	}

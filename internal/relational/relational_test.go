@@ -116,18 +116,22 @@ func TestTableIndexLookup(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		tbl.MustInsert(Row{Int(int64(i)), Int(int64(i % 3)), String("v")})
 	}
-	if _, ok := tbl.Lookup("parentid", Int(1)); ok {
+	if tbl.HasIndex("parentid") || len(tbl.AppendLookup(nil, "parentid", Int(1))) != 0 {
 		t.Error("lookup should miss before index build")
 	}
 	if err := tbl.BuildIndex("parentid"); err != nil {
 		t.Fatal(err)
 	}
-	rows, ok := tbl.Lookup("parentid", Int(1))
-	if !ok {
-		t.Fatal("index not used")
+	if !tbl.HasIndex("parentid") {
+		t.Fatal("index not built")
 	}
-	if len(rows) != 4 { // parentid 1: ids 1,4,7,10
-		t.Errorf("lookup returned %d rows, want 4", len(rows))
+	prefix := []Row{{Int(0)}}
+	rows := tbl.AppendLookup(prefix, "parentid", Int(1))
+	if len(rows) != 5 || rows[0][0] != Int(0) { // parentid 1: ids 1,4,7,10
+		t.Errorf("lookup returned %d rows after the caller's one, want 4", len(rows)-1)
+	}
+	if rows := tbl.AppendLookup(nil, "parentid", Null); len(rows) != 0 {
+		t.Errorf("NULL probe returned %d rows", len(rows))
 	}
 	if err := tbl.BuildIndex("nosuch"); err == nil {
 		t.Error("index on missing column accepted")

@@ -73,7 +73,7 @@ type Table struct {
 	mu      sync.RWMutex
 	schema  *TableSchema
 	rows    []Row
-	pkIndex map[string]int      // primary key value -> row ordinal
+	pkIndex map[Value]int       // primary key value -> row ordinal
 	indexes map[string]*hashIdx // column name -> index
 	// version counts row mutations (inserts, deletes, updates) and never
 	// repeats. A statistics tracker records the version its counts account
@@ -84,7 +84,7 @@ type Table struct {
 
 type hashIdx struct {
 	col     int
-	buckets map[string][]int
+	buckets map[Value][]int
 }
 
 // NewTable creates an empty table with the given schema. If the schema names
@@ -92,7 +92,7 @@ type hashIdx struct {
 func NewTable(schema *TableSchema) *Table {
 	t := &Table{schema: schema.Clone(), indexes: map[string]*hashIdx{}}
 	if schema.PrimaryKey != "" {
-		t.pkIndex = map[string]int{}
+		t.pkIndex = map[Value]int{}
 	}
 	return t
 }
@@ -130,15 +130,15 @@ func (t *Table) Insert(r Row) error {
 		if v.IsNull() {
 			return fmt.Errorf("relational: table %s: NULL primary key", t.schema.Name)
 		}
-		k := v.Key()
-		if _, dup := t.pkIndex[k]; dup {
+		if _, dup := t.pkIndex[v]; dup {
 			return fmt.Errorf("relational: table %s: duplicate primary key %v", t.schema.Name, v)
 		}
-		t.pkIndex[k] = len(t.rows)
+		t.pkIndex[v] = len(t.rows)
 	}
 	row := r.Clone()
 	for _, idx := range t.indexes {
-		idx.buckets[row[idx.col].Key()] = append(idx.buckets[row[idx.col].Key()], len(t.rows))
+		k := row[idx.col]
+		idx.buckets[k] = append(idx.buckets[k], len(t.rows))
 	}
 	t.rows = append(t.rows, row)
 	t.version++
@@ -206,7 +206,7 @@ func (t *Table) UpdateWhere(pred func(Row) bool, fn func(Row) Row) (int, error) 
 		pi = t.schema.ColumnIndex(t.schema.PrimaryKey)
 	}
 	next := make([]Row, 0, len(t.rows))
-	seenPK := map[string]bool{}
+	seenPK := map[Value]bool{}
 	n := 0
 	for _, r := range t.rows {
 		if pred(r) {
@@ -227,10 +227,10 @@ func (t *Table) UpdateWhere(pred func(Row) bool, fn func(Row) Row) (int, error) 
 			if v.IsNull() {
 				return 0, fmt.Errorf("relational: table %s: NULL primary key", t.schema.Name)
 			}
-			if seenPK[v.Key()] {
+			if seenPK[v] {
 				return 0, fmt.Errorf("relational: table %s: duplicate primary key %v", t.schema.Name, v)
 			}
-			seenPK[v.Key()] = true
+			seenPK[v] = true
 		}
 		next = append(next, r)
 	}
@@ -248,18 +248,13 @@ func (t *Table) UpdateWhere(pred func(Row) bool, fn func(Row) Row) (int, error) 
 func (t *Table) reindexLocked() {
 	if t.pkIndex != nil {
 		pi := t.schema.ColumnIndex(t.schema.PrimaryKey)
-		t.pkIndex = make(map[string]int, len(t.rows))
+		t.pkIndex = make(map[Value]int, len(t.rows))
 		for i, r := range t.rows {
-			t.pkIndex[r[pi].Key()] = i
+			t.pkIndex[r[pi]] = i
 		}
 	}
 	for col, idx := range t.indexes {
-		fresh := &hashIdx{col: idx.col, buckets: map[string][]int{}}
-		for i, r := range t.rows {
-			k := r[idx.col].Key()
-			fresh.buckets[k] = append(fresh.buckets[k], i)
-		}
-		t.indexes[col] = fresh
+		t.indexes[col] = buildHashIdx(idx.col, t.rows)
 	}
 }
 
@@ -274,30 +269,38 @@ func (t *Table) BuildIndex(column string) error {
 	if ci < 0 {
 		return fmt.Errorf("relational: table %s: no column %s", t.schema.Name, column)
 	}
-	idx := &hashIdx{col: ci, buckets: map[string][]int{}}
-	for i, r := range t.rows {
-		k := r[ci].Key()
-		idx.buckets[k] = append(idx.buckets[k], i)
-	}
-	t.indexes[column] = idx
+	t.indexes[column] = buildHashIdx(ci, t.rows)
 	return nil
 }
 
-// Lookup returns the rows whose named (indexed) column equals v. The second
-// result reports whether an index on the column exists.
-func (t *Table) Lookup(column string, v Value) ([]Row, bool) {
+func buildHashIdx(col int, rows []Row) *hashIdx {
+	idx := &hashIdx{col: col, buckets: map[Value][]int{}}
+	for i, r := range rows {
+		idx.buckets[r[col]] = append(idx.buckets[r[col]], i)
+	}
+	return idx
+}
+
+// HasIndex reports whether the named column has a hash index.
+func (t *Table) HasIndex(column string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	idx, ok := t.indexes[column]
-	if !ok {
-		return nil, false
+	_, ok := t.indexes[column]
+	return ok
+}
+
+// AppendLookup appends to dst the rows whose named column equals v and
+// returns the extended slice. It appends nothing when the column has no index
+// (see HasIndex). The appended rows must not be mutated.
+func (t *Table) AppendLookup(dst []Row, column string, v Value) []Row {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if idx, ok := t.indexes[column]; ok {
+		for _, o := range idx.buckets[v] {
+			dst = append(dst, t.rows[o])
+		}
 	}
-	ords := idx.buckets[v.Key()]
-	out := make([]Row, 0, len(ords))
-	for _, o := range ords {
-		out = append(out, t.rows[o])
-	}
-	return out, true
+	return dst
 }
 
 // LookupPK returns the row whose primary key equals v, probing the
@@ -310,7 +313,7 @@ func (t *Table) LookupPK(v Value) (Row, bool) {
 	if t.pkIndex == nil {
 		return nil, false
 	}
-	o, ok := t.pkIndex[v.Key()]
+	o, ok := t.pkIndex[v]
 	if !ok {
 		return nil, false
 	}

@@ -139,8 +139,8 @@ func TestTxRollbackAfterPartialReindex(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mid-batch sanity: the index serves the mutated state.
-	if rows, ok := c.Lookup("parentid", Int(99)); !ok || len(rows) != 1 {
-		t.Fatalf("mid-batch index lookup parentid=99: ok=%v rows=%d", ok, len(rows))
+	if rows := c.AppendLookup(nil, "parentid", Int(99)); !c.HasIndex("parentid") || len(rows) != 1 {
+		t.Fatalf("mid-batch index lookup parentid=99: rows=%d", len(rows))
 	}
 
 	if err := tx.Rollback(); err != nil {
@@ -151,15 +151,14 @@ func TestTxRollbackAfterPartialReindex(t *testing.T) {
 	}
 	// The index must reflect the restored rows, not the rolled-back ones.
 	for i := 1; i <= 3; i++ {
-		rows, ok := c.Lookup("parentid", Int(int64(i)))
-		if !ok || len(rows) != 1 {
-			t.Fatalf("post-rollback index lookup parentid=%d: ok=%v rows=%d", i, ok, len(rows))
+		if rows := c.AppendLookup(nil, "parentid", Int(int64(i))); len(rows) != 1 {
+			t.Fatalf("post-rollback index lookup parentid=%d: rows=%d", i, len(rows))
 		}
 	}
-	if rows, ok := c.Lookup("parentid", Int(99)); ok && len(rows) != 0 {
+	if rows := c.AppendLookup(nil, "parentid", Int(99)); len(rows) != 0 {
 		t.Fatalf("post-rollback index still serves rolled-back key: %v", rows)
 	}
-	if rows, ok := c.Lookup("parentid", Int(4)); ok && len(rows) != 0 {
+	if rows := c.AppendLookup(nil, "parentid", Int(4)); len(rows) != 0 {
 		t.Fatalf("post-rollback index still serves rolled-back insert: %v", rows)
 	}
 }

@@ -39,6 +39,11 @@ func (k Kind) String() string {
 }
 
 // Value is a single SQL value. The zero Value is NULL.
+//
+// Values are comparable, and because only the constructors below build one
+// (the payload a kind does not use stays zero), == and map-key equality hold
+// exactly when Key is equal: NULL == NULL, like Key's "n". Indexes and hash
+// joins key their maps on Value directly.
 type Value struct {
 	kind Kind
 	i    int64

@@ -214,6 +214,51 @@ func (s *failingShard) Execute(ctx context.Context, q *sqlastQuery) (*engine.Res
 	return nil, s.err
 }
 
+// recordingShard remembers the last result its Mem shard returned.
+type recordingShard struct {
+	*backend.Mem
+	last *engine.Result
+}
+
+func (s *recordingShard) Execute(ctx context.Context, q *sqlastQuery) (*engine.Result, error) {
+	res, err := s.Mem.Execute(ctx, q)
+	s.last = res
+	return res, err
+}
+
+// TestOneShardMergeDoesNotCopy: when one shard holds every row (always, on a
+// 1-shard composite), the merge returns that shard's row slice as is, and
+// the merge counters still count its rows.
+func TestOneShardMergeDoesNotCopy(t *testing.T) {
+	w := diffWorkloads()[0]
+	rec := &recordingShard{Mem: backend.NewMem()}
+	c, err := sharded.New([]backend.Backend{rec}, sharded.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Load(w.schema, w.docs...); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	got, err := c.Execute(ctx, translations(t, w.schema, w.queries[0])[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) == 0 {
+		t.Fatal("query returned no rows")
+	}
+	if &got.Rows[0] != &rec.last.Rows[0] || len(got.Rows) != len(rec.last.Rows) {
+		t.Error("the merge copied the only shard's rows")
+	}
+	m, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Scatters != 1 || m.MergedRows != int64(len(got.Rows)) {
+		t.Errorf("metrics: %d scatters, %d merged rows; want 1, %d", m.Scatters, m.MergedRows, len(got.Rows))
+	}
+}
+
 // TestSkewBench ensures the default hash partitioner actually spreads the
 // scale workload: with 24 documents on 4 shards no shard should be empty.
 func TestHashPartitionerSpreads(t *testing.T) {

@@ -467,17 +467,26 @@ func (c *Sharded) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result,
 	}
 
 	start := time.Now()
-	merged := &engine.Result{}
-	total := 0
+	var merged *engine.Result
+	var cols []string
+	total, filled := 0, 0
 	for _, r := range results {
 		total += len(r.Rows)
-		if merged.Cols == nil && r.Cols != nil {
-			merged.Cols = r.Cols
+		if cols == nil && r.Cols != nil {
+			cols = r.Cols
+		}
+		if len(r.Rows) > 0 {
+			merged = r
+			filled++
 		}
 	}
-	merged.Rows = make([]relational.Row, 0, total)
-	for _, r := range results {
-		merged.Rows = append(merged.Rows, r.Rows...)
+	// With one non-empty shard (every 1-shard composite, and scatters
+	// selective enough to hit one shard) its result is the answer as is.
+	if filled != 1 {
+		merged = &engine.Result{Cols: cols, Rows: make([]relational.Row, 0, total)}
+		for _, r := range results {
+			merged.Rows = append(merged.Rows, r.Rows...)
+		}
 	}
 	c.mergeNs.Add(time.Since(start).Nanoseconds())
 	c.mergedRows.Add(int64(total))
