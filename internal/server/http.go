@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"xmlsql"
@@ -23,16 +24,6 @@ import (
 type queryRequest struct {
 	Tenant string `json:"tenant"`
 	Query  string `json:"query"`
-}
-
-// queryResponse is a served query's JSON answer.
-type queryResponse struct {
-	Tenant    string   `json:"tenant"`
-	Query     string   `json:"query"`
-	Cols      []string `json:"cols"`
-	Rows      [][]any  `json:"rows"`
-	RowCount  int      `json:"row_count"`
-	ElapsedNs int64    `json:"elapsed_ns"`
 }
 
 // errorResponse is every error's JSON shape; shed responses also carry the
@@ -152,14 +143,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeExecError(w, req.Tenant, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Tenant:    req.Tenant,
-		Query:     req.Query,
-		Cols:      res.Cols,
-		Rows:      rowsJSON(res),
-		RowCount:  res.Len(),
-		ElapsedNs: elapsed.Nanoseconds(),
-	})
+	w.Header().Set("Content-Type", "application/json")
+	// A failed write means the client is gone; there is no one left to tell.
+	_ = writeQueryJSON(w, req.Tenant, req.Query, res, elapsed)
 }
 
 // updateMutationWire is one mutation on the wire: the operation spelled out
@@ -439,28 +425,111 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// rowsJSON converts result rows to JSON-native values.
-func rowsJSON(res *engine.Result) [][]any {
-	rows := make([][]any, len(res.Rows))
-	for i, row := range res.Rows {
-		vals := make([]any, len(row))
-		for j, v := range row {
-			vals[j] = valueJSON(v)
-		}
-		rows[i] = vals
-	}
-	return rows
+// queryChunk is the size of the pooled buffer a /query body streams through.
+const queryChunk = 32 << 10
+
+var queryBufs = sync.Pool{New: func() any { return new([queryChunk]byte) }}
+
+// queryJSON writes its buffer out whenever the next piece would not fit.
+type queryJSON struct {
+	w   io.Writer
+	buf []byte
+	err error // the first failed write; nothing is written after it
 }
 
-func valueJSON(v relational.Value) any {
+// writeQueryJSON writes the /query answer byte for byte as encoding/json's
+// Encoder with SetIndent("", "  ") writes the object {tenant, query, cols,
+// rows, row_count, elapsed_ns} whose rows are ints, strings and nulls. It
+// stops formatting at the first failed write and returns its error.
+func writeQueryJSON(w io.Writer, tenant, query string, res *engine.Result, elapsed time.Duration) error {
+	chunk := queryBufs.Get().(*[queryChunk]byte)
+	defer queryBufs.Put(chunk)
+	e := queryJSON{w: w, buf: chunk[:0]}
+	e.put("{\n  \"tenant\": ", relational.String(tenant))
+	e.put(",\n  \"query\": ", relational.String(query))
+	if res.Cols == nil {
+		e.raw(",\n  \"cols\": null")
+	} else {
+		e.raw(",\n  \"cols\": [")
+		for i, c := range res.Cols {
+			e.put(pick(i == 0, "\n    ", ",\n    "), relational.String(c))
+		}
+		e.raw(pick(len(res.Cols) == 0, "]", "\n  ]"))
+	}
+	e.raw(",\n  \"rows\": [")
+	for i, row := range res.Rows {
+		if e.err != nil {
+			return e.err
+		}
+		e.raw(pick(i == 0, "\n    [", ",\n    ["))
+		for j, v := range row {
+			e.put(pick(j == 0, "\n      ", ",\n      "), v)
+		}
+		e.raw(pick(len(row) == 0, "]", "\n    ]"))
+	}
+	e.raw(pick(len(res.Rows) == 0, "]", "\n  ]"))
+	e.put(",\n  \"row_count\": ", relational.Int(int64(res.Len())))
+	e.put(",\n  \"elapsed_ns\": ", relational.Int(elapsed.Nanoseconds()))
+	e.raw("\n}\n")
+	e.flush()
+	return e.err
+}
+
+// pick returns a if cond holds and b otherwise.
+func pick(cond bool, a, b string) string {
+	if cond {
+		return a
+	}
+	return b
+}
+
+func (e *queryJSON) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+func (e *queryJSON) raw(s string) {
+	if len(e.buf)+len(s) > cap(e.buf) {
+		e.flush()
+	}
+	e.buf = append(e.buf, s...)
+}
+
+// put appends prefix and v as JSON: an int, a string, or null for NULL.
+func (e *queryJSON) put(prefix string, v relational.Value) {
+	s := ""
+	if v.Kind() == relational.KindString {
+		s = v.AsString()
+	}
+	if len(e.buf)+len(prefix)+len(s)+20 > cap(e.buf) { // 20: an int64 or a string's quotes
+		e.flush()
+	}
+	e.buf = append(e.buf, prefix...)
 	switch v.Kind() {
 	case relational.KindInt:
-		return v.AsInt()
+		e.buf = strconv.AppendInt(e.buf, v.AsInt(), 10)
 	case relational.KindString:
-		return v.AsString()
+		e.buf = appendJSONString(e.buf, s)
 	default:
-		return nil
+		e.buf = append(e.buf, "null"...)
 	}
+}
+
+// appendJSONString appends s as encoding/json writes it: printable ASCII other
+// than `"`, `\`, `<`, `>` and `&` goes between quotes as is; any other string
+// goes through json.Marshal, which escapes it as the standard library does.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // rejectHTTPConn answers an over-limit connection with a canned 503 +

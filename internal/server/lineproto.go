@@ -169,15 +169,16 @@ func (s *Server) handleLine(w *bufio.Writer, line string) bool {
 	return false
 }
 
-// lineValue renders a value for the D response (tabs and newlines in string
-// payloads are escaped so framing survives).
+// lineEscaper keeps D's line framing; a Replacer is safe for concurrent use.
+var lineEscaper = strings.NewReplacer("\t", `\t`, "\n", `\n`, "\r", `\r`)
+
+// lineValue renders a value for the D response.
 func lineValue(v relational.Value) string {
 	switch v.Kind() {
 	case relational.KindInt:
 		return strconv.FormatInt(v.AsInt(), 10)
 	case relational.KindString:
-		r := strings.NewReplacer("\t", `\t`, "\n", `\n`, "\r", `\r`)
-		return r.Replace(v.AsString())
+		return lineEscaper.Replace(v.AsString())
 	default:
 		return "NULL"
 	}

@@ -142,6 +142,37 @@ func TestLineProtocol(t *testing.T) {
 	}
 }
 
+// A string value holding a tab, a newline and a CR comes back from D on one
+// line, each escaped as a backslash sequence.
+func TestLineProtocolDEscapesFraming(t *testing.T) {
+	srv := startLineServer(t, nil)
+	lc := dialLine(t, srv.LineAddr())
+
+	muts := `[{"op":"insert","path":"/Site/Regions/Asia/Item","xml":"<InCategory><Category>a&#9;b&#10;c&#13;d</Category></InCategory>"}]`
+	if got := lc.roundTrip(t, "U auctions "+muts); !strings.HasPrefix(got, "OK ") {
+		t.Fatalf("U -> %q", got)
+	}
+	if got := lc.roundTrip(t, "D auctions //Item/InCategory/Category"); got != "ROWS 52" {
+		t.Fatalf("D -> %q, want ROWS 52", got)
+	}
+	escaped := 0
+	for {
+		line, err := lc.r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if line == ".\n" {
+			break
+		}
+		if line == `a\tb\nc\rd`+"\n" {
+			escaped++
+		}
+	}
+	if escaped != 4 { // one new category under each of the 4 Asia items
+		t.Errorf("D framed %d escaped rows, want 4", escaped)
+	}
+}
+
 func TestLineProtocolRateShed(t *testing.T) {
 	srv := startLineServer(t, &server.Limits{RatePerSec: 1, Burst: 1})
 	lc := dialLine(t, srv.LineAddr())
