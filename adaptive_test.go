@@ -57,7 +57,7 @@ func TestPlannerAdaptiveDifferential(t *testing.T) {
 				if err != nil {
 					continue // fuzzed path with no schema match
 				}
-				want, err := xmlsql.ExecuteWithOptions(store, naive, xmlsql.ExecuteOptions{Parallelism: 1, DisableMemo: true})
+				want, err := xmlsql.Execute(ctx, store, naive, xmlsql.ExecuteOptions{})
 				if err != nil {
 					t.Fatalf("%s: baseline execution: %v", qs, err)
 				}
@@ -185,7 +185,7 @@ func TestPlannerAdaptiveStaleness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := xmlsql.ExecuteWithOptions(store, naive, xmlsql.ExecuteOptions{Parallelism: 1, DisableMemo: true})
+	want, err := xmlsql.Execute(ctx, store, naive, xmlsql.ExecuteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

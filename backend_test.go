@@ -43,11 +43,11 @@ func TestBackendAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := xmlsql.ExecuteOn(context.Background(), mem, tr.Query)
+	want, err := mem.Execute(context.Background(), tr.Query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := xmlsql.ExecuteOn(context.Background(), db, tr.Query)
+	got, err := db.Execute(context.Background(), tr.Query)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package xmlsql_test
 
 import (
+	"context"
 	"testing"
 
 	"xmlsql"
@@ -40,11 +41,11 @@ func (f *fixture) run(b *testing.B, query string) {
 		b.Fatal(err)
 	}
 	// Sanity before measuring.
-	nres, err := xmlsql.Execute(f.store, naive)
+	nres, err := xmlsql.Execute(context.Background(), f.store, naive, xmlsql.ExecuteOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pres, err := xmlsql.Execute(f.store, pruned.Query)
+	pres, err := xmlsql.Execute(context.Background(), f.store, pruned.Query, xmlsql.ExecuteOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,14 +55,14 @@ func (f *fixture) run(b *testing.B, query string) {
 
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := xmlsql.Execute(f.store, naive); err != nil {
+			if _, err := xmlsql.Execute(context.Background(), f.store, naive, xmlsql.ExecuteOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("pruned", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := xmlsql.Execute(f.store, pruned.Query); err != nil {
+			if _, err := xmlsql.Execute(context.Background(), f.store, pruned.Query, xmlsql.ExecuteOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -217,65 +218,6 @@ func BenchmarkPlannerCold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Parallel UNION ALL execution: naive translations are unions of
-// root-to-leaf join chains (six branches for XMark's Q1 and the Edge
-// mapping's Q8), the widest unions the system produces and therefore the
-// workloads with enough independent branch work to scale with cores.
-// "serial" forces Parallelism 1; "parallel" uses the GOMAXPROCS default.
-// Per-branch results merge in branch order, so both return identical rows.
-func benchmarkParallelUnion(b *testing.B, s *xmlsql.Schema, store *xmlsql.Store, query string) {
-	b.Helper()
-	naive, err := xmlsql.TranslateNaive(s, xmlsql.MustParseQuery(query))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if naive.Shape().Branches < 4 {
-		b.Fatalf("%s: naive union has %d branches, want >= 4", query, naive.Shape().Branches)
-	}
-	for _, mode := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := xmlsql.ExecuteOptions{Parallelism: mode.par}
-			for i := 0; i < b.N; i++ {
-				if _, err := xmlsql.ExecuteWithOptions(store, naive, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkParallelUnion(b *testing.B) {
-	b.Run("xmark-q1", func(b *testing.B) {
-		s := workloads.XMark()
-		store := xmlsql.NewStore()
-		doc := workloads.GenerateXMark(workloads.XMarkConfig{
-			ItemsPerContinent: 400, CategoriesPerItem: 2, NumCategories: 50, Seed: 1,
-		})
-		if _, err := xmlsql.Shred(s, store, doc); err != nil {
-			b.Fatal(err)
-		}
-		benchmarkParallelUnion(b, s, store, workloads.QueryQ1)
-	})
-	b.Run("edge-q8", func(b *testing.B) {
-		base := workloads.XMarkFull()
-		es, err := xmlsql.EdgeMapping(base)
-		if err != nil {
-			b.Fatal(err)
-		}
-		store := xmlsql.NewStore()
-		doc := workloads.GenerateXMarkFull(workloads.XMarkConfig{
-			ItemsPerContinent: 100, CategoriesPerItem: 2, NumCategories: 50, Seed: 1,
-		})
-		if _, err := xmlsql.Shred(es, store, doc); err != nil {
-			b.Fatal(err)
-		}
-		benchmarkParallelUnion(b, es, store, workloads.QueryQ8)
-	})
 }
 
 // Substrate throughput: shredding.

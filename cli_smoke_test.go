@@ -163,12 +163,14 @@ func TestCLIXml2sqlExplain(t *testing.T) {
 		"adaptive plan decision",
 		"pruning pays",
 		"chosen: plan=pruned",
-		"execution knobs:",
 		"estimated ~240 rows, actual 240 rows",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("xml2sql -explain output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "memo") || strings.Contains(out, "parallel") {
+		t.Errorf("xml2sql -explain still reports execution knobs:\n%s", out)
 	}
 	// A near-tie case retains the measured-safe baseline.
 	out = runCLIExpectError(t, "./cmd/xml2sql", "-workload", "xmark", "-explain")

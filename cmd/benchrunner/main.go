@@ -4,10 +4,9 @@
 // generated SQL shape, verified result equality, and measured execution
 // time — and prints the tables recorded in EXPERIMENTS.md.
 //
-// It also measures the serving fast path (plan cache hot/cold, parallel
-// UNION ALL) and, with -json, writes the whole comparison table as one
-// machine-readable JSON document so the perf trajectory can be tracked
-// across PRs.
+// It also measures the serving fast path (plan cache hot/cold) and, with
+// -json, writes the whole comparison table as one machine-readable JSON
+// document so the perf trajectory can be tracked across PRs.
 //
 // Usage:
 //
@@ -61,11 +60,9 @@ func main() {
 	details := flag.Bool("details", false, "print per-query SQL details")
 	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
 	scaling := flag.Bool("scaling", false, "also run the Q1 speedup-vs-size scaling series")
-	serving := flag.Bool("serving", true, "also measure the serving fast path (plan cache, parallel unions)")
+	serving := flag.Bool("serving", true, "also measure the serving fast path (plan cache hot vs cold)")
 	chaos := flag.Bool("chaos", true, "also run the resilience chaos suite (injected faults, retries, breaker, degradation)")
 	audit := flag.Bool("audit", true, "also run the integrity sentinel suite (lossless-constraint audit, corruption detection, safe-mode degradation)")
-	sharedWork := flag.Bool("sharedwork", true, "also run the shared-work suite (prefix factoring + subplan memo vs the parallel-union baseline)")
-	sharedWorkGate := flag.Float64("sharedwork-max-regression", 2.0, "fail if factored execution is slower than the parallel baseline by more than this factor on any shared-work case")
 	adaptive := flag.Bool("adaptive", true, "also run the adaptive-planning suite (cost-based knob selection vs fixed configurations)")
 	adaptiveGate := flag.Float64("adaptive-max-vs-best", 1.1, "fail if adaptive execution exceeds the best fixed configuration by more than this factor on any shared-work case (headline cases are gated on speedup >= 1.0)")
 	frontend := flag.Bool("frontend", true, "also run the serving front-end suite (closed-loop clients against live HTTP/line listeners, under-capacity and overload)")
@@ -157,28 +154,6 @@ func main() {
 		for _, c := range adt {
 			if !c.Verified {
 				fmt.Fprintf(os.Stderr, "benchrunner: AUDIT VERIFICATION FAILED for %s\n", c.Workload)
-				os.Exit(1)
-			}
-		}
-	}
-
-	var sw []*bench.SharedWorkComparison
-	if *sharedWork {
-		sw, err = bench.RunSharedWork(sc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: sharedwork: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-		fmt.Print(bench.FormatSharedWork(sw))
-		for _, c := range sw {
-			if !c.Verified {
-				fmt.Fprintf(os.Stderr, "benchrunner: SHARED-WORK VERIFICATION FAILED for %s %s\n", c.Workload, c.Query)
-				os.Exit(1)
-			}
-			if c.FactoredNs > *sharedWorkGate*c.UnfactoredNs {
-				fmt.Fprintf(os.Stderr, "benchrunner: SHARED-WORK REGRESSION for %s %s: factored %.0fns vs baseline %.0fns (> %.1fx)\n",
-					c.Workload, c.Query, c.FactoredNs, c.UnfactoredNs, *sharedWorkGate)
 				os.Exit(1)
 			}
 		}
@@ -290,7 +265,7 @@ func main() {
 
 	if *jsonPath != "" {
 		report := bench.BuildReport("xmlsql", *scale, cmps, bench.Sections{
-			Serving: srv, Chaos: chz, Audit: adt, SharedWork: sw, Adaptive: adp,
+			Serving: srv, Chaos: chz, Audit: adt, Adaptive: adp,
 			Frontend: fe, Updates: upd, Recovery: rec, Scaling: scl, Sharded: shr,
 		})
 		out := os.Stdout

@@ -412,8 +412,7 @@ func runStats(s *schema.Schema, workload string) error {
 // prints the adaptive planner's cost-based decision over the query's
 // candidate translations: candidate estimates, the margin verdict, the
 // chosen knob vector, and per-branch cardinalities. With execute it also
-// runs the chosen plan under the engine's Auto mode and reports estimated vs
-// actual rows and the resolved execution knobs.
+// runs the chosen plan and reports estimated vs actual rows.
 func runExplain(s *schema.Schema, workload string, naive, pruned *sqlast.Query, execute bool, timeout time.Duration, opts engine.Options) error {
 	if workload == "" {
 		return fmt.Errorf("-explain requires a built-in -workload to collect statistics over")
@@ -442,8 +441,7 @@ func runExplain(s *schema.Schema, workload string, naive, pruned *sqlast.Query, 
 		fmt.Printf("--   pruned:   %s (cost ratio %.3f >= margin %.2f: near-tie, measured-safe baseline retained)\n",
 			dec.PrunedEst.Summary(), dec.PrunedEst.Cost/dec.BaselineEst.Cost, stats.PlanMargin)
 	}
-	fmt.Printf("--   chosen: %s; execution knobs: parallel %s, memo %s\n",
-		dec.KnobKey(), onOff(dec.ExpectParallel()), onOff(dec.ExpectMemo()))
+	fmt.Printf("--   chosen: %s\n", dec.KnobKey())
 	for _, c := range dec.ChosenEst.CTEs {
 		extra := ""
 		if c.Recursive {
@@ -471,10 +469,8 @@ func runExplain(s *schema.Schema, workload string, naive, pruned *sqlast.Query, 
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	opts.Auto = true
-	opts.Estimate = dec.ChosenEst
 	start := time.Now()
-	res, st, err := engine.ExecuteCtxStats(ctx, store, dec.Query, opts)
+	res, err := engine.Execute(ctx, store, dec.Query, opts)
 	if err != nil {
 		return fmt.Errorf("adaptive execution: %w", err)
 	}
@@ -482,17 +478,9 @@ func runExplain(s *schema.Schema, workload string, naive, pruned *sqlast.Query, 
 	if res.Len() > 0 {
 		errPct = 100 * (dec.ChosenEst.Rows - float64(res.Len())) / float64(res.Len())
 	}
-	fmt.Printf("--   executed in %v: estimated ~%.0f rows, actual %d rows (%+.1f%%); resolved parallel %s, memo %s\n",
-		time.Since(start).Round(time.Microsecond), dec.ChosenEst.Rows, res.Len(), errPct,
-		onOff(st.ParallelEnabled), onOff(st.MemoEnabled))
+	fmt.Printf("--   executed in %v: estimated ~%.0f rows, actual %d rows (%+.1f%%)\n",
+		time.Since(start).Round(time.Microsecond), dec.ChosenEst.Rows, res.Len(), errPct)
 	return nil
-}
-
-func onOff(v bool) string {
-	if v {
-		return "on"
-	}
-	return "off"
 }
 
 // runBoth shreds a generated document and executes both translations under
@@ -517,13 +505,13 @@ func runBoth(s *schema.Schema, workload string, naive, pruned *sqlast.Query, tim
 		defer cancel()
 	}
 	time1 := time.Now()
-	nres, err := engine.ExecuteCtx(ctx, store, naive, opts)
+	nres, err := engine.Execute(ctx, store, naive, opts)
 	if err != nil {
 		return fmt.Errorf("baseline execution: %w", err)
 	}
 	naiveDur := time.Since(time1)
 	time2 := time.Now()
-	pres, err := engine.ExecuteCtx(ctx, store, pruned, opts)
+	pres, err := engine.Execute(ctx, store, pruned, opts)
 	if err != nil {
 		return fmt.Errorf("pruned execution: %w", err)
 	}

@@ -220,7 +220,7 @@ func TestCorruptionDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if truth[q], err = xmlsql.Execute(staging, naive); err != nil {
+				if truth[q], err = xmlsql.Execute(context.Background(), staging, naive, xmlsql.ExecuteOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -245,7 +245,7 @@ func TestCorruptionDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := xmlsql.ExecuteOn(ctx, db, tr.Query)
+					got, err := db.Execute(ctx, tr.Query)
 					if err != nil {
 						t.Fatal(err)
 					}

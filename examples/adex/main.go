@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -51,12 +52,12 @@ func main() {
 
 func timeQuery(store *xmlsql.Store, q *xmlsql.SQL) time.Duration {
 	const reps = 5
-	if _, err := xmlsql.Execute(store, q); err != nil {
+	if _, err := xmlsql.Execute(context.Background(), store, q, xmlsql.ExecuteOptions{}); err != nil {
 		log.Fatal(err)
 	}
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := xmlsql.Execute(store, q); err != nil {
+		if _, err := xmlsql.Execute(context.Background(), store, q, xmlsql.ExecuteOptions{}); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,11 +54,11 @@ func main() {
 	fmt.Println(firstBranch(naive.SQL()))
 	fmt.Printf("\nlossless-from-XML (%s):\n%s\n\n", pruned.Query.Shape(), pruned.Query.SQL())
 
-	nres, err := xmlsql.Execute(store, naive)
+	nres, err := xmlsql.Execute(context.Background(), store, naive, xmlsql.ExecuteOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pres, err := xmlsql.Execute(store, pruned.Query)
+	pres, err := xmlsql.Execute(context.Background(), store, pruned.Query, xmlsql.ExecuteOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -83,11 +84,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := xmlsql.Execute(store, pruned.Query)
+		res, err := xmlsql.Execute(context.Background(), store, pruned.Query, xmlsql.ExecuteOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		nres, err := xmlsql.Execute(store, naive)
+		nres, err := xmlsql.Execute(context.Background(), store, naive, xmlsql.ExecuteOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

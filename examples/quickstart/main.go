@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -75,7 +76,7 @@ func main() {
 	}
 	fmt.Printf("with the lossless-from-XML constraint (%s):\n%s\n\n", pruned.Query.Shape(), pruned.Query.SQL())
 
-	res, err := xmlsql.Execute(store, pruned.Query)
+	res, err := xmlsql.Execute(context.Background(), store, pruned.Query, xmlsql.ExecuteOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,11 +44,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		nres, err := xmlsql.Execute(store, naive)
+		nres, err := xmlsql.Execute(context.Background(), store, naive, xmlsql.ExecuteOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		pres, err := xmlsql.Execute(store, pruned.Query)
+		pres, err := xmlsql.Execute(context.Background(), store, pruned.Query, xmlsql.ExecuteOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

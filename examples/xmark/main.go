@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -56,7 +57,7 @@ func main() {
 
 func run(store *xmlsql.Store, q *xmlsql.SQL) (*xmlsql.Result, time.Duration) {
 	start := time.Now()
-	res, err := xmlsql.Execute(store, q)
+	res, err := xmlsql.Execute(context.Background(), store, q, xmlsql.ExecuteOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

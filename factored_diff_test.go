@@ -107,8 +107,8 @@ func fuzzPaths(labels []string, n int, seed int64) []string {
 
 // TestFactoredDifferential checks, for every workload query plus fuzzed
 // paths, that the factored translation is multiset-equivalent to the
-// unfactored one — on the in-memory engine (serial and parallel, memo on and
-// off) and through the fakedb database/sql route (render → parse → execute).
+// unfactored one — on the in-memory engine and through the fakedb
+// database/sql route (render → parse → execute).
 func TestFactoredDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, w := range diffWorkloads(t) {
@@ -140,23 +140,17 @@ func TestFactoredDifferential(t *testing.T) {
 					continue // fuzzed path with no schema match
 				}
 				factored, changed := xmlsql.FactorSharedPrefixes(w.schema, naive)
-				want, err := xmlsql.ExecuteWithOptions(store, naive, xmlsql.ExecuteOptions{Parallelism: 1, DisableMemo: true})
+				want, err := xmlsql.Execute(ctx, store, naive, xmlsql.ExecuteOptions{})
 				if err != nil {
 					t.Fatalf("%s: unfactored execution: %v", qs, err)
 				}
-				for _, opts := range []xmlsql.ExecuteOptions{
-					{Parallelism: 1},
-					{Parallelism: 4},
-					{Parallelism: 4, DisableMemo: true},
-				} {
-					got, err := xmlsql.ExecuteContext(ctx, store, factored, opts)
-					if err != nil {
-						t.Fatalf("%s (opts %+v): factored execution: %v\n%s", qs, opts, err, factored.SQL())
-					}
-					if !want.MultisetEqual(got) {
-						t.Fatalf("%s (opts %+v, rewritten=%v): factored differs:\n%s\nfactored SQL:\n%s",
-							qs, opts, changed, want.MultisetDiff(got), factored.SQL())
-					}
+				got, err := xmlsql.Execute(ctx, store, factored, xmlsql.ExecuteOptions{})
+				if err != nil {
+					t.Fatalf("%s: factored execution: %v\n%s", qs, err, factored.SQL())
+				}
+				if !want.MultisetEqual(got) {
+					t.Fatalf("%s (rewritten=%v): factored differs:\n%s\nfactored SQL:\n%s",
+						qs, changed, want.MultisetDiff(got), factored.SQL())
 				}
 				// The factored SQL must survive rendering into a dialect,
 				// the fake driver's parser, and its executor. A path with no
@@ -166,7 +160,7 @@ func TestFactoredDifferential(t *testing.T) {
 					tested++
 					continue
 				}
-				dbRes, err := xmlsql.ExecuteOn(ctx, db, factored)
+				dbRes, err := db.Execute(ctx, factored)
 				if err != nil {
 					t.Fatalf("%s: fakedb execution: %v\n%s", qs, err, factored.SQLFor(xmlsql.DialectSQLite))
 				}

@@ -276,7 +276,7 @@ func (s *stmt) execOne(st *statement, args []relational.Value) (int64, error) {
 		return s.runDML(st.dml)
 	case stmtSelect:
 		// Exec on a SELECT: evaluate and discard (mirrors real drivers).
-		_, err := engine.Execute(db.store, st.query)
+		_, err := engine.Execute(context.Background(), db.store, st.query, engine.Options{})
 		return 0, err
 	}
 	return 0, fmt.Errorf("fakedb: unknown statement kind %d", st.kind)
@@ -365,7 +365,7 @@ func (s *stmt) query(ctx context.Context, args []driver.Value) (driver.Rows, err
 	if err := inj.before(ctx, "query"); err != nil {
 		return nil, err
 	}
-	res, err := engine.ExecuteCtx(ctx, s.db().store, s.stmts[0].query, engine.Options{})
+	res, err := engine.Execute(ctx, s.db().store, s.stmts[0].query, engine.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -33,13 +33,6 @@ type Mem struct {
 	// that wants statistics (see StatsTracker); nil until then, so a backend
 	// nobody plans adaptively against pays nothing for it.
 	tracker atomic.Pointer[stats.Tracker]
-
-	// Accumulated shared-work memo counters across every Execute, so a
-	// serving layer can report engine-level reuse per backend (and, with
-	// one Mem per tenant, per tenant) rather than per query only.
-	sharedHits      atomic.Int64
-	sharedMisses    atomic.Int64
-	sharedSavedRows atomic.Int64
 }
 
 // NewMem creates an in-memory backend over a fresh store.
@@ -49,8 +42,8 @@ func NewMem() *Mem { return NewMemOn(relational.NewStore()) }
 // with other components) can be served through the Backend interface.
 func NewMemOn(store *relational.Store) *Mem { return &Mem{store: store} }
 
-// SetEngineOptions replaces the engine options used by Execute (parallelism,
-// recursion limits). The zero value is engine.Execute's default behavior.
+// SetEngineOptions replaces the engine options used by Execute (join
+// algorithms, resource limits). The zero value is the engine's default.
 func (m *Mem) SetEngineOptions(opts engine.Options) { m.opts = opts }
 
 // Store exposes the underlying store.
@@ -86,13 +79,7 @@ func (m *Mem) Load(s *schema.Schema, docs ...*xmltree.Document) ([]*shred.Result
 // between recursive-CTE rounds, and inside join loops, so cancellation is
 // prompt even mid-query.
 func (m *Mem) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result, error) {
-	res, st, err := engine.ExecuteCtxStats(ctx, m.store, q, m.opts)
-	if err == nil {
-		m.sharedHits.Add(st.SharedHits)
-		m.sharedMisses.Add(st.SharedMisses)
-		m.sharedSavedRows.Add(st.SharedSavedRows)
-	}
-	return res, err
+	return engine.Execute(ctx, m.store, q, m.opts)
 }
 
 // StatsTracker returns the store's live statistics tracker, creating it on
@@ -120,14 +107,11 @@ func (m *Mem) CollectStats(context.Context, *schema.Schema) (*stats.Stats, error
 	return snap, nil
 }
 
-// EngineStats returns the shared-work memo counters accumulated across every
-// Execute on this backend (hits, misses, saved rows).
-func (m *Mem) EngineStats() engine.Stats {
-	return engine.Stats{
-		SharedHits:      m.sharedHits.Load(),
-		SharedMisses:    m.sharedMisses.Load(),
-		SharedSavedRows: m.sharedSavedRows.Load(),
-	}
+// EngineStats returns zero counters. The engine no longer shares work across
+// branches; the method stays only because the repository benchmark's
+// engine.memo_hit_share probe still reads these two fields.
+func (m *Mem) EngineStats() struct{ SharedHits, SharedMisses int64 } {
+	return struct{ SharedHits, SharedMisses int64 }{}
 }
 
 // Close implements Backend; the store is garbage-collected. An attached

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -123,13 +124,13 @@ func RunAblations(sc Scale) (string, error) {
 }
 
 func measureOpts(store *relational.Store, q *sqlast.Query, opts engine.Options) float64 {
-	if _, err := engine.ExecuteOpts(store, q, opts); err != nil {
+	if _, err := engine.Execute(context.Background(), store, q, opts); err != nil {
 		return 0
 	}
 	var reps int
 	start := time.Now()
 	for time.Since(start) < MinMeasureTime || reps < 3 {
-		if _, err := engine.ExecuteOpts(store, q, opts); err != nil {
+		if _, err := engine.Execute(context.Background(), store, q, opts); err != nil {
 			return 0
 		}
 		reps++

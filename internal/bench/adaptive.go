@@ -10,10 +10,13 @@ import (
 	"xmlsql/internal/pathexpr"
 	"xmlsql/internal/pathid"
 	"xmlsql/internal/relational"
+	"xmlsql/internal/schema"
 	"xmlsql/internal/shred"
 	"xmlsql/internal/sqlast"
 	"xmlsql/internal/stats"
 	"xmlsql/internal/translate"
+	"xmlsql/internal/workloads"
+	"xmlsql/internal/xmltree"
 )
 
 // AdaptiveComparison measures the cost-based adaptive planner against every
@@ -24,20 +27,14 @@ import (
 // baseline yields a speedup of exactly 1.0 by construction.
 type AdaptiveComparison struct {
 	// Suite is "headline" (the E1–E8 naive-vs-pruned cases, gated on
-	// speedup >= 1.0) or "sharedwork" (the branch-heavy factoring/memo
-	// cases, gated on staying within 10% of the best fixed configuration).
+	// speedup >= 1.0) or "sharedwork" (the branch-heavy factoring cases,
+	// gated on staying within 10% of the best fixed configuration).
 	Suite    string `json:"suite"`
 	Workload string `json:"workload"`
 	Query    string `json:"query"`
 
-	// KnobKey is the chooser's plan-level knob vector; Parallel and Memo are
-	// the engine Auto mode's execution-time resolutions for the chosen plan.
-	KnobKey  string `json:"knob_key"`
-	Parallel bool   `json:"parallel"`
-	Memo     bool   `json:"memo"`
-	// ParallelDisagrees reports that Auto's stats-driven serial/parallel
-	// decision differs from the old branch-count heuristic.
-	ParallelDisagrees bool `json:"parallel_disagrees"`
+	// KnobKey is the chooser's plan-level knob vector.
+	KnobKey string `json:"knob_key"`
 
 	// EstimatedRows vs ActualRows tracks estimator accuracy per case.
 	EstimatedRows float64 `json:"estimated_rows"`
@@ -59,8 +56,7 @@ type AdaptiveComparison struct {
 	Verified bool `json:"verified"`
 
 	// baselineKey names the fixed configuration SpeedupVsBaseline divides
-	// by: "baseline" for headline cases, the PR-1 parallel baseline
-	// ("unfactored+nomemo") for shared-work ones.
+	// by: "baseline" for headline cases, "unfactored" for shared-work ones.
 	baselineKey string
 }
 
@@ -141,9 +137,58 @@ func runAdaptiveHeadline(c Case) (*AdaptiveComparison, error) {
 	return cmp, nil
 }
 
-// runAdaptiveShared pits the chooser (plus the engine's Auto memo decision)
-// against every fixed plan × memo combination on one branch-heavy
-// shared-work case.
+type sharedWorkCase struct {
+	workload string
+	query    string
+	schema   *schema.Schema
+	doc      *xmltree.Document
+}
+
+// sharedWorkSuite builds the branch-heavy cases the factoring rewrite
+// targets: the naive XMark Q1 union (6 literal-partitioned branches), the S2
+// DAG over Edge storage (shared-subtree CTE whose body is a 3-branch union),
+// the schema-oblivious Edge mapping's Q8 (6 self-join chains), and the
+// auctions Edge mapping's //ItemRef (structurally distinct suffixes — the
+// prefix-CTE path rather than the IN collapse).
+func sharedWorkSuite(sc Scale) ([]sharedWorkCase, error) {
+	xm := workloads.XMark()
+	xmDoc := workloads.GenerateXMark(workloads.XMarkConfig{
+		ItemsPerContinent: sc.ItemsPerContinent, CategoriesPerItem: 2, NumCategories: 50, Seed: 1,
+	})
+	s2Edge, err := shred.EdgeSchemaFor(workloads.S2())
+	if err != nil {
+		return nil, err
+	}
+	s2Doc := workloads.GenerateS2(sc.S2Groups, 1)
+	xfEdge, err := shred.EdgeSchemaFor(workloads.XMarkFull())
+	if err != nil {
+		return nil, err
+	}
+	xfDoc := workloads.GenerateXMarkFull(workloads.XMarkConfig{
+		ItemsPerContinent: sc.ItemsPerContinent / 2, CategoriesPerItem: 2, NumCategories: 50, Seed: 1,
+	})
+	xaEdge, err := shred.EdgeSchemaFor(workloads.XMarkAuctions())
+	if err != nil {
+		return nil, err
+	}
+	xaDoc := workloads.GenerateXMarkAuctions(workloads.XMarkAuctionsConfig{
+		ItemsPerContinent: sc.ItemsPerContinent / 2,
+		People:            sc.AdsPerSection,
+		OpenAuctions:      sc.AdsPerSection,
+		BiddersPerAuction: 3,
+		ClosedAuctions:    sc.AdsPerSection / 2,
+		Seed:              1,
+	})
+	return []sharedWorkCase{
+		{workload: "xmark", query: workloads.QueryQ1, schema: xm, doc: xmDoc},
+		{workload: "s2-edge", query: "//s/t1", schema: s2Edge, doc: s2Doc},
+		{workload: "xmarkfull-edge", query: workloads.QueryQ8, schema: xfEdge, doc: xfDoc},
+		{workload: "xmarkauctions-edge", query: "//ItemRef", schema: xaEdge, doc: xaDoc},
+	}, nil
+}
+
+// runAdaptiveShared pits the chooser against the unfactored naive union and
+// the rewritten plan on one branch-heavy shared-work case.
 func runAdaptiveShared(c sharedWorkCase) (*AdaptiveComparison, error) {
 	store := relational.NewStore()
 	if _, err := shred.ShredAll(c.schema, store, shred.Options{}, c.doc); err != nil {
@@ -162,44 +207,30 @@ func runAdaptiveShared(c sharedWorkCase) (*AdaptiveComparison, error) {
 		return nil, err
 	}
 	// The shared-work suite studies the naive unions; the chooser here
-	// decides factoring/reorder and the engine Auto mode decides the memo.
+	// decides factoring and reorder.
 	dec := translate.ChoosePlan(naive, nil, c.schema, stats.NewEstimator(stats.CollectStore(store)))
 
 	cmp, err := adaptiveMeasure("sharedwork", c.workload, c.query, store, naive, dec)
 	if err != nil {
 		return nil, err
 	}
-	// Fixed grid: both plans under both memo settings (the PR-1 parallel
-	// baseline is unfactored+nomemo).
-	plans := map[string]*sqlast.Query{"unfactored": naive}
-	chosenPlan := "unfactored"
+	grid := []gridItem{{name: "unfactored", q: naive}}
+	chosen := "unfactored"
 	if dec.Factored || dec.Reordered {
-		chosenPlan = "rewritten"
-		plans[chosenPlan] = dec.Query
-	}
-	var grid []gridItem
-	for name, plan := range plans {
-		grid = append(grid,
-			gridItem{name: name + "+memo", q: plan},
-			gridItem{name: name + "+nomemo", q: plan, opts: engine.Options{DisableMemo: true}})
+		chosen = "rewritten"
+		grid = append(grid, gridItem{name: chosen, q: dec.Query})
 	}
 	cmp.FixedNs = measureGrid(store, grid)
-	memoKey := "+nomemo"
-	if cmp.Memo {
-		memoKey = "+memo"
-	}
-	cmp.AdaptiveNs = cmp.FixedNs[chosenPlan+memoKey]
-	cmp.baselineKey = "unfactored+nomemo"
+	cmp.AdaptiveNs = cmp.FixedNs[chosen]
+	cmp.baselineKey = "unfactored"
 	cmp.finish()
 	return cmp, nil
 }
 
-// gridItem is one fixed configuration to measure: a plan under explicit
-// engine options.
+// gridItem is one fixed configuration to measure: a plan.
 type gridItem struct {
 	name string
 	q    *sqlast.Query
-	opts engine.Options
 }
 
 // measureGrid measures every configuration in interleaved rounds and keeps
@@ -213,7 +244,7 @@ func measureGrid(store *relational.Store, items []gridItem) map[string]float64 {
 	out := make(map[string]float64, len(items))
 	for r := 0; r < rounds; r++ {
 		for _, it := range items {
-			ns := measureOpts(store, it.q, it.opts)
+			ns := measureOpts(store, it.q, engine.Options{})
 			if ns <= 0 {
 				continue
 			}
@@ -226,30 +257,27 @@ func measureGrid(store *relational.Store, items []gridItem) map[string]float64 {
 }
 
 // adaptiveMeasure runs the shared part of both adaptive suites: execute the
-// chosen plan under engine Auto — verifying its multiset against the naive
-// plan and recording the resolved execution knobs and estimates. Callers
-// measure their fixed configurations, set AdaptiveNs, and call finish.
+// chosen plan, verifying its multiset against the naive plan and recording
+// the estimate against the actual rows. Callers measure their fixed
+// configurations, set AdaptiveNs, and call finish.
 func adaptiveMeasure(suite, workload, query string, store *relational.Store, naive *sqlast.Query, dec *translate.Decision) (*AdaptiveComparison, error) {
 	ctx := context.Background()
-	baseRes, _, err := engine.ExecuteCtxStats(ctx, store, naive, engine.Options{})
+	baseRes, err := engine.Execute(ctx, store, naive, engine.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("adaptive %s %s: baseline: %w", workload, query, err)
 	}
-	adRes, adStats, err := engine.ExecuteCtxStats(ctx, store, dec.Query, engine.Options{Auto: true, Estimate: dec.ChosenEst})
+	adRes, err := engine.Execute(ctx, store, dec.Query, engine.Options{})
 	if err != nil {
-		return nil, fmt.Errorf("adaptive %s %s: auto: %w", workload, query, err)
+		return nil, fmt.Errorf("adaptive %s %s: chosen: %w", workload, query, err)
 	}
 	return &AdaptiveComparison{
-		Suite:             suite,
-		Workload:          workload,
-		Query:             query,
-		KnobKey:           dec.KnobKey(),
-		Parallel:          adStats.ParallelEnabled,
-		Memo:              adStats.MemoEnabled,
-		ParallelDisagrees: adStats.ParallelDisagrees,
-		EstimatedRows:     dec.ChosenEst.Rows,
-		ActualRows:        adRes.Len(),
-		Verified:          baseRes.MultisetEqual(adRes),
+		Suite:         suite,
+		Workload:      workload,
+		Query:         query,
+		KnobKey:       dec.KnobKey(),
+		EstimatedRows: dec.ChosenEst.Rows,
+		ActualRows:    adRes.Len(),
+		Verified:      baseRes.MultisetEqual(adRes),
 	}, nil
 }
 
@@ -302,29 +330,18 @@ func AdaptiveGate(cmps []*AdaptiveComparison, maxVsBest float64) []error {
 func FormatAdaptive(cmps []*AdaptiveComparison) string {
 	var b strings.Builder
 	b.WriteString("Adaptive planning: cost-based knob selection vs fixed configurations\n")
-	fmt.Fprintf(&b, "%-10s %-18s %-28s %-34s %5s %10s %10s %8s %7s %3s\n",
-		"suite", "workload", "query", "knobs", "memo", "adapt/op", "best/op", "speedup", "vsbest", "ok")
-	b.WriteString(strings.Repeat("-", 142))
+	fmt.Fprintf(&b, "%-10s %-18s %-28s %-34s %10s %10s %8s %7s %3s\n",
+		"suite", "workload", "query", "knobs", "adapt/op", "best/op", "speedup", "vsbest", "ok")
+	b.WriteString(strings.Repeat("-", 136))
 	b.WriteString("\n")
 	for _, c := range cmps {
 		ok := "yes"
 		if !c.Verified {
 			ok = "NO"
 		}
-		memo := "off"
-		if c.Memo {
-			memo = "on"
-		}
-		fmt.Fprintf(&b, "%-10s %-18s %-28s %-34s %5s %10s %10s %7.2fx %6.2fx %3s\n",
-			c.Suite, c.Workload, truncate(c.Query, 28), truncate(c.KnobKey, 34), memo,
+		fmt.Fprintf(&b, "%-10s %-18s %-28s %-34s %10s %10s %7.2fx %6.2fx %3s\n",
+			c.Suite, c.Workload, truncate(c.Query, 28), truncate(c.KnobKey, 34),
 			fmtNs(c.AdaptiveNs), fmtNs(c.BestFixedNs), c.SpeedupVsBaseline, c.VsBestFixed, ok)
 	}
-	dis := 0
-	for _, c := range cmps {
-		if c.ParallelDisagrees {
-			dis++
-		}
-	}
-	fmt.Fprintf(&b, "stats-driven parallel decision disagreed with the branch-count heuristic on %d/%d cases\n", dis, len(cmps))
 	return b.String()
 }

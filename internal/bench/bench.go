@@ -177,7 +177,7 @@ func RunOn(c Case, backendName string) (*Comparison, error) {
 // backend-selectable main suite share one measurement path.
 func memExec(store *relational.Store) func(*sqlast.Query) (*engine.Result, error) {
 	return func(q *sqlast.Query) (*engine.Result, error) {
-		return engine.Execute(store, q)
+		return engine.Execute(context.Background(), store, q, engine.Options{})
 	}
 }
 

@@ -26,10 +26,6 @@ type Report struct {
 	// violations detected on corrupted copies, safe-mode degradations), so
 	// the constraint-checking trajectory is tracked too.
 	Audit []*AuditComparison `json:"audit,omitempty"`
-	// SharedWork records the shared-work execution numbers: the PR-1
-	// parallel baseline vs the subplan memo vs prefix factoring, with the
-	// memo's hit/miss/saved-rows counters.
-	SharedWork []*SharedWorkComparison `json:"shared_work,omitempty"`
 	// Adaptive records the cost-based planner against every fixed knob
 	// setting: headline cases gated on speedup >= 1.0 (the chooser falls
 	// back to the baseline where pruning does not pay), shared-work cases
@@ -86,16 +82,15 @@ type ReportSummary struct {
 // Sections carries every optional suite's results into BuildReport; nil
 // slices and pointers simply omit their section from the JSON.
 type Sections struct {
-	Serving    []*ServingComparison
-	Chaos      []*ChaosComparison
-	Audit      []*AuditComparison
-	SharedWork []*SharedWorkComparison
-	Adaptive   []*AdaptiveComparison
-	Frontend   []*FrontendComparison
-	Updates    []*UpdateComparison
-	Recovery   []*RecoveryComparison
-	Scaling    *ScalingSection
-	Sharded    *ShardedReport
+	Serving  []*ServingComparison
+	Chaos    []*ChaosComparison
+	Audit    []*AuditComparison
+	Adaptive []*AdaptiveComparison
+	Frontend []*FrontendComparison
+	Updates  []*UpdateComparison
+	Recovery []*RecoveryComparison
+	Scaling  *ScalingSection
+	Sharded  *ShardedReport
 }
 
 // BuildReport assembles the JSON report from measured comparisons.
@@ -108,7 +103,6 @@ func BuildReport(name string, scale int, cmps []*Comparison, sec Sections) *Repo
 		Serving:         sec.Serving,
 		Chaos:           sec.Chaos,
 		Audit:           sec.Audit,
-		SharedWork:      sec.SharedWork,
 		Adaptive:        sec.Adaptive,
 		ServingFrontend: sec.Frontend,
 		Updates:         sec.Updates,

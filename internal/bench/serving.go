@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
@@ -10,10 +9,8 @@ import (
 	"xmlsql/internal/workloads"
 )
 
-// ServingComparison measures the concurrent query-serving fast path on one
-// (workload, query) pair: the plan cache (cold translate+execute vs hot
-// cache-hit Eval) and parallel UNION ALL execution of the naive translation
-// (serial vs GOMAXPROCS-bounded workers).
+// ServingComparison measures the query-serving fast path on one (workload,
+// query) pair: the plan cache (cold translate+execute vs hot cache-hit Eval).
 type ServingComparison struct {
 	Workload string `json:"workload"`
 	Query    string `json:"query"`
@@ -23,14 +20,6 @@ type ServingComparison struct {
 	ColdNs     float64 `json:"cold_ns"`
 	HotNs      float64 `json:"hot_ns"`
 	HotSpeedup float64 `json:"hot_speedup"`
-
-	// Parallel union: the naive translation's UNION ALL executed with
-	// Parallelism 1 vs the GOMAXPROCS default.
-	Branches        int     `json:"branches"`
-	SerialNs        float64 `json:"serial_ns"`
-	ParallelNs      float64 `json:"parallel_ns"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
-	Procs           int     `json:"procs"`
 }
 
 // servingCase declares one serving measurement.
@@ -43,8 +32,7 @@ type servingCase struct {
 
 // servingSuite builds the serving cases: the recursive S3 schema (the most
 // expensive translations, so the plan cache's best case), schema-aware XMark
-// and the schema-oblivious Edge mapping (the widest naive unions, so
-// parallel execution's best case).
+// and the schema-oblivious Edge mapping (the widest naive unions).
 func servingSuite(sc Scale) ([]servingCase, error) {
 	s3 := workloads.S3()
 	s3Doc := workloads.GenerateS3(workloads.S3Config{Fanout: sc.S3Fanout, MaxDepth: sc.S3Depth, Seed: 1})
@@ -97,8 +85,7 @@ func runServing(c servingCase) (*ServingComparison, error) {
 		return nil, fmt.Errorf("serving %s %s: shred: %w", c.workload, c.query, err)
 	}
 
-	// Correctness gate before timing: hot, cold, serial, and parallel paths
-	// must all agree.
+	// Correctness gate before timing: hot and cold paths must agree.
 	planner := xmlsql.NewPlanner(c.schema)
 	hotRes, err := planner.Eval(store, c.query)
 	if err != nil {
@@ -111,33 +98,7 @@ func runServing(c servingCase) (*ServingComparison, error) {
 	if !hotRes.MultisetEqual(coldRes) {
 		return nil, fmt.Errorf("serving %s %s: cached plan disagrees with fresh translation", c.workload, c.query)
 	}
-	naive, err := xmlsql.TranslateNaive(c.schema, xmlsql.MustParseQuery(c.query))
-	if err != nil {
-		return nil, err
-	}
-	serialRes, err := xmlsql.ExecuteWithOptions(store, naive, xmlsql.ExecuteOptions{Parallelism: 1})
-	if err != nil {
-		return nil, err
-	}
-	parallelRes, err := xmlsql.ExecuteWithOptions(store, naive, xmlsql.ExecuteOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if len(serialRes.Rows) != len(parallelRes.Rows) {
-		return nil, fmt.Errorf("serving %s %s: parallel row count diverged", c.workload, c.query)
-	}
-	for i := range serialRes.Rows {
-		if serialRes.Rows[i].Key() != parallelRes.Rows[i].Key() {
-			return nil, fmt.Errorf("serving %s %s: parallel row order diverged at row %d", c.workload, c.query, i)
-		}
-	}
-
-	cmp := &ServingComparison{
-		Workload: c.workload,
-		Query:    c.query,
-		Branches: naive.Shape().Branches,
-		Procs:    runtime.GOMAXPROCS(0),
-	}
+	cmp := &ServingComparison{Workload: c.workload, Query: c.query}
 	cmp.ColdNs = measureFn(func() error {
 		_, err := xmlsql.Eval(c.schema, store, c.query)
 		return err
@@ -148,17 +109,6 @@ func runServing(c servingCase) (*ServingComparison, error) {
 	})
 	if cmp.HotNs > 0 {
 		cmp.HotSpeedup = cmp.ColdNs / cmp.HotNs
-	}
-	cmp.SerialNs = measureFn(func() error {
-		_, err := xmlsql.ExecuteWithOptions(store, naive, xmlsql.ExecuteOptions{Parallelism: 1})
-		return err
-	})
-	cmp.ParallelNs = measureFn(func() error {
-		_, err := xmlsql.ExecuteWithOptions(store, naive, xmlsql.ExecuteOptions{})
-		return err
-	})
-	if cmp.ParallelNs > 0 {
-		cmp.ParallelSpeedup = cmp.SerialNs / cmp.ParallelNs
 	}
 	return cmp, nil
 }
@@ -183,17 +133,13 @@ func measureFn(fn func() error) float64 {
 // FormatServing renders the serving comparisons as a fixed-width table.
 func FormatServing(cmps []*ServingComparison) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Serving fast path: plan cache (cold vs hot) and parallel UNION ALL (GOMAXPROCS=%d)\n",
-		runtime.GOMAXPROCS(0))
-	fmt.Fprintf(&b, "%-15s %-35s %10s %10s %8s %4s %10s %10s %8s\n",
-		"workload", "query", "cold/op", "hot/op", "speedup", "br", "serial/op", "par/op", "speedup")
-	b.WriteString(strings.Repeat("-", 118))
+	b.WriteString("Serving fast path: plan cache (cold vs hot)\n")
+	fmt.Fprintf(&b, "%-15s %-35s %10s %10s %8s\n", "workload", "query", "cold/op", "hot/op", "speedup")
+	b.WriteString(strings.Repeat("-", 82))
 	b.WriteString("\n")
 	for _, c := range cmps {
-		fmt.Fprintf(&b, "%-15s %-35s %10s %10s %7.2fx %4d %10s %10s %7.2fx\n",
-			c.Workload, truncate(c.Query, 35),
-			fmtNs(c.ColdNs), fmtNs(c.HotNs), c.HotSpeedup,
-			c.Branches, fmtNs(c.SerialNs), fmtNs(c.ParallelNs), c.ParallelSpeedup)
+		fmt.Fprintf(&b, "%-15s %-35s %10s %10s %7.2fx\n",
+			c.Workload, truncate(c.Query, 35), fmtNs(c.ColdNs), fmtNs(c.HotNs), c.HotSpeedup)
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -46,11 +47,11 @@ func checkEquivalence(t *testing.T, s *schema.Schema, doc *xmltree.Document, que
 	}
 	naive, pruned := translateBoth(t, s, query)
 
-	nres, err := engine.Execute(store, naive)
+	nres, err := engine.Execute(context.Background(), store, naive, engine.Options{})
 	if err != nil {
 		t.Fatalf("execute naive:\n%s\nerror: %v", naive.SQL(), err)
 	}
-	pres, err := engine.Execute(store, pruned.Query)
+	pres, err := engine.Execute(context.Background(), store, pruned.Query, engine.Options{})
 	if err != nil {
 		t.Fatalf("execute pruned:\n%s\nerror: %v", pruned.Query.SQL(), err)
 	}
@@ -135,11 +136,11 @@ func TestQ3AvoidsDuplicates(t *testing.T) {
 	}
 
 	naive, pruned := translateBoth(t, s, workloads.QueryQ3)
-	nres, err := engine.Execute(store, naive)
+	nres, err := engine.Execute(context.Background(), store, naive, engine.Options{})
 	if err != nil {
 		t.Fatalf("naive execute: %v", err)
 	}
-	pres, err := engine.Execute(store, pruned.Query)
+	pres, err := engine.Execute(context.Background(), store, pruned.Query, engine.Options{})
 	if err != nil {
 		t.Fatalf("pruned execute:\n%s\n%v", pruned.Query.SQL(), err)
 	}
@@ -197,7 +198,7 @@ func TestUnsafePathSet1WouldDuplicate(t *testing.T) {
 			),
 		},
 	}}
-	res, err := engine.Execute(store, sq31)
+	res, err := engine.Execute(context.Background(), store, sq31, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,11 +428,11 @@ func TestTranslationsOnEmptyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	naive, pruned := translateBoth(t, s, workloads.QueryQ1)
-	nres, err := engine.Execute(store, naive)
+	nres, err := engine.Execute(context.Background(), store, naive, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := engine.Execute(store, pruned.Query)
+	pres, err := engine.Execute(context.Background(), store, pruned.Query, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestTranslateOptionsAblations(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", opts, err)
 			}
-			got, err := engine.Execute(store, res.Query)
+			got, err := engine.Execute(context.Background(), store, res.Query, engine.Options{})
 			if err != nil {
 				t.Fatalf("exec: %v\n%s", err, res.Query.SQL())
 			}

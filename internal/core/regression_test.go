@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -174,7 +175,7 @@ func TestPredicateChildAxisIsDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := engine.Execute(cstore, sqlq)
+		res, err := engine.Execute(context.Background(), cstore, sqlq, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s exec: %v", name, err)
 		}

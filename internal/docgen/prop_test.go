@@ -1,6 +1,7 @@
 package docgen_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -86,11 +87,11 @@ func TestPropertyTranslationEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pruned: %v\nschema:\n%s", err, s)
 				}
-				nres, err := engine.Execute(store, naive)
+				nres, err := engine.Execute(context.Background(), store, naive, engine.Options{})
 				if err != nil {
 					t.Fatalf("naive exec: %v\nSQL:\n%s", err, naive.SQL())
 				}
-				pres, err := engine.Execute(store, pruned.Query)
+				pres, err := engine.Execute(context.Background(), store, pruned.Query, engine.Options{})
 				if err != nil {
 					t.Fatalf("pruned exec: %v\nSQL:\n%s", err, pruned.Query.SQL())
 				}
@@ -163,11 +164,11 @@ func TestPropertyRecursiveSchemas(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: pruned(%s): %v\nschema:\n%s", seed, query, err, s)
 			}
-			nres, err := engine.Execute(store, naive)
+			nres, err := engine.Execute(context.Background(), store, naive, engine.Options{})
 			if err != nil {
 				t.Fatalf("seed %d: naive exec(%s): %v\n%s", seed, query, err, naive.SQL())
 			}
-			pres, err := engine.Execute(store, pruned.Query)
+			pres, err := engine.Execute(context.Background(), store, pruned.Query, engine.Options{})
 			if err != nil {
 				t.Fatalf("seed %d: pruned exec(%s): %v\n%s", seed, query, err, pruned.Query.SQL())
 			}

@@ -1,6 +1,7 @@
 package docgen_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -61,11 +62,11 @@ func TestStressEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cfg %d seed %d: pruned(%s): %v\n%s", ci, seed, query, err, s)
 				}
-				nres, err := engine.Execute(store, naive)
+				nres, err := engine.Execute(context.Background(), store, naive, engine.Options{})
 				if err != nil {
 					t.Fatalf("cfg %d seed %d: exec naive(%s): %v\n%s", ci, seed, query, err, naive.SQL())
 				}
-				pres, err := engine.Execute(store, pruned.Query)
+				pres, err := engine.Execute(context.Background(), store, pruned.Query, engine.Options{})
 				if err != nil {
 					t.Fatalf("cfg %d seed %d: exec pruned(%s): %v\n%s", ci, seed, query, err, pruned.Query.SQL())
 				}

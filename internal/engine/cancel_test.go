@@ -103,7 +103,7 @@ func TestCancelMidRecursiveCTE(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := engine.ExecuteCtx(ctx, s, reachQuery(), engine.Options{})
+	_, err := engine.Execute(ctx, s, reachQuery(), engine.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -112,32 +112,29 @@ func TestCancelMidRecursiveCTE(t *testing.T) {
 	}
 }
 
-// TestDeadlineMidParallelUnion runs a union of row-explosion branches under a
-// short deadline and requires a prompt DeadlineExceeded from inside the
-// branches' join loops, at every parallelism level.
-func TestDeadlineMidParallelUnion(t *testing.T) {
+// TestDeadlineMidUnion runs a union of row-explosion branches under a short
+// deadline and requires a prompt DeadlineExceeded from inside the first
+// branch's join loops.
+func TestDeadlineMidUnion(t *testing.T) {
 	s := bigStore(t, 2000)
 	q := &sqlast.Query{Selects: []*sqlast.Select{
 		crossSelect(), crossSelect(), crossSelect(), crossSelect(),
 	}}
-	for _, par := range []int{1, 4} {
-		ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
-		start := time.Now()
-		_, err := engine.ExecuteCtx(ctx, s, q, engine.Options{Parallelism: par})
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("parallelism %d: err = %v, want context.DeadlineExceeded", par, err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("parallelism %d: deadline abort took %v; not prompt", par, elapsed)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := engine.Execute(ctx, s, q, engine.Options{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadline abort took %v; not prompt", elapsed)
 	}
 }
 
-// TestNoGoroutineLeakAfterCancel repeatedly cancels parallel queries and
-// checks the goroutine count settles back to its baseline: workers must exit
-// on the stop flag rather than grinding through remaining branches or
-// blocking forever. Run with -race.
+// TestNoGoroutineLeakAfterCancel repeatedly cancels many-branch queries and
+// checks the goroutine count settles back to its baseline: an aborted query
+// leaves nothing running behind it. Run with -race.
 func TestNoGoroutineLeakAfterCancel(t *testing.T) {
 	s := bigStore(t, 2000)
 	q := &sqlast.Query{Selects: []*sqlast.Select{
@@ -147,21 +144,20 @@ func TestNoGoroutineLeakAfterCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		_, err := engine.ExecuteCtx(ctx, s, q, engine.Options{Parallelism: 4})
+		_, err := engine.Execute(ctx, s, q, engine.Options{})
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("iteration %d: err = %v, want context.DeadlineExceeded", i, err)
 		}
 	}
-	// Workers exit via wg.Wait before ExecuteCtx returns, so any residue is a
-	// leak. Allow the runtime a moment to reap exiting goroutines.
+	// Allow the runtime a moment to reap the timers' goroutines.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+2 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after cancelled parallel queries",
+			t.Fatalf("goroutines leaked: %d before, %d after cancelled queries",
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -173,8 +169,7 @@ func TestNoGoroutineLeakAfterCancel(t *testing.T) {
 // a stringly error.
 func TestMaxCTEIterationsTypedError(t *testing.T) {
 	s := cyclicEdges(t)
-	_, err := engine.ExecuteCtx(context.Background(), s, reachQuery(),
-		engine.Options{MaxCTEIterations: 10})
+	_, err := engine.Execute(context.Background(), s, reachQuery(), engine.Options{MaxCTEIterations: 10})
 	var re *engine.ResourceError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *engine.ResourceError", err)
@@ -187,21 +182,17 @@ func TestMaxCTEIterationsTypedError(t *testing.T) {
 	}
 }
 
-// TestMaxRowsBudget caps materialized rows. The serial and parallel paths
-// share one atomic budget, so both must trip it.
+// TestMaxRowsBudget caps materialized rows across a union's branches.
 func TestMaxRowsBudget(t *testing.T) {
 	s := bigStore(t, 200)
 	q := &sqlast.Query{Selects: []*sqlast.Select{crossSelect(), crossSelect()}}
-	for _, par := range []int{1, 4} {
-		_, err := engine.ExecuteCtx(context.Background(), s, q,
-			engine.Options{Parallelism: par, MaxRows: 50000})
-		var re *engine.ResourceError
-		if !errors.As(err, &re) {
-			t.Fatalf("parallelism %d: err = %v, want *engine.ResourceError", par, err)
-		}
-		if re.Resource != engine.ResourceRows || re.Limit != 50000 {
-			t.Fatalf("parallelism %d: ResourceError = %+v, want rows limit 50000", par, re)
-		}
+	_, err := engine.Execute(context.Background(), s, q, engine.Options{MaxRows: 50000})
+	var re *engine.ResourceError
+	if !errors.As(err, &re) {
+		t.Fatalf("err = %v, want *engine.ResourceError", err)
+	}
+	if re.Resource != engine.ResourceRows || re.Limit != 50000 {
+		t.Fatalf("ResourceError = %+v, want rows limit 50000", re)
 	}
 	// Under the budget, the same query succeeds — the guard must not
 	// undercount or misfire.
@@ -209,8 +200,7 @@ func TestMaxRowsBudget(t *testing.T) {
 		Cols: []sqlast.SelectItem{sqlast.Col("a", "n")},
 		From: []sqlast.FromItem{sqlast.From("R", "a")},
 	}}}
-	res, err := engine.ExecuteCtx(context.Background(), s, small,
-		engine.Options{MaxRows: 50000})
+	res, err := engine.Execute(context.Background(), s, small, engine.Options{MaxRows: 50000})
 	if err != nil {
 		t.Fatalf("under-budget query failed: %v", err)
 	}
@@ -223,8 +213,7 @@ func TestMaxRowsBudget(t *testing.T) {
 // alone: even without an iteration bound, accumulation must trip MaxRows.
 func TestMaxRowsRecursiveCTE(t *testing.T) {
 	s := cyclicEdges(t)
-	_, err := engine.ExecuteCtx(context.Background(), s, reachQuery(),
-		engine.Options{MaxRows: 1000})
+	_, err := engine.Execute(context.Background(), s, reachQuery(), engine.Options{MaxRows: 1000})
 	var re *engine.ResourceError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *engine.ResourceError", err)
@@ -235,8 +224,7 @@ func TestMaxRowsRecursiveCTE(t *testing.T) {
 }
 
 // TestUnionBranchPanicContained feeds the executor a poisoned (nil) branch:
-// the worker must convert the panic into a per-branch error instead of
-// killing the process, in both serial and parallel modes.
+// the panic must become the query's error instead of killing the process.
 func TestUnionBranchPanicContained(t *testing.T) {
 	s := bigStore(t, 10)
 	ok := &sqlast.Select{
@@ -244,11 +232,9 @@ func TestUnionBranchPanicContained(t *testing.T) {
 		From: []sqlast.FromItem{sqlast.From("R", "a")},
 	}
 	q := &sqlast.Query{Selects: []*sqlast.Select{ok, nil, ok}}
-	for _, par := range []int{1, 4} {
-		_, err := engine.ExecuteCtx(context.Background(), s, q, engine.Options{Parallelism: par})
-		if err == nil || !strings.Contains(err.Error(), "panic evaluating union branch") {
-			t.Fatalf("parallelism %d: err = %v, want contained panic error", par, err)
-		}
+	_, err := engine.Execute(context.Background(), s, q, engine.Options{})
+	if err == nil || !strings.Contains(err.Error(), "panic evaluating union branch") {
+		t.Fatalf("err = %v, want contained panic error", err)
 	}
 }
 
@@ -256,7 +242,7 @@ func TestUnionBranchPanicContained(t *testing.T) {
 func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := engine.ExecuteCtx(ctx, relational.NewStore(), &sqlast.Query{}, engine.Options{})
+	_, err := engine.Execute(ctx, relational.NewStore(), &sqlast.Query{}, engine.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

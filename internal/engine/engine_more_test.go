@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"testing"
 
 	"xmlsql/internal/engine"
@@ -40,7 +41,7 @@ func TestUnionArityMismatch(t *testing.T) {
 		{Cols: []sqlast.SelectItem{sqlast.Col("C", "v")}, From: []sqlast.FromItem{sqlast.From("C", "C")}},
 		{Cols: []sqlast.SelectItem{sqlast.Col("C", "v"), sqlast.Col("C", "id")}, From: []sqlast.FromItem{sqlast.From("C", "C")}},
 	}}
-	if _, err := engine.Execute(s, q); err == nil {
+	if _, err := engine.Execute(context.Background(), s, q, engine.Options{}); err == nil {
 		t.Error("union arity mismatch accepted")
 	}
 }
@@ -58,7 +59,7 @@ func TestDuplicateCTEName(t *testing.T) {
 			From: []sqlast.FromItem{sqlast.From("x", "x")},
 		}},
 	}
-	if _, err := engine.Execute(s, q); err == nil {
+	if _, err := engine.Execute(context.Background(), s, q, engine.Options{}); err == nil {
 		t.Error("duplicate cte accepted")
 	}
 }
@@ -76,7 +77,7 @@ func TestCTENameScopedToQuery(t *testing.T) {
 			From: []sqlast.FromItem{sqlast.From("scoped", "scoped")},
 		}},
 	}
-	if _, err := engine.Execute(s, q); err != nil {
+	if _, err := engine.Execute(context.Background(), s, q, engine.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	// The CTE must not leak into subsequent executions.
@@ -84,16 +85,16 @@ func TestCTENameScopedToQuery(t *testing.T) {
 		Cols: []sqlast.SelectItem{sqlast.Col("scoped", "v")},
 		From: []sqlast.FromItem{sqlast.From("scoped", "scoped")},
 	})
-	if _, err := engine.Execute(s, leak); err == nil {
+	if _, err := engine.Execute(context.Background(), s, leak, engine.Options{}); err == nil {
 		t.Error("cte leaked across executions")
 	}
 }
 
 func TestEmptyFromRejected(t *testing.T) {
 	s := buildStore(t)
-	if _, err := engine.Execute(s, sqlast.SingleSelect(&sqlast.Select{
+	if _, err := engine.Execute(context.Background(), s, sqlast.SingleSelect(&sqlast.Select{
 		Cols: []sqlast.SelectItem{{Expr: sqlast.IntLit(1), As: "x"}},
-	})); err == nil {
+	}), engine.Options{}); err == nil {
 		t.Error("empty FROM accepted")
 	}
 }
@@ -116,7 +117,7 @@ func TestInPredicate(t *testing.T) {
 
 func TestEmptyQueryProducesEmptyResult(t *testing.T) {
 	s := buildStore(t)
-	res, err := engine.Execute(s, &sqlast.Query{})
+	res, err := engine.Execute(context.Background(), s, &sqlast.Query{}, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestRecursiveCTEBoundOnCyclicData(t *testing.T) {
 			From: []sqlast.FromItem{sqlast.From("d", "d")},
 		}},
 	}
-	if _, err := engine.Execute(s, q); err == nil {
+	if _, err := engine.Execute(context.Background(), s, q, engine.Options{}); err == nil {
 		t.Error("divergent recursion not bounded")
 	}
 }
@@ -181,11 +182,11 @@ func TestIndexJoinMatchesHashJoin(t *testing.T) {
 		Where: sqlast.Eq(sqlast.ColRef{Table: "C", Column: "parentid"},
 			sqlast.ColRef{Table: "P", Column: "id"}),
 	})
-	indexed, err := engine.ExecuteOpts(s, q, engine.Options{})
+	indexed, err := engine.Execute(context.Background(), s, q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := engine.ExecuteOpts(s, q, engine.Options{DisableIndexes: true})
+	plain, err := engine.Execute(context.Background(), s, q, engine.Options{DisableIndexes: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -50,7 +51,7 @@ func buildStore(t *testing.T) *relational.Store {
 
 func mustRun(t *testing.T, s *relational.Store, q *sqlast.Query) *engine.Result {
 	t.Helper()
-	res, err := engine.Execute(s, q)
+	res, err := engine.Execute(context.Background(), s, q, engine.Options{})
 	if err != nil {
 		t.Fatalf("execute: %v\n%s", err, q.SQL())
 	}
@@ -123,7 +124,7 @@ func TestJoinsKeepColumnsReadLater(t *testing.T) {
 		{relational.Int(2), relational.String("c")},
 	}}
 	for _, opts := range []engine.Options{{}, {DisableIndexes: true}, {ForceNestedLoop: true}} {
-		res, err := engine.ExecuteOpts(s, q, opts)
+		res, err := engine.Execute(context.Background(), s, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,11 +142,11 @@ func TestNestedLoopMatchesHashJoin(t *testing.T) {
 		Where: sqlast.Eq(sqlast.ColRef{Table: "C", Column: "parentid"},
 			sqlast.ColRef{Table: "P", Column: "id"}),
 	})
-	hash, err := engine.ExecuteOpts(s, q, engine.Options{})
+	hash, err := engine.Execute(context.Background(), s, q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nested, err := engine.ExecuteOpts(s, q, engine.Options{ForceNestedLoop: true})
+	nested, err := engine.Execute(context.Background(), s, q, engine.Options{ForceNestedLoop: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestRecursiveCTEWithoutBaseErrors(t *testing.T) {
 			From: []sqlast.FromItem{sqlast.From("d", "d")},
 		}},
 	}
-	if _, err := engine.Execute(s, q); err == nil {
+	if _, err := engine.Execute(context.Background(), s, q, engine.Options{}); err == nil {
 		t.Error("recursive CTE without base branch accepted")
 	}
 }
@@ -318,7 +319,7 @@ func TestErrorsOnUnknownThings(t *testing.T) {
 		{Cols: []sqlast.SelectItem{sqlast.Col("C", "v")}, From: []sqlast.FromItem{sqlast.From("C", "C"), sqlast.From("P", "C")}},
 	}
 	for i, sel := range cases {
-		if _, err := engine.Execute(s, sqlast.SingleSelect(sel)); err == nil {
+		if _, err := engine.Execute(context.Background(), s, sqlast.SingleSelect(sel), engine.Options{}); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -351,7 +352,7 @@ func TestAmbiguousBareColumn(t *testing.T) {
 		Cols: []sqlast.SelectItem{{Expr: sqlast.ColRef{Column: "id"}}},
 		From: []sqlast.FromItem{sqlast.From("P", "P"), sqlast.From("C", "C")},
 	})
-	_, err := engine.Execute(s, q)
+	_, err := engine.Execute(context.Background(), s, q, engine.Options{})
 	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("expected ambiguity error, got %v", err)
 	}

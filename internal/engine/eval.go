@@ -3,14 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"xmlsql/internal/relational"
 	"xmlsql/internal/sqlast"
-	"xmlsql/internal/stats"
 )
 
 // MaxRecursionRounds bounds recursive CTE evaluation; shredded XML data is
@@ -27,15 +23,6 @@ type Options struct {
 	// DisableIndexes skips persistent table indexes even when present,
 	// always building per-query hash tables.
 	DisableIndexes bool
-	// Parallelism bounds the worker pool evaluating the branches of a
-	// UNION ALL concurrently: 0 means GOMAXPROCS, values < 0 and 1 force
-	// serial evaluation, N > 1 allows up to N branches in flight. Results are
-	// merged in branch order, so parallel execution returns rows in
-	// exactly the serial order. Naive translations — unions of
-	// root-to-leaf join chains, six branches for XMark's Q1 and the Edge
-	// mapping's Q8 — are the workloads with enough independent branch work
-	// to scale with cores.
-	Parallelism int
 	// MaxRows bounds the rows the query may materialize, counting join
 	// outputs, projected results, and recursive-CTE accumulation across all
 	// branches. 0 means unlimited. Exceeding the bound aborts the query with
@@ -47,101 +34,23 @@ type Options struct {
 	// schema shredded into one) makes the fixpoint loop diverge; the bound
 	// turns that divergence into a typed *ResourceError instead of a hang.
 	MaxCTEIterations int
-	// DisableMemo turns off the shared-work subplan memo (see Stats): every
-	// UNION ALL branch then recomputes its join prefixes from scratch, as
-	// the pre-memo engine did. Used by benchmarks to measure the memo's
-	// contribution and by tests as a differential oracle. Note that rows a
-	// branch reuses from the memo are charged against MaxRows once, when
-	// first materialized, not once per reusing branch.
-	DisableMemo bool
-	// Auto enables cost-based per-query knob selection using Estimate:
-	// Parallelism (when left 0) resolves to serial unless the estimated
-	// per-branch work clears stats.ParallelMinBranchCost — replacing the
-	// old branch-count heuristic that parallelized every multi-branch
-	// union — and the subplan memo (when not already disabled) stays on
-	// only when the estimated shared-prefix reuse is positive. Explicitly
-	// set knobs (Parallelism != 0, DisableMemo) are never overridden. With
-	// a nil Estimate, Auto falls back to serial execution with the memo
-	// under its structural gate. The decisions taken are reported in Stats.
-	Auto bool
-	// Estimate is the statistics-based cardinality/cost estimate of the
-	// query being executed (see stats.Estimator.EstimateQuery), consulted
-	// by Auto and echoed into Stats for estimate-vs-actual accounting.
-	Estimate *stats.QueryEstimate
 }
 
-// Execute evaluates q against the store with default options.
-func Execute(store *relational.Store, q *sqlast.Query) (*Result, error) {
-	return ExecuteCtx(context.Background(), store, q, Options{})
-}
-
-// ExecuteOpts evaluates q against the store.
-func ExecuteOpts(store *relational.Store, q *sqlast.Query, opts Options) (*Result, error) {
-	return ExecuteCtx(context.Background(), store, q, opts)
-}
-
-// ExecuteCtx evaluates q against the store under a context. Cancellation is
-// cooperative and prompt: the executor polls the context between UNION ALL
-// branches, between recursive-CTE rounds, and every cancelCheckInterval rows
-// inside join and filter loops, so a cancelled or deadline-expired context
-// aborts even a single long-running branch with ctx.Err() rather than running
-// it to completion.
-func ExecuteCtx(ctx context.Context, store *relational.Store, q *sqlast.Query, opts Options) (*Result, error) {
-	res, _, err := ExecuteCtxStats(ctx, store, q, opts)
-	return res, err
-}
-
-// ExecuteCtxStats is ExecuteCtx plus the execution's shared-work Stats: how
-// often UNION ALL branches reused a memoized join prefix instead of
-// recomputing it, and how many materialized rows that reuse saved.
-func ExecuteCtxStats(ctx context.Context, store *relational.Store, q *sqlast.Query, opts Options) (*Result, Stats, error) {
-	var st Stats
-	if opts.Auto {
-		opts = resolveAuto(opts, q, &st)
-	}
-	ex := &executor{store: store, ctes: map[string]*Result{}, cteEpoch: map[string]uint64{}, opts: opts, done: ctx.Done(), ctx: ctx}
-	if !opts.DisableMemo && memoWorthwhile(q) {
-		ex.memo = newMemo()
-	}
-	st.MemoEnabled = ex.memo != nil
-	st.ParallelEnabled = ex.parallelism() > 1 && len(q.Selects) > 1
-	if opts.Estimate != nil {
-		st.EstimatedRows = opts.Estimate.Rows
-	}
+// Execute evaluates q against the store under a context. Evaluation is
+// serial: CTEs in definition order, then the UNION ALL branches in branch
+// order, so rows come back in branch order and the first failing branch's
+// error is the one reported. Cancellation is cooperative and prompt: the
+// executor polls the context between UNION ALL branches, between
+// recursive-CTE rounds, and every cancelCheckInterval rows inside join and
+// filter loops, so a cancelled or deadline-expired context aborts even a
+// single long-running branch with ctx.Err() rather than running it to
+// completion.
+func Execute(ctx context.Context, store *relational.Store, q *sqlast.Query, opts Options) (*Result, error) {
+	ex := &executor{store: store, ctes: map[string]*Result{}, opts: opts, done: ctx.Done(), ctx: ctx}
 	if err := ex.cancelled(); err != nil {
-		return nil, st, err
+		return nil, err
 	}
-	res, err := ex.query(q)
-	st.SharedHits = ex.sharedHits.Load()
-	st.SharedMisses = ex.sharedMisses.Load()
-	st.SharedSavedRows = ex.sharedSavedRows.Load()
-	if res != nil {
-		st.ActualRows = int64(len(res.Rows))
-	}
-	return res, st, err
-}
-
-// resolveAuto applies the cost-based knob chooser to the unset knobs,
-// recording each decision (and whether it disagrees with the old
-// branch-count heuristic, which parallelized every multi-branch union).
-func resolveAuto(opts Options, q *sqlast.Query, st *Stats) Options {
-	st.Auto = true
-	est := opts.Estimate
-	procs := runtime.GOMAXPROCS(0)
-	oldHeuristicParallel := procs > 1 && len(q.Selects) >= 2
-	if opts.Parallelism == 0 {
-		if est.ParallelWorthwhile(procs) {
-			// Leave 0: the pool sizes itself to GOMAXPROCS.
-		} else {
-			opts.Parallelism = 1
-		}
-	}
-	autoParallel := opts.Parallelism == 0 || opts.Parallelism > 1
-	st.ParallelDisagrees = autoParallel != oldHeuristicParallel
-	if !opts.DisableMemo && !est.MemoWorthwhile() {
-		opts.DisableMemo = true
-	}
-	return opts
+	return ex.query(q)
 }
 
 type executor struct {
@@ -153,22 +62,8 @@ type executor struct {
 	// cheaper than ctx.Err() on hot row loops (and nil for Background, which
 	// a nil-channel select handles for free).
 	done <-chan struct{}
-	// rows counts materialized rows against opts.MaxRows across all branches
-	// (hence atomic: parallel UNION workers all charge it).
-	rows atomic.Int64
-	// memo shares computed join prefixes across UNION ALL branches (nil when
-	// disabled or when the query has a single SELECT and nothing to share).
-	memo *memo
-	// cteEpoch tracks the current binding generation of every materialized
-	// CTE name. Bumped on every bind, it flows into memo keys so a prefix
-	// computed over one binding (e.g. one recursive round's delta) never
-	// satisfies a lookup against another. Written only between evalSelects
-	// rounds; read-only while branches run in parallel.
-	cteEpoch     map[string]uint64
-	epochCounter uint64
-	// Shared-work counters (see Stats); atomic because parallel branch
-	// workers all bump them.
-	sharedHits, sharedMisses, sharedSavedRows atomic.Int64
+	// rows counts materialized rows against opts.MaxRows across all branches.
+	rows int
 }
 
 // cancelCheckInterval is how many rows a join or filter loop processes
@@ -187,8 +82,7 @@ func (ex *executor) cancelled() error {
 }
 
 // tick counts down a loop-local budget and polls for cancellation when it
-// runs out. Loops own their counter (no shared state), so parallel branches
-// poll independently.
+// runs out.
 func (ex *executor) tick(countdown *int) error {
 	*countdown--
 	if *countdown > 0 {
@@ -203,7 +97,7 @@ func (ex *executor) charge(n int) error {
 	if ex.opts.MaxRows <= 0 || n == 0 {
 		return nil
 	}
-	if ex.rows.Add(int64(n)) > int64(ex.opts.MaxRows) {
+	if ex.rows += n; ex.rows > ex.opts.MaxRows {
 		return &ResourceError{Resource: ResourceRows, Limit: ex.opts.MaxRows}
 	}
 	return nil
@@ -232,30 +126,13 @@ func (ex *executor) resolve(name string) (*relation, error) {
 	return &relation{cols: cols, rows: t.Rows(), table: t}, nil
 }
 
-// bindCTE installs a CTE's materialization under a fresh epoch; unbindCTE
-// removes it and drops any memo entries computed against it (epoch 0 never
-// matches a real binding, so dropStale with 0 drops them all).
-func (ex *executor) bindCTE(name string, res *Result) {
-	ex.ctes[name] = res
-	ex.epochCounter++
-	ex.cteEpoch[name] = ex.epochCounter
-}
-
-func (ex *executor) unbindCTE(name string) {
-	delete(ex.ctes, name)
-	delete(ex.cteEpoch, name)
-	if ex.memo != nil {
-		ex.memo.dropStale(name, 0)
-	}
-}
-
 func (ex *executor) query(q *sqlast.Query) (*Result, error) {
 	// Materialize CTEs in order; later CTEs and the main body may reference
 	// earlier ones.
 	defined := make([]string, 0, len(q.With))
 	defer func() {
 		for _, name := range defined {
-			ex.unbindCTE(name)
+			delete(ex.ctes, name)
 		}
 	}()
 	for _, cte := range q.With {
@@ -272,7 +149,7 @@ func (ex *executor) query(q *sqlast.Query) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		ex.bindCTE(cte.Name, res)
+		ex.ctes[cte.Name] = res
 		defined = append(defined, cte.Name)
 	}
 
@@ -286,9 +163,6 @@ func (ex *executor) query(q *sqlast.Query) (*Result, error) {
 	if len(branches) == 1 {
 		return &Result{Cols: branches[0].Cols, Rows: branches[0].Rows}, nil
 	}
-	// Merge into a freshly allocated Result: appending into branches[0] in
-	// place would mutate a Result whose row slice may be shared (a memoized
-	// prefix, a CTE materialization another branch still reads).
 	total := 0
 	for _, r := range branches {
 		if len(r.Cols) != len(branches[0].Cols) {
@@ -303,88 +177,24 @@ func (ex *executor) query(q *sqlast.Query) (*Result, error) {
 	return out, nil
 }
 
-// parallelism resolves the configured worker bound. Negative values clamp to
-// serial: a caller passing -1 plausibly means "disabled", and silently
-// enabling full parallelism for it would be surprising.
-func (ex *executor) parallelism() int {
-	if ex.opts.Parallelism < 0 {
-		return 1
-	}
-	if ex.opts.Parallelism > 0 {
-		return ex.opts.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// evalSelects evaluates a UNION ALL's branches and returns the per-branch
-// results in branch order. With parallelism > 1 and at least two branches,
-// the branches run concurrently under a bounded worker pool; because each
-// branch's rows land in its own slot and the caller concatenates the slots
-// in order, the merged row order is identical to serial evaluation.
-//
-// Concurrent branch evaluation is safe because selectBlock only reads
-// executor state: the store is read-only during execution and the ctes map
-// is fully materialized (and not mutated) before any UNION body runs.
+// evalSelects evaluates a UNION ALL's branches in branch order and returns
+// their results in that order, stopping at the first error.
 func (ex *executor) evalSelects(sels []*sqlast.Select) ([]*Result, error) {
-	par := ex.parallelism()
-	if par > len(sels) {
-		par = len(sels)
-	}
-	if len(sels) < 2 || par < 2 {
-		out := make([]*Result, len(sels))
-		for i, s := range sels {
-			r, err := ex.safeSelect(s)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
-	results := make([]*Result, len(sels))
-	errs := make([]error, len(sels))
-	// Spawn exactly par workers pulling branch indexes from a shared counter,
-	// so goroutine creation (not just concurrency) is bounded even for
-	// pathological many-branch unions. The stop flag makes shutdown prompt:
-	// once any branch fails (or the context is cancelled, which surfaces as a
-	// branch error), workers stop claiming new branches instead of grinding
-	// through the rest of the union.
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(sels) {
-					return
-				}
-				results[i], errs[i] = ex.safeSelect(sels[i])
-				if errs[i] != nil {
-					stop.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// Report the first (branch-order) error deterministically, matching what
-	// serial evaluation would have surfaced. Branch claiming is monotonic in
-	// index, so every branch before a failed one has a recorded outcome and
-	// the first non-nil error is well defined despite early stop.
-	for _, err := range errs {
+	out := make([]*Result, len(sels))
+	for i, s := range sels {
+		r, err := ex.safeSelect(s)
 		if err != nil {
 			return nil, err
 		}
+		out[i] = r
 	}
-	return results, nil
+	return out, nil
 }
 
 // safeSelect evaluates one UNION branch with the serving-path protections:
 // a cancellation check before starting and panic containment, so one
 // poisoned branch fails the query with an error instead of killing the
-// process (a panic in a bare worker goroutine is fatal to the whole program).
+// serving process.
 func (ex *executor) safeSelect(s *sqlast.Select) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -443,6 +253,9 @@ func (ex *executor) recursiveCTE(cte sqlast.CTE) (*Result, error) {
 	if ex.opts.MaxCTEIterations > 0 {
 		maxRounds = ex.opts.MaxCTEIterations
 	}
+	// Each round binds the name to the previous round's delta; unbind it
+	// however the loop ends.
+	defer delete(ex.ctes, cte.Name)
 	delta := acc.Rows
 	for round := 0; len(delta) > 0; round++ {
 		if round >= maxRounds {
@@ -457,36 +270,24 @@ func (ex *executor) recursiveCTE(cte sqlast.CTE) (*Result, error) {
 		if err := ex.cancelled(); err != nil {
 			return nil, err
 		}
-		// Bind the CTE name to the previous delta only, under a fresh epoch:
-		// memo entries computed against earlier rounds' deltas stop
-		// matching and are dropped. The binding is written before the
-		// round's branches start and read-only while they run, so the
-		// branches themselves may evaluate in parallel.
-		ex.bindCTE(cte.Name, &Result{Cols: acc.Cols, Rows: delta})
-		if ex.memo != nil {
-			ex.memo.dropStale(cte.Name, ex.cteEpoch[cte.Name])
-		}
+		ex.ctes[cte.Name] = &Result{Cols: acc.Cols, Rows: delta}
 		recResults, err := ex.evalSelects(rec)
 		if err != nil {
-			ex.unbindCTE(cte.Name)
 			return nil, err
 		}
 		var next []relational.Row
 		for _, r := range recResults {
 			if len(r.Cols) != len(acc.Cols) {
-				ex.unbindCTE(cte.Name)
 				return nil, fmt.Errorf("engine: recursive cte %q: arity mismatch in recursive branch", cte.Name)
 			}
 			next = append(next, r.Rows...)
 		}
 		if err := ex.charge(len(next)); err != nil {
-			ex.unbindCTE(cte.Name)
 			return nil, err
 		}
 		acc.Rows = append(acc.Rows, next...)
 		delta = next
 	}
-	ex.unbindCTE(cte.Name)
 	return acc, nil
 }
 
@@ -554,10 +355,6 @@ func (f *frame) hasAlias(alias string) bool {
 	return false
 }
 
-// allColumns, as the columns a join must keep, keeps every column: a star
-// with no alias.
-var allColumns = []sqlast.ColRef{{Column: "*"}}
-
 // extend lays out the frame that joining f with a relation produces, keeping
 // the columns some ref reads; a "*" ref reads all of its alias's columns, or
 // of every alias when it names none. src is each kept column's offset in f's
@@ -607,52 +404,28 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 		seen[a] = true
 	}
 
-	conjuncts := splitConjuncts(s.Where)
-
-	// Fingerprint the join pipeline for the shared-work memo: branches of a
-	// UNION ALL (and recursive-CTE rounds) with a canonically equal prefix
-	// reuse one computation instead of racing to duplicate it.
-	var plan *memoPlan
-	if ex.memo != nil {
-		plan = ex.memoPlan(s, conjuncts)
-	}
-
 	// Joins carry only the columns read after them: need lists those the
-	// projection reads. Memoized frames are shared by branches with other
-	// projections, so they keep them all.
-	need := allColumns
-	if plan == nil {
-		need = nil
-		for _, item := range s.Cols {
-			if item.Star {
-				need = append(need, sqlast.ColRef{Table: item.StarTable, Column: "*"})
-			} else {
-				walkRefs(item.Expr, func(c sqlast.ColRef) { need = append(need, c) })
-			}
+	// projection reads.
+	var need []sqlast.ColRef
+	for _, item := range s.Cols {
+		if item.Star {
+			need = append(need, sqlast.ColRef{Table: item.StarTable, Column: "*"})
+		} else {
+			walkRefs(item.Expr, func(c sqlast.ColRef) { need = append(need, c) })
 		}
 	}
 
 	// Build left-deep join in FROM order.
 	var cur *frame
-	remaining := conjuncts
-	for i, f := range s.From {
+	remaining := splitConjuncts(s.Where)
+	for _, f := range s.From {
 		rel, err := ex.resolve(f.Source)
 		if err != nil {
 			return nil, err
 		}
-		alias := aliasOf(f)
-		var next *frame
-		var rest []sqlast.Expr
-		if plan != nil && plan.memoize[i] {
-			next, rest, err = ex.memoStep(plan, i, cur, rel, alias, remaining)
-		} else {
-			next, rest, err = ex.joinStep(cur, rel, alias, remaining, need)
-		}
-		if err != nil {
+		if cur, remaining, err = ex.joinStep(cur, rel, aliasOf(f), remaining, need); err != nil {
 			return nil, err
 		}
-		cur = next
-		remaining = rest
 	}
 
 	// Residual predicates (e.g. ORs across aliases).

@@ -69,7 +69,7 @@ func runJoinBench(b *testing.B, opts engine.Options) {
 	q := joinQuery()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.ExecuteOpts(s, q, opts); err != nil {
+		if _, err := engine.Execute(context.Background(), s, q, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -104,7 +104,7 @@ func unionQuery(k int) *sqlast.Query {
 	return q
 }
 
-func runUnionBench(b *testing.B, factored bool, opts engine.Options) {
+func runUnionBench(b *testing.B, factored bool) {
 	s := benchStore(b, 200, 20)
 	q := unionQuery(6)
 	if factored {
@@ -117,28 +117,16 @@ func runUnionBench(b *testing.B, factored bool, opts engine.Options) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.ExecuteCtx(ctx, s, q, opts); err != nil {
+		if _, err := engine.Execute(ctx, s, q, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkUnionUnfactoredNoMemo(b *testing.B) {
-	runUnionBench(b, false, engine.Options{DisableMemo: true})
-}
-
-func BenchmarkUnionUnfactoredMemo(b *testing.B) {
-	runUnionBench(b, false, engine.Options{})
+func BenchmarkUnionUnfactored(b *testing.B) {
+	runUnionBench(b, false)
 }
 
 func BenchmarkUnionFactored(b *testing.B) {
-	runUnionBench(b, true, engine.Options{})
-}
-
-func BenchmarkUnionUnfactoredNoMemoParallel(b *testing.B) {
-	runUnionBench(b, false, engine.Options{DisableMemo: true, Parallelism: 4})
-}
-
-func BenchmarkUnionFactoredParallel(b *testing.B) {
-	runUnionBench(b, true, engine.Options{Parallelism: 4})
+	runUnionBench(b, true)
 }

@@ -81,7 +81,7 @@ var joinKinds = []struct {
 func allocsPerExec(t *testing.T, s *relational.Store, q *sqlast.Query, opts engine.Options) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(20, func() {
-		if _, err := engine.ExecuteOpts(s, q, opts); err != nil {
+		if _, err := engine.Execute(context.Background(), s, q, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -90,12 +90,16 @@ func allocsPerExec(t *testing.T, s *relational.Store, q *sqlast.Query, opts engi
 // bytesPerExec is AllocsPerRun for bytes.
 func bytesPerExec(t *testing.T, s *relational.Store, q *sqlast.Query, opts engine.Options) float64 {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	run := func() {
-		if _, err := engine.ExecuteOpts(s, q, opts); err != nil {
+	return bytesPerRun(func() {
+		if _, err := engine.Execute(context.Background(), s, q, opts); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
+}
+
+// bytesPerRun is the mean bytes one call of run allocates.
+func bytesPerRun(run func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run()
 	const runs = 50
 	var before, after runtime.MemStats
@@ -154,6 +158,37 @@ func TestOneRowJoinAllocatesLittle(t *testing.T) {
 	}
 }
 
+// A UNION ALL of two copies of a join allocates no more than running the join
+// alone twice: each branch trims its join to the one column it projects, and
+// nothing is kept across branches. The merged result's row slice is the only
+// extra allocation.
+func TestUnionAllocatesNoMoreThanItsBranches(t *testing.T) {
+	s := allocStore(t, 125, 8)
+	join := &sqlast.Select{
+		Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: joinFrom,
+		Where: sqlast.Conj(joinEq, sqlast.Eq(sqlast.ColRef{Table: "p", Column: "code"}, sqlast.IntLit(3))),
+	}
+	var res *engine.Result
+	exec := func(q *sqlast.Query) {
+		var err error
+		if res, err = engine.Execute(context.Background(), s, q, engine.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	union := func() { exec(&sqlast.Query{Selects: []*sqlast.Select{join, join}}) }
+	twice := func() { exec(sqlast.SingleSelect(join)); exec(sqlast.SingleSelect(join)) }
+	if u, a := testing.AllocsPerRun(20, union), testing.AllocsPerRun(20, twice); u > a {
+		t.Errorf("union of two joins: %.0f allocs, the join run alone twice: %.0f", u, a)
+	}
+	union()
+	var merged []relational.Row
+	mergedBytes := bytesPerRun(func() { merged = make([]relational.Row, 0, res.Len()) })
+	if u, a := bytesPerRun(union), bytesPerRun(twice); u > a+mergedBytes {
+		t.Errorf("union of two joins: %.0f bytes, the join run alone twice: %.0f, the merged rows: %.0f", u, a, mergedBytes)
+	}
+	_ = merged
+}
+
 // assertCappedRows checks that every row is a capacity-capped window: an
 // append to Rows[0] copies instead of overwriting Rows[1].
 func assertCappedRows(t *testing.T, what string, res *engine.Result) {
@@ -182,7 +217,7 @@ func TestResultRowsAreCappedWindows(t *testing.T) {
 	s := allocStore(t, 8, 3)
 	run := func(what string, q *sqlast.Query, opts engine.Options) {
 		t.Helper()
-		res, err := engine.ExecuteOpts(s, q, opts)
+		res, err := engine.Execute(context.Background(), s, q, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -213,7 +248,7 @@ func TestResultRowsAreCappedWindows(t *testing.T) {
 		}}}},
 		Selects: []*sqlast.Select{{Cols: []sqlast.SelectItem{sqlast.Col("d", "id")}, From: []sqlast.FromItem{sqlast.From("d", "d")}}},
 	}
-	res, err := engine.Execute(chain, rec)
+	res, err := engine.Execute(context.Background(), chain, rec, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 )
 
 // wideUnion builds a UNION ALL with one branch per parent kind plus an
-// unconditioned branch, so parallel evaluation has real work to interleave.
+// unconditioned branch.
 func wideUnion() *sqlast.Query {
 	branch := func(kind int64) *sqlast.Select {
 		return &sqlast.Select{
@@ -36,34 +38,9 @@ func wideUnion() *sqlast.Query {
 	return q
 }
 
-// TestParallelUnionMatchesSerialOrder asserts the determinism contract:
-// parallel execution returns rows in exactly the serial row order, for every
-// parallelism level.
-func TestParallelUnionMatchesSerialOrder(t *testing.T) {
-	s := buildStore(t)
-	q := wideUnion()
-	serial, err := engine.ExecuteOpts(s, q, engine.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() == 0 {
-		t.Fatal("fixture produced no rows")
-	}
-	for _, par := range []int{0, 2, 3, 8} {
-		res, err := engine.ExecuteOpts(s, q, engine.Options{Parallelism: par})
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", par, err)
-		}
-		if !reflect.DeepEqual(res.Rows, serial.Rows) {
-			t.Fatalf("parallelism %d: row order differs from serial\nserial:   %v\nparallel: %v",
-				par, serial.Rows, res.Rows)
-		}
-	}
-}
-
-// TestParallelUnionErrorDeterministic asserts that the error surfaced under
-// parallel evaluation is the first branch-order error, as in serial mode.
-func TestParallelUnionErrorDeterministic(t *testing.T) {
+// TestUnionErrorInBranchOrder asserts that a union with several failing
+// branches reports the first one in branch order.
+func TestUnionErrorInBranchOrder(t *testing.T) {
 	s := buildStore(t)
 	bad := func(col string) *sqlast.Select {
 		return &sqlast.Select{
@@ -74,18 +51,9 @@ func TestParallelUnionErrorDeterministic(t *testing.T) {
 	q := &sqlast.Query{Selects: []*sqlast.Select{
 		bad("v"), bad("nope1"), bad("nope2"), bad("v"),
 	}}
-	serialErr := func() error {
-		_, err := engine.ExecuteOpts(s, q, engine.Options{Parallelism: 1})
-		return err
-	}()
-	if serialErr == nil {
-		t.Fatal("expected an error")
-	}
-	for i := 0; i < 20; i++ {
-		_, err := engine.ExecuteOpts(s, q, engine.Options{Parallelism: 4})
-		if err == nil || err.Error() != serialErr.Error() {
-			t.Fatalf("parallel error %v, want %v", err, serialErr)
-		}
+	_, err := engine.Execute(context.Background(), s, q, engine.Options{})
+	if err == nil || !strings.Contains(err.Error(), "nope1") {
+		t.Fatalf("err = %v, want the nope1 branch's error", err)
 	}
 }
 
@@ -97,7 +65,7 @@ func TestConcurrentExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := wideUnion()
-	want, err := engine.ExecuteOpts(s, q, engine.Options{Parallelism: 1})
+	want, err := engine.Execute(context.Background(), s, q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +76,7 @@ func TestConcurrentExecute(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				res, err := engine.Execute(s, q)
+				res, err := engine.Execute(context.Background(), s, q, engine.Options{})
 				if err != nil {
 					errs <- err
 					return
@@ -127,10 +95,11 @@ func TestConcurrentExecute(t *testing.T) {
 	}
 }
 
-// TestParallelRecursiveCTE checks that per-round parallel evaluation of a
-// recursive CTE's branches reproduces the serial fixpoint, row order
-// included.
-func TestParallelRecursiveCTE(t *testing.T) {
+// TestRecursiveCTEMultiBranch checks a recursive CTE with two base and two
+// recursive branches: every round evaluates both recursive branches against
+// the previous round's delta, and the rows come back round by round, branch
+// by branch.
+func TestRecursiveCTEMultiBranch(t *testing.T) {
 	s := relational.NewStore()
 	edge, err := s.CreateTable(&relational.TableSchema{
 		Name: "E",
@@ -174,18 +143,20 @@ func TestParallelRecursiveCTE(t *testing.T) {
 			From: []sqlast.FromItem{sqlast.From("reach", "reach")},
 		}},
 	}
-	serial, err := engine.ExecuteOpts(s, q, engine.Options{Parallelism: 1})
+	res, err := engine.Execute(context.Background(), s, q, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Len() == 0 {
-		t.Fatal("recursive fixture produced no rows")
+	want := []int64{
+		2, 3, 3, 4, // base branches
+		3, 4, 4, 4, 3, 4, 4, 4, // round 1, once per recursive branch
+		4, 4, 4, 4, // round 2
 	}
-	parallel, err := engine.ExecuteOpts(s, q, engine.Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
+	var got []int64
+	for _, v := range res.Values() {
+		got = append(got, v.AsInt())
 	}
-	if !reflect.DeepEqual(parallel.Rows, serial.Rows) {
-		t.Fatalf("recursive parallel order differs\nserial:   %v\nparallel: %v", serial.Rows, parallel.Rows)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reach = %v, want %v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package infer_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -66,11 +67,11 @@ func TestInferredSchemaSupportsFullPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nres, err := engine.Execute(store, naive)
+		nres, err := engine.Execute(context.Background(), store, naive, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pres, err := engine.Execute(store, pruned.Query)
+		pres, err := engine.Execute(context.Background(), store, pruned.Query, engine.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestInferThenEdgeScenario(t *testing.T) {
 	if sh := pruned.Query.Shape(); sh.Branches != 1 || sh.Joins != 1 {
 		t.Errorf("Q8 over inferred Edge mapping = %v, want one 2-way self-join:\n%s", sh, pruned.Query.SQL())
 	}
-	res, err := engine.Execute(store, pruned.Query)
+	res, err := engine.Execute(context.Background(), store, pruned.Query, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ type Source interface {
 type storeSource struct{ store *relational.Store }
 
 func (s storeSource) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result, error) {
-	return engine.ExecuteCtx(ctx, s.store, q, engine.Options{})
+	return engine.Execute(ctx, s.store, q, engine.Options{})
 }
 
 // StoreSource adapts a relational.Store so it can be audited directly,

@@ -72,9 +72,9 @@ func (b *Backend) Name() string { return "resilient(" + b.primary.Name() + ")" }
 // Breaker exposes the primary's circuit breaker (tests and dashboards).
 func (b *Backend) Breaker() *Breaker { return b.breaker }
 
-// Primary exposes the wrapped backend, so observability layers can reach
-// counters the wrapper does not re-export (e.g. the mem engine's shared-work
-// memo counters) without holding a second reference to it.
+// Primary exposes the wrapped backend, so callers can reach capabilities the
+// wrapper does not re-export (e.g. a sharded topology, or the in-memory store
+// behind a Mem) without holding a second reference to it.
 func (b *Backend) Primary() backend.Backend { return b.primary }
 
 // Stats snapshots the counters.

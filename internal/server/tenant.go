@@ -289,18 +289,10 @@ type PlanCacheStats struct {
 	Entries   int   `json:"entries"`
 }
 
-// EngineStats is the tenant's accumulated shared-work execution counters
-// (in-memory backends only; a real database plans its own execution).
-type EngineStats struct {
-	SharedHits      int64 `json:"shared_hits"`
-	SharedMisses    int64 `json:"shared_misses"`
-	SharedSavedRows int64 `json:"shared_saved_rows"`
-}
-
 // TenantStats is one tenant's /stats entry: serving counters, shed
 // counters, plan-cache and integrity counters from the tenant's private
-// planner, and — where the backend exposes them — engine shared-work and
-// resilience counters. Everything here is per tenant, not process-global.
+// planner, and — where the backend exposes them — resilience counters.
+// Everything here is per tenant, not process-global.
 type TenantStats struct {
 	Queries  int64 `json:"queries"`
 	Errors   int64 `json:"errors"`
@@ -327,7 +319,6 @@ type TenantStats struct {
 	// has no write-ahead log).
 	Recovery string `json:"recovery"`
 
-	Engine    *EngineStats     `json:"engine,omitempty"`
 	Resilient *resilient.Stats `json:"resilient,omitempty"`
 
 	Limits Limits `json:"limits"`
@@ -359,39 +350,9 @@ func (t *Tenant) Stats() TenantStats {
 	if q := st.Queries; q > 0 {
 		st.MeanExecNs = float64(t.execNs.Load()) / float64(q)
 	}
-	// Walk through a resilient wrapper to the backend underneath: the
-	// wrapper's counters and the mem engine's shared-work counters are both
-	// per-tenant observability.
-	b := t.planner.Backend()
-	if rb, ok := b.(*resilient.Backend); ok {
+	if rb, ok := t.planner.Backend().(*resilient.Backend); ok {
 		rs := rb.Stats()
 		st.Resilient = &rs
-		b = rb.Primary()
-	}
-	if m, ok := b.(*backend.Mem); ok {
-		es := m.EngineStats()
-		st.Engine = &EngineStats{
-			SharedHits:      es.SharedHits,
-			SharedMisses:    es.SharedMisses,
-			SharedSavedRows: es.SharedSavedRows,
-		}
-	} else if comp, ok := b.(*sharded.Sharded); ok {
-		// A sharded composite's engine counters are the sum over its
-		// per-shard mem engines.
-		sum := EngineStats{}
-		counted := false
-		for _, sh := range comp.Shards() {
-			if m, ok := sh.(*backend.Mem); ok {
-				es := m.EngineStats()
-				sum.SharedHits += es.SharedHits
-				sum.SharedMisses += es.SharedMisses
-				sum.SharedSavedRows += es.SharedSavedRows
-				counted = true
-			}
-		}
-		if counted {
-			st.Engine = &sum
-		}
 	}
 	return st
 }

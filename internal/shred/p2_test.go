@@ -1,6 +1,7 @@
 package shred_test
 
 import (
+	"context"
 	"testing"
 
 	"xmlsql/internal/docgen"
@@ -91,7 +92,7 @@ func checkP2(t *testing.T, s *schema.Schema, store *relational.Store) {
 				Cols: []sqlast.SelectItem{sqlast.Col("R", c.Name)},
 				From: []sqlast.FromItem{sqlast.From(rel, "R")},
 			})
-			left, err := engine.Execute(store, scan)
+			left, err := engine.Execute(context.Background(), store, scan, engine.Options{})
 			if err != nil {
 				t.Fatalf("%s.%s scan: %v", rel, c.Name, err)
 			}
@@ -106,7 +107,7 @@ func checkP2(t *testing.T, s *schema.Schema, store *relational.Store) {
 				if !complete {
 					t.Skipf("recursive schema: RtoL enumeration incomplete at unroll 3")
 				}
-				res, err := engine.Execute(store, q)
+				res, err := engine.Execute(context.Background(), store, q, engine.Options{})
 				if err != nil {
 					t.Fatalf("RtoL(%s) exec: %v\n%s", s.Node(l).Name, err, q.SQL())
 				}

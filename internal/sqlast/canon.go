@@ -10,7 +10,7 @@ import (
 // AND/OR children are sorted, and every alias is passed through rename (nil
 // means identity). Two expressions with equal canonical strings select the
 // same rows on any instance, which is what the shared-work rewrite
-// (FactorUnions) and the engine's subplan memo key on.
+// (FactorUnions) keys on.
 func CanonExpr(e Expr, rename func(alias string) string) string {
 	var b strings.Builder
 	canonInto(&b, e, rename)

@@ -2,8 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
 
 	"xmlsql/internal/relational"
@@ -58,13 +56,6 @@ const (
 	// ReorderMargin: adopt a greedy join reorder only when estimated at
 	// least this much cheaper than the translator's original order.
 	ReorderMargin = 0.9
-	// ParallelMinBranchCost is the minimum estimated per-branch work (cost
-	// units) for the UNION ALL worker pool to pay for itself. Branches
-	// below it finish faster than the goroutine handoff they would cost.
-	ParallelMinBranchCost = 12000
-	// MemoMinReuseCost is the minimum estimated shared-prefix recomputation
-	// cost for the subplan memo's locking overhead to pay for itself.
-	MemoMinReuseCost = 256
 )
 
 // Estimator estimates cardinalities and costs of sqlast queries against one
@@ -111,32 +102,6 @@ type QueryEstimate struct {
 	Cost     float64          `json:"cost"`
 	CTEs     []CTEEstimate    `json:"ctes,omitempty"`
 	Branches []BranchEstimate `json:"branches,omitempty"`
-	// MaxBranchCost is the largest single top-level branch cost — the
-	// serial critical path a parallel worker pool cannot shrink below.
-	MaxBranchCost float64 `json:"max_branch_cost"`
-	// SharedReuseRows/Cost estimate what the subplan memo would save:
-	// duplicate canonical join prefixes across branches, weighted by the
-	// rows and cost of the prefix each duplicate avoids recomputing.
-	SharedReuseRows float64 `json:"shared_reuse_rows"`
-	SharedReuseCost float64 `json:"shared_reuse_cost"`
-}
-
-// ParallelWorthwhile reports whether the branch worker pool is expected to
-// pay for itself on this query given the available processors: at least two
-// top-level branches, more than one processor, and enough estimated work
-// per branch to amortize goroutine handoff.
-func (q *QueryEstimate) ParallelWorthwhile(procs int) bool {
-	if q == nil || procs < 2 || len(q.Branches) < 2 {
-		return false
-	}
-	perBranch := q.Cost / float64(len(q.Branches))
-	return perBranch >= ParallelMinBranchCost
-}
-
-// MemoWorthwhile reports whether the shared-work subplan memo is expected
-// to pay for itself: positive estimated shared-prefix reuse.
-func (q *QueryEstimate) MemoWorthwhile() bool {
-	return q != nil && q.SharedReuseCost >= MemoMinReuseCost
 }
 
 // colEst is the estimator's view of one column: distinct values, NULL
@@ -223,11 +188,7 @@ func (e *Estimator) Bind(q *sqlast.Query) (*Bound, error) {
 		b.Est.Branches = append(b.Est.Branches, be)
 		b.Est.Rows += be.Rows
 		b.Est.Cost += be.Cost
-		if be.Cost > b.Est.MaxBranchCost {
-			b.Est.MaxBranchCost = be.Cost
-		}
 	}
-	b.Est.SharedReuseRows, b.Est.SharedReuseCost = b.sharedReuse(q)
 	return b, firstErr
 }
 
@@ -771,124 +732,6 @@ func joinSideDistinct(c sqlast.Cmp, fr *frame, newAlias string, frameRows, newRo
 		dr = newRows
 	}
 	return dl, dr
-}
-
-// sharedReuse estimates what the engine's subplan memo would save on this
-// query: for each canonical join-prefix level occurring k > 1 times across
-// branches, (k-1) recomputations of that prefix's rows and incremental cost
-// are avoided. The canonicalization mirrors engine.memoPlan: positional
-// alias rename, per-level consumed conjuncts, cumulative source keys.
-// Recursive CTE bodies are excluded (their rounds rebind the CTE name, so
-// cross-round reuse never happens).
-func (b *Bound) sharedReuse(q *sqlast.Query) (float64, float64) {
-	type level struct {
-		rows, cost float64
-		count      int
-	}
-	levels := map[string]*level{}
-	record := func(s *sqlast.Select) {
-		be := b.SelectEstimate(s)
-		keys := prefixKeys(s)
-		if keys == nil {
-			return
-		}
-		prevCost := 0.0
-		for i, k := range keys {
-			if i >= len(be.Steps) {
-				break
-			}
-			st := be.Steps[i]
-			inc := st.Cost - prevCost
-			prevCost = st.Cost
-			// Bare unfiltered level-0 scans are not memoized (engine rule).
-			if i == 0 && !strings.Contains(k, "{") {
-				continue
-			}
-			lv := levels[k]
-			if lv == nil {
-				lv = &level{rows: st.Rows, cost: inc}
-				levels[k] = lv
-			} else {
-				lv.cost += inc
-			}
-			lv.count++
-		}
-	}
-	for _, cte := range q.With {
-		if cte.Recursive {
-			continue
-		}
-		for _, s := range cte.Body.Selects {
-			record(s)
-		}
-	}
-	for _, s := range q.Selects {
-		record(s)
-	}
-	var rows, cost float64
-	for _, lv := range levels {
-		if lv.count > 1 {
-			rows += float64(lv.count-1) * lv.rows
-			cost += float64(lv.count-1) * lv.cost / float64(lv.count)
-		}
-	}
-	return rows, cost
-}
-
-// prefixKeys computes cumulative canonical keys per FROM level, mirroring
-// engine.memoPlan's fingerprint (without CTE epochs: the estimator only
-// fingerprints non-recursive contexts where every binding is stable). A nil
-// result means the select has a shape the memo would not reason about.
-func prefixKeys(s *sqlast.Select) []string {
-	n := len(s.From)
-	aliasPos := make(map[string]int, n)
-	for i, f := range s.From {
-		a := f.Alias
-		if a == "" {
-			a = f.Source
-		}
-		if _, dup := aliasPos[a]; dup {
-			return nil
-		}
-		aliasPos[a] = i
-	}
-	rename := func(a string) string { return "$" + strconv.Itoa(aliasPos[a]) }
-	perLevel := make([][]string, n)
-	for _, c := range splitConjuncts(s.Where) {
-		set := exprAliasSet(c)
-		if len(set) == 0 {
-			return nil
-		}
-		level := -1
-		for a := range set {
-			p, known := aliasPos[a]
-			if a == "" || !known {
-				level = -1
-				break
-			}
-			if p > level {
-				level = p
-			}
-		}
-		if level >= 0 {
-			perLevel[level] = append(perLevel[level], sqlast.CanonExpr(c, rename))
-		}
-	}
-	keys := make([]string, n)
-	var sb strings.Builder
-	for i, f := range s.From {
-		sb.WriteByte('/')
-		sb.WriteString("t:")
-		sb.WriteString(f.Source)
-		sort.Strings(perLevel[i])
-		sb.WriteByte('{')
-		if len(perLevel[i]) > 0 {
-			sb.WriteString(strings.Join(perLevel[i], "&"))
-		}
-		sb.WriteByte('}')
-		keys[i] = sb.String()
-	}
-	return keys
 }
 
 // ---- sqlast helpers (mirrors of unexported engine helpers) ----

@@ -1,10 +1,9 @@
 // Package stats collects table statistics over shredded relational
 // instances and estimates the cardinality and cost of translated SQL.
 //
-// The paper's pruned translations win big on average, but every execution
-// knob in this repo used to be global: parallelism was branch-count-driven,
-// the subplan memo and the factoring rewrite were on or off for every
-// query, and the pruned translation was always preferred over the baseline
+// The paper's pruned translations win big on average, but every plan knob
+// in this repo used to be global: the factoring rewrite was on or off for
+// every query, and the pruned translation was always preferred over the baseline
 // even on the handful of queries where pruning removes only a one-row join
 // and the measured "win" is noise. This package supplies the missing
 // ingredient for choosing per query: per-relation row counts, per-column

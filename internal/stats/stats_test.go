@@ -1,6 +1,7 @@
 package stats_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -189,7 +190,7 @@ func TestEstimatorBoundedError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := engine.Execute(store, pruned.Query)
+		res, err := engine.Execute(context.Background(), store, pruned.Query, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s %s: execute: %v", c.Experiment, c.Query, err)
 		}

@@ -2,7 +2,6 @@ package translate
 
 import (
 	"fmt"
-	"runtime"
 
 	"xmlsql/internal/schema"
 	"xmlsql/internal/sqlast"
@@ -45,16 +44,6 @@ func (d *Decision) KnobKey() string {
 	return fmt.Sprintf("plan=%s,factor=%t,reorder=%t", plan, d.Factored, d.Reordered)
 }
 
-// ExpectParallel reports the execution-time serial/parallel decision the
-// engine's Auto mode will take for the chosen plan on this machine.
-func (d *Decision) ExpectParallel() bool {
-	return d.ChosenEst.ParallelWorthwhile(runtime.GOMAXPROCS(0))
-}
-
-// ExpectMemo reports the execution-time memo decision the engine's Auto
-// mode will take for the chosen plan.
-func (d *Decision) ExpectMemo() bool { return d.ChosenEst.MemoWorthwhile() }
-
 // ChoosePlan runs the cost-based plan chooser over a query's candidate
 // translations. naive is the baseline (always correct); pruned is the
 // constraint-exploiting translation, or nil when translation fell back to
@@ -62,8 +51,7 @@ func (d *Decision) ExpectMemo() bool { return d.ChosenEst.MemoWorthwhile() }
 // estimated cost clears stats.PlanMargin against the baseline, (2) adopts
 // the shared-prefix factored rewrite when it clears stats.FactorMargin,
 // and (3) greedily reorders joins within branches when that clears
-// stats.ReorderMargin. Execution-time knobs (serial/parallel, memo) are not
-// decided here: the engine's Options.Auto resolves them from ChosenEst.
+// stats.ReorderMargin.
 func ChoosePlan(naive, pruned *sqlast.Query, s *schema.Schema, est *stats.Estimator) *Decision {
 	d := &Decision{BaselineEst: est.EstimateQuery(naive), Query: naive}
 	d.ChosenEst = d.BaselineEst
@@ -78,15 +66,7 @@ func ChoosePlan(naive, pruned *sqlast.Query, s *schema.Schema, est *stats.Estima
 
 	if factored, changed := FactorSharedPrefixes(d.Query, s); changed {
 		fEst := est.EstimateQuery(factored)
-		// Factoring competes with the engine's subplan memo, which exploits
-		// the same shared prefixes without rewriting the plan: the factored
-		// plan must beat the unfactored one as the memo would run it, i.e.
-		// net of the reuse the memo is estimated to capture.
-		target := d.ChosenEst.Cost
-		if d.ChosenEst.MemoWorthwhile() {
-			target -= d.ChosenEst.SharedReuseCost
-		}
-		if fEst.Cost < stats.FactorMargin*target {
+		if fEst.Cost < stats.FactorMargin*d.ChosenEst.Cost {
 			d.Factored = true
 			d.Query = factored
 			d.ChosenEst = fEst

@@ -1,6 +1,7 @@
 package translate_test
 
 import (
+	"context"
 	"testing"
 
 	"xmlsql/internal/engine"
@@ -32,7 +33,7 @@ func checkNaive(t *testing.T, s *schema.Schema, doc *xmltree.Document, query str
 	if err != nil {
 		t.Fatalf("naive translate: %v", err)
 	}
-	got, err := engine.Execute(store, sqlq)
+	got, err := engine.Execute(context.Background(), store, sqlq, engine.Options{})
 	if err != nil {
 		t.Fatalf("execute:\n%s\nerror: %v", sqlq.SQL(), err)
 	}

@@ -1,6 +1,7 @@
 package xmlsql_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -24,7 +25,7 @@ func plannerFixture(t *testing.T, s *xmlsql.Schema, doc *xmlsql.Document, querie
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		res, err := xmlsql.ExecuteWithOptions(store, tr.Query, xmlsql.ExecuteOptions{Parallelism: 1})
+		res, err := xmlsql.Execute(context.Background(), store, tr.Query, xmlsql.ExecuteOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -145,7 +146,7 @@ func TestPlannerSchemaFingerprintInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := xmlsql.Execute(estore, tr.Query)
+	wantRes, err := xmlsql.Execute(context.Background(), estore, tr.Query, xmlsql.ExecuteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestPlannerTranslateOptionsKeyed(t *testing.T) {
 	// keeps such plans from ever aliasing the default ones.
 	abl := xmlsql.NewPlannerWith(s3, xmlsql.PlannerConfig{
 		Translate: xmlsql.TranslateOptions{DisableEdgeAnnotOpt: true, Unroll: 4},
-		Execute:   xmlsql.ExecuteOptions{Parallelism: 2},
+		Execute:   xmlsql.ExecuteOptions{DisableIndexes: true},
 	})
 	def := xmlsql.NewPlanner(s3)
 	for i := 0; i < 2; i++ {

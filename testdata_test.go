@@ -124,11 +124,11 @@ func TestTestdataPartsRecursive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nres, err := xmlsql.Execute(store, naive)
+	nres, err := xmlsql.Execute(context.Background(), store, naive, xmlsql.ExecuteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := xmlsql.Execute(store, pruned.Query)
+	pres, err := xmlsql.Execute(context.Background(), store, pruned.Query, xmlsql.ExecuteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func corruptedXMark(t *testing.T) (*xmlsql.Schema, *xmlsql.Store, *xmlsql.Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth, err := xmlsql.Execute(store, naive)
+	truth, err := xmlsql.Execute(context.Background(), store, naive, xmlsql.ExecuteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func corruptedXMark(t *testing.T) (*xmlsql.Schema, *xmlsql.Store, *xmlsql.Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	prunedRes, err := xmlsql.Execute(store, pruned.Query)
+	prunedRes, err := xmlsql.Execute(context.Background(), store, pruned.Query, xmlsql.ExecuteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 //	xmlsql.Shred(schema, store, doc)            // lossless shredding
 //	q       := xmlsql.MustParseQuery("//Item/InCategory/Category")
 //	tr, _   := xmlsql.Translate(schema, q)      // pruned SQL (the paper's algorithm)
-//	res, _  := xmlsql.Execute(store, tr.Query)  // evaluate
+//	res, _  := xmlsql.Execute(ctx, store, tr.Query, xmlsql.ExecuteOptions{}) // evaluate
 //
 // TranslateNaive provides the baseline translation of [9] for comparison;
 // Reconstruct and CheckLossless witness the integrity constraint itself.
@@ -73,16 +73,13 @@ type (
 	Translation = core.Result
 	// TranslateOptions tunes the pruning translator (ablations).
 	TranslateOptions = core.Options
-	// ExecuteOptions tunes query execution: join algorithm selection, the
-	// UNION ALL branch parallelism, and the resource guards (MaxRows,
-	// MaxCTEIterations) that convert runaway queries into typed errors.
+	// ExecuteOptions tunes query execution: join algorithm selection and the
+	// resource guards (MaxRows, MaxCTEIterations) that convert runaway
+	// queries into typed errors.
 	ExecuteOptions = engine.Options
 	// ResourceError is the typed error a query returns when it exceeds an
 	// execution resource guard.
 	ResourceError = engine.ResourceError
-	// ExecuteStats reports the engine's shared-work subplan memo counters
-	// for one execution (hits, misses, saved rows).
-	ExecuteStats = engine.Stats
 	// ResilientOptions configures NewResilientBackend: retry policy,
 	// circuit-breaker thresholds, and the degraded-mode fallback backend.
 	ResilientOptions = resilient.Options
@@ -245,11 +242,6 @@ func GenerateDDL(s *Schema, d *Dialect) (string, error) { return backend.DDL(s, 
 // executable on any engine speaking the dialect.
 func GenerateLoadScript(store *Store, d *Dialect) string { return backend.LoadScript(store, d) }
 
-// ExecuteOn evaluates a generated SQL statement on any backend under ctx:
-// cancelling the context (or passing one with a deadline) aborts the
-// execution promptly on both built-in backends.
-func ExecuteOn(ctx context.Context, b Backend, q *SQL) (*Result, error) { return b.Execute(ctx, q) }
-
 // NewShardedBackend builds the scatter-gather composite over shard backends
 // (each a Mem or DB backend): one logical instance document-partitioned
 // across them, loading, querying, updating and auditing through the same
@@ -377,28 +369,12 @@ func TranslateWithOptions(s *Schema, q *Query, opts TranslateOptions) (*Translat
 	return core.TranslateOpts(g, opts)
 }
 
-// Execute evaluates a generated SQL statement against the store.
-func Execute(store *Store, q *SQL) (*Result, error) { return engine.Execute(store, q) }
-
-// ExecuteWithOptions evaluates a generated SQL statement with explicit
-// execution options (e.g. Parallelism for concurrent UNION ALL branches).
-func ExecuteWithOptions(store *Store, q *SQL, opts ExecuteOptions) (*Result, error) {
-	return engine.ExecuteOpts(store, q, opts)
-}
-
-// ExecuteContext evaluates a generated SQL statement under a context with
-// explicit execution options. Cancellation is cooperative and prompt — the
-// engine polls the context between UNION branches, between recursive-CTE
-// rounds, and inside join loops.
-func ExecuteContext(ctx context.Context, store *Store, q *SQL, opts ExecuteOptions) (*Result, error) {
-	return engine.ExecuteCtx(ctx, store, q, opts)
-}
-
-// ExecuteContextStats is ExecuteContext returning the shared-work memo
-// counters alongside the result: how many join prefixes were reused across
-// UNION ALL branches and how many materialized rows that reuse saved.
-func ExecuteContextStats(ctx context.Context, store *Store, q *SQL, opts ExecuteOptions) (*Result, ExecuteStats, error) {
-	return engine.ExecuteCtxStats(ctx, store, q, opts)
+// Execute evaluates a generated SQL statement against the store under a
+// context. Cancellation is cooperative and prompt: the engine polls the
+// context between UNION ALL branches, between recursive-CTE rounds, and
+// inside join loops. To run a statement on any Backend, call its Execute.
+func Execute(ctx context.Context, store *Store, q *SQL, opts ExecuteOptions) (*Result, error) {
+	return engine.Execute(ctx, store, q, opts)
 }
 
 // FactorSharedPrefixes applies the shared-work rewrite to a generated SQL
@@ -451,26 +427,26 @@ func Eval(s *Schema, store *Store, query string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Execute(store, tr.Query)
+	return Execute(context.Background(), store, tr.Query, ExecuteOptions{})
 }
 
 // PlannerConfig tunes a Planner. The zero value is the serving default: a
-// plan cache of plancache.DefaultCapacity entries and parallel UNION ALL
-// execution with GOMAXPROCS workers.
+// plan cache of plancache.DefaultCapacity entries and default execution
+// options.
 type PlannerConfig struct {
 	// CacheSize bounds the plan cache (total entries across shards);
 	// 0 means plancache.DefaultCapacity.
 	CacheSize int
-	// Execute is passed to the engine on every Eval. Execute.Parallelism
-	// bounds concurrent UNION ALL branches (0 = GOMAXPROCS, 1 = serial).
+	// Execute is passed to the engine on every Eval, and to the in-memory
+	// backend the planner creates when Backend is nil.
 	Execute ExecuteOptions
 	// Translate tunes the pruning translator. Plans translated under
 	// different options never alias in the cache. Setting Translate.Adaptive
 	// switches the planner to cost-based per-query planning: statistics are
 	// collected (and refreshed when the data mutates), every query's pruned
 	// and baseline translations are costed, and the cheaper plan — plus
-	// per-query factoring, join order, parallelism, and memo decisions —
-	// wins. Explain reports the decisions.
+	// per-query factoring and join order decisions — wins. Explain reports
+	// the decisions.
 	Translate TranslateOptions
 	// Backend, when non-nil, is where Exec runs cached plans. Eval against
 	// an explicit store ignores it. Execute options apply only to the
@@ -491,7 +467,7 @@ type PlannerConfig struct {
 }
 
 // Planner is the concurrent query-serving fast path: a plan cache composed
-// with the parallel executor. Translation (PathId + pruning) is pure and
+// with the executor. Translation (PathId + pruning) is pure and
 // depends only on (schema, query, options), so Planner caches the full
 // Translation keyed by the schema's structural fingerprint, the query text,
 // and the translate options; repeated queries skip parsing and translation
@@ -665,8 +641,8 @@ type adaptivePlan struct {
 }
 
 // adaptiveDecision is one outcome of the chooser: the translation Exec
-// serves, the Decision behind it (its estimate drives the engine's Auto mode;
-// Explain prints it), and fps[i], rels[i]'s statistics fingerprint then.
+// serves, the Decision behind it (Explain prints it), and fps[i], rels[i]'s
+// statistics fingerprint then.
 type adaptiveDecision struct {
 	tr  *Translation
 	dec *PlanDecision
@@ -931,32 +907,19 @@ func (p *Planner) Eval(store *Store, query string) (*Result, error) {
 // cancellation and deadline expiry abort the execution promptly with
 // ctx.Err().
 func (p *Planner) EvalContext(ctx context.Context, store *Store, query string) (*Result, error) {
+	var tr *Translation
+	var err error
 	if p.adaptive() {
-		tr, dec, err := p.planAdaptive(query, p.storeStats(store))
-		if err != nil {
-			return nil, err
-		}
-		ctx, cancel := p.queryCtx(ctx)
-		defer cancel()
-		return engine.ExecuteCtx(ctx, store, tr.Query, p.autoOptions(dec))
+		tr, _, err = p.planAdaptive(query, p.storeStats(store))
+	} else {
+		tr, err = p.Plan(query)
 	}
-	tr, err := p.Plan(query)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := p.queryCtx(ctx)
 	defer cancel()
-	return engine.ExecuteCtx(ctx, store, tr.Query, p.cfg.Execute)
-}
-
-// autoOptions is the configured execution options with the engine's Auto
-// mode switched on and fed this decision's estimate, so serial/parallel and
-// memo resolve per query from predicted cost rather than global flags.
-func (p *Planner) autoOptions(dec *PlanDecision) ExecuteOptions {
-	opts := p.cfg.Execute
-	opts.Auto = true
-	opts.Estimate = dec.ChosenEst
-	return opts
+	return engine.Execute(ctx, store, tr.Query, p.cfg.Execute)
 }
 
 // Exec translates (with caching) and executes query on the configured
@@ -973,25 +936,19 @@ func (p *Planner) Exec(ctx context.Context, query string) (*Result, error) {
 	safe := p.safeMode()
 	if p.adaptive() && !safe {
 		// Adaptive serving: plan cost-based against the current statistics
-		// snapshot, then let the engine's Auto mode resolve the execution
-		// knobs from the chosen plan's estimate. Safe mode bypasses all of
-		// it — on untrusted data only the baseline translation may serve, and
-		// the estimates were made about data the audit just impeached.
+		// snapshot. Safe mode bypasses it — on untrusted data only the
+		// baseline translation may serve, and the estimates were made about
+		// data the audit just impeached.
 		snap, err := p.StatsSnapshot(ctx)
 		if err != nil {
 			return nil, err
 		}
-		tr, dec, err := p.planAdaptive(query, snap)
+		tr, _, err := p.planAdaptive(query, snap)
 		if err != nil {
 			return nil, err
 		}
 		ctx, cancel := p.queryCtx(ctx)
 		defer cancel()
-		if m, ok := p.backend().(*backend.Mem); ok {
-			return engine.ExecuteCtx(ctx, m.Store(), tr.Query, p.autoOptions(dec))
-		}
-		// A database backend plans its own execution; only the plan-level
-		// decisions (pruned vs baseline, factoring, join order) apply.
 		return p.backend().Execute(ctx, tr.Query)
 	}
 	tr, err := p.planMode(query, safe)

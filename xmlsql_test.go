@@ -1,6 +1,7 @@
 package xmlsql_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -80,11 +81,11 @@ func TestTranslationsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nres, err := xmlsql.Execute(store, naive)
+		nres, err := xmlsql.Execute(context.Background(), store, naive, xmlsql.ExecuteOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pres, err := xmlsql.Execute(store, pruned.Query)
+		pres, err := xmlsql.Execute(context.Background(), store, pruned.Query, xmlsql.ExecuteOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
