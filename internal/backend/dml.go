@@ -18,8 +18,9 @@ import (
 //
 // DML provides atomicity and durability-as-far-as-the-store-goes, not
 // isolation: callers serialize writers (Planner.Update holds a mutex for
-// the whole batch) and accept that concurrent readers may observe
-// intermediate states on Mem, per the relational.Table caveats.
+// the whole batch). On Mem each statement publishes a new copy-on-write
+// version of its table as it applies, so a concurrent reader sees every
+// table whole but may see a batch's first statements without its last.
 type DML interface {
 	ApplyDML(ctx context.Context, stmts []sqlast.DMLStmt) error
 }
@@ -98,15 +99,46 @@ func (m *Mem) applyAndLog(ctx context.Context, tx *relational.StoreTx, stmts []s
 
 // ApplyStmt interprets one DML statement over a store through an undo-log
 // transaction, returning the number of rows affected. It is the single
-// in-process DML interpreter: Mem.ApplyDML uses it directly, and the fakedb
-// driver routes its parsed DELETE/UPDATE statements through it so both
-// backends agree on semantics.
+// in-process DML interpreter: Mem.ApplyDML and WAL replay use it directly,
+// and the fakedb driver routes its parsed DELETE/UPDATE statements through
+// it so every backend agrees on semantics.
+//
+// A DELETE or UPDATE whose WHERE names its candidates by primary key (see
+// sqlast.KeysFromWhere) probes the key for them instead of scanning the
+// table. The full WHERE is evaluated on every candidate either way, so both
+// paths match exactly the same rows.
 func ApplyStmt(tx *relational.StoreTx, store *relational.Store, stmt sqlast.DMLStmt) (int64, error) {
 	t := store.Table(stmt.DMLTable())
 	if t == nil {
 		return 0, fmt.Errorf("backend: dml: no table %s", stmt.DMLTable())
 	}
 	ts := t.Schema()
+	var where sqlast.Expr
+	switch s := stmt.(type) {
+	case *sqlast.DeleteStmt:
+		where = s.Where
+	case *sqlast.UpdateStmt:
+		where = s.Where
+	}
+	var keys []relational.Value
+	keyed := false
+	if ts.PrimaryKey != "" {
+		keys, keyed = sqlast.KeysFromWhere(where, ts.PrimaryKey)
+	}
+	var evalErr error
+	pred := func(r relational.Row) bool {
+		if evalErr != nil {
+			return false
+		}
+		ok, err := sqlast.EvalRowPredicate(ts, where, r)
+		if err != nil {
+			evalErr = err
+			return false
+		}
+		return ok
+	}
+	var n int
+	var err error
 	switch s := stmt.(type) {
 	case *sqlast.InsertStmt:
 		ords := make([]int, len(s.Columns))
@@ -131,25 +163,14 @@ func ApplyStmt(tx *relational.StoreTx, store *relational.Store, stmt sqlast.DMLS
 			if err := tx.Insert(ts.Name, row); err != nil {
 				return 0, err
 			}
+			n++
 		}
-		return int64(len(s.Rows)), nil
 	case *sqlast.DeleteStmt:
-		var evalErr error
-		n, err := tx.DeleteWhere(ts.Name, func(r relational.Row) bool {
-			if evalErr != nil {
-				return false
-			}
-			ok, err := sqlast.EvalRowPredicate(ts, s.Where, r)
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			return ok
-		})
-		if evalErr != nil {
-			return 0, evalErr
+		if keyed {
+			n, err = tx.DeleteKeys(ts.Name, keys, pred)
+		} else {
+			n, err = tx.DeleteWhere(ts.Name, pred)
 		}
-		return int64(n), err
 	case *sqlast.UpdateStmt:
 		ords := make([]int, len(s.Set))
 		for i, a := range s.Set {
@@ -159,31 +180,24 @@ func ApplyStmt(tx *relational.StoreTx, store *relational.Store, stmt sqlast.DMLS
 			}
 			ords[i] = ci
 		}
-		var evalErr error
-		n, err := tx.UpdateWhere(ts.Name,
-			func(r relational.Row) bool {
-				if evalErr != nil {
-					return false
-				}
-				ok, err := sqlast.EvalRowPredicate(ts, s.Where, r)
-				if err != nil {
-					evalErr = err
-					return false
-				}
-				return ok
-			},
-			func(r relational.Row) relational.Row {
-				for i, a := range s.Set {
-					r[ords[i]] = a.Value.Value
-				}
-				return r
-			})
-		if evalErr != nil {
-			return 0, evalErr
+		set := func(r relational.Row) relational.Row {
+			for i, a := range s.Set {
+				r[ords[i]] = a.Value.Value
+			}
+			return r
 		}
-		return int64(n), err
+		if keyed {
+			n, err = tx.UpdateKeys(ts.Name, keys, pred, set)
+		} else {
+			n, err = tx.UpdateWhere(ts.Name, pred, set)
+		}
+	default:
+		return 0, fmt.Errorf("backend: dml: unsupported statement %T", stmt)
 	}
-	return 0, fmt.Errorf("backend: dml: unsupported statement %T", stmt)
+	if evalErr != nil {
+		return 0, evalErr
+	}
+	return int64(n), err
 }
 
 // ApplyDML implements DML for the database/sql backend: the rendered

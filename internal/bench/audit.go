@@ -21,14 +21,14 @@ import (
 // (safe-mode) translations. Verified means the clean instance audited clean
 // AND every injected corruption was detected.
 type AuditComparison struct {
-	Workload     string        `json:"workload"`
-	Tuples       int           `json:"tuples"`
-	CleanAuditNs float64       `json:"clean_audit_ns"`
-	DirtyAuditNs float64       `json:"dirty_audit_ns"`
-	Injected     int           `json:"corruptions_injected"`
-	Violations   int           `json:"violations_found"`
-	Degradations int           `json:"safe_mode_degradations"`
-	Verified     bool          `json:"verified"`
+	Workload     string  `json:"workload"`
+	Tuples       int     `json:"tuples"`
+	CleanAuditNs float64 `json:"clean_audit_ns"`
+	DirtyAuditNs float64 `json:"dirty_audit_ns"`
+	Injected     int     `json:"corruptions_injected"`
+	Violations   int     `json:"violations_found"`
+	Degradations int     `json:"safe_mode_degradations"`
+	Verified     bool    `json:"verified"`
 }
 
 // auditWorkloads: the chaos coverage plus xmarkfull (whose mandatory Cat.name

@@ -72,7 +72,7 @@ type DriveConfig struct {
 	// Protocol selects the front end: "http" or "line".
 	Protocol string
 	// Addr is the server's host:port for that protocol.
-	Addr string
+	Addr   string
 	Tenant string
 	Query  string
 	// Clients is the closed-loop fleet size.

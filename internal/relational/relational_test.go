@@ -155,6 +155,9 @@ func TestStoreCatalog(t *testing.T) {
 	if _, err := s.CreateTable(&TableSchema{Name: "V", Columns: []Column{{Name: "a", Kind: KindInt}}, PrimaryKey: "b"}); err == nil {
 		t.Error("primary key on missing column accepted")
 	}
+	if _, err := s.CreateTable(&TableSchema{Name: "W"}); err == nil {
+		t.Error("column-less table accepted")
+	}
 	if s.Table("T") == nil || s.Table("missing") != nil {
 		t.Error("table lookup broken")
 	}

@@ -35,6 +35,9 @@ func (s *Store) CreateTable(schema *TableSchema) (*Table, error) {
 	if _, exists := s.tables[schema.Name]; exists {
 		return nil, fmt.Errorf("relational: table %s already exists", schema.Name)
 	}
+	if len(schema.Columns) == 0 {
+		return nil, fmt.Errorf("relational: table %s: no columns", schema.Name)
+	}
 	seen := map[string]bool{}
 	for _, c := range schema.Columns {
 		if c.Name == "" {

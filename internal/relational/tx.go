@@ -11,10 +11,11 @@ import "fmt"
 // Changes hands them, grouped by table, to whoever maintains derived state
 // (statistics) from the write instead of from a rescan.
 //
-// StoreTx provides atomicity, not isolation: mutations are visible to
-// concurrent readers as they happen (with the same snapshot caveats as
-// DeleteWhere/UpdateWhere), and writers must be serialized externally —
-// Planner.Update holds a write mutex for the whole batch.
+// StoreTx provides atomicity, not isolation: each statement publishes its
+// table's new version as it applies (see Table), so a concurrent reader may
+// see a batch's first statements without its last. Writers must be
+// serialized externally — Planner.Update holds a write mutex for the whole
+// batch.
 type StoreTx struct {
 	store *Store
 	log   []txRecord
@@ -71,50 +72,49 @@ func (tx *StoreTx) Insert(table string, r Row) error {
 
 // DeleteWhere removes matching rows from the named table.
 func (tx *StoreTx) DeleteWhere(table string, pred func(Row) bool) (int, error) {
+	return tx.delete(table, nil, false, pred)
+}
+
+// DeleteKeys removes the rows of the named table whose primary key is in
+// keys and that pred accepts (see Table.DeleteKeys).
+func (tx *StoreTx) DeleteKeys(table string, keys []Value, pred func(Row) bool) (int, error) {
+	return tx.delete(table, keys, true, pred)
+}
+
+func (tx *StoreTx) delete(table string, keys []Value, keyed bool, pred func(Row) bool) (int, error) {
 	t, err := tx.table(table)
 	if err != nil {
 		return 0, err
 	}
-	var removed []Row
-	n := t.DeleteWhere(func(r Row) bool {
-		if pred(r) {
-			removed = append(removed, r)
-			return true
-		}
-		return false
-	})
-	if n > 0 {
+	removed := t.delete(keys, keyed, pred)
+	if len(removed) > 0 {
 		tx.log = append(tx.log, txRecord{table: t, removed: removed})
 	}
-	return n, nil
+	return len(removed), nil
 }
 
 // UpdateWhere rewrites matching rows in the named table.
 func (tx *StoreTx) UpdateWhere(table string, pred func(Row) bool, fn func(Row) Row) (int, error) {
+	return tx.update(table, nil, false, pred, fn)
+}
+
+// UpdateKeys rewrites the rows of the named table whose primary key is in
+// keys and that pred accepts (see Table.UpdateKeys).
+func (tx *StoreTx) UpdateKeys(table string, keys []Value, pred func(Row) bool, fn func(Row) Row) (int, error) {
+	return tx.update(table, keys, true, pred, fn)
+}
+
+func (tx *StoreTx) update(table string, keys []Value, keyed bool, pred func(Row) bool, fn func(Row) Row) (int, error) {
 	t, err := tx.table(table)
 	if err != nil {
 		return 0, err
 	}
-	var olds, news []Row
-	n, uerr := t.UpdateWhere(
-		func(r Row) bool {
-			if pred(r) {
-				olds = append(olds, r.Clone())
-				return true
-			}
-			return false
-		},
-		func(r Row) Row {
-			nr := fn(r)
-			news = append(news, nr.Clone())
-			return nr
-		},
-	)
-	if uerr != nil || n == 0 {
-		return n, uerr
+	olds, news, err := t.update(keys, keyed, pred, fn)
+	if err != nil || len(olds) == 0 {
+		return 0, err
 	}
 	tx.log = append(tx.log, txRecord{table: t, removed: olds, added: news})
-	return n, nil
+	return len(olds), nil
 }
 
 // Changes returns the transaction's delta so far, one entry per written
@@ -167,27 +167,23 @@ func (rec txRecord) undo() error {
 	name := t.schema.Name
 	switch {
 	case len(rec.removed) == 0:
-		// Insert: take the one added row out again, matched by primary key
-		// where there is one and by full contents otherwise.
+		// Insert: take the one added row out again, by primary key where
+		// there is one and by full contents otherwise.
 		r := rec.added[0]
-		var match func(Row) bool
-		if pk := t.schema.PrimaryKey; pk != "" {
-			pi := t.schema.ColumnIndex(pk)
-			key := r[pi].Key()
-			match = func(row Row) bool { return row[pi].Key() == key }
+		var n int
+		if t.pk >= 0 {
+			n = t.DeleteKeys([]Value{r[t.pk]}, nil)
 		} else {
-			key := r.Key()
-			match = func(row Row) bool { return row.Key() == key }
+			key, done := r.Key(), false
+			n = t.DeleteWhere(func(row Row) bool {
+				if done || row.Key() != key {
+					return false
+				}
+				done = true
+				return true
+			})
 		}
-		removed := false
-		t.DeleteWhere(func(row Row) bool {
-			if removed || !match(row) {
-				return false
-			}
-			removed = true
-			return true
-		})
-		if !removed {
+		if n == 0 {
 			return fmt.Errorf("relational: table %s: undo insert: row vanished", name)
 		}
 	case len(rec.added) == 0:
@@ -197,30 +193,40 @@ func (rec txRecord) undo() error {
 			}
 		}
 	default:
-		// Update: restore each rewritten row to its original, matching by
-		// the rewritten contents (exact under a primary key;
-		// multiset-correct without one).
-		remaining := map[string][]Row{}
-		for i, nr := range rec.added {
-			k := nr.Key()
-			remaining[k] = append(remaining[k], rec.removed[i])
+		// Update: put each original back in its rewrite's place, found by
+		// primary key where there is one and by contents otherwise
+		// (multiset-correct without a key).
+		var n int
+		var err error
+		if t.pk >= 0 {
+			keys := make([]Value, len(rec.added))
+			orig := make(map[Value]Row, len(rec.added))
+			for i, nr := range rec.added {
+				keys[i] = nr[t.pk]
+				orig[keys[i]] = rec.removed[i]
+			}
+			n, err = t.UpdateKeys(keys, nil, func(r Row) Row { return orig[r[t.pk]] })
+		} else {
+			remaining := map[string][]Row{}
+			for i, nr := range rec.added {
+				k := nr.Key()
+				remaining[k] = append(remaining[k], rec.removed[i])
+			}
+			n, err = t.UpdateWhere(
+				func(r Row) bool { return len(remaining[r.Key()]) > 0 },
+				func(r Row) Row {
+					k := r.Key()
+					rs := remaining[k]
+					remaining[k] = rs[1:]
+					return rs[0]
+				},
+			)
 		}
-		restored := 0
-		_, err := t.UpdateWhere(
-			func(r Row) bool { return len(remaining[r.Key()]) > 0 },
-			func(r Row) Row {
-				k := r.Key()
-				rs := remaining[k]
-				remaining[k] = rs[1:]
-				restored++
-				return rs[0]
-			},
-		)
 		if err != nil {
 			return fmt.Errorf("relational: table %s: undo update: %w", name, err)
 		}
-		if restored != len(rec.removed) {
-			return fmt.Errorf("relational: table %s: undo update: restored %d of %d rows", name, restored, len(rec.removed))
+		if n != len(rec.removed) {
+			return fmt.Errorf("relational: table %s: undo update: restored %d of %d rows", name, n, len(rec.removed))
 		}
 	}
 	return nil

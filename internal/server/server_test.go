@@ -73,11 +73,11 @@ func TestHTTPQuery(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 
 	var got struct {
-		Tenant    string  `json:"tenant"`
+		Tenant    string   `json:"tenant"`
 		Cols      []string `json:"cols"`
-		Rows      [][]any `json:"rows"`
-		RowCount  int     `json:"row_count"`
-		ElapsedNs int64   `json:"elapsed_ns"`
+		Rows      [][]any  `json:"rows"`
+		RowCount  int      `json:"row_count"`
+		ElapsedNs int64    `json:"elapsed_ns"`
 	}
 	resp := getJSON(t, ts.URL+"/query?tenant=auctions&q="+url.QueryEscape("//Item/InCategory/Category"), &got)
 	if resp.StatusCode != http.StatusOK {

@@ -209,6 +209,49 @@ func EvalRowPredicate(ts *relational.TableSchema, e Expr, row relational.Row) (b
 	return false, fmt.Errorf("sqlast: unsupported DML predicate %T", e)
 }
 
+// KeysFromWhere returns the values of the named column that a DML predicate
+// can possibly match. The recognised forms are the ones DML planning emits:
+// column = literal, column IN (...), OR over such forms, and AND where one
+// conjunct is such a form (the other conjuncts only narrow the match). The
+// keys are therefore a superset of the matching rows' values, possibly with
+// repeats; ok is false for any other shape.
+func KeysFromWhere(e Expr, column string) (keys []relational.Value, ok bool) {
+	isCol := func(x Expr) bool {
+		c, ok := x.(ColRef)
+		return ok && c.Column == column
+	}
+	switch v := e.(type) {
+	case Cmp:
+		if lit, isLit := v.Right.(Lit); isLit && v.Op == OpEq && isCol(v.Left) {
+			return []relational.Value{lit.Value}, true
+		}
+	case In:
+		if isCol(v.Left) {
+			keys = make([]relational.Value, len(v.List))
+			for i, l := range v.List {
+				keys[i] = l.Value
+			}
+			return keys, true
+		}
+	case Or:
+		for _, k := range v.Kids {
+			kk, ok := KeysFromWhere(k, column)
+			if !ok {
+				return nil, false
+			}
+			keys = append(keys, kk...)
+		}
+		return keys, true
+	case And:
+		for _, k := range v.Kids {
+			if keys, ok := KeysFromWhere(k, column); ok {
+				return keys, true
+			}
+		}
+	}
+	return nil, false
+}
+
 // Relations lists the base tables a query reads: every FROM source of every
 // branch and CTE body, excluding the CTE names themselves. Sorted and
 // deduplicated. The planner tags plan-cache entries with this set so

@@ -363,20 +363,33 @@ func DecodeBatch(buf []byte) ([]sqlast.DMLStmt, error) {
 func TouchedFromStmts(stmts []sqlast.DMLStmt) (integrity.Touched, bool) {
 	var t integrity.Touched
 	complete := true
-	seenW := map[integrity.TupleRef]bool{}
-	seenD := map[integrity.TupleRef]bool{}
-	addW := func(rel string, id int64) {
-		ref := integrity.TupleRef{Rel: rel, ID: id}
-		if !seenW[ref] {
-			seenW[ref] = true
-			t.Written = append(t.Written, ref)
-		}
+	type entry struct {
+		ref     integrity.TupleRef
+		deleted bool
 	}
-	addD := func(rel string, id int64) {
-		ref := integrity.TupleRef{Rel: rel, ID: id}
-		if !seenD[ref] {
-			seenD[ref] = true
-			t.Deleted = append(t.Deleted, ref)
+	seen := map[entry]bool{}
+	add := func(rel string, id int64, deleted bool) {
+		e := entry{integrity.TupleRef{Rel: rel, ID: id}, deleted}
+		switch {
+		case seen[e]:
+		case deleted:
+			t.Deleted = append(t.Deleted, e.ref)
+		default:
+			t.Written = append(t.Written, e.ref)
+		}
+		seen[e] = true
+	}
+	// addWhere adds the ids a WHERE can match: a superset of the affected
+	// rows (sqlast.KeysFromWhere), the safe direction for auditing.
+	addWhere := func(rel string, where sqlast.Expr, deleted bool) {
+		keys, ok := sqlast.KeysFromWhere(where, schema.IDColumn)
+		complete = complete && ok
+		for _, k := range keys {
+			if k.Kind() != relational.KindInt {
+				complete = false
+				continue
+			}
+			add(rel, k.AsInt(), deleted)
 		}
 	}
 	for _, s := range stmts {
@@ -395,82 +408,18 @@ func TouchedFromStmts(stmts []sqlast.DMLStmt) (integrity.Touched, bool) {
 			}
 			for _, row := range v.Rows {
 				if ci < len(row) && row[ci].Value.Kind() == relational.KindInt {
-					addW(v.Table, row[ci].Value.AsInt())
+					add(v.Table, row[ci].Value.AsInt(), false)
 				} else {
 					complete = false
 				}
 			}
 		case *sqlast.DeleteStmt:
-			ids, ok := idsFromWhere(v.Where)
-			if !ok {
-				complete = false
-			}
-			for _, id := range ids {
-				addD(v.Table, id)
-			}
+			addWhere(v.Table, v.Where, true)
 		case *sqlast.UpdateStmt:
-			ids, ok := idsFromWhere(v.Where)
-			if !ok {
-				complete = false
-			}
-			for _, id := range ids {
-				addW(v.Table, id)
-			}
+			addWhere(v.Table, v.Where, false)
 		default:
 			complete = false
 		}
 	}
 	return t, complete
-}
-
-// idsFromWhere extracts the id values a DML predicate can possibly match.
-// Supported forms are the ones DML planning emits: id = N, id IN (...), OR
-// over such forms, and AND where one conjunct is such a form (the other
-// conjuncts only narrow the match, so the extracted set is a superset of
-// the affected rows — which is the safe direction for auditing).
-func idsFromWhere(e sqlast.Expr) ([]int64, bool) {
-	isID := func(x sqlast.Expr) bool {
-		c, ok := x.(sqlast.ColRef)
-		return ok && c.Column == schema.IDColumn
-	}
-	switch v := e.(type) {
-	case sqlast.Cmp:
-		if v.Op != sqlast.OpEq || !isID(v.Left) {
-			return nil, false
-		}
-		if lit, ok := v.Right.(sqlast.Lit); ok && lit.Value.Kind() == relational.KindInt {
-			return []int64{lit.Value.AsInt()}, true
-		}
-		return nil, false
-	case sqlast.In:
-		if !isID(v.Left) {
-			return nil, false
-		}
-		ids := make([]int64, 0, len(v.List))
-		for _, l := range v.List {
-			if l.Value.Kind() != relational.KindInt {
-				return nil, false
-			}
-			ids = append(ids, l.Value.AsInt())
-		}
-		return ids, true
-	case sqlast.Or:
-		var ids []int64
-		for _, k := range v.Kids {
-			kids, ok := idsFromWhere(k)
-			if !ok {
-				return nil, false
-			}
-			ids = append(ids, kids...)
-		}
-		return ids, true
-	case sqlast.And:
-		for _, k := range v.Kids {
-			if ids, ok := idsFromWhere(k); ok {
-				return ids, true
-			}
-		}
-		return nil, false
-	}
-	return nil, false
 }

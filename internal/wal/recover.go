@@ -88,7 +88,7 @@ func Open(dir string, opts Options) (*Manager, *RecoveryInfo, error) {
 		}
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] }) // newest first
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })   // oldest first
+	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })    // oldest first
 
 	info := &RecoveryInfo{TouchedComplete: true}
 	var store *relational.Store

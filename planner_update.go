@@ -190,7 +190,9 @@ func dmlCapability(b Backend) (backend.DML, bool) {
 
 // probeCapability finds a backend that supplies its own routed
 // integrity.Probe (the sharded composite), unwrapping resilience layers.
-func probeCapability(b Backend) (interface{ IntegrityProbe() (integrity.Probe, error) }, bool) {
+func probeCapability(b Backend) (interface {
+	IntegrityProbe() (integrity.Probe, error)
+}, bool) {
 	for b != nil {
 		if p, ok := b.(interface {
 			IntegrityProbe() (integrity.Probe, error)
