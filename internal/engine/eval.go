@@ -312,6 +312,10 @@ type frame struct {
 	bindings []binding
 	rows     []relational.Row
 	width    int
+	// owned is set when this SELECT built rows (a filter or a join), so the
+	// projection may rewrite the slice in place; a table's or CTE's own row
+	// slice is never written.
+	owned bool
 }
 
 func (f *frame) find(table, column string) (int, error) {
@@ -438,7 +442,7 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur = &frame{bindings: cur.bindings, rows: rows, width: cur.width}
+		cur = &frame{bindings: cur.bindings, rows: rows, width: cur.width, owned: true}
 	}
 
 	// Projection.
@@ -470,9 +474,24 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 	if err := ex.charge(len(cur.rows)); err != nil {
 		return nil, err
 	}
-	// One arena holds every projected value; each row is a capacity-capped
-	// window onto it, so an append to one row copies instead of writing into
-	// its neighbour.
+	// A projection of one ascending run of columns lo..hi-1 is a window onto
+	// each frame row: stored rows and join rows are never written, so the
+	// result shares them instead of copying their values. An owned row slice
+	// is rewritten in place; any other gets a fresh one, as does a nil one,
+	// so Rows is never nil.
+	if lo, hi, ok := window(projs); ok {
+		rows := cur.rows
+		if !cur.owned || rows == nil {
+			rows = make([]relational.Row, len(cur.rows))
+		}
+		for i, row := range cur.rows {
+			rows[i] = row[lo:hi:hi]
+		}
+		return &Result{Cols: names, Rows: rows}, nil
+	}
+	// Otherwise one arena holds every projected value; each row is a
+	// capacity-capped window onto it, so an append to one row copies instead
+	// of writing into its neighbour.
 	w := len(projs)
 	arena := make([]relational.Value, len(cur.rows)*w)
 	res := &Result{Cols: names, Rows: make([]relational.Row, len(cur.rows))}
@@ -484,6 +503,20 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 		res.Rows[i] = out
 	}
 	return res, nil
+}
+
+// window reports whether projs read the frame offsets lo..hi-1 in order.
+func window(projs []operand) (lo, hi int, ok bool) {
+	if len(projs) == 0 || projs[0].idx < 0 {
+		return 0, 0, false
+	}
+	lo = projs[0].idx
+	for j, p := range projs {
+		if p.idx != lo+j {
+			return 0, 0, false
+		}
+	}
+	return lo, lo + len(projs), true
 }
 
 func aliasOf(f sqlast.FromItem) string {
@@ -527,7 +560,7 @@ func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts 
 	}
 
 	if cur == nil {
-		return &frame{bindings: solo.bindings, rows: rows, width: solo.width}, pending, nil
+		return &frame{bindings: solo.bindings, rows: rows, width: solo.width, owned: len(local) > 0}, pending, nil
 	}
 
 	refs := slices.Clip(need)
@@ -554,6 +587,7 @@ func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts 
 	if err != nil {
 		return nil, nil, err
 	}
+	next.owned = true
 	return ex.applyCovered(next, pending)
 }
 
@@ -587,7 +621,7 @@ func (ex *executor) applyCovered(f *frame, pending []sqlast.Expr) (*frame, []sql
 	if err != nil {
 		return nil, nil, err
 	}
-	return &frame{bindings: f.bindings, rows: rows, width: f.width}, rest, nil
+	return &frame{bindings: f.bindings, rows: rows, width: f.width, owned: true}, rest, nil
 }
 
 // filter returns the rows pred accepts, polling for cancellation.

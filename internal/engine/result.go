@@ -15,7 +15,8 @@ import (
 	"xmlsql/internal/relational"
 )
 
-// Result is the multiset of rows a query produced.
+// Result is the multiset of rows a query produced. A row may be a window
+// onto a stored row: never write into one, Clone it to own it.
 type Result struct {
 	Cols []string
 	Rows []relational.Row

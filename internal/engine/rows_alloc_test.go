@@ -9,7 +9,6 @@ package engine_test
 import (
 	"context"
 	"database/sql"
-	"fmt"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -21,50 +20,6 @@ import (
 	"xmlsql/internal/sqlast"
 	"xmlsql/internal/wal"
 	"xmlsql/internal/workloads"
-)
-
-// allocStore builds AP(id, code) with nParents rows and AC(id, parentid, v)
-// with childPerParent children under each parent; AC.parentid is indexed.
-func allocStore(t *testing.T, nParents, childPerParent int) *relational.Store {
-	t.Helper()
-	s := relational.NewStore()
-	p, err := s.CreateTable(&relational.TableSchema{
-		Name:       "AP",
-		Columns:    []relational.Column{{Name: "id", Kind: relational.KindInt}, {Name: "code", Kind: relational.KindInt}},
-		PrimaryKey: "id",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := s.CreateTable(&relational.TableSchema{
-		Name: "AC",
-		Columns: []relational.Column{
-			{Name: "id", Kind: relational.KindInt},
-			{Name: "parentid", Kind: relational.KindInt},
-			{Name: "v", Kind: relational.KindString},
-		},
-		PrimaryKey: "id",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := int64(0)
-	for pi := 1; pi <= nParents; pi++ {
-		p.MustInsert(relational.Row{relational.Int(int64(pi)), relational.Int(int64(pi % 7))})
-		for ci := 0; ci < childPerParent; ci++ {
-			id++
-			c.MustInsert(relational.Row{relational.Int(id), relational.Int(int64(pi)), relational.String(fmt.Sprintf("v%d", id))})
-		}
-	}
-	if err := c.BuildIndex("parentid"); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-var (
-	joinEq   = sqlast.Eq(sqlast.ColRef{Table: "c", Column: "parentid"}, sqlast.ColRef{Table: "p", Column: "id"})
-	joinFrom = []sqlast.FromItem{{Source: "AP", Alias: "p"}, {Source: "AC", Alias: "c"}}
 )
 
 // joinKinds are the options that steer a two-table equi-join to each
@@ -121,6 +76,57 @@ func TestScanProjectAllocsIndependentOfRows(t *testing.T) {
 	large := allocsPerExec(t, allocStore(t, 1000, 8), q, engine.Options{})
 	if d := large - small; d < -2 || d > 2 {
 		t.Errorf("scan+project: %.0f allocs over 1k rows, %.0f over 8k", small, large)
+	}
+}
+
+// An unfiltered one-column scan allocates one row header per row and no
+// values: each result row is a window onto its stored row.
+func TestOneColumnScanAllocatesOnlyRowHeaders(t *testing.T) {
+	const fixed = 16 << 10
+	header := float64(unsafe.Sizeof(relational.Row{}))
+	q := acSelect(nil, sqlast.Col("c", "v"))
+	for _, parents := range []int{125, 1000} {
+		n := float64(parents * 8)
+		if got := bytesPerExec(t, allocStore(t, parents, 8), q, engine.Options{}); got > header*n+fixed {
+			t.Errorf("one-column scan of %.0f rows: %.0f bytes, budget %.0f per row plus %d", n, got, header, fixed)
+		}
+	}
+}
+
+// A projection onto one ascending run of columns allocates nothing per row
+// over the filter or join it reads: projecting the same columns reordered
+// costs exactly one more arena of values and row headers.
+func TestWindowProjectionAllocatesNothingPerRow(t *testing.T) {
+	const slack = 1 << 10
+	s := allocStore(t, 1000, 8)
+	keepAll := sqlast.Cmp{Op: sqlast.OpNe, Left: sqlast.ColRef{Table: "c", Column: "parentid"}, Right: sqlast.IntLit(0)}
+	join := func(a, b sqlast.SelectItem) *sqlast.Query {
+		return sqlast.SingleSelect(&sqlast.Select{Cols: []sqlast.SelectItem{a, b}, From: joinFrom, Where: joinEq})
+	}
+	id, parent, v := sqlast.Col("c", "id"), sqlast.Col("c", "parentid"), sqlast.Col("c", "v")
+	for _, c := range []struct {
+		what              string
+		window, reordered *sqlast.Query
+	}{
+		{"filtered scan", acSelect(keepAll, id, parent), acSelect(keepAll, parent, id)},
+		{"index join", join(id, v), join(v, id)},
+	} {
+		res, err := engine.Execute(context.Background(), s, c.window, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := res.Len()
+		var values []relational.Value
+		var rows []relational.Row
+		arena := bytesPerRun(func() {
+			values, rows = make([]relational.Value, 2*n), make([]relational.Row, n)
+		})
+		_, _ = values, rows
+		window, reordered := bytesPerExec(t, s, c.window, engine.Options{}), bytesPerExec(t, s, c.reordered, engine.Options{})
+		if projection := window - (reordered - arena); projection > slack {
+			t.Errorf("%s: the window projection of %d rows allocates %.0f bytes (%.0f against %.0f for the reordered one, whose arena is %.0f)",
+				c.what, n, projection, window, reordered, arena)
+		}
 	}
 }
 
@@ -215,16 +221,36 @@ func assertCappedRows(t *testing.T, what string, res *engine.Result) {
 
 func TestResultRowsAreCappedWindows(t *testing.T) {
 	s := allocStore(t, 8, 3)
-	run := func(what string, q *sqlast.Query, opts engine.Options) {
+	run := func(what string, q *sqlast.Query, opts engine.Options) *engine.Result {
 		t.Helper()
 		res, err := engine.Execute(context.Background(), s, q, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		assertCappedRows(t, what, res)
+		return res
 	}
-	scan := &sqlast.Select{Cols: []sqlast.SelectItem{sqlast.Star("c")}, From: []sqlast.FromItem{{Source: "AC", Alias: "c"}}}
-	run("projection", sqlast.SingleSelect(scan), engine.Options{})
+	run("projection", acSelect(nil, sqlast.Star("c")), engine.Options{})
+	run("filtered scan", acSelect(sqlast.Eq(sqlast.ColRef{Table: "c", Column: "parentid"}, sqlast.IntLit(3)), sqlast.Col("c", "v")), engine.Options{})
+	// A one-column scan's rows are windows onto the stored c.v. A literal or
+	// a reordered column is no window: those rows are copies.
+	stored := s.Table("AC").Rows()
+	v := sqlast.Col("c", "v")
+	for _, c := range []struct {
+		what   string
+		q      *sqlast.Query
+		shares bool
+	}{
+		{"one-column scan", acSelect(nil, v), true},
+		{"literal projection", acSelect(nil, v, sqlast.SelectItem{Expr: sqlast.StringLit("x"), As: "k"}), false},
+		{"reordered projection", acSelect(nil, v, sqlast.Col("c", "id")), false},
+	} {
+		for i, r := range run(c.what, c.q, engine.Options{}).Rows {
+			if shares := &r[0] == &stored[i][2]; shares != c.shares {
+				t.Fatalf("%s: row %d shares the stored row's memory: %v, want %v", c.what, i, shares, c.shares)
+			}
+		}
+	}
 	join := &sqlast.Select{Cols: []sqlast.SelectItem{sqlast.Col("c", "v"), sqlast.Col("p", "code")}, From: joinFrom, Where: joinEq}
 	for _, k := range joinKinds {
 		run(k.name+" join", sqlast.SingleSelect(join), k.opts)

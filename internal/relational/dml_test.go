@@ -252,6 +252,27 @@ func TestRowsSnapshotSurvivesWrites(t *testing.T) {
 	}
 }
 
+// TestAppendToHeldRowsDoesNotMeetInsert: Rows is clipped, so a holder's
+// append and a later Insert each land in their own array.
+func TestAppendToHeldRowsDoesNotMeetInsert(t *testing.T) {
+	_, tb := dmlTable(t, 100)
+	held := tb.Rows()
+	if cap(held) != len(held) {
+		t.Fatalf("Rows has len %d, cap %d", len(held), cap(held))
+	}
+	mine := append(held, Row{Int(-1), Int(1), String("mine")})
+	tb.MustInsert(Row{Int(300), Int(1), String("stored")})
+	if got := mine[len(held)][2]; got != String("mine") {
+		t.Fatalf("the held slice's appended row became %v", mine[len(held)])
+	}
+	if got := tb.Rows()[len(held)][2]; got != String("stored") {
+		t.Fatalf("the inserted row reads %v", tb.Rows()[len(held)])
+	}
+	if row, ok := tb.LookupPK(Int(-1)); ok {
+		t.Fatalf("the holder's row reached the table: %v", row)
+	}
+}
+
 // TestUpdateDuplicateKeyLeavesTableUntouched pins validation before any
 // write: an update whose new primary key collides fails and changes
 // nothing, while a swap of two keys in one update is accepted.

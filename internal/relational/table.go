@@ -170,11 +170,12 @@ func (t *Table) MustInsert(r Row) {
 
 // Rows returns the table's rows. The slice and rows must not be mutated.
 // The returned slice is a stable snapshot: later writes never touch a slot
-// of it (see Table).
+// of it (see Table). Its capacity is clipped to its length, so an append by
+// the holder copies instead of writing where Insert appends.
 func (t *Table) Rows() []Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.rows
+	return slices.Clip(t.rows)
 }
 
 // DeleteWhere removes every row for which pred returns true and returns how

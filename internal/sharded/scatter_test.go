@@ -205,6 +205,46 @@ func TestScatterShardErrorCancelsSiblings(t *testing.T) {
 	}
 }
 
+// TestScatterErrorMentioningCancelIsReturned: a shard error that is not a
+// cancellation surfaces even when its text says "context canceled" and the
+// error itself has cancelled the scatter's context.
+func TestScatterErrorMentioningCancelIsReturned(t *testing.T) {
+	w := diffWorkloads()[0]
+	stalled := errors.New("upstream stalled: context canceled")
+	shards := []backend.Backend{&failingShard{Mem: backend.NewMem(), err: stalled}, backend.NewMem()}
+	c, err := sharded.New(shards, sharded.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Load(w.schema, w.docs...); err != nil {
+		t.Fatal(err)
+	}
+	q := translations(t, w.schema, w.queries[0])[1]
+	if _, err := c.Execute(context.Background(), q); !errors.Is(err, stalled) {
+		t.Fatalf("want the shard error, got %v", err)
+	}
+}
+
+// TestScatterShardErrorOutranksSiblingCancellation: a sibling that the
+// failing shard's teardown cancelled reports cancellation, and an earlier
+// shard index does not let that cancellation hide the error that caused it.
+func TestScatterShardErrorOutranksSiblingCancellation(t *testing.T) {
+	w := diffWorkloads()[0]
+	boom := errors.New("shard exploded")
+	shards := []backend.Backend{&slowShard{Mem: backend.NewMem()}, &failingShard{Mem: backend.NewMem(), err: boom}}
+	c, err := sharded.New(shards, sharded.Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Load(w.schema, w.docs...); err != nil {
+		t.Fatal(err)
+	}
+	q := translations(t, w.schema, w.queries[0])[1]
+	if _, err := c.Execute(context.Background(), q); !errors.Is(err, boom) {
+		t.Fatalf("want the shard error, got %v", err)
+	}
+}
+
 type failingShard struct {
 	*backend.Mem
 	err error

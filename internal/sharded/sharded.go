@@ -26,6 +26,7 @@ package sharded
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
@@ -457,13 +458,18 @@ func (c *Sharded) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result,
 	}
 	wg.Wait()
 
-	if err := ctx.Err(); err != nil && errsOnlyCtx(errs, err) {
-		return nil, err
-	}
+	// The first error that is not the scatter's own cancellation is the
+	// cause; siblings its teardown cancelled report only that. Shard errors
+	// wrap their cause with %w, so an error whose text merely mentions
+	// cancellation is still a real failure.
+	ctxErr := ctx.Err()
 	for _, err := range errs {
-		if err != nil {
+		if err != nil && (ctxErr == nil || !errors.Is(err, ctxErr)) {
 			return nil, err
 		}
+	}
+	if ctxErr != nil {
+		return nil, ctxErr
 	}
 
 	start := time.Now()
@@ -491,20 +497,6 @@ func (c *Sharded) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result,
 	c.mergeNs.Add(time.Since(start).Nanoseconds())
 	c.mergedRows.Add(int64(total))
 	return merged, nil
-}
-
-// errsOnlyCtx reports whether every recorded shard error is the context's own
-// (cancellation), so the caller's ctx.Err() is the right thing to surface.
-func errsOnlyCtx(errs []error, ctxErr error) bool {
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !strings.Contains(err.Error(), ctxErr.Error()) {
-			return false
-		}
-	}
-	return true
 }
 
 // Close implements Backend, closing every shard and returning the first
