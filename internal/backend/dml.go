@@ -26,11 +26,12 @@ type DML interface {
 }
 
 // CommitLog is the durability hook of the Mem backend, implemented by
-// wal.Manager. Commit must make the batch durable (write and fsync, per its
-// sync policy) before returning; an error means the batch never became
+// wal.Manager. Commit receives the batch's change list in apply order
+// (relational.StoreTx.Log) and must make it durable (write and fsync, per
+// its sync policy) before returning; an error means the batch never became
 // durable and the caller rolls it back.
 type CommitLog interface {
-	Commit(stmts []sqlast.DMLStmt) error
+	Commit(changes []relational.TableChange) error
 }
 
 // SetCommitLog attaches a write-ahead log to the backend: from now on
@@ -79,7 +80,7 @@ func (m *Mem) ApplyDML(ctx context.Context, stmts []sqlast.DMLStmt) error {
 }
 
 // applyAndLog interprets the statements under tx and, if they all applied,
-// offers the batch to the commit log.
+// offers the transaction's change list to the commit log.
 func (m *Mem) applyAndLog(ctx context.Context, tx *relational.StoreTx, stmts []sqlast.DMLStmt) error {
 	for _, stmt := range stmts {
 		if err := ctx.Err(); err != nil {
@@ -90,7 +91,7 @@ func (m *Mem) applyAndLog(ctx context.Context, tx *relational.StoreTx, stmts []s
 		}
 	}
 	if m.log != nil {
-		if err := m.log.Commit(stmts); err != nil {
+		if err := m.log.Commit(tx.Log()); err != nil {
 			return fmt.Errorf("backend: commit log: %w", err)
 		}
 	}
@@ -99,9 +100,9 @@ func (m *Mem) applyAndLog(ctx context.Context, tx *relational.StoreTx, stmts []s
 
 // ApplyStmt interprets one DML statement over a store through an undo-log
 // transaction, returning the number of rows affected. It is the single
-// in-process DML interpreter: Mem.ApplyDML and WAL replay use it directly,
-// and the fakedb driver routes its parsed DELETE/UPDATE statements through
-// it so every backend agrees on semantics.
+// in-process DML interpreter: Mem.ApplyDML uses it directly, and the fakedb
+// driver routes its parsed DELETE/UPDATE statements through it so every
+// backend agrees on semantics.
 //
 // A DELETE or UPDATE whose WHERE names its candidates by primary key (see
 // sqlast.KeysFromWhere) probes the key for them instead of scanning the

@@ -302,31 +302,48 @@ func TestResultRowsAreCappedWindows(t *testing.T) {
 func TestDecodedValuesFindIndexBuckets(t *testing.T) {
 	fresh := []relational.Value{relational.Int(7), relational.String("x"), relational.Null}
 
-	// WAL: encode, decode, and probe an index built from constructor values.
-	tbl := relational.NewTable(&relational.TableSchema{Name: "T", Columns: []relational.Column{{Name: "k", Kind: relational.KindInt}, {Name: "s", Kind: relational.KindString}}})
-	tbl.MustInsert(relational.Row{relational.Int(7), relational.String("x")})
-	tbl.MustInsert(relational.Row{relational.Null, relational.Null})
-	for _, col := range []string{"k", "s"} {
-		if err := tbl.BuildIndex(col); err != nil {
+	// WAL: commit rows of those values to a log, recover them, and probe
+	// indexes built from constructor values.
+	cols := []relational.Column{{Name: "k", Kind: relational.KindInt}, {Name: "s", Kind: relational.KindString}}
+	rows := []relational.Row{{relational.Int(7), relational.String("x")}, {relational.Null, relational.Null}}
+	tbl := relational.NewTable(&relational.TableSchema{Name: "T", Columns: cols})
+	for _, r := range rows {
+		tbl.MustInsert(r)
+	}
+	for _, c := range cols {
+		if err := tbl.BuildIndex(c.Name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ins := &sqlast.InsertStmt{Table: "T", Columns: []string{"v"}}
-	for _, v := range fresh {
-		ins.Rows = append(ins.Rows, []sqlast.Lit{{Value: v}})
-	}
-	buf, err := wal.EncodeBatch([]sqlast.DMLStmt{ins})
+	dir := t.TempDir()
+	mgr, _, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmts, err := wal.DecodeBatch(buf)
+	if _, err := mgr.Store().CreateTable(&relational.TableSchema{Name: "T", Columns: cols}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Commit([]relational.TableChange{{Table: "T", Added: rows, Mutations: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+	mgr, info, err := wal.Open(dir, wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded := stmts[0].(*sqlast.InsertStmt).Rows
-	for i, col := range []string{"k", "s", "k"} {
-		if v := decoded[i][0].Value; len(tbl.AppendLookup(nil, col, v)) != 1 {
-			t.Errorf("wal-decoded %v misses the %s index bucket of %v", v, col, fresh[i])
+	defer mgr.Close()
+	decoded := mgr.Store().Table("T").Rows()
+	if info.ReplayedBatches != 1 || len(decoded) != len(rows) {
+		t.Fatalf("replayed %d batches into %d rows, want 1 into %d", info.ReplayedBatches, len(decoded), len(rows))
+	}
+	for _, r := range decoded {
+		for ci, c := range cols {
+			if len(tbl.AppendLookup(nil, c.Name, r[ci])) != 1 {
+				t.Errorf("wal-decoded %v misses its %s index bucket", r[ci], c.Name)
+			}
 		}
 	}
 

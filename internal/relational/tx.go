@@ -1,6 +1,14 @@
 package relational
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"slices"
+)
+
+// ErrBeforeImage reports a redo or undo that did not find a row it replaces
+// in its table exactly as the change list recorded it.
+var ErrBeforeImage = errors.New("relational: row differs from its before-image")
 
 // StoreTx is an undo-log transaction over a Store: every mutation made
 // through it records the rows it removed and the rows it added, and Rollback
@@ -9,7 +17,8 @@ import "fmt"
 // of DML must apply atomically — a failed statement mid-batch must leave the
 // instance exactly as it was. The same records are the batch's delta:
 // Changes hands them, grouped by table, to whoever maintains derived state
-// (statistics) from the write instead of from a rescan.
+// (statistics) from the write instead of from a rescan, and Log hands them,
+// in apply order, to the write-ahead log, whose replay is Store.Redo.
 //
 // StoreTx provides atomicity, not isolation: each statement publishes its
 // table's new version as it applies (see Table), so a concurrent reader may
@@ -30,9 +39,10 @@ type txRecord struct {
 	removed, added []Row
 }
 
-// TableChange is one table's share of a transaction's delta. It is not
-// netted: a row the transaction both added and removed appears on both
-// sides, so consumers keeping counts fold Added before Removed.
+// TableChange is one table's share of a transaction's delta: one mutation
+// (StoreTx.Log) or all of them (StoreTx.Changes). It is not netted: a row the
+// transaction both added and removed appears on both sides, so consumers
+// keeping counts fold Added before Removed.
 type TableChange struct {
 	Table          string
 	Removed, Added []Row
@@ -137,6 +147,19 @@ func (tx *StoreTx) Changes() []TableChange {
 	return out
 }
 
+// Log returns the transaction's mutations so far in apply order, one change
+// per mutation (Mutations = 1): an insert adds one row, a delete removes
+// rows, and an update replaces Removed[i] with Added[i] in place. It is the
+// transaction's redo log (see Store.Redo) and, like Changes, valid until
+// Commit or Rollback.
+func (tx *StoreTx) Log() []TableChange {
+	out := make([]TableChange, len(tx.log))
+	for i, rec := range tx.log {
+		out[i] = TableChange{Table: rec.table.schema.Name, Removed: rec.removed, Added: rec.added, Mutations: 1}
+	}
+	return out
+}
+
 // Commit finalizes the transaction, discarding the undo log. The mutations
 // are already applied; Commit only marks the transaction finished.
 func (tx *StoreTx) Commit() {
@@ -162,72 +185,94 @@ func (tx *StoreTx) Rollback() error {
 	return first
 }
 
-func (rec txRecord) undo() error {
-	t := rec.table
+// undo puts the rows the record added back to the rows it removed.
+func (rec txRecord) undo() error { return rec.table.replace(rec.added, rec.removed) }
+
+// Redo applies a change list as StoreTx.Log returned it, in order: on the
+// store the transaction started from it reproduces the store the
+// transaction committed, row order included. Each change is its record's
+// undo with the roles swapped, so a removed row that is not in its table as
+// logged fails the redo with ErrBeforeImage. A failed redo may leave part
+// of the list applied.
+func (s *Store) Redo(changes []TableChange) error {
+	for _, c := range changes {
+		t := s.Table(c.Table)
+		if t == nil {
+			return fmt.Errorf("relational: redo: no table %s", c.Table)
+		}
+		if err := t.replace(c.Removed, c.Added); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// replace swaps the rows from for the rows to: with from empty it inserts
+// to, with to empty it deletes from, and otherwise it replaces each from[i]
+// with to[i] in place. A row of from is found by primary key, or by contents
+// in a table without one, and must equal its image there; a row that is
+// missing or differs fails with ErrBeforeImage after the rows that were
+// found have been replaced.
+func (t *Table) replace(from, to []Row) error {
 	name := t.schema.Name
-	switch {
-	case len(rec.removed) == 0:
-		// Insert: take the one added row out again, by primary key where
-		// there is one and by full contents otherwise.
-		r := rec.added[0]
-		var n int
-		if t.pk >= 0 {
-			n = t.DeleteKeys([]Value{r[t.pk]}, nil)
-		} else {
-			key, done := r.Key(), false
-			n = t.DeleteWhere(func(row Row) bool {
-				if done || row.Key() != key {
-					return false
-				}
-				done = true
-				return true
-			})
-		}
-		if n == 0 {
-			return fmt.Errorf("relational: table %s: undo insert: row vanished", name)
-		}
-	case len(rec.added) == 0:
-		for _, r := range rec.removed {
+	if len(from) == 0 {
+		for _, r := range to {
 			if err := t.Insert(r); err != nil {
-				return fmt.Errorf("relational: table %s: undo delete: %w", name, err)
+				return err
 			}
 		}
-	default:
-		// Update: put each original back in its rewrite's place, found by
-		// primary key where there is one and by contents otherwise
-		// (multiset-correct without a key).
-		var n int
-		var err error
-		if t.pk >= 0 {
-			keys := make([]Value, len(rec.added))
-			orig := make(map[Value]Row, len(rec.added))
-			for i, nr := range rec.added {
-				keys[i] = nr[t.pk]
-				orig[keys[i]] = rec.removed[i]
-			}
-			n, err = t.UpdateKeys(keys, nil, func(r Row) Row { return orig[r[t.pk]] })
-		} else {
-			remaining := map[string][]Row{}
-			for i, nr := range rec.added {
-				k := nr.Key()
-				remaining[k] = append(remaining[k], rec.removed[i])
-			}
-			n, err = t.UpdateWhere(
-				func(r Row) bool { return len(remaining[r.Key()]) > 0 },
-				func(r Row) Row {
-					k := r.Key()
-					rs := remaining[k]
-					remaining[k] = rs[1:]
-					return rs[0]
-				},
-			)
+		return nil
+	}
+	if len(to) > 0 && len(to) != len(from) {
+		return fmt.Errorf("relational: table %s: %d rows to replace %d", name, len(to), len(from))
+	}
+	keyed := t.pk >= 0
+	id := func(r Row) any {
+		if keyed {
+			return r[t.pk]
 		}
+		return r.Key()
+	}
+	// want holds, per identity, the positions in from not yet found; found
+	// those found and not yet rewritten (equal rows of an unkeyed table are
+	// interchangeable, so first come, first served).
+	want, found := make(map[any][]int, len(from)), make(map[any][]int, len(from))
+	var keys []Value
+	for i, r := range from {
+		if len(r) != len(t.schema.Columns) {
+			return fmt.Errorf("relational: table %s: row of %d columns, want %d", name, len(r), len(t.schema.Columns))
+		}
+		want[id(r)] = append(want[id(r)], i)
+		if keyed {
+			keys = append(keys, r[t.pk])
+		}
+	}
+	pred := func(r Row) bool {
+		k := id(r)
+		is := want[k]
+		if len(is) == 0 || !slices.Equal(r, from[is[0]]) {
+			return false
+		}
+		want[k], found[k] = is[1:], append(found[k], is[0])
+		return true
+	}
+	n := 0
+	if len(to) == 0 {
+		n = len(t.delete(keys, keyed, pred))
+	} else {
+		olds, _, err := t.update(keys, keyed, pred, func(r Row) Row {
+			k := id(r)
+			i := found[k][0]
+			found[k] = found[k][1:]
+			return to[i]
+		})
 		if err != nil {
-			return fmt.Errorf("relational: table %s: undo update: %w", name, err)
+			return err
 		}
-		if n != len(rec.removed) {
-			return fmt.Errorf("relational: table %s: undo update: restored %d of %d rows", name, n, len(rec.removed))
-		}
+		n = len(olds)
+	}
+	if n != len(from) {
+		return fmt.Errorf("%w: table %s: %d of %d rows found", ErrBeforeImage, name, n, len(from))
 	}
 	return nil
 }

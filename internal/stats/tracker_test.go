@@ -77,7 +77,7 @@ func trackerCases() []trackerCase {
 // flakyLog is a commit log that refuses batches on demand.
 type flakyLog struct{ fail bool }
 
-func (l *flakyLog) Commit([]sqlast.DMLStmt) error {
+func (l *flakyLog) Commit([]relational.TableChange) error {
 	if l.fail {
 		return errors.New("log device full")
 	}

@@ -4,40 +4,25 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"xmlsql/internal/integrity"
 	"xmlsql/internal/relational"
-	"xmlsql/internal/schema"
-	"xmlsql/internal/sqlast"
 )
 
-// The log's unit of durability is one committed DML batch, encoded as the
-// planned statements themselves (redo logging at the statement level): the
-// statements are deterministic — literal values only, no bind parameters,
-// no nondeterministic functions — so re-interpreting them through
-// backend.ApplyStmt reproduces the exact post-batch store. Encoding the
-// statements rather than row images keeps records small (an insert of a
-// subtree is a handful of literals, not every derived column) and lets
-// recovery derive the integrity footprint for the verified-replay audit
-// straight from the record.
-
-// Statement tags.
-const (
-	stmtInsert byte = 1
-	stmtDelete byte = 2
-	stmtUpdate byte = 3
-)
-
-// Expression tags.
-const (
-	exprNil byte = iota
-	exprColRef
-	exprLit
-	exprCmp
-	exprIn
-	exprIsNull
-	exprAnd
-	exprOr
-)
+// A log record's body is the committed transaction's change list in apply
+// order (relational.StoreTx.Log): physical redo with before-images. Each
+// change names its table and carries every row the mutation removed and
+// every row it added, each as its full list of values — an insert adds one
+// row, a delete removes rows, an update replaces removed[i] with added[i] in
+// place:
+//
+//	body   = uvarint(#changes) change*
+//	change = str(table) uvarint(width) rows(removed) rows(added)
+//	rows   = uvarint(#rows) value*    (#rows × width values)
+//
+// Replay hands the list to relational.Store.Redo, so recovery interprets no
+// SQL; the removed rows let it check that the store is where the log says
+// it was, and the rows' id columns are the batch's exact integrity
+// footprint. The value, string and varint primitives are shared with the
+// snapshot codec.
 
 // Value tags.
 const (
@@ -78,102 +63,29 @@ func (e *encoder) value(v relational.Value) {
 	}
 }
 
-func (e *encoder) expr(x sqlast.Expr) error {
-	switch v := x.(type) {
-	case nil:
-		e.byte(exprNil)
-	case sqlast.ColRef:
-		e.byte(exprColRef)
-		e.str(v.Table)
-		e.str(v.Column)
-	case sqlast.Lit:
-		e.byte(exprLit)
-		e.value(v.Value)
-	case sqlast.Cmp:
-		e.byte(exprCmp)
-		e.byte(byte(v.Op))
-		if err := e.expr(v.Left); err != nil {
-			return err
-		}
-		return e.expr(v.Right)
-	case sqlast.In:
-		e.byte(exprIn)
-		if err := e.expr(v.Left); err != nil {
-			return err
-		}
-		e.uvarint(uint64(len(v.List)))
-		for _, l := range v.List {
-			e.value(l.Value)
-		}
-	case sqlast.IsNull:
-		e.byte(exprIsNull)
-		return e.expr(v.Left)
-	case sqlast.And:
-		e.byte(exprAnd)
-		e.uvarint(uint64(len(v.Kids)))
-		for _, k := range v.Kids {
-			if err := e.expr(k); err != nil {
-				return err
-			}
-		}
-	case sqlast.Or:
-		e.byte(exprOr)
-		e.uvarint(uint64(len(v.Kids)))
-		for _, k := range v.Kids {
-			if err := e.expr(k); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("wal: unsupported DML expression %T", x)
-	}
-	return nil
-}
-
-// EncodeBatch serializes a DML batch into a log record body.
-func EncodeBatch(stmts []sqlast.DMLStmt) ([]byte, error) {
+// encodeChanges serializes a change list into a log record body.
+func encodeChanges(changes []relational.TableChange) []byte {
 	var e encoder
-	e.uvarint(uint64(len(stmts)))
-	for _, s := range stmts {
-		switch v := s.(type) {
-		case *sqlast.InsertStmt:
-			e.byte(stmtInsert)
-			e.str(v.Table)
-			e.uvarint(uint64(len(v.Columns)))
-			for _, c := range v.Columns {
-				e.str(c)
-			}
-			e.uvarint(uint64(len(v.Rows)))
-			for _, row := range v.Rows {
-				if len(row) != len(v.Columns) {
-					return nil, fmt.Errorf("wal: insert into %s: %d values for %d columns", v.Table, len(row), len(v.Columns))
-				}
-				for _, l := range row {
-					e.value(l.Value)
+	e.uvarint(uint64(len(changes)))
+	for _, c := range changes {
+		e.str(c.Table)
+		width := 0
+		if len(c.Removed) > 0 {
+			width = len(c.Removed[0])
+		} else if len(c.Added) > 0 {
+			width = len(c.Added[0])
+		}
+		e.uvarint(uint64(width))
+		for _, rows := range [][]relational.Row{c.Removed, c.Added} {
+			e.uvarint(uint64(len(rows)))
+			for _, r := range rows {
+				for _, v := range r {
+					e.value(v)
 				}
 			}
-		case *sqlast.DeleteStmt:
-			e.byte(stmtDelete)
-			e.str(v.Table)
-			if err := e.expr(v.Where); err != nil {
-				return nil, err
-			}
-		case *sqlast.UpdateStmt:
-			e.byte(stmtUpdate)
-			e.str(v.Table)
-			e.uvarint(uint64(len(v.Set)))
-			for _, a := range v.Set {
-				e.str(a.Column)
-				e.value(a.Value.Value)
-			}
-			if err := e.expr(v.Where); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("wal: unsupported DML statement %T", s)
 		}
 	}
-	return e.b, nil
+	return e.b
 }
 
 type decoder struct {
@@ -262,85 +174,32 @@ func (d *decoder) value() relational.Value {
 	}
 }
 
-func (d *decoder) expr(depth int) sqlast.Expr {
-	if depth > 64 {
-		d.fail("expression nesting too deep")
-		return nil
+// rows reads a row list of the given width. Both counts are bounded by the
+// bytes remaining, and a row is allocated only once the previous one
+// decoded, so a record cannot claim more than about twice its length in
+// values.
+func (d *decoder) rows(width int) []relational.Row {
+	var rows []relational.Row
+	for n := d.count(); n > 0 && d.err == nil; n-- {
+		r := make(relational.Row, width)
+		for i := range r {
+			r[i] = d.value()
+		}
+		rows = append(rows, r)
 	}
-	switch t := d.byte(); t {
-	case exprNil:
-		return nil
-	case exprColRef:
-		return sqlast.ColRef{Table: d.str(), Column: d.str()}
-	case exprLit:
-		return sqlast.Lit{Value: d.value()}
-	case exprCmp:
-		op := sqlast.CmpOp(d.byte())
-		return sqlast.Cmp{Op: op, Left: d.expr(depth + 1), Right: d.expr(depth + 1)}
-	case exprIn:
-		in := sqlast.In{Left: d.expr(depth + 1)}
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			in.List = append(in.List, sqlast.Lit{Value: d.value()})
-		}
-		return in
-	case exprIsNull:
-		return sqlast.IsNull{Left: d.expr(depth + 1)}
-	case exprAnd:
-		a := sqlast.And{}
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			a.Kids = append(a.Kids, d.expr(depth+1))
-		}
-		return a
-	case exprOr:
-		o := sqlast.Or{}
-		n := d.count()
-		for i := 0; i < n && d.err == nil; i++ {
-			o.Kids = append(o.Kids, d.expr(depth+1))
-		}
-		return o
-	default:
-		d.fail("unknown expression tag %d", t)
-		return nil
-	}
+	return rows
 }
 
-// DecodeBatch parses a log record body back into the DML batch it encodes.
-func DecodeBatch(buf []byte) ([]sqlast.DMLStmt, error) {
+// decodeChanges parses a log record body back into its change list.
+func decodeChanges(buf []byte) ([]relational.TableChange, error) {
 	d := &decoder{buf: buf}
-	n := d.count()
-	stmts := make([]sqlast.DMLStmt, 0, n)
-	for i := 0; i < n && d.err == nil; i++ {
-		switch t := d.byte(); t {
-		case stmtInsert:
-			s := &sqlast.InsertStmt{Table: d.str()}
-			nc := d.count()
-			for j := 0; j < nc && d.err == nil; j++ {
-				s.Columns = append(s.Columns, d.str())
-			}
-			nr := d.count()
-			for j := 0; j < nr && d.err == nil; j++ {
-				row := make([]sqlast.Lit, 0, nc)
-				for k := 0; k < nc && d.err == nil; k++ {
-					row = append(row, sqlast.Lit{Value: d.value()})
-				}
-				s.Rows = append(s.Rows, row)
-			}
-			stmts = append(stmts, s)
-		case stmtDelete:
-			stmts = append(stmts, &sqlast.DeleteStmt{Table: d.str(), Where: d.expr(0)})
-		case stmtUpdate:
-			s := &sqlast.UpdateStmt{Table: d.str()}
-			ns := d.count()
-			for j := 0; j < ns && d.err == nil; j++ {
-				s.Set = append(s.Set, sqlast.Assign{Column: d.str(), Value: sqlast.Lit{Value: d.value()}})
-			}
-			s.Where = d.expr(0)
-			stmts = append(stmts, s)
-		default:
-			d.fail("unknown statement tag %d", t)
-		}
+	var changes []relational.TableChange
+	for n := d.count(); n > 0 && d.err == nil; n-- {
+		c := relational.TableChange{Table: d.str(), Mutations: 1}
+		width := d.count()
+		c.Removed = d.rows(width)
+		c.Added = d.rows(width)
+		changes = append(changes, c)
 	}
 	if d.err != nil {
 		return nil, d.err
@@ -348,78 +207,5 @@ func DecodeBatch(buf []byte) ([]sqlast.DMLStmt, error) {
 	if d.off != len(d.buf) {
 		return nil, fmt.Errorf("wal: decode: %d trailing bytes", len(d.buf)-d.off)
 	}
-	return stmts, nil
-}
-
-// TouchedFromStmts derives a batch's integrity footprint from the statements
-// alone, so recovery can audit exactly the replayed neighborhoods without
-// having recorded row-level effects. The result may be a superset of the
-// rows actually affected (a delete scoped to an id that matched nothing
-// still reports that id) — auditing extra neighborhoods is sound, it only
-// widens the checked region. The second result is false when some
-// statement's footprint cannot be extracted (an id-less insert, a predicate
-// not anchored on the id column); callers must then fall back to a full
-// audit instead of trusting a partial footprint.
-func TouchedFromStmts(stmts []sqlast.DMLStmt) (integrity.Touched, bool) {
-	var t integrity.Touched
-	complete := true
-	type entry struct {
-		ref     integrity.TupleRef
-		deleted bool
-	}
-	seen := map[entry]bool{}
-	add := func(rel string, id int64, deleted bool) {
-		e := entry{integrity.TupleRef{Rel: rel, ID: id}, deleted}
-		switch {
-		case seen[e]:
-		case deleted:
-			t.Deleted = append(t.Deleted, e.ref)
-		default:
-			t.Written = append(t.Written, e.ref)
-		}
-		seen[e] = true
-	}
-	// addWhere adds the ids a WHERE can match: a superset of the affected
-	// rows (sqlast.KeysFromWhere), the safe direction for auditing.
-	addWhere := func(rel string, where sqlast.Expr, deleted bool) {
-		keys, ok := sqlast.KeysFromWhere(where, schema.IDColumn)
-		complete = complete && ok
-		for _, k := range keys {
-			if k.Kind() != relational.KindInt {
-				complete = false
-				continue
-			}
-			add(rel, k.AsInt(), deleted)
-		}
-	}
-	for _, s := range stmts {
-		switch v := s.(type) {
-		case *sqlast.InsertStmt:
-			ci := -1
-			for i, c := range v.Columns {
-				if c == schema.IDColumn {
-					ci = i
-					break
-				}
-			}
-			if ci < 0 {
-				complete = false
-				continue
-			}
-			for _, row := range v.Rows {
-				if ci < len(row) && row[ci].Value.Kind() == relational.KindInt {
-					add(v.Table, row[ci].Value.AsInt(), false)
-				} else {
-					complete = false
-				}
-			}
-		case *sqlast.DeleteStmt:
-			addWhere(v.Table, v.Where, true)
-		case *sqlast.UpdateStmt:
-			addWhere(v.Table, v.Where, false)
-		default:
-			complete = false
-		}
-	}
-	return t, complete
+	return changes, nil
 }

@@ -9,11 +9,9 @@ import (
 	"strings"
 	"time"
 
-	"xmlsql/internal/backend"
 	"xmlsql/internal/integrity"
 	"xmlsql/internal/relational"
 	"xmlsql/internal/schema"
-	"xmlsql/internal/sqlast"
 )
 
 // RecoveryInfo describes what Open found and did. The caller uses it to
@@ -40,13 +38,14 @@ type RecoveryInfo struct {
 	// which was physically truncated away. Everything before it replayed
 	// normally; the batch it belonged to was never acknowledged.
 	TruncatedTail bool
-	// Touched is the combined integrity footprint of the replayed batches
-	// (later batches win: a tuple re-written after a delete counts as
-	// written). Meaningful only when TouchedComplete.
+	// Touched is the combined integrity footprint of the replayed batches:
+	// the ids of the rows they removed and added (later changes win: a
+	// tuple re-written after a delete counts as written). It is exact, not
+	// a superset. Meaningful only when TouchedComplete.
 	Touched integrity.Touched
-	// TouchedComplete reports whether every replayed statement's footprint
-	// could be derived from its record; when false the caller must fall
-	// back to a full audit.
+	// TouchedComplete reports whether every replayed row had an integer id
+	// column to name its tuple by. No mapping derives a table without one;
+	// when false the caller must fall back to a full audit.
 	TouchedComplete bool
 	// Elapsed is the wall time recovery took (snapshot load + replay).
 	Elapsed time.Duration
@@ -58,9 +57,11 @@ type RecoveryInfo struct {
 // corrupt tail at the first bad checksum, rebuilds the join indexes, and
 // opens the tail segment for appending.
 //
-// Replay re-interprets each record's DML batch through backend.ApplyStmt —
-// the same interpreter the live commit path uses — so a replayed store is
-// bit-for-bit the store the original commits produced.
+// Replay redoes each record's change list (relational.Store.Redo), so a
+// replayed store is the store the original commits produced, row order
+// included; a removed row that differs from its logged before-image fails
+// Open. A record that passes its checksum but is of another kind, or does
+// not decode, fails Open with ErrLogFormat before anything on disk changes.
 func Open(dir string, opts Options) (*Manager, *RecoveryInfo, error) {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -71,13 +72,14 @@ func Open(dir string, opts Options) (*Manager, *RecoveryInfo, error) {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
 	var snaps, segs []uint64
+	var debris []string
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, ".tmp") {
 			// A temp file is always debris: either a torn snapshot write or
 			// a complete one that missed its rename — in both cases the log
-			// still covers its contents.
-			os.Remove(filepath.Join(dir, name))
+			// still covers its contents. It goes once replay succeeded.
+			debris = append(debris, name)
 			continue
 		}
 		if lsn, ok := parseSnapshotName(name); ok {
@@ -125,6 +127,9 @@ func Open(dir string, opts Options) (*Manager, *RecoveryInfo, error) {
 			break
 		}
 	}
+	for _, name := range debris {
+		os.Remove(filepath.Join(dir, name))
+	}
 	info.LastSeq = lastSeq
 	info.Touched = foot.touched()
 	if err := store.BuildJoinIndexes(schema.ParentIDColumn); err != nil {
@@ -164,7 +169,9 @@ func Open(dir string, opts Options) (*Manager, *RecoveryInfo, error) {
 // truncated=true. A sequence gap or regression (beyond snapshot-covered
 // records) is treated the same way: the log is append-only, so a broken
 // chain can only be a damaged tail, and the records beyond it belong to
-// batches whose acknowledgement never became durable.
+// batches whose acknowledgement never became durable. A record whose
+// checksum holds but whose kind or body this version does not read is no
+// tail: it fails with ErrLogFormat and the file stays as it is.
 func replaySegment(path string, store *relational.Store, snapLSN, lastSeq uint64, foot *footprint, info *RecoveryInfo) (bool, uint64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -197,21 +204,21 @@ func replaySegment(path string, store *relational.Store, snapLSN, lastSeq uint64
 			off += recordHeaderLen + n
 			continue
 		}
-		if seq != lastSeq+1 || kind != KindDML {
+		if kind != KindChanges {
+			return false, lastSeq, fmt.Errorf("%w: %s record %d is of kind %d", ErrLogFormat, path, seq, kind)
+		}
+		if seq != lastSeq+1 {
 			truncateAt = off
 			break
 		}
-		stmts, err := DecodeBatch(body)
+		changes, err := decodeChanges(body)
 		if err != nil {
-			// The checksum held but the body does not parse: record-level
-			// corruption beyond what a torn write produces. Same remedy.
-			truncateAt = off
-			break
+			return false, lastSeq, fmt.Errorf("%w: %s record %d: %v", ErrLogFormat, path, seq, err)
 		}
-		if err := applyBatch(store, stmts); err != nil {
+		if err := store.Redo(changes); err != nil {
 			return false, lastSeq, fmt.Errorf("wal: replay %s record %d: %w", path, seq, err)
 		}
-		foot.add(stmts, info)
+		foot.add(store, changes, info)
 		lastSeq = seq
 		info.ReplayedBatches++
 		off += recordHeaderLen + n
@@ -225,56 +232,37 @@ func replaySegment(path string, store *relational.Store, snapLSN, lastSeq uint64
 	return false, lastSeq, nil
 }
 
-func applyBatch(store *relational.Store, stmts []sqlast.DMLStmt) error {
-	tx := store.Begin()
-	for _, stmt := range stmts {
-		if _, err := backend.ApplyStmt(tx, store, stmt); err != nil {
-			tx.Rollback()
-			return err
-		}
-	}
-	tx.Commit()
-	return nil
-}
-
-// footprint folds per-batch integrity footprints in replay order: a tuple
-// deleted then re-written is written; written then deleted is deleted.
+// footprint folds the ids of the replayed rows in apply order: the last
+// change to name a tuple decides whether it counts as written (added) or
+// deleted (removed), so an update, which removes and re-adds its row, is a
+// write, and a tuple inserted and deleted again is a delete.
 type footprint struct {
 	written map[integrity.TupleRef]bool
-	deleted map[integrity.TupleRef]bool
 	order   []integrity.TupleRef
-	seen    map[integrity.TupleRef]bool
 }
 
 func newFootprint() *footprint {
-	return &footprint{
-		written: map[integrity.TupleRef]bool{},
-		deleted: map[integrity.TupleRef]bool{},
-		seen:    map[integrity.TupleRef]bool{},
-	}
+	return &footprint{written: map[integrity.TupleRef]bool{}}
 }
 
-func (f *footprint) add(stmts []sqlast.DMLStmt, info *RecoveryInfo) {
-	t, complete := TouchedFromStmts(stmts)
-	if !complete {
-		info.TouchedComplete = false
-	}
-	for _, r := range t.Written {
-		f.written[r] = true
-		delete(f.deleted, r)
-		f.note(r)
-	}
-	for _, r := range t.Deleted {
-		f.deleted[r] = true
-		delete(f.written, r)
-		f.note(r)
-	}
-}
-
-func (f *footprint) note(r integrity.TupleRef) {
-	if !f.seen[r] {
-		f.seen[r] = true
-		f.order = append(f.order, r)
+func (f *footprint) add(store *relational.Store, changes []relational.TableChange, info *RecoveryInfo) {
+	for _, c := range changes {
+		ci := store.Table(c.Table).Schema().ColumnIndex(schema.IDColumn)
+		mark := func(rows []relational.Row, written bool) {
+			for _, r := range rows {
+				if ci < 0 || r[ci].Kind() != relational.KindInt {
+					info.TouchedComplete = false
+					continue
+				}
+				ref := integrity.TupleRef{Rel: c.Table, ID: r[ci].AsInt()}
+				if _, seen := f.written[ref]; !seen {
+					f.order = append(f.order, ref)
+				}
+				f.written[ref] = written
+			}
+		}
+		mark(c.Removed, false)
+		mark(c.Added, true)
 	}
 }
 
@@ -283,7 +271,7 @@ func (f *footprint) touched() integrity.Touched {
 	for _, r := range f.order {
 		if f.written[r] {
 			t.Written = append(t.Written, r)
-		} else if f.deleted[r] {
+		} else {
 			t.Deleted = append(t.Deleted, r)
 		}
 	}

@@ -1,15 +1,23 @@
 // Package wal gives a tenant's in-memory store durability: a checksummed,
-// length-prefixed write-ahead log of committed DML batches plus periodic
+// length-prefixed write-ahead log of committed batches plus periodic
 // full-store snapshots, with crash recovery that replays the snapshot's
 // suffix and truncates a torn tail at the first bad checksum.
 //
+// A record is physical redo: the batch's change list as the store's
+// transaction recorded it, every removed row with its before-image and
+// every added row whole (see codec.go). Replay redoes each list
+// (relational.Store.Redo) without interpreting SQL and fails if a removed
+// row is not where the log says it was. A record of any other kind, or one
+// whose body does not decode, is refused with ErrLogFormat and the
+// directory is left as it was; only a torn or corrupt tail is truncated.
+//
 // What makes this WAL different from a generic one is the acceptance test
 // recovery gets for free from the paper's lossless-from-XML constraint:
-// after replay, the P1–P3 neighborhoods of every replayed tuple can be
-// audited (integrity.AuditIncremental over the footprint the records
-// themselves carry), so a recovered tenant is only marked Verified when the
-// replayed instance still embeds a well-formed document — a dirty replay
-// demotes to safe mode instead of serving wrong answers.
+// after replay, the P1–P3 neighborhoods of every replayed tuple are audited
+// (integrity.AuditIncremental over the ids of the rows the records carry),
+// so a recovered tenant is only marked Verified when the replayed instance
+// still embeds a well-formed document — a dirty replay demotes to safe mode
+// instead of serving wrong answers.
 //
 // Layout of a data directory:
 //
@@ -35,7 +43,6 @@ import (
 	"time"
 
 	"xmlsql/internal/relational"
-	"xmlsql/internal/sqlast"
 )
 
 // Sentinel errors.
@@ -49,12 +56,16 @@ var (
 	// ErrNoSnapshot is returned by Commit before Bootstrap/Checkpoint has
 	// established the base snapshot replay starts from.
 	ErrNoSnapshot = errors.New("wal: no base snapshot; run Checkpoint after the initial load")
+	// ErrLogFormat is returned by Open for a record whose checksum holds
+	// but whose kind is unknown or retired, or whose body does not decode:
+	// a log this version does not read. Open changes nothing on disk then.
+	ErrLogFormat = errors.New("wal: log record in a format this version does not read")
 )
 
-// Record kinds.
+// Record kinds. Kind 1, a batch logged as its DML statements, is retired.
 const (
-	// KindDML marks a committed DML batch record.
-	KindDML byte = 1
+	// KindChanges marks a committed batch's change list.
+	KindChanges byte = 2
 )
 
 const (
@@ -303,20 +314,18 @@ func readU64(b []byte) uint64 {
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
-// Commit logs one applied DML batch and, under the default sync policy,
-// returns only once the record is fsynced — the caller acknowledges the
-// batch to its client only after this returns nil. On error the caller must
-// roll the batch back: the record is either absent or torn (recovery
-// truncates it), so failing the batch keeps log and store agreeing.
+// Commit logs one applied batch's change list (relational.StoreTx.Log)
+// and, under the default sync policy, returns only once the record is
+// fsynced — the caller acknowledges the batch to its client only after this
+// returns nil. On error the caller must roll the batch back: the record is
+// either absent or torn (recovery truncates it), so failing the batch keeps
+// log and store agreeing.
 //
 // Commit also triggers an automatic snapshot every Options.SnapshotEvery
 // records; it runs under the same lock, so the snapshot always captures a
 // batch boundary.
-func (m *Manager) Commit(stmts []sqlast.DMLStmt) error {
-	body, err := EncodeBatch(stmts)
-	if err != nil {
-		return err
-	}
+func (m *Manager) Commit(changes []relational.TableChange) error {
+	body := encodeChanges(changes)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.usableLocked(); err != nil {
@@ -325,7 +334,7 @@ func (m *Manager) Commit(stmts []sqlast.DMLStmt) error {
 	if !m.hasSnap {
 		return ErrNoSnapshot
 	}
-	rec := frameRecord(m.nextSeq, KindDML, body)
+	rec := frameRecord(m.nextSeq, KindChanges, body)
 	if m.crash(CrashLostUnsynced) {
 		return m.poisonLocked()
 	}

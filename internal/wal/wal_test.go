@@ -2,10 +2,13 @@ package wal_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -103,85 +106,76 @@ func auditClean(t *testing.T, s *schema.Schema, store *relational.Store, touched
 	}
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	id := sqlast.ColRef{Table: "Item", Column: schema.IDColumn}
-	batches := [][]sqlast.DMLStmt{
-		{&sqlast.InsertStmt{
-			Table:   "Item",
-			Columns: []string{"id", "parentid", "name"},
-			Rows: [][]sqlast.Lit{
-				{sqlast.IntLit(1), sqlast.IntLit(0), {Value: relational.String("x")}},
-				{sqlast.IntLit(2), {Value: relational.Null}, {Value: relational.String("")}},
-			},
-		}},
-		{&sqlast.DeleteStmt{Table: "Item", Where: sqlast.Eq(id, sqlast.IntLit(5))}},
-		{&sqlast.DeleteStmt{Table: "Item", Where: sqlast.In{Left: id, List: []sqlast.Lit{sqlast.IntLit(1), sqlast.IntLit(9)}}}},
-		{&sqlast.UpdateStmt{
-			Table: "Item",
-			Set:   []sqlast.Assign{{Column: "name", Value: sqlast.Lit{Value: relational.String("y'z")}}},
-			Where: sqlast.And{Kids: []sqlast.Expr{
-				sqlast.Eq(id, sqlast.IntLit(3)),
-				sqlast.Or{Kids: []sqlast.Expr{
-					sqlast.IsNull{Left: sqlast.ColRef{Table: "Item", Column: "name"}},
-					sqlast.Cmp{Op: sqlast.OpNe, Left: sqlast.ColRef{Column: "name"}, Right: sqlast.Lit{Value: relational.String("q")}},
-				}},
-			}},
-		}},
-		{&sqlast.DeleteStmt{Table: "Item", Where: nil}},
-		{},
+// TestReplayFootprintExact pins that the replay footprint is the ids of the
+// rows the batches really removed and added: a delete naming an id that
+// matches nothing and an update whose predicate fails leave no trace, and
+// only a table without an integer id column makes it incomplete.
+func TestReplayFootprintExact(t *testing.T) {
+	dir := t.TempDir()
+	mgr, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, stmts := range batches {
-		body, err := wal.EncodeBatch(stmts)
-		if err != nil {
-			t.Fatalf("batch %d: encode: %v", i, err)
-		}
-		got, err := wal.DecodeBatch(body)
-		if err != nil {
-			t.Fatalf("batch %d: decode: %v", i, err)
-		}
-		if len(got) != len(stmts) {
-			t.Fatalf("batch %d: %d stmts, want %d", i, len(got), len(stmts))
-		}
-		for j := range stmts {
-			if sqlast.DMLString(got[j]) != sqlast.DMLString(stmts[j]) {
-				t.Errorf("batch %d stmt %d:\n got %s\nwant %s", i, j, sqlast.DMLString(got[j]), sqlast.DMLString(stmts[j]))
-			}
+	store := mgr.Store()
+	for _, ts := range []*relational.TableSchema{
+		{Name: "Item", PrimaryKey: "id", Columns: []relational.Column{{Name: "id", Kind: relational.KindInt}, {Name: "name", Kind: relational.KindString}}},
+		{Name: "InCat", PrimaryKey: "id", Columns: []relational.Column{{Name: "id", Kind: relational.KindInt}}},
+		{Name: "Loose", Columns: []relational.Column{{Name: "name", Kind: relational.KindString}}},
+	} {
+		if _, err := store.CreateTable(ts); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, err := wal.DecodeBatch([]byte{0x02, 0x01}); err == nil {
-		t.Fatal("decode of truncated body succeeded")
+	store.Table("Item").MustInsert(relational.Row{relational.Int(7), relational.Null})
+	store.Table("Item").MustInsert(relational.Row{relational.Int(8), relational.String("b")})
+	for id := int64(3); id <= 5; id++ {
+		store.Table("InCat").MustInsert(relational.Row{relational.Int(id)})
 	}
-}
-
-func TestTouchedFromStmts(t *testing.T) {
-	id := sqlast.ColRef{Table: "Item", Column: schema.IDColumn}
-	touched, ok := wal.TouchedFromStmts([]sqlast.DMLStmt{
+	if err := mgr.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mem := backend.NewMemOn(store)
+	mem.SetCommitLog(mgr)
+	id := sqlast.ColRef{Column: schema.IDColumn}
+	nameIsNull := sqlast.IsNull{Left: sqlast.ColRef{Column: "name"}}
+	setName := []sqlast.Assign{{Column: "name", Value: sqlast.Lit{Value: relational.String("x")}}}
+	if err := mem.ApplyDML(context.Background(), []sqlast.DMLStmt{
 		&sqlast.InsertStmt{Table: "Item", Columns: []string{"id", "name"},
 			Rows: [][]sqlast.Lit{{sqlast.IntLit(10), {Value: relational.String("a")}}}},
-		&sqlast.DeleteStmt{Table: "InCat", Where: sqlast.In{Left: sqlast.ColRef{Column: schema.IDColumn}, List: []sqlast.Lit{sqlast.IntLit(3), sqlast.IntLit(4)}}},
-		&sqlast.UpdateStmt{Table: "Item", Set: []sqlast.Assign{{Column: "name", Value: sqlast.Lit{Value: relational.String("b")}}},
-			Where: sqlast.And{Kids: []sqlast.Expr{sqlast.Eq(id, sqlast.IntLit(7)), sqlast.IsNull{Left: sqlast.ColRef{Column: "name"}}}}},
-	})
-	if !ok {
-		t.Fatal("footprint reported incomplete")
-	}
-	if len(touched.Written) != 2 || len(touched.Deleted) != 2 {
-		t.Fatalf("touched = %+v, want 2 written + 2 deleted", touched)
+		&sqlast.DeleteStmt{Table: "InCat", Where: sqlast.In{Left: id, List: []sqlast.Lit{sqlast.IntLit(3), sqlast.IntLit(4), sqlast.IntLit(99)}}},
+		&sqlast.UpdateStmt{Table: "Item", Set: setName, Where: sqlast.And{Kids: []sqlast.Expr{sqlast.Eq(id, sqlast.IntLit(7)), nameIsNull}}},
+		&sqlast.UpdateStmt{Table: "Item", Set: setName, Where: sqlast.And{Kids: []sqlast.Expr{sqlast.Eq(id, sqlast.IntLit(8)), nameIsNull}}},
+	}); err != nil {
+		t.Fatal(err)
 	}
 
-	// An insert without the id column cannot contribute a footprint.
-	_, ok = wal.TouchedFromStmts([]sqlast.DMLStmt{
-		&sqlast.InsertStmt{Table: "Item", Columns: []string{"name"}, Rows: [][]sqlast.Lit{{{Value: relational.String("x")}}}},
-	})
-	if ok {
-		t.Fatal("id-less insert reported complete")
+	mgr2, info, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A predicate not anchored on id either.
-	_, ok = wal.TouchedFromStmts([]sqlast.DMLStmt{
-		&sqlast.DeleteStmt{Table: "Item", Where: sqlast.Eq(sqlast.ColRef{Column: "name"}, sqlast.Lit{Value: relational.String("x")})},
-	})
-	if ok {
-		t.Fatal("name-scoped delete reported complete")
+	ref := func(rel string, id int64) integrity.TupleRef { return integrity.TupleRef{Rel: rel, ID: id} }
+	want := integrity.Touched{
+		Written: []integrity.TupleRef{ref("Item", 10), ref("Item", 7)},
+		Deleted: []integrity.TupleRef{ref("InCat", 3), ref("InCat", 4)},
+	}
+	if !info.TouchedComplete || !reflect.DeepEqual(info.Touched, want) {
+		t.Fatalf("footprint = %+v (complete %v), want %+v", info.Touched, info.TouchedComplete, want)
+	}
+
+	// Rows without an id name no tuple: the caller must audit in full.
+	mem2 := backend.NewMemOn(mgr2.Store())
+	mem2.SetCommitLog(mgr2)
+	if err := mem2.ApplyDML(context.Background(), []sqlast.DMLStmt{&sqlast.InsertStmt{Table: "Loose", Columns: []string{"name"},
+		Rows: [][]sqlast.Lit{{{Value: relational.String("z")}}}}}); err != nil {
+		t.Fatal(err)
+	}
+	mgr3, info, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr3.Close()
+	if info.TouchedComplete {
+		t.Fatal("footprint of an id-less insert reported complete")
 	}
 }
 
@@ -215,7 +209,7 @@ func TestCommitRequiresSnapshot(t *testing.T) {
 		t.Fatalf("wal.Open: %v", err)
 	}
 	defer mgr.Close()
-	err = mgr.Commit([]sqlast.DMLStmt{&sqlast.DeleteStmt{Table: "T"}})
+	err = mgr.Commit([]relational.TableChange{{Table: "T", Removed: []relational.Row{{relational.Int(1)}}}})
 	if !errors.Is(err, wal.ErrNoSnapshot) {
 		t.Fatalf("err = %v, want ErrNoSnapshot", err)
 	}
@@ -305,6 +299,152 @@ func TestTornTailTruncated(t *testing.T) {
 	if got := d3.mgr.Store().Dump(); got != want2 {
 		t.Fatal("second recovery differs")
 	}
+}
+
+// frame hand-builds a log record the way the log frames one: u32 length,
+// u32 CRC32C of the payload, then seq | kind | body.
+func frame(seq uint64, kind byte, body []byte) []byte {
+	payload := append(binary.LittleEndian.AppendUint64(nil, seq), kind)
+	payload = append(payload, body...)
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(rec, payload...)
+}
+
+// readDir returns every file of a directory with its contents.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = data
+	}
+	return files
+}
+
+// TestOpenRefusesForeignRecords pins that a record whose checksum holds but
+// which this version does not read is refused, not taken for a torn tail:
+// truncating it would drop an acknowledged batch. Open fails with
+// ErrLogFormat and leaves every file of the directory as it was, snapshot
+// debris included.
+func TestOpenRefusesForeignRecords(t *testing.T) {
+	cases := []struct {
+		name string
+		kind byte
+		body []byte
+	}{
+		// A retired statement-level record: DELETE FROM InCat, no WHERE.
+		{"retired-kind-1", 1, []byte{1, 2, 5, 'I', 'n', 'C', 'a', 't', 0}},
+		{"unknown-kind", 9, nil},
+		{"undecodable-body", wal.KindChanges, []byte{5}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := openDurable(t, dir, wal.Options{SnapshotEvery: -1})
+			apply(t, d.app, insertBatch(0))
+			seq := d.mgr.Stats().LastSeq + 1
+			if err := d.mgr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+			f, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Write(frame(seq, tc.kind, tc.body))
+			f.Close()
+			if err := os.WriteFile(filepath.Join(dir, "snap-debris.tmp"), []byte("torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := readDir(t, dir)
+
+			if _, _, err := wal.Open(dir, wal.Options{}); !errors.Is(err, wal.ErrLogFormat) {
+				t.Fatalf("Open error = %v, want ErrLogFormat", err)
+			}
+			if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatal("refused Open changed the data directory")
+			}
+		})
+	}
+}
+
+// TestReplayEveryMutationShape replays batches of every shape DML planning
+// emits — a delete, a replace, an insert that sets a column of existing
+// tuples (an UPDATE), and one batch that inserts tuples and deletes them
+// again — and requires the recovered store equal to the live one, row order
+// included, with a footprint of exactly the ids the batches touched.
+func TestReplayEveryMutationShape(t *testing.T) {
+	dir := t.TempDir()
+	d := openDurable(t, dir, wal.Options{SnapshotEvery: -1})
+	batches := []update.Batch{
+		{Muts: []update.Mutation{{Op: update.OpDelete, Path: "/Site/Regions/Asia/Item"}}},
+		{Muts: []update.Mutation{{Op: update.OpReplace, Path: "/Site/Regions/Africa/Item",
+			XML: "<Item><InCategory><Category>swapped</Category></InCategory></Item>"}}},
+		// The replacements have no name, so this insert sets the column.
+		{Muts: []update.Mutation{{Op: update.OpInsert, Path: "/Site/Regions/Africa/Item", XML: "<name>late</name>"}}},
+		{Muts: []update.Mutation{
+			{Op: update.OpInsert, Path: "/Site/Regions/Europe/Item", XML: "<InCategory><Category>doomed</Category></InCategory>"},
+			{Op: update.OpDelete, Path: "/Site/Regions/Europe/Item"},
+		}},
+	}
+	written := map[integrity.TupleRef]bool{} // the fold of the live footprints
+	for i, b := range batches {
+		res, err := d.app.Apply(context.Background(), b)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if i == 2 {
+			if _, ok := res.Statements[0].(*sqlast.UpdateStmt); !ok || len(res.Statements) != 3 {
+				t.Fatalf("value-setting insert planned %v, want 3 UPDATEs", res.Statements)
+			}
+		}
+		for _, r := range res.Touched.Deleted {
+			written[r] = false
+		}
+		for _, r := range res.Touched.Written {
+			written[r] = true
+		}
+	}
+	want := d.mgr.Store().Dump()
+	rows := map[string][]relational.Row{}
+	for _, name := range d.mgr.Store().TableNames() {
+		rows[name] = d.mgr.Store().Table(name).Rows()
+	}
+	// The process dies here, without Close.
+
+	d2 := openDurable(t, dir, wal.Options{})
+	defer d2.mgr.Close()
+	store := d2.mgr.Store()
+	if d2.info.ReplayedBatches != len(batches) || !d2.info.TouchedComplete {
+		t.Fatalf("replayed %d batches (footprint complete %v), want %d", d2.info.ReplayedBatches, d2.info.TouchedComplete, len(batches))
+	}
+	if store.Dump() != want {
+		t.Fatal("recovered store differs from pre-kill store")
+	}
+	for name, want := range rows {
+		if got := store.Table(name).Rows(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("table %s: recovered rows in another order", name)
+		}
+	}
+	got := map[integrity.TupleRef]bool{}
+	for _, r := range d2.info.Touched.Deleted {
+		got[r] = false
+	}
+	for _, r := range d2.info.Touched.Written {
+		got[r] = true
+	}
+	if len(got) != len(d2.info.Touched.Written)+len(d2.info.Touched.Deleted) || !reflect.DeepEqual(got, written) {
+		t.Fatalf("replay footprint %+v, want the batches' footprints %v", d2.info.Touched, written)
+	}
+	auditClean(t, d2.s, store, d2.info.Touched)
 }
 
 // TestCorruptSnapshotFallsBackToOlder corrupts the newest snapshot while an
