@@ -2,20 +2,19 @@ package xmlsql_test
 
 import (
 	"context"
-	"strings"
+	"sync"
 	"testing"
 
 	"xmlsql"
 	"xmlsql/internal/backend/fakedb"
-	"xmlsql/internal/relational"
 	"xmlsql/internal/workloads"
 )
 
-// TestPlannerAdaptiveDifferential checks that cost-based adaptive serving is
-// purely a performance decision: for every workload query plus fuzzed paths,
-// an adaptive Planner (mem and fakedb backends, Exec and Eval routes) returns
-// exactly the rows of the naive baseline translation and of a fixed-knob
-// Planner. Named TestPlanner* so CI's dedicated race run covers it.
+// TestPlannerAdaptiveDifferential checks that the plan rule is purely a
+// performance decision: for every workload query plus fuzzed paths, a
+// Planner configured Adaptive (mem and fakedb backends, Exec and Plan
+// routes) returns exactly the rows of the naive baseline translation and of
+// a default Planner. Named TestPlanner* so CI's dedicated race run covers it.
 func TestPlannerAdaptiveDifferential(t *testing.T) {
 	ctx := context.Background()
 	for _, w := range diffWorkloads(t) {
@@ -68,7 +67,11 @@ func TestPlannerAdaptiveDifferential(t *testing.T) {
 				if !want.MultisetEqual(got) {
 					t.Fatalf("%s: adaptive Exec differs from baseline:\n%s", qs, want.MultisetDiff(got))
 				}
-				gotEval, err := adaptive.EvalContext(ctx, store, qs)
+				tr, err := adaptive.Plan(qs)
+				if err != nil {
+					t.Fatalf("%s: adaptive Plan: %v", qs, err)
+				}
+				gotEval, err := xmlsql.Execute(ctx, store, tr.Query, xmlsql.ExecuteOptions{})
 				if err != nil {
 					t.Fatalf("%s: adaptive Eval: %v", qs, err)
 				}
@@ -98,131 +101,12 @@ func TestPlannerAdaptiveDifferential(t *testing.T) {
 			if tested < len(w.queries) {
 				t.Fatalf("only %d of %d fixed queries ran", tested, len(w.queries))
 			}
-			if got := adaptive.Stats().StatsCollects; got < 1 {
-				t.Fatalf("adaptive planner never collected statistics (StatsCollects = %d)", got)
-			}
 		})
 	}
 }
 
-// TestPlannerAdaptiveStaleness checks what a write that goes around the
-// backend costs: the mutated table is noticed by its version and rescanned
-// once (StatsCollects 1 -> 2), the snapshot fingerprint moves, the query's
-// cache entry survives (no re-translation), and the answer is correct on the
-// mutated data.
-func TestPlannerAdaptiveStaleness(t *testing.T) {
-	ctx := context.Background()
-	s := workloads.XMark()
-	doc := workloads.GenerateXMark(workloads.XMarkConfig{
-		ItemsPerContinent: 8, CategoriesPerItem: 2, NumCategories: 10, Seed: 11,
-	})
-	store := xmlsql.NewStore()
-	if _, err := xmlsql.Shred(s, store, doc); err != nil {
-		t.Fatal(err)
-	}
-	p := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{
-		Backend:   xmlsql.NewMemBackendOn(store),
-		Translate: xmlsql.TranslateOptions{Adaptive: true},
-	})
-	query := workloads.QueryQ1
-
-	ex1, err := p.Explain(ctx, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Exec(ctx, query); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Exec(ctx, query); err != nil {
-		t.Fatal(err)
-	}
-	st1 := p.Stats()
-	if st1.StatsCollects != 1 {
-		t.Fatalf("StatsCollects = %d after steady serving, want 1", st1.StatsCollects)
-	}
-	if st1.Hits == 0 {
-		t.Fatalf("repeated Exec never hit the plan cache: %+v", st1)
-	}
-
-	// Delete a slice of the data the query touches.
-	mutated := false
-	for _, name := range store.TableNames() {
-		tbl := store.Table(name)
-		if tbl.Len() < 2 || !tbl.Schema().HasColumn("id") {
-			continue
-		}
-		victim := tbl.Rows()[0][0]
-		if n := tbl.DeleteWhere(func(r relational.Row) bool { return r[0].Equal(victim) }); n > 0 {
-			mutated = true
-			break
-		}
-	}
-	if !mutated {
-		t.Fatal("no table to mutate")
-	}
-
-	ex2, err := p.Explain(ctx, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex2.StatsFingerprint == ex1.StatsFingerprint {
-		t.Fatalf("fingerprint %s unchanged by DeleteWhere", ex1.StatsFingerprint)
-	}
-	st2 := p.Stats()
-	if st2.StatsCollects != 2 {
-		t.Fatalf("StatsCollects = %d after mutation, want 2", st2.StatsCollects)
-	}
-	if st2.Misses != st1.Misses {
-		t.Fatalf("mutation forced a re-translation (misses %d -> %d)", st1.Misses, st2.Misses)
-	}
-
-	// The query answers correctly on the mutated store.
-	q, err := xmlsql.ParseQuery(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := xmlsql.TranslateNaive(s, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := xmlsql.Execute(ctx, store, naive, xmlsql.ExecuteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Exec(ctx, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.MultisetEqual(got) {
-		t.Fatalf("post-mutation adaptive result differs:\n%s", want.MultisetDiff(got))
-	}
-
-	// An UpdateWhere flips the fingerprint again.
-	for _, name := range store.TableNames() {
-		tbl := store.Table(name)
-		idx := tbl.Schema().ColumnIndex("category")
-		if idx < 0 || tbl.Len() == 0 {
-			continue
-		}
-		if _, err := tbl.UpdateWhere(
-			func(r relational.Row) bool { return true },
-			func(r relational.Row) relational.Row { r[idx] = relational.String("renamed"); return r },
-		); err != nil {
-			t.Fatal(err)
-		}
-		break
-	}
-	ex3, err := p.Explain(ctx, query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex3.StatsFingerprint == ex2.StatsFingerprint {
-		t.Fatalf("fingerprint %s unchanged by UpdateWhere", ex2.StatsFingerprint)
-	}
-}
-
-// TestPlannerAdaptiveExplain checks Explain's report shape: a decision with
-// estimates, a knob-vector cache key, and agreement with what Exec serves.
+// TestPlannerAdaptiveExplain checks Explain's report shape: the rule's
+// decision with its reason and knob vector, and a primed plan cache.
 func TestPlannerAdaptiveExplain(t *testing.T) {
 	ctx := context.Background()
 	s := workloads.XMark()
@@ -241,20 +125,14 @@ func TestPlannerAdaptiveExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Decision == nil || ex.Decision.BaselineEst == nil || ex.Decision.ChosenEst == nil {
-		t.Fatalf("explanation missing estimates: %+v", ex)
+	if ex.Decision == nil || ex.Plan == nil || ex.Decision.Query != ex.Plan.Query {
+		t.Fatalf("explanation does not describe its plan: %+v", ex)
 	}
-	if ex.Decision.ChosenEst.Rows <= 0 || ex.Decision.ChosenEst.Cost <= 0 {
-		t.Fatalf("degenerate chosen estimate: %+v", ex.Decision.ChosenEst)
+	if ex.Decision.Reason != "pruned" || !ex.Decision.UsePruned || ex.Plan.Fallback {
+		t.Fatalf("Q1 on a trusted instance: reason %q, want the pruned plan", ex.Decision.Reason)
 	}
-	if !strings.HasPrefix(ex.StatsFingerprint, "stats:") {
-		t.Fatalf("fingerprint %q not stats-prefixed", ex.StatsFingerprint)
-	}
-	key := ex.Decision.KnobKey()
-	for _, frag := range []string{"plan=", "factor=", "reorder="} {
-		if !strings.Contains(key, frag) {
-			t.Fatalf("knob key %q missing %q", key, frag)
-		}
+	if key := ex.Decision.KnobKey(); key != "plan=pruned,factor=false" {
+		t.Fatalf("knob key %q, want plan=pruned,factor=false", key)
 	}
 	// Explain primed the cache: the following Exec serves without re-planning.
 	misses := p.Stats().Misses
@@ -263,5 +141,66 @@ func TestPlannerAdaptiveExplain(t *testing.T) {
 	}
 	if after := p.Stats().Misses; after != misses {
 		t.Fatalf("Exec after Explain re-planned (misses %d -> %d)", misses, after)
+	}
+}
+
+// recordingBackend wraps a backend and remembers the SQL of the last query
+// it executed.
+type recordingBackend struct {
+	xmlsql.Backend
+	mu   sync.Mutex
+	last string
+}
+
+func (b *recordingBackend) Execute(ctx context.Context, q *xmlsql.SQL) (*xmlsql.Result, error) {
+	b.mu.Lock()
+	b.last = q.SQL()
+	b.mu.Unlock()
+	return b.Backend.Execute(ctx, q)
+}
+
+// TestPlannerExplainMatchesExec checks that Explain describes the plan Exec
+// serves: on default and Adaptive planners, on a trusted and on a violated
+// instance, the explained SQL is the SQL the backend runs, and the reason
+// names the trust state.
+func TestPlannerExplainMatchesExec(t *testing.T) {
+	ctx := context.Background()
+	s := workloads.XMarkAuctions()
+	doc := workloads.GenerateXMarkAuctions(workloads.DefaultXMarkAuctionsConfig())
+	queries := []string{"//Person[Name='person7']/EmailAddress", "//Item/InCategory/Category", "//Person/Name"}
+	for _, adaptive := range []bool{false, true} {
+		rec := &recordingBackend{Backend: xmlsql.NewMemBackend()}
+		if err := rec.EnsureSchema(s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rec.Load(s, doc); err != nil {
+			t.Fatal(err)
+		}
+		p := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{
+			Backend:   rec,
+			Translate: xmlsql.TranslateOptions{Adaptive: adaptive},
+		})
+		for _, trust := range []xmlsql.TrustState{xmlsql.TrustVerified, xmlsql.TrustViolated} {
+			p.SetTrustState(trust)
+			wantReason := "pruned"
+			if trust == xmlsql.TrustViolated {
+				wantReason = "safe mode"
+			}
+			for _, q := range queries {
+				ex, err := p.Explain(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.Exec(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+				if got := ex.Plan.Query.SQL(); got != rec.last {
+					t.Errorf("adaptive=%v %s %q: Explain reports\n%s\nExec serves\n%s", adaptive, trust, q, got, rec.last)
+				}
+				if ex.Decision.Reason != wantReason {
+					t.Errorf("adaptive=%v %s %q: reason %q, want %q", adaptive, trust, q, ex.Decision.Reason, wantReason)
+				}
+			}
+		}
 	}
 }

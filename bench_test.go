@@ -200,12 +200,12 @@ func plannerFixtureS3(b *testing.B) (*xmlsql.Schema, *xmlsql.Store) {
 func BenchmarkPlannerHot(b *testing.B) {
 	s, store := plannerFixtureS3(b)
 	p := xmlsql.NewPlanner(s)
-	if _, err := p.Eval(store, workloads.QueryQ4); err != nil {
+	if _, err := evalPlan(p, store, workloads.QueryQ4, xmlsql.ExecuteOptions{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Eval(store, workloads.QueryQ4); err != nil {
+		if _, err := evalPlan(p, store, workloads.QueryQ4, xmlsql.ExecuteOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,8 +63,8 @@ func main() {
 	serving := flag.Bool("serving", true, "also measure the serving fast path (plan cache hot vs cold)")
 	chaos := flag.Bool("chaos", true, "also run the resilience chaos suite (injected faults, retries, breaker, degradation)")
 	audit := flag.Bool("audit", true, "also run the integrity sentinel suite (lossless-constraint audit, corruption detection, safe-mode degradation)")
-	adaptive := flag.Bool("adaptive", true, "also run the adaptive-planning suite (cost-based knob selection vs fixed configurations)")
-	adaptiveGate := flag.Float64("adaptive-max-vs-best", 1.1, "fail if adaptive execution exceeds the best fixed configuration by more than this factor on any shared-work case (headline cases are gated on speedup >= 1.0)")
+	adaptive := flag.Bool("adaptive", true, "also run the plan-rule suite (pruned unless it fell back, factored baseline otherwise, vs fixed configurations)")
+	adaptiveGate := flag.Float64("adaptive-max-vs-best", 1.1, "fail if the rule's plan exceeds the best fixed configuration by more than this factor on any shared-work case (headline cases are gated on speedup >= 1.0)")
 	frontend := flag.Bool("frontend", true, "also run the serving front-end suite (closed-loop clients against live HTTP/line listeners, under-capacity and overload)")
 	frontendClients := flag.Int("frontend-clients", 4, "closed-loop client count for the under-capacity front-end runs")
 	frontendOverClients := flag.Int("frontend-over-clients", 16, "closed-loop client count for the overload front-end runs")

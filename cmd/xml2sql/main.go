@@ -24,10 +24,11 @@
 // statements. Feed both to any engine speaking the chosen -dialect and the
 // translated queries run there unchanged.
 //
-// -stats dumps the table statistics the adaptive planner collects over a
-// generated instance as JSON; -explain prints the cost-based plan decision
-// for the query (per-branch cardinality estimates, the chosen plan, and the
-// execution knobs), and with -execute also the estimated vs actual rows.
+// -stats dumps a generated instance's per-relation row counts as JSON;
+// -explain prints the plan rule's decision for the query: the pruned
+// translation serves unless pruning fell back, a served baseline carries the
+// shared-prefix rewrite, and an untrusted instance (safe mode) gets the
+// baseline.
 //
 // -update applies a JSON mutation batch to a generated workload instance and
 // prints the planned DML, the batch's footprint, and the incremental audit
@@ -54,6 +55,7 @@ import (
 	"sort"
 	"time"
 
+	"xmlsql"
 	"xmlsql/internal/backend"
 	"xmlsql/internal/cli"
 	"xmlsql/internal/core"
@@ -88,8 +90,8 @@ func main() {
 	factor := flag.Bool("factor-prefixes", false, "apply the shared-work rewrite to both translations: collapse literal-only branch differences into IN and hoist common join prefixes into a WITH CTE")
 	audit := flag.Bool("audit", false, "generate a workload document, shred it, and audit the instance against the lossless-from-XML constraint (built-in workloads only)")
 	corrupt := flag.Bool("corrupt", false, "with -audit: inject an orphan tuple first, demonstrating detection and safe-mode degradation")
-	showStats := flag.Bool("stats", false, "generate a workload document, shred it, and dump the collected table statistics as JSON (built-in workloads only)")
-	explain := flag.Bool("explain", false, "print the adaptive planner's cost-based decision for the query: candidate estimates, per-branch cardinalities, chosen plan and knobs (built-in workloads only; with -execute also estimated vs actual rows)")
+	showStats := flag.Bool("stats", false, "generate a workload document, shred it, and dump its per-relation row counts as JSON (built-in workloads only)")
+	explain := flag.Bool("explain", false, "print the plan rule's decision for the query: the plan served on a trusted instance and in safe mode, whether the baseline is factored, and why")
 	updateJSON := flag.String("update", "", `apply a JSON mutation batch ('[{"op":"insert","path":"//Item","xml":"<...>"}]'; ops: insert, delete, replace) to a generated workload instance, printing the planned DML and the incremental audit verdict (built-in workloads only)`)
 	dataDir := flag.String("data-dir", "", "durable data directory for -update: recover the instance from its write-ahead log (first run initializes it) and fsync the batch before acknowledging")
 	fsyncEvery := flag.Duration("fsync", 0, "group-commit window for the -data-dir log; unset or 0 fsyncs every commit")
@@ -195,13 +197,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xml2sql: lossless translation: %v\n", err)
 		os.Exit(1)
 	}
-	// The explain path wants the unfactored candidates: the cost-based
-	// chooser applies (or rejects) the shared-work rewrite itself.
-	origNaive := naive
-	var origPruned *sqlast.Query
-	if !pruned.Fallback {
-		origPruned = pruned.Query
-	}
 	factorNote := ""
 	if *factor {
 		var changedN, changedP bool
@@ -219,8 +214,7 @@ func main() {
 	}
 	fmt.Printf("-- %s (%s):\n%s\n", label, pruned.Query.Shape(), pruned.Query.SQLFor(dialect))
 	if *explain {
-		opts := engine.Options{MaxRows: *maxRows, MaxCTEIterations: *maxCTEIter}
-		if err := runExplain(s, *workload, origNaive, origPruned, *execute, *timeout, opts); err != nil {
+		if err := printExplain(s, *query); err != nil {
 			fmt.Fprintf(os.Stderr, "xml2sql: explain: %v\n", err)
 			os.Exit(1)
 		}
@@ -386,8 +380,8 @@ func emitLoadScript(s *schema.Schema, workload string, d *sqlast.Dialect) error 
 	return nil
 }
 
-// runStats shreds a generated workload document and dumps the statistics
-// snapshot the adaptive planner would plan against as JSON.
+// runStats shreds a generated workload document and dumps its per-relation
+// row counts as JSON.
 func runStats(s *schema.Schema, workload string) error {
 	if workload == "" {
 		return fmt.Errorf("-stats requires a built-in -workload to generate an instance for")
@@ -408,79 +402,30 @@ func runStats(s *schema.Schema, workload string) error {
 	return nil
 }
 
-// runExplain shreds a generated workload document, collects statistics, and
-// prints the adaptive planner's cost-based decision over the query's
-// candidate translations: candidate estimates, the margin verdict, the
-// chosen knob vector, and per-branch cardinalities. With execute it also
-// runs the chosen plan and reports estimated vs actual rows.
-func runExplain(s *schema.Schema, workload string, naive, pruned *sqlast.Query, execute bool, timeout time.Duration, opts engine.Options) error {
-	if workload == "" {
-		return fmt.Errorf("-explain requires a built-in -workload to collect statistics over")
-	}
-	doc, err := cli.GenerateDoc(workload)
-	if err != nil {
-		return err
-	}
-	store := relational.NewStore()
-	if _, err := shred.ShredAll(s, store, shred.Options{}, doc); err != nil {
-		return err
-	}
-	snap := stats.CollectStore(store)
-	dec := translate.ChoosePlan(naive, pruned, s, stats.NewEstimator(snap))
-
-	fmt.Printf("\n-- adaptive plan decision (statistics over a generated %s instance, %d rows, fingerprint %s):\n",
-		workload, store.TotalRows(), snap.Fingerprint())
-	fmt.Printf("--   baseline: %s\n", dec.BaselineEst.Summary())
-	switch {
-	case dec.PrunedEst == nil:
-		fmt.Printf("--   pruned:   no candidate (translation fell back to the baseline)\n")
-	case dec.UsePruned:
-		fmt.Printf("--   pruned:   %s (cost ratio %.3f < margin %.2f: pruning pays)\n",
-			dec.PrunedEst.Summary(), dec.PrunedEst.Cost/dec.BaselineEst.Cost, stats.PlanMargin)
-	default:
-		fmt.Printf("--   pruned:   %s (cost ratio %.3f >= margin %.2f: near-tie, measured-safe baseline retained)\n",
-			dec.PrunedEst.Summary(), dec.PrunedEst.Cost/dec.BaselineEst.Cost, stats.PlanMargin)
-	}
-	fmt.Printf("--   chosen: %s\n", dec.KnobKey())
-	for _, c := range dec.ChosenEst.CTEs {
-		extra := ""
-		if c.Recursive {
-			extra = fmt.Sprintf(" (recursive, ~%d rounds)", c.Rounds)
+// printExplain prints the planner's Explain for the query under both trust
+// states: the plan a verified instance serves, and the one safe mode serves.
+func printExplain(s *schema.Schema, query string) error {
+	p := xmlsql.NewPlanner(s)
+	fmt.Printf("\n-- plan decision (rule: serve the pruned translation unless it fell back; a served baseline is factored):\n")
+	for _, mode := range []struct {
+		label string
+		trust xmlsql.TrustState
+	}{{"trusted:  ", xmlsql.TrustVerified}, {"safe mode:", xmlsql.TrustViolated}} {
+		p.SetTrustState(mode.trust)
+		ex, err := p.Explain(context.Background(), query)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("--   cte %s: ~%.0f rows, cost ~%.0f%s\n", c.Name, c.Rows, c.Cost, extra)
+		fmt.Printf("--   %s %s [reason: %s; %s]\n", mode.label, ex.Decision.KnobKey(), ex.Decision.Reason, reasonGloss[ex.Decision.Reason])
 	}
-	for _, b := range dec.ChosenEst.Branches {
-		fmt.Printf("--   branch %d: ~%.0f rows, cost ~%.0f\n", b.Index, b.Rows, b.Cost)
-		for _, st := range b.Steps {
-			how := "scan+hash"
-			if st.Index {
-				how = "index probe"
-			}
-			fmt.Printf("--     %s(%s): in ~%.0f -> frame ~%.0f rows [%s]\n",
-				st.Alias, st.Source, st.InRows, st.Rows, how)
-		}
-	}
-	if !execute {
-		return nil
-	}
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	start := time.Now()
-	res, err := engine.Execute(ctx, store, dec.Query, opts)
-	if err != nil {
-		return fmt.Errorf("adaptive execution: %w", err)
-	}
-	errPct := 0.0
-	if res.Len() > 0 {
-		errPct = 100 * (dec.ChosenEst.Rows - float64(res.Len())) / float64(res.Len())
-	}
-	fmt.Printf("--   executed in %v: estimated ~%.0f rows, actual %d rows (%+.1f%%)\n",
-		time.Since(start).Round(time.Microsecond), dec.ChosenEst.Rows, res.Len(), errPct)
 	return nil
+}
+
+// reasonGloss spells out each plan-rule reason for -explain.
+var reasonGloss = map[string]string{
+	translate.ReasonPruned:   "the lossless-from-XML translation exists",
+	translate.ReasonFallback: "pruning not applicable, baseline retained",
+	translate.ReasonSafeMode: "served while the instance is not trusted",
 }
 
 // runBoth shreds a generated document and executes both translations under

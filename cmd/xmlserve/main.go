@@ -1,6 +1,6 @@
 // Command xmlserve is the network serving front end: it hosts one or more
-// tenant mappings — each a (schema, backend) pair with its own plan cache,
-// statistics, and integrity trust state — behind an HTTP/JSON API and an
+// tenant mappings — each a (schema, backend) pair with its own plan cache
+// and integrity trust state — behind an HTTP/JSON API and an
 // optional newline-delimited line protocol, with layered admission control
 // (connection limit → per-tenant rate limit → bounded in-flight semaphore →
 // per-query timeout) shedding load with typed retry-after errors before the
@@ -59,7 +59,6 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "per-query execution deadline")
 	drainTimeout := flag.Duration("drain-timeout", server.DefaultDrainTimeout, "graceful-shutdown bound for in-flight queries")
 	cacheSize := flag.Int("cache-size", 0, "per-tenant plan cache entries; 0 means the plancache default")
-	adaptive := flag.Bool("adaptive", false, "enable cost-based adaptive planning per tenant")
 	useResilient := flag.Bool("resilient", true, "wrap database-backed tenants with the retry/circuit-breaker layer")
 	logRequests := flag.Bool("log-requests", false, "log every served query and shed event")
 	dataDir := flag.String("data-dir", "", "root directory for durable tenants: each tenant recovers from (and write-ahead logs to) <data-dir>/<name>; mem backends only")
@@ -103,7 +102,7 @@ func main() {
 
 	for _, spec := range specs {
 		ten, err := addTenant(srv, spec, tenantOptions{
-			timeout: *timeout, cacheSize: *cacheSize, adaptive: *adaptive,
+			timeout: *timeout, cacheSize: *cacheSize,
 			useResilient: *useResilient, dataDir: *dataDir, fsyncEvery: *fsyncEvery,
 			shards: *shards, scale: *scale,
 		})
@@ -152,7 +151,6 @@ func main() {
 type tenantOptions struct {
 	timeout      time.Duration
 	cacheSize    int
-	adaptive     bool
 	useResilient bool
 	dataDir      string
 	fsyncEvery   time.Duration
@@ -175,7 +173,6 @@ func addTenant(srv *server.Server, spec server.TenantSpec, opt tenantOptions) (*
 		return nil, err
 	}
 	pc := xmlsql.PlannerConfig{Timeout: opt.timeout, CacheSize: opt.cacheSize}
-	pc.Translate.Adaptive = opt.adaptive
 	if opt.shards > 1 && spec.Backend != "" && spec.Backend != "mem" {
 		return nil, fmt.Errorf("-shards requires the mem backend, got %q", spec.Backend)
 	}

@@ -2,7 +2,6 @@ package xmlsql_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -176,72 +175,72 @@ func TestFactoredDifferential(t *testing.T) {
 	}
 }
 
-// TestFactorPrefixesPlannerOption checks that the FactorPrefixes translate
-// option reaches served plans, keeps cache keys distinct from unfactored
-// planners, and stays applied in safe mode.
-func TestFactorPrefixesPlannerOption(t *testing.T) {
+// TestSafeModePlansFactored checks the factoring policy on served
+// baselines: a safe-mode plan is the baseline with the shared-prefix rewrite
+// applied, it answers exactly as the unfactored baseline does, and flipping
+// the trust state back and forth re-serves each mode's own cached plan.
+func TestSafeModePlansFactored(t *testing.T) {
+	ctx := context.Background()
 	s := workloads.XMark()
 	doc := workloads.GenerateXMark(workloads.XMarkConfig{
 		ItemsPerContinent: 5, CategoriesPerItem: 2, NumCategories: 10, Seed: 3,
 	})
 	query := workloads.QueryQ1
-
-	mkBackend := func() xmlsql.Backend {
-		b := xmlsql.NewMemBackend()
-		if err := b.EnsureSchema(s); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Load(s, doc); err != nil {
-			t.Fatal(err)
-		}
-		return b
+	store := xmlsql.NewStore()
+	if _, err := xmlsql.Shred(s, store, doc); err != nil {
+		t.Fatal(err)
 	}
-
-	plain := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: mkBackend()})
-	factored := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{
-		Backend:   mkBackend(),
-		Translate: xmlsql.TranslateOptions{FactorPrefixes: true},
-	})
-
-	// The naive shapes differ under the flag; serve both in safe mode so the
-	// branch-heavy baseline path is what executes.
-	plain.SetTrustState(xmlsql.TrustViolated)
-	factored.SetTrustState(xmlsql.TrustViolated)
-	ctx := context.Background()
-	wantRes, err := plain.Exec(ctx, query)
+	naive, err := xmlsql.TranslateNaive(s, xmlsql.MustParseQuery(query))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, err := factored.Exec(ctx, query)
+	factored, changed := xmlsql.FactorSharedPrefixes(s, naive)
+	if !changed {
+		t.Fatalf("%s: the baseline has nothing to factor", query)
+	}
+	want, err := xmlsql.Execute(ctx, store, naive, xmlsql.ExecuteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wantRes.MultisetEqual(gotRes) {
-		t.Fatalf("factored safe-mode serving differs:\n%s", wantRes.MultisetDiff(gotRes))
-	}
 
-	// One planner serving both modes must not alias cached plans: flipping
-	// the trust state back and forth re-serves each mode's own plan.
-	factored.SetTrustState(xmlsql.TrustVerified)
-	if _, err := factored.Exec(ctx, query); err != nil {
-		t.Fatal(err)
-	}
-	factored.SetTrustState(xmlsql.TrustViolated)
-	again, err := factored.Exec(ctx, query)
+	p := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: xmlsql.NewMemBackendOn(store)})
+	p.SetTrustState(xmlsql.TrustViolated)
+	ex, err := p.Explain(ctx, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wantRes.MultisetEqual(again) {
-		t.Fatalf("mode flip corrupted cached plans:\n%s", wantRes.MultisetDiff(again))
+	if d := ex.Decision; d.UsePruned || !d.Factored || d.Reason != "safe mode" {
+		t.Fatalf("safe-mode decision %s (reason %q), want a factored baseline", d.KnobKey(), d.Reason)
+	}
+	if got := ex.Plan.Query.SQL(); got != factored.SQL() {
+		t.Fatalf("safe-mode plan is not the factored baseline:\n%s\nwant\n%s", got, factored.SQL())
+	}
+	got, err := p.Exec(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.MultisetEqual(got) {
+		t.Fatalf("factored safe-mode serving differs:\n%s", want.MultisetDiff(got))
 	}
 
-	// Distinct Translate options must produce distinct cache keys: two
-	// plans for the same query, one per option set, both correct.
-	if plainPlan, err := plain.Plan(query); err != nil {
+	// Flipping the trust state back and forth re-serves each mode's own plan.
+	p.SetTrustState(xmlsql.TrustVerified)
+	if ex, err := p.Explain(ctx, query); err != nil {
 		t.Fatal(err)
-	} else if factPlan, err := factored.Plan(query); err != nil {
+	} else if !ex.Decision.UsePruned || ex.Decision.Factored {
+		t.Fatalf("trusted decision %s, want the unfactored pruned plan", ex.Decision.KnobKey())
+	}
+	if got, err := p.Exec(ctx, query); err != nil {
 		t.Fatal(err)
-	} else if fmt.Sprintf("%+v", plainPlan.Query.Shape()) == "" || plainPlan == factPlan {
-		t.Fatal("planners with distinct options share a Translation")
+	} else if !want.MultisetEqual(got) {
+		t.Fatalf("trusted serving differs:\n%s", want.MultisetDiff(got))
+	}
+	p.SetTrustState(xmlsql.TrustViolated)
+	again, err := p.Exec(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.MultisetEqual(again) {
+		t.Fatalf("mode flip corrupted cached plans:\n%s", want.MultisetDiff(again))
 	}
 }

@@ -51,29 +51,13 @@ func (m *Mem) SetCommitLog(l CommitLog) { m.log = l }
 // truncated on replay) or the post-batch state (record durable), never a
 // torn one. Batches are serialized so record order always matches apply
 // order.
-//
-// Once the log has accepted the batch, and before the transaction's change
-// list is discarded, the list is folded into the statistics tracker (if
-// anyone created one): statistics follow the commit instead of a rescan.
 func (m *Mem) ApplyDML(ctx context.Context, stmts []sqlast.DMLStmt) error {
 	m.writeMu.Lock()
 	defer m.writeMu.Unlock()
-	tr := m.tracker.Load()
-	if tr != nil {
-		tr.BeginWrite()
-	}
 	tx := m.store.Begin()
 	if err := m.applyAndLog(ctx, tx, stmts); err != nil {
 		tx.Rollback()
-		if tr != nil {
-			// Nothing to fold: the tables the batch touched and restored
-			// moved their versions and get rescanned.
-			tr.EndWrite(nil)
-		}
 		return err
-	}
-	if tr != nil {
-		tr.EndWrite(tx.Changes())
 	}
 	tx.Commit()
 	return nil

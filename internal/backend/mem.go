@@ -4,14 +4,12 @@ import (
 	"context"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"xmlsql/internal/engine"
 	"xmlsql/internal/relational"
 	"xmlsql/internal/schema"
 	"xmlsql/internal/shred"
 	"xmlsql/internal/sqlast"
-	"xmlsql/internal/stats"
 	"xmlsql/internal/xmltree"
 )
 
@@ -29,10 +27,6 @@ type Mem struct {
 	writeMu sync.Mutex
 	// log, when set, is consulted before a batch commits: see SetCommitLog.
 	log CommitLog
-	// tracker is the store's live statistics, created by the first caller
-	// that wants statistics (see StatsTracker); nil until then, so a backend
-	// nobody plans adaptively against pays nothing for it.
-	tracker atomic.Pointer[stats.Tracker]
 }
 
 // NewMem creates an in-memory backend over a fresh store.
@@ -80,31 +74,6 @@ func (m *Mem) Load(s *schema.Schema, docs ...*xmltree.Document) ([]*shred.Result
 // prompt even mid-query.
 func (m *Mem) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result, error) {
 	return engine.Execute(ctx, m.store, q, m.opts)
-}
-
-// StatsTracker returns the store's live statistics tracker, creating it on
-// first use. From then on every ApplyDML batch folds its change list into it
-// at commit, so snapshots stay exact without rescans; writes that bypass
-// ApplyDML are noticed per table by version (see stats.Tracker). Creation
-// takes the write lock so it never lands in the middle of a batch.
-func (m *Mem) StatsTracker() *stats.Tracker {
-	if tr := m.tracker.Load(); tr != nil {
-		return tr
-	}
-	m.writeMu.Lock()
-	defer m.writeMu.Unlock()
-	tr := m.tracker.Load()
-	if tr == nil {
-		tr = stats.NewTracker(m.store)
-		m.tracker.Store(tr)
-	}
-	return tr
-}
-
-// CollectStats implements StatsCollector with the live tracker's snapshot.
-func (m *Mem) CollectStats(context.Context, *schema.Schema) (*stats.Stats, error) {
-	snap, _ := m.StatsTracker().Snapshot()
-	return snap, nil
 }
 
 // EngineStats returns zero counters. The engine no longer shares work across

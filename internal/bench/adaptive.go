@@ -13,18 +13,15 @@ import (
 	"xmlsql/internal/schema"
 	"xmlsql/internal/shred"
 	"xmlsql/internal/sqlast"
-	"xmlsql/internal/stats"
 	"xmlsql/internal/translate"
 	"xmlsql/internal/workloads"
 	"xmlsql/internal/xmltree"
 )
 
-// AdaptiveComparison measures the cost-based adaptive planner against every
-// fixed knob setting on one case. The adaptive time is the measured time of
-// the exact configuration the chooser picked (the chooser is deterministic
-// given statistics, so this is the time an adaptive serve pays, minus the
-// cached planning itself) — which makes the gates noise-free: choosing the
-// baseline yields a speedup of exactly 1.0 by construction.
+// AdaptiveComparison measures the plan rule (translate.ChoosePlan) against
+// every fixed knob setting on one case. The adaptive time is the measured
+// time of the exact configuration the rule picked: the pruned translation
+// whenever it exists, otherwise the baseline with the shared-prefix rewrite.
 type AdaptiveComparison struct {
 	// Suite is "headline" (the E1–E8 naive-vs-pruned cases, gated on
 	// speedup >= 1.0) or "sharedwork" (the branch-heavy factoring cases,
@@ -33,15 +30,12 @@ type AdaptiveComparison struct {
 	Workload string `json:"workload"`
 	Query    string `json:"query"`
 
-	// KnobKey is the chooser's plan-level knob vector.
-	KnobKey string `json:"knob_key"`
-
-	// EstimatedRows vs ActualRows tracks estimator accuracy per case.
-	EstimatedRows float64 `json:"estimated_rows"`
-	ActualRows    int     `json:"actual_rows"`
+	// KnobKey is the rule's plan-level knob vector.
+	KnobKey    string `json:"knob_key"`
+	ActualRows int    `json:"actual_rows"`
 
 	// FixedNs maps each fixed configuration to its measured ns/op;
-	// AdaptiveNs is FixedNs of the configuration the chooser picked.
+	// AdaptiveNs is FixedNs of the configuration the rule picked.
 	FixedNs     map[string]float64 `json:"fixed_ns"`
 	BestFixed   string             `json:"best_fixed"`
 	BestFixedNs float64            `json:"best_fixed_ns"`
@@ -60,7 +54,7 @@ type AdaptiveComparison struct {
 	baselineKey string
 }
 
-// RunAdaptive measures the adaptive planner on the headline suite and the
+// RunAdaptive measures the plan rule on the headline suite and the
 // shared-work suite.
 func RunAdaptive(sc Scale) ([]*AdaptiveComparison, error) {
 	var out []*AdaptiveComparison
@@ -85,8 +79,8 @@ func RunAdaptive(sc Scale) ([]*AdaptiveComparison, error) {
 	return out, nil
 }
 
-// runAdaptiveHeadline pits the chooser against the fixed naive and pruned
-// plans of one E1–E8 case.
+// runAdaptiveHeadline pits the rule against the fixed naive and pruned plans
+// of one E1–E8 case.
 func runAdaptiveHeadline(c Case) (*AdaptiveComparison, error) {
 	store := relational.NewStore()
 	if _, err := shred.ShredAll(c.Schema, store, c.ShredOpts, c.Doc); err != nil {
@@ -108,7 +102,7 @@ func runAdaptiveHeadline(c Case) (*AdaptiveComparison, error) {
 	if pr, err := core.Translate(g); err == nil && !pr.Fallback {
 		pruned = pr.Query
 	}
-	dec := translate.ChoosePlan(naive, pruned, c.Schema, stats.NewEstimator(stats.CollectStore(store)))
+	dec := translate.ChoosePlan(naive, pruned, c.Schema, nil)
 
 	cmp, err := adaptiveMeasure("headline", c.Workload, c.Query, store, naive, dec)
 	if err != nil {
@@ -119,14 +113,14 @@ func runAdaptiveHeadline(c Case) (*AdaptiveComparison, error) {
 	if pruned != nil {
 		grid = append(grid, gridItem{name: "pruned", q: pruned})
 	}
-	if dec.Factored || dec.Reordered {
+	if dec.Factored {
 		// The rewritten plan is its own fixed configuration; measure it once
 		// and charge the adaptive run that same number.
 		grid = append(grid, gridItem{name: "rewritten", q: dec.Query})
 	}
 	cmp.FixedNs = measureGrid(store, grid)
 	switch {
-	case dec.Factored || dec.Reordered:
+	case dec.Factored:
 		cmp.AdaptiveNs = cmp.FixedNs["rewritten"]
 	case dec.UsePruned:
 		cmp.AdaptiveNs = cmp.FixedNs["pruned"]
@@ -187,8 +181,8 @@ func sharedWorkSuite(sc Scale) ([]sharedWorkCase, error) {
 	}, nil
 }
 
-// runAdaptiveShared pits the chooser against the unfactored naive union and
-// the rewritten plan on one branch-heavy shared-work case.
+// runAdaptiveShared pits the rule against the unfactored naive union and the
+// rewritten plan on one branch-heavy shared-work case.
 func runAdaptiveShared(c sharedWorkCase) (*AdaptiveComparison, error) {
 	store := relational.NewStore()
 	if _, err := shred.ShredAll(c.schema, store, shred.Options{}, c.doc); err != nil {
@@ -206,9 +200,9 @@ func runAdaptiveShared(c sharedWorkCase) (*AdaptiveComparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The shared-work suite studies the naive unions; the chooser here
-	// decides factoring and reorder.
-	dec := translate.ChoosePlan(naive, nil, c.schema, stats.NewEstimator(stats.CollectStore(store)))
+	// The shared-work suite studies the naive unions, which the rule serves
+	// factored.
+	dec := translate.ChoosePlan(naive, nil, c.schema, nil)
 
 	cmp, err := adaptiveMeasure("sharedwork", c.workload, c.query, store, naive, dec)
 	if err != nil {
@@ -216,7 +210,7 @@ func runAdaptiveShared(c sharedWorkCase) (*AdaptiveComparison, error) {
 	}
 	grid := []gridItem{{name: "unfactored", q: naive}}
 	chosen := "unfactored"
-	if dec.Factored || dec.Reordered {
+	if dec.Factored {
 		chosen = "rewritten"
 		grid = append(grid, gridItem{name: chosen, q: dec.Query})
 	}
@@ -257,8 +251,7 @@ func measureGrid(store *relational.Store, items []gridItem) map[string]float64 {
 }
 
 // adaptiveMeasure runs the shared part of both adaptive suites: execute the
-// chosen plan, verifying its multiset against the naive plan and recording
-// the estimate against the actual rows. Callers measure their fixed
+// chosen plan, verifying its multiset against the naive plan. Callers measure their fixed
 // configurations, set AdaptiveNs, and call finish.
 func adaptiveMeasure(suite, workload, query string, store *relational.Store, naive *sqlast.Query, dec *translate.Decision) (*AdaptiveComparison, error) {
 	ctx := context.Background()
@@ -271,13 +264,12 @@ func adaptiveMeasure(suite, workload, query string, store *relational.Store, nai
 		return nil, fmt.Errorf("adaptive %s %s: chosen: %w", workload, query, err)
 	}
 	return &AdaptiveComparison{
-		Suite:         suite,
-		Workload:      workload,
-		Query:         query,
-		KnobKey:       dec.KnobKey(),
-		EstimatedRows: dec.ChosenEst.Rows,
-		ActualRows:    adRes.Len(),
-		Verified:      baseRes.MultisetEqual(adRes),
+		Suite:      suite,
+		Workload:   workload,
+		Query:      query,
+		KnobKey:    dec.KnobKey(),
+		ActualRows: adRes.Len(),
+		Verified:   baseRes.MultisetEqual(adRes),
 	}, nil
 }
 
@@ -300,7 +292,7 @@ func (c *AdaptiveComparison) finish() {
 	}
 }
 
-// AdaptiveGate checks the acceptance gates over a measured adaptive run:
+// AdaptiveGate checks the acceptance gates over a measured run of the rule:
 // no headline case may regress below speedup 1.0, and no shared-work case
 // may run more than maxVsBest (e.g. 1.1) times the best fixed
 // configuration. It returns one error per violated gate.
@@ -329,7 +321,7 @@ func AdaptiveGate(cmps []*AdaptiveComparison, maxVsBest float64) []error {
 // FormatAdaptive renders the adaptive comparisons as a fixed-width table.
 func FormatAdaptive(cmps []*AdaptiveComparison) string {
 	var b strings.Builder
-	b.WriteString("Adaptive planning: cost-based knob selection vs fixed configurations\n")
+	b.WriteString("Plan rule: pruned unless it fell back, factored baseline otherwise, vs fixed configurations\n")
 	fmt.Fprintf(&b, "%-10s %-18s %-28s %-34s %10s %10s %8s %7s %3s\n",
 		"suite", "workload", "query", "knobs", "adapt/op", "best/op", "speedup", "vsbest", "ok")
 	b.WriteString(strings.Repeat("-", 136))

@@ -26,10 +26,10 @@ type Report struct {
 	// violations detected on corrupted copies, safe-mode degradations), so
 	// the constraint-checking trajectory is tracked too.
 	Audit []*AuditComparison `json:"audit,omitempty"`
-	// Adaptive records the cost-based planner against every fixed knob
-	// setting: headline cases gated on speedup >= 1.0 (the chooser falls
-	// back to the baseline where pruning does not pay), shared-work cases
-	// gated on staying within 10% of the best fixed configuration.
+	// Adaptive records the plan rule against every fixed knob setting:
+	// headline cases gated on speedup >= 1.0 (the rule serves the pruned
+	// translation), shared-work cases gated on staying within 10% of the
+	// best fixed configuration (the rule serves the factored baseline).
 	Adaptive []*AdaptiveComparison `json:"adaptive,omitempty"`
 	// ServingFrontend records the closed-loop runs against the live network
 	// front end (HTTP and line protocol, under-capacity and overload):

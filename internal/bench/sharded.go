@@ -30,7 +30,7 @@ type ShardedConfig struct {
 	ShardCounts []int
 	// MixedRounds is how many write+read rounds the mixed serving loop runs
 	// per arm (each round: one document-scoped update, then MixedReads
-	// adaptive reads).
+	// planner reads).
 	MixedRounds int
 	// MixedReads is the reads-per-write ratio of the mixed loop.
 	MixedReads int
@@ -65,15 +65,10 @@ type ShardedSweepPoint struct {
 	MergedRowsPerScatter float64 `json:"merged_rows_per_scatter"`
 
 	// Mixed read/write serving: mean ns per operation over rounds of one
-	// document-scoped write + adaptive reads, against the identical loop on
-	// the single store. This is where document partitioning pays on one
-	// core — a write invalidates one shard's statistics snapshot (~1/N of
-	// the instance rescanned), not the whole store's.
+	// document-scoped write + planner reads, against the identical loop on
+	// the single store.
 	MixedNsPerOp float64 `json:"mixed_ns_per_op"`
 	MixedSpeedup float64 `json:"mixed_speedup_vs_single"`
-	// StatsRescans is how many single-shard statistics rescans the mixed
-	// loop triggered (the scoped-invalidation counter).
-	StatsRescans int64 `json:"stats_rescans"`
 
 	// Verified: sharded reads were multiset-identical to the single store
 	// both before the mixed loop and after it (post-update differential).
@@ -104,8 +99,7 @@ type ShardedReport struct {
 
 // shardedNote is recorded verbatim so the numbers can't be misread.
 const shardedNote = "pure-read scatter has no core parallelism at GOMAXPROCS=1; " +
-	"the mixed read/write speedup comes from scoped statistics invalidation " +
-	"(a write rescans one shard, not the instance)"
+	"a write resolves and audits on the shards it touches, and no read waits on statistics"
 
 // shardedInstance generates the scale-document xmark instance the suite
 // measures. Document 0 is generated one item-per-continent larger than the
@@ -159,7 +153,7 @@ func shardedTranslations(query string) (*sqlast.Query, *sqlast.Query, error) {
 }
 
 // runMixed drives the mixed serving loop on one planner: MixedRounds rounds
-// of one document-scoped write followed by MixedReads adaptive reads of
+// of one document-scoped write followed by MixedReads reads of
 // query, returning mean ns per operation. serialBase keeps write payloads
 // distinct across arms' warmups without changing the op count.
 func runMixed(ctx context.Context, p *xmlsql.Planner, cfg ShardedConfig, query string) (float64, error) {
@@ -217,9 +211,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedReport, error) {
 			return nil, err
 		}
 
-		spc := xmlsql.PlannerConfig{Backend: single}
-		spc.Translate.Adaptive = true
-		sp := xmlsql.NewPlannerWith(s, spc)
+		sp := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: single})
 		cmp.MixedNsPerOp, err = runMixed(ctx, sp, cfg, query)
 		if err != nil {
 			return nil, fmt.Errorf("sharded: single mixed arm: %w", err)
@@ -273,15 +265,11 @@ func RunSharded(cfg ShardedConfig) (*ShardedReport, error) {
 				pt.MergedRowsPerScatter = float64(m.MergedRows) / float64(m.Scatters)
 			}
 
-			cpc := xmlsql.PlannerConfig{Backend: comp}
-			cpc.Translate.Adaptive = true
-			cp := xmlsql.NewPlannerWith(s, cpc)
-			preRescans := comp.StatsRescans()
+			cp := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: comp})
 			pt.MixedNsPerOp, err = runMixed(ctx, cp, cfg, query)
 			if err != nil {
 				return nil, fmt.Errorf("sharded: %d-shard mixed arm: %w", n, err)
 			}
-			pt.StatsRescans = comp.StatsRescans() - preRescans
 			if pt.MixedNsPerOp > 0 {
 				pt.MixedSpeedup = cmp.MixedNsPerOp / pt.MixedNsPerOp
 			}
@@ -344,13 +332,13 @@ func FormatSharded(rep *ShardedReport) string {
 		fmt.Fprintf(&b, "\n%s scale=%d (%d tuples, %s): single naive %s, pruned %s, mixed %s/op\n",
 			c.Workload, c.Scale, c.Tuples, c.Query,
 			fmtNs(c.SingleNaiveNs), fmtNs(c.SinglePrunedNs), fmtNs(c.MixedNsPerOp))
-		fmt.Fprintf(&b, "%7s %10s %11s %10s %9s %10s %9s %8s %9s\n",
-			"shards", "read-naive", "read-pruned", "merge/scat", "max-share", "mixed/op", "mixed-spd", "rescans", "verified")
+		fmt.Fprintf(&b, "%7s %10s %11s %10s %9s %10s %9s %9s\n",
+			"shards", "read-naive", "read-pruned", "merge/scat", "max-share", "mixed/op", "mixed-spd", "verified")
 		for _, pt := range c.Sweep {
-			fmt.Fprintf(&b, "%7d %10s %11s %10s %8.0f%% %10s %8.2fx %8d %9v\n",
+			fmt.Fprintf(&b, "%7d %10s %11s %10s %8.0f%% %10s %8.2fx %9v\n",
 				pt.Shards, fmtNs(pt.ReadNaiveNs), fmtNs(pt.ReadPrunedNs),
 				fmtNs(pt.MergeNsPerScatter), pt.MaxRowShare*100,
-				fmtNs(pt.MixedNsPerOp), pt.MixedSpeedup, pt.StatsRescans, pt.Verified)
+				fmtNs(pt.MixedNsPerOp), pt.MixedSpeedup, pt.Verified)
 		}
 	}
 	return b.String()

@@ -25,17 +25,9 @@ type Options struct {
 	// NoFallback makes translation fail instead of silently reverting to
 	// the baseline when safe suffixes cannot be established.
 	NoFallback bool
-	// FactorPrefixes applies the shared-work rewrite after translation:
-	// UNION ALL branches differing only in one literal collapse into an IN,
-	// and maximal common join prefixes hoist into a WITH CTE. The flag is
-	// part of the plan-cache key (the cache keys on the printed Options).
-	FactorPrefixes bool
-	// Adaptive makes translation also produce the baseline plan
-	// (Result.Baseline) so a cost-based chooser — translate.ChoosePlan,
-	// driven by statistics the translator itself does not have — can pick
-	// between the pruned and baseline translations per query. The flag is
-	// part of the plan-cache key like every other option; the chosen knob
-	// vector and stats fingerprint are appended by the planner.
+	// Adaptive is a compile-only shim: it selects nothing. Plans are chosen
+	// by rule (translate.ChoosePlan), so there is no cost-based mode to turn
+	// on; the field stays because the repository benchmark still sets it.
 	Adaptive bool
 }
 
@@ -49,10 +41,8 @@ type Result struct {
 	Fallback bool
 	// Classes describe the pruned PathSet (empty when Fallback).
 	Classes []PrunedClass
-	// Baseline is the naive translation, populated only under
-	// Options.Adaptive (nil otherwise, and nil when Fallback already made
-	// Query the baseline). It is unfactored: the adaptive chooser applies
-	// rewrites to whichever plan it selects.
+	// Baseline is a compile-only shim: it is always nil. It stays because
+	// the repository benchmark still reads it.
 	Baseline *sqlast.Query
 }
 
@@ -105,23 +95,9 @@ func TranslateOpts(g *pathid.Graph, opts Options) (*Result, error) {
 		if nerr != nil {
 			return nil, nerr
 		}
-		if opts.FactorPrefixes {
-			naive, _ = translate.FactorSharedPrefixes(naive, g.Schema)
-		}
 		return &Result{Query: naive, Fallback: true}, nil
 	}
-	if opts.FactorPrefixes {
-		query, _ = translate.FactorSharedPrefixes(query, g.Schema)
-	}
-	res := &Result{Query: query, Classes: classes}
-	if opts.Adaptive {
-		naive, nerr := translate.Naive(g)
-		if nerr != nil {
-			return nil, nerr
-		}
-		res.Baseline = naive
-	}
-	return res, nil
+	return &Result{Query: query, Classes: classes}, nil
 }
 
 func (pr *pruner) translate() (*sqlast.Query, []PrunedClass, error) {

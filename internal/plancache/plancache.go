@@ -32,13 +32,12 @@ type Key struct {
 	// Options encodes the translate options the plan was produced under
 	// (plans for different option sets must not alias). The Planner derives
 	// it by printing core.Options, so every flag that changes the emitted
-	// SQL — including the FactorPrefixes shared-work rewrite — is part of
-	// the key automatically; safe-mode plans additionally carry a
-	// "+factored" suffix when the rewrite applies to the baseline too.
+	// SQL is part of the key automatically; safe-mode plans share one
+	// "safe-mode" key, since the baseline translator takes no options.
 	Options string
 }
 
-// numShards is a power of two; with a mutex per shard, concurrent Eval
+// numShards is a power of two; with a mutex per shard, concurrent
 // callers on different keys rarely contend.
 const numShards = 16
 

@@ -253,18 +253,15 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// explainResponse is /explain's JSON: the adaptive planner's cost-based
-// decision for the query under the tenant's current statistics.
+// explainResponse is /explain's JSON: the plan rule's decision for the query
+// under the tenant's current trust state, and the SQL Exec serves.
 type explainResponse struct {
-	Tenant           string  `json:"tenant"`
-	Query            string  `json:"query"`
-	StatsFingerprint string  `json:"stats_fingerprint"`
-	UsePruned        bool    `json:"use_pruned"`
-	Factored         bool    `json:"factored"`
-	Reordered        bool    `json:"reordered"`
-	EstimatedRows    float64 `json:"estimated_rows"`
-	EstimatedCost    float64 `json:"estimated_cost"`
-	SQL              string  `json:"sql"`
+	Tenant    string `json:"tenant"`
+	Query     string `json:"query"`
+	Reason    string `json:"reason"`
+	UsePruned bool   `json:"use_pruned"`
+	Factored  bool   `json:"factored"`
+	SQL       string `json:"sql"`
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -283,20 +280,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.writeExecError(w, req.Tenant, err)
 		return
 	}
+	d := ex.Decision
 	resp := explainResponse{
-		Tenant:           req.Tenant,
-		Query:            req.Query,
-		StatsFingerprint: ex.StatsFingerprint,
-		SQL:              ex.Plan.Query.SQL(),
-	}
-	if d := ex.Decision; d != nil {
-		resp.UsePruned = d.UsePruned
-		resp.Factored = d.Factored
-		resp.Reordered = d.Reordered
-		if d.ChosenEst != nil {
-			resp.EstimatedRows = d.ChosenEst.Rows
-			resp.EstimatedCost = d.ChosenEst.Cost
-		}
+		Tenant:    req.Tenant,
+		Query:     req.Query,
+		Reason:    d.Reason,
+		UsePruned: d.UsePruned,
+		Factored:  d.Factored,
+		SQL:       ex.Plan.Query.SQL(),
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

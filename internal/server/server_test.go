@@ -139,9 +139,9 @@ func TestHTTPQueryErrors(t *testing.T) {
 func TestHTTPExplain(t *testing.T) {
 	_, ts := newTestServer(t, nil)
 	var got struct {
-		SQL              string `json:"sql"`
-		StatsFingerprint string `json:"stats_fingerprint"`
-		UsePruned        bool   `json:"use_pruned"`
+		SQL       string `json:"sql"`
+		Reason    string `json:"reason"`
+		UsePruned bool   `json:"use_pruned"`
 	}
 	resp := getJSON(t, ts.URL+"/explain?tenant=auctions&q="+url.QueryEscape("//Item/InCategory/Category"), &got)
 	if resp.StatusCode != http.StatusOK {
@@ -150,8 +150,8 @@ func TestHTTPExplain(t *testing.T) {
 	if !strings.Contains(strings.ToLower(got.SQL), "select") {
 		t.Errorf("explain sql = %q", got.SQL)
 	}
-	if got.StatsFingerprint == "" {
-		t.Error("explain missing stats_fingerprint")
+	if got.Reason != "pruned" {
+		t.Errorf("explain reason = %q, want pruned", got.Reason)
 	}
 	if !got.UsePruned {
 		t.Error("Q1 should choose the pruned plan")

@@ -52,7 +52,7 @@ type TenantConfig struct {
 	// fresh in-memory backend.
 	Backend xmlsql.Backend
 	// Planner tunes the tenant's private planner (cache size, timeout,
-	// trust policy, adaptive planning). Planner.Backend is overridden by
+	// trust policy). Planner.Backend is overridden by
 	// Backend when that is set.
 	Planner xmlsql.PlannerConfig
 	// Limits overrides the server's default per-tenant admission limits.
@@ -305,16 +305,12 @@ type TenantStats struct {
 
 	PlanCache PlanCacheStats `json:"plan_cache"`
 
-	Audits          int64 `json:"audits"`
-	ViolationsFound int64 `json:"violations_found"`
-	SafeModeServes  int64 `json:"safe_mode_serves"`
-	StatsCollects   int64 `json:"stats_collects"`
-	// DecisionRefreshes counts adaptive plan decisions re-made because a
-	// relation the query reads had changed.
-	DecisionRefreshes int64  `json:"decision_refreshes"`
-	Updates           int64  `json:"updates"`
-	UpdateRejects     int64  `json:"update_rejects"`
-	Trust             string `json:"trust"`
+	Audits          int64  `json:"audits"`
+	ViolationsFound int64  `json:"violations_found"`
+	SafeModeServes  int64  `json:"safe_mode_serves"`
+	Updates         int64  `json:"updates"`
+	UpdateRejects   int64  `json:"update_rejects"`
+	Trust           string `json:"trust"`
 	// Recovery is the durability lifecycle state ("volatile" when the tenant
 	// has no write-ahead log).
 	Recovery string `json:"recovery"`
@@ -336,16 +332,14 @@ func (t *Tenant) Stats() TenantStats {
 		PlanCache: PlanCacheStats{
 			Hits: ps.Hits, Misses: ps.Misses, Evictions: ps.Evictions, Entries: ps.Entries,
 		},
-		Audits:            ps.Audits,
-		ViolationsFound:   ps.ViolationsFound,
-		SafeModeServes:    ps.SafeModeServes,
-		StatsCollects:     ps.StatsCollects,
-		DecisionRefreshes: ps.DecisionRefreshes,
-		Updates:           ps.Updates,
-		UpdateRejects:     ps.UpdateRejects,
-		Trust:             ps.Trust.String(),
-		Recovery:          string(t.RecoveryState()),
-		Limits:            t.limits,
+		Audits:          ps.Audits,
+		ViolationsFound: ps.ViolationsFound,
+		SafeModeServes:  ps.SafeModeServes,
+		Updates:         ps.Updates,
+		UpdateRejects:   ps.UpdateRejects,
+		Trust:           ps.Trust.String(),
+		Recovery:        string(t.RecoveryState()),
+		Limits:          t.limits,
 	}
 	if q := st.Queries; q > 0 {
 		st.MeanExecNs = float64(t.execNs.Load()) / float64(q)

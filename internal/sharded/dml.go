@@ -125,7 +125,6 @@ func (c *Sharded) ApplyDML(ctx context.Context, stmts []sqlast.DMLStmt) error {
 			return fmt.Errorf("sharded: shard %d: %w", k, err)
 		}
 		applied++
-		c.dmlSeq[k].Add(1)
 		c.registerIDs(freshByShard[k], k)
 	}
 	return nil

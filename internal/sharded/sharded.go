@@ -103,23 +103,14 @@ type Sharded struct {
 
 	shredders []*shred.Shredder // per mem shard, reused across Load calls
 
-	// dmlSeq counts applied DML batches per shard; it is the mutation
-	// version of shards whose store has none observable (the DB backend).
-	dmlSeq []atomic.Uint64
-
-	// statsMu guards the per-shard statistics snapshot cache (stats.go).
-	statsMu    sync.Mutex
-	shardStats []*shardStatsEntry
-
-	scatters     atomic.Int64
-	mergeNs      atomic.Int64
-	mergedRows   atomic.Int64
-	statsRescans atomic.Int64
+	scatters   atomic.Int64
+	mergeNs    atomic.Int64
+	mergedRows atomic.Int64
 }
 
 // storeBacked is the capability of shards that expose their in-memory store
 // directly (backend.Mem and wrappers embedding it): the loader shreds into
-// the store in place, statistics scan it, probes use its indexes.
+// the store in place and probes use its indexes.
 type storeBacked interface {
 	Store() *relational.Store
 }
@@ -150,15 +141,13 @@ func New(shards []backend.Backend, opts Options) (*Sharded, error) {
 		part = HashPartitioner
 	}
 	return &Sharded{
-		shards:     shards,
-		part:       part,
-		par:        opts.Parallelism,
-		nextID:     1,
-		extra:      map[int64]int{},
-		docs:       make([]int64, len(shards)),
-		shredders:  make([]*shred.Shredder, len(shards)),
-		dmlSeq:     make([]atomic.Uint64, len(shards)),
-		shardStats: make([]*shardStatsEntry, len(shards)),
+		shards:    shards,
+		part:      part,
+		par:       opts.Parallelism,
+		nextID:    1,
+		extra:     map[int64]int{},
+		docs:      make([]int64, len(shards)),
+		shredders: make([]*shred.Shredder, len(shards)),
 	}, nil
 }
 
@@ -320,7 +309,6 @@ func (c *Sharded) Load(s *schema.Schema, docs ...*xmltree.Document) ([]*shred.Re
 				return nil, fmt.Errorf("sharded: shard %d: %w", k, err)
 			}
 		}
-		c.dmlSeq[k].Add(1) // DB shards have no store version; move ours
 	}
 
 	c.routerMu.Lock()

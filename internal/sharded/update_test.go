@@ -126,65 +126,6 @@ func TestShardedUpdateRejectionChangesNothing(t *testing.T) {
 	}
 }
 
-// TestShardedScopedStatsInvalidation proves the scoped-invalidation design:
-// after a document-scoped write, refreshing statistics rescans exactly one
-// shard, and the merged snapshot still reflects the write.
-func TestShardedScopedStatsInvalidation(t *testing.T) {
-	ctx := context.Background()
-	w := diffWorkloads()[0]
-	c, err := sharded.NewMem(4, sharded.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Load(w.schema, w.docs...); err != nil {
-		t.Fatal(err)
-	}
-	snap0, err := c.CollectStats(ctx, w.schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.StatsRescans(); got != 4 {
-		t.Fatalf("cold collection should scan all 4 shards, scanned %d", got)
-	}
-	if _, err := c.CollectStats(ctx, w.schema); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.StatsRescans(); got != 4 {
-		t.Fatalf("warm collection should scan nothing, total rescans %d", got)
-	}
-
-	// One document-scoped write through the planner's update path.
-	p := xmlsql.NewPlannerWith(w.schema, xmlsql.PlannerConfig{Backend: c})
-	if _, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{{
-		Op: xmlsql.UpdateInsert, Path: "//Item[name='item-Af-0']",
-		XML: "<InCategory><Category>statcat</Category></InCategory>",
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-
-	snap1, err := c.CollectStats(ctx, w.schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rescans := c.StatsRescans() - 4
-	// "item-Af-0" occurs once per document, so the insert wrote on the
-	// shards holding those 6 documents — at least one, at most all four.
-	// The scoped claim is the idle-refresh check below: no write, no rescan.
-	if rescans < 1 || rescans > 4 {
-		t.Fatalf("post-write collection rescanned %d shards", rescans)
-	}
-	if snap1.TotalRows <= snap0.TotalRows {
-		t.Fatalf("merged snapshot missed the write: %d -> %d rows", snap0.TotalRows, snap1.TotalRows)
-	}
-	after := c.StatsRescans()
-	if _, err := c.CollectStats(ctx, w.schema); err != nil {
-		t.Fatal(err)
-	}
-	if c.StatsRescans() != after {
-		t.Fatal("idle refresh rescanned shards")
-	}
-}
-
 // TestShardedTopologyInPlanCacheKeys: two planners sharing nothing but
 // config must still key plans by topology (defensive — translations are
 // backend-independent today, but the key must already distinguish them).

@@ -8,29 +8,31 @@ import (
 	"xmlsql/internal/stats"
 )
 
-// Decision is the adaptive chooser's record of one query's plan-level
-// selections, with the estimates that justified them; xml2sql -explain
-// prints it.
+// The reasons a Decision records for the plan it serves.
+const (
+	// ReasonPruned: the constraint-exploiting translation exists and serves.
+	ReasonPruned = "pruned"
+	// ReasonFallback: pruning could not establish safe suffixes, so the
+	// factored baseline serves.
+	ReasonFallback = "fallback"
+	// ReasonSafeMode: the instance is not trusted to satisfy the
+	// lossless-from-XML constraint, so the factored baseline serves.
+	ReasonSafeMode = "safe mode"
+)
+
+// Decision is the plan rule's record for one query: which translation is
+// served, whether the shared-prefix rewrite changed it, and why. xml2sql
+// -explain and the planner's Explain report it.
 type Decision struct {
 	// UsePruned reports that the pruned (constraint-exploiting) translation
-	// was chosen over the baseline. The pruned plan must clear
-	// stats.PlanMargin: when pruning merely drops a near-free join (the
-	// regressing headline cases, where both plans cost within a few
-	// percent), the measured-safe baseline wins.
+	// is served; otherwise the baseline is.
 	UsePruned bool
-	// Factored reports that the shared-prefix factored rewrite was adopted.
+	// Factored reports that the shared-prefix rewrite changed the served
+	// baseline. Pruned plans are never factored.
 	Factored bool
-	// Reordered reports that at least one branch's joins were reordered.
-	Reordered bool
-
-	// BaselineEst/PrunedEst are the candidates' estimates (PrunedEst is nil
-	// when translation fell back to the baseline); ChosenEst estimates the
-	// final Query after rewrites.
-	BaselineEst *stats.QueryEstimate
-	PrunedEst   *stats.QueryEstimate
-	ChosenEst   *stats.QueryEstimate
-
-	// Query is the chosen, possibly rewritten plan.
+	// Reason is ReasonPruned, ReasonFallback or ReasonSafeMode.
+	Reason string
+	// Query is the served plan.
 	Query *sqlast.Query
 }
 
@@ -41,43 +43,21 @@ func (d *Decision) KnobKey() string {
 	if d.UsePruned {
 		plan = "pruned"
 	}
-	return fmt.Sprintf("plan=%s,factor=%t,reorder=%t", plan, d.Factored, d.Reordered)
+	return fmt.Sprintf("plan=%s,factor=%t", plan, d.Factored)
 }
 
-// ChoosePlan runs the cost-based plan chooser over a query's candidate
-// translations. naive is the baseline (always correct); pruned is the
-// constraint-exploiting translation, or nil when translation fell back to
-// the baseline. The chooser (1) keeps the pruned plan only when its
-// estimated cost clears stats.PlanMargin against the baseline, (2) adopts
-// the shared-prefix factored rewrite when it clears stats.FactorMargin,
-// and (3) greedily reorders joins within branches when that clears
-// stats.ReorderMargin.
+// ChoosePlan applies the plan rule to a query's candidate translations.
+// naive is the baseline (always correct); pruned is the constraint-exploiting
+// translation, or nil when translation fell back. The rule serves pruned
+// whenever it exists: its validity rests on the lossless-from-XML constraint
+// (§3.2), not on the data, and the trust gate serves the baseline when the
+// constraint is in doubt. Otherwise the baseline serves with the shared-prefix
+// rewrite applied. Pruned plans are not factored: their branches do not
+// share prefixes. est is ignored; it remains so existing callers compile.
 func ChoosePlan(naive, pruned *sqlast.Query, s *schema.Schema, est *stats.Estimator) *Decision {
-	d := &Decision{BaselineEst: est.EstimateQuery(naive), Query: naive}
-	d.ChosenEst = d.BaselineEst
 	if pruned != nil {
-		d.PrunedEst = est.EstimateQuery(pruned)
-		if d.PrunedEst.Cost < stats.PlanMargin*d.BaselineEst.Cost {
-			d.UsePruned = true
-			d.Query = pruned
-			d.ChosenEst = d.PrunedEst
-		}
+		return &Decision{UsePruned: true, Reason: ReasonPruned, Query: pruned}
 	}
-
-	if factored, changed := FactorSharedPrefixes(d.Query, s); changed {
-		fEst := est.EstimateQuery(factored)
-		if fEst.Cost < stats.FactorMargin*d.ChosenEst.Cost {
-			d.Factored = true
-			d.Query = factored
-			d.ChosenEst = fEst
-		}
-	}
-
-	if reordered, changed := ReorderJoins(d.Query, est); changed {
-		// ReorderJoins already enforced its own margin per branch.
-		d.Reordered = true
-		d.Query = reordered
-		d.ChosenEst = est.EstimateQuery(reordered)
-	}
-	return d
+	q, factored := FactorSharedPrefixes(naive, s)
+	return &Decision{Factored: factored, Reason: ReasonFallback, Query: q}
 }

@@ -11,13 +11,11 @@ import (
 	"xmlsql"
 )
 
-// TestPlannerUpdateServingUnderWrites serves an adaptive planner from four
+// TestPlannerUpdateServingUnderWrites serves an Adaptive planner from four
 // readers while two writers insert and delete through Planner.Update, and
-// pins what writes may cost the readers: nothing but the chooser. Every
-// answer is the reference multiset plus at most each writer's one live
-// element, statistics are never rescanned (they follow the commits), no
-// cache entry is lost or duplicated, and decisions are re-made only for the
-// queries that read the written relation. Run it under -race.
+// pins what writes may cost the readers: nothing. Every answer is the
+// reference multiset plus at most each writer's one live element, and no
+// cache entry is lost or duplicated. Run it under -race.
 func TestPlannerUpdateServingUnderWrites(t *testing.T) {
 	ctx := context.Background()
 	p, _ := newUpdatePlanner(t, func(cfg *xmlsql.PlannerConfig) {
@@ -50,8 +48,8 @@ func TestPlannerUpdateServingUnderWrites(t *testing.T) {
 		reference[q], _ = multiset(res)
 	}
 	st0 := p.Stats()
-	if st0.StatsCollects != 1 || st0.Entries != len(queries) {
-		t.Fatalf("after warm-up: %d collects, %d entries; want 1 and %d", st0.StatsCollects, st0.Entries, len(queries))
+	if st0.Entries != len(queries) {
+		t.Fatalf("after warm-up: %d entries; want %d", st0.Entries, len(queries))
 	}
 
 	stop := make(chan struct{})
@@ -134,21 +132,13 @@ func TestPlannerUpdateServingUnderWrites(t *testing.T) {
 	}
 	st := p.Stats()
 	n := updates.Load()
-	t.Logf("%d updates, %d decision refreshes, %d hits, %d misses", n, st.DecisionRefreshes, st.Hits, st.Misses)
+	t.Logf("%d updates, %d hits, %d misses", n, st.Hits, st.Misses)
 	if n < 4 || st.Updates != n {
 		t.Fatalf("%d updates applied, planner counted %d", n, st.Updates)
-	}
-	if st.StatsCollects != 1 {
-		t.Fatalf("StatsCollects = %d after %d updates, want 1", st.StatsCollects, n)
 	}
 	if st.Entries != len(queries) || st.Misses != st0.Misses {
 		t.Fatalf("plan cache: %d entries, misses %d -> %d; want %d entries and no new miss",
 			st.Entries, st0.Misses, st.Misses, len(queries))
-	}
-	// One refresh per write per touched query, times the readers that can
-	// notice the same write at once.
-	if max := n * int64(len(touched)) * 4; st.DecisionRefreshes == 0 || st.DecisionRefreshes > max {
-		t.Fatalf("DecisionRefreshes = %d, want 1..%d", st.DecisionRefreshes, max)
 	}
 }
 
@@ -164,17 +154,17 @@ func sameMultiset(a, b map[string]int) bool {
 	return true
 }
 
-// TestPlannerAdaptiveExplainConcurrent shares one statistics snapshot among
-// eight goroutines asking for its fingerprint at once; under -race it pins
-// that the memoized Stats.Fingerprint is safe to call concurrently.
+// TestPlannerAdaptiveExplainConcurrent asks eight goroutines to explain one
+// query at once on a cold cache; under -race it pins that they all report
+// the same served plan.
 func TestPlannerAdaptiveExplainConcurrent(t *testing.T) {
 	ctx := context.Background()
 	p, _ := newUpdatePlanner(t, func(cfg *xmlsql.PlannerConfig) {
 		cfg.Translate.Adaptive = true
 	})
-	fps := make([]string, 8)
+	sqls := make([]string, 8)
 	var wg sync.WaitGroup
-	for g := range fps {
+	for g := range sqls {
 		g := g
 		wg.Add(1)
 		go func() {
@@ -184,13 +174,13 @@ func TestPlannerAdaptiveExplainConcurrent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			fps[g] = ex.StatsFingerprint
+			sqls[g] = ex.Decision.KnobKey() + "\n" + ex.Plan.Query.SQL()
 		}()
 	}
 	wg.Wait()
-	for _, fp := range fps {
-		if fp == "" || fp != fps[0] {
-			t.Fatalf("fingerprints of one snapshot differ: %q", fps)
+	for _, q := range sqls {
+		if q == "" || q != sqls[0] {
+			t.Fatalf("concurrent explanations of one query differ: %q", sqls)
 		}
 	}
 }

@@ -34,6 +34,16 @@ func plannerFixture(t *testing.T, s *xmlsql.Schema, doc *xmlsql.Document, querie
 	return store, want
 }
 
+// evalPlan runs query's cached plan against an explicit store: Plan, then
+// Execute under opts.
+func evalPlan(p *xmlsql.Planner, store *xmlsql.Store, query string, opts xmlsql.ExecuteOptions) (*xmlsql.Result, error) {
+	tr, err := p.Plan(query)
+	if err != nil {
+		return nil, err
+	}
+	return xmlsql.Execute(context.Background(), store, tr.Query, opts)
+}
+
 // runConcurrentEval hammers one shared Planner and store from parallel
 // goroutines and checks every result against the serial reference — rows and
 // row order both. Run with -race.
@@ -51,7 +61,7 @@ func runConcurrentEval(t *testing.T, s *xmlsql.Schema, doc *xmlsql.Document, que
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				q := queries[(g+i)%len(queries)]
-				res, err := p.Eval(store, q)
+				res, err := evalPlan(p, store, q, xmlsql.ExecuteOptions{})
 				if err != nil {
 					errs <- fmt.Errorf("%s: %v", q, err)
 					return
@@ -114,10 +124,10 @@ func TestPlannerSchemaFingerprintInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := xmlsql.NewPlanner(xm)
-	if _, err := p.Eval(store, workloads.QueryQ1); err != nil {
+	if _, err := evalPlan(p, store, workloads.QueryQ1, xmlsql.ExecuteOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Eval(store, workloads.QueryQ1); err != nil {
+	if _, err := evalPlan(p, store, workloads.QueryQ1, xmlsql.ExecuteOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Stats()
@@ -138,7 +148,7 @@ func TestPlannerSchemaFingerprintInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.SetSchema(es)
-	res, err := p.Eval(estore, workloads.QueryQ1)
+	res, err := evalPlan(p, estore, workloads.QueryQ1, xmlsql.ExecuteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +190,11 @@ func TestPlannerTranslateOptionsKeyed(t *testing.T) {
 	})
 	def := xmlsql.NewPlanner(s3)
 	for i := 0; i < 2; i++ {
-		got, err := abl.Eval(store, workloads.QueryQ7)
+		got, err := evalPlan(abl, store, workloads.QueryQ7, xmlsql.ExecuteOptions{DisableIndexes: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := def.Eval(store, workloads.QueryQ7)
+		want, err := evalPlan(def, store, workloads.QueryQ7, xmlsql.ExecuteOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,11 +71,7 @@ func NewUpdateApplier(s *Schema, store *Store, opts UpdateOptions) (*UpdateAppli
 //
 //   - Cached translations stay: a translation is a function of (mapping, path
 //     expression), valid on every instance satisfying the lossless constraint,
-//     so no write can make one wrong. An adaptive entry re-validates its
-//     decision by statistics fingerprint (see planAdaptive).
-//   - The in-memory backend folded the batch's change list into its
-//     statistics at commit; a probed snapshot (database backends) is dropped
-//     so the next adaptive plan re-probes.
+//     so no write can make one wrong, and the plan rule reads no data.
 //   - Trust transitions follow the incremental audit of the touched
 //     neighborhood: a clean audit leaves TrustVerified standing without a
 //     global scan (the batch demonstrably preserved the constraint where it
@@ -99,8 +95,6 @@ func (p *Planner) Update(ctx context.Context, b UpdateBatch) (*UpdateResult, err
 		return nil, err
 	}
 	p.updates.Add(1)
-
-	p.probed.Store(nil)
 
 	switch {
 	case !res.Audit.Clean():

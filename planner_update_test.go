@@ -160,11 +160,10 @@ func TestPlannerUpdateScopedInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlannerUpdateScopedInvalidationAdaptive pins the same on the adaptive
-// path, where only the *decision* depends on data: a write to InCat re-runs
-// the chooser exactly once for the InCat-reading query (its relation's
-// statistics fingerprint moved) and not at all for the Site-only query, no
-// cache entry is lost, and the write costs no statistics rescan.
+// TestPlannerUpdateScopedInvalidationAdaptive pins the same on an Adaptive
+// planner: a write to InCat re-makes no decision (the plan rule reads no
+// data) and loses no cache entry, and the touched query serves the written
+// element from its cached plan.
 func TestPlannerUpdateScopedInvalidationAdaptive(t *testing.T) {
 	ctx := context.Background()
 	p, _ := newUpdatePlanner(t, func(cfg *xmlsql.PlannerConfig) {
@@ -185,9 +184,6 @@ func TestPlannerUpdateScopedInvalidationAdaptive(t *testing.T) {
 	countRows(t, p, qUntouched)
 	decTouched, decUntouched := decision(qTouched), decision(qUntouched)
 	st0 := p.Stats()
-	if st0.StatsCollects != 1 || st0.DecisionRefreshes != 0 {
-		t.Fatalf("after warm-up: %d collects, %d decision refreshes, want 1 and 0", st0.StatsCollects, st0.DecisionRefreshes)
-	}
 
 	if _, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{{
 		Op:   xmlsql.UpdateInsert,
@@ -201,26 +197,18 @@ func TestPlannerUpdateScopedInvalidationAdaptive(t *testing.T) {
 	if got := decision(qUntouched); got != decUntouched {
 		t.Fatal("untouched adaptive query's decision was re-made after an unrelated write")
 	}
-	if st := p.Stats(); st.Misses != st0.Misses || st.DecisionRefreshes != 0 {
-		t.Fatalf("untouched adaptive query: misses %d -> %d, decision refreshes %d, want no movement",
-			st0.Misses, st.Misses, st.DecisionRefreshes)
+	if st := p.Stats(); st.Misses != st0.Misses {
+		t.Fatalf("untouched adaptive query: misses %d -> %d, want no movement", st0.Misses, st.Misses)
 	}
 	if !servesValue(t, p, qTouched, "adaptive-write") {
 		t.Fatal("touched adaptive query's answer does not contain the written element")
 	}
 	countRows(t, p, qTouched)
-	if got := decision(qTouched); got == decTouched {
-		t.Fatal("touched adaptive query kept a decision made against pre-write statistics")
+	if got := decision(qTouched); got != decTouched {
+		t.Fatal("touched adaptive query's decision was re-made after a write")
 	}
-	st := p.Stats()
-	if st.Misses != st0.Misses {
+	if st := p.Stats(); st.Misses != st0.Misses {
 		t.Fatalf("touched adaptive query re-translated after a write (%d -> %d misses)", st0.Misses, st.Misses)
-	}
-	if st.DecisionRefreshes != 1 {
-		t.Fatalf("DecisionRefreshes = %d after one write to the touched query's relation, want 1", st.DecisionRefreshes)
-	}
-	if st.StatsCollects != 1 {
-		t.Fatalf("StatsCollects = %d after an Update, want 1 (statistics follow the commit)", st.StatsCollects)
 	}
 }
 

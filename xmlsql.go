@@ -21,7 +21,6 @@ import (
 	"database/sql"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -130,19 +129,11 @@ type (
 	// Dialect controls how SQL text is rendered for a concrete engine:
 	// identifier quoting, keyword case, placeholders, and DDL type names.
 	Dialect = sqlast.Dialect
-	// Statistics is a snapshot of per-relation/per-column table statistics
-	// (row counts, distinct counts, small-domain histograms, join fan-out)
-	// over a shredded instance; the adaptive planner's raw material.
+	// Statistics is a snapshot of a shredded instance's per-relation row
+	// counts. No plan depends on it.
 	Statistics = stats.Stats
-	// Estimator estimates output rows and intermediate-join sizes of
-	// generated SQL against one Statistics snapshot.
-	Estimator = stats.Estimator
-	// QueryEstimate is an Estimator's per-query prediction: rows, abstract
-	// cost, and per-branch breakdowns.
-	QueryEstimate = stats.QueryEstimate
-	// PlanDecision records the adaptive chooser's selections for one query
-	// (pruned vs baseline, factored, join order) with the estimates that
-	// justified them.
+	// PlanDecision records the plan rule's outcome for one query: pruned or
+	// baseline, whether the baseline was factored, and why.
 	PlanDecision = translate.Decision
 )
 
@@ -387,33 +378,17 @@ func FactorSharedPrefixes(s *Schema, q *SQL) (*SQL, bool) {
 	return translate.FactorSharedPrefixes(q, s)
 }
 
-// CollectStatistics scans every table of an in-memory store and returns the
-// statistics snapshot the adaptive planner plans against: per-relation row
-// counts, per-column distinct counts, small-domain histograms (kindcode/
-// parentcode selectivities), and the parent→child join fan-outs they imply.
-// The snapshot carries the store's mutation version; its Fingerprint()
-// changes whenever the data or the version changes.
+// CollectStatistics counts the rows of every table of an in-memory store.
 func CollectStatistics(store *Store) *Statistics { return stats.CollectStore(store) }
 
-// CollectBackendStatistics collects the same snapshot over any Backend: the
-// in-memory backend answers from its live statistics, database backends are
-// probed with one SELECT per mapped relation of s.
-func CollectBackendStatistics(ctx context.Context, b Backend, s *Schema) (*Statistics, error) {
-	return backend.CollectStats(ctx, b, s)
-}
-
-// NewEstimator creates a cardinality/cost estimator over a statistics
-// snapshot. Estimate a generated SQL statement with EstimateQuery.
-func NewEstimator(st *Statistics) *Estimator { return stats.NewEstimator(st) }
-
-// ChoosePlan runs the cost-based plan chooser directly: naive is the
-// baseline translation, pruned the constraint-exploiting one (nil when
-// translation fell back), and the returned Decision records which plan and
-// rewrites won and why. Planner does this automatically when
-// TranslateOptions.Adaptive is set; ChoosePlan is for tools (xml2sql
-// -explain) and tests that want the decision without a planner.
-func ChoosePlan(naive, pruned *SQL, s *Schema, est *Estimator) *PlanDecision {
-	return translate.ChoosePlan(naive, pruned, s, est)
+// ChoosePlan applies the plan rule directly: naive is the baseline
+// translation, pruned the constraint-exploiting one (nil when translation
+// fell back). Pruned serves whenever it exists; otherwise the baseline serves
+// with the shared-prefix rewrite applied. The Planner applies the same rule
+// to every query it serves; ChoosePlan is for tools and tests that want the
+// decision without a planner.
+func ChoosePlan(naive, pruned *SQL, s *Schema) *PlanDecision {
+	return translate.ChoosePlan(naive, pruned, s, nil)
 }
 
 // Eval is the end-to-end convenience: translate with the lossless
@@ -437,25 +412,22 @@ type PlannerConfig struct {
 	// CacheSize bounds the plan cache (total entries across shards);
 	// 0 means plancache.DefaultCapacity.
 	CacheSize int
-	// Execute is passed to the engine on every Eval, and to the in-memory
-	// backend the planner creates when Backend is nil.
+	// Execute is passed to the in-memory backend the planner creates when
+	// Backend is nil.
 	Execute ExecuteOptions
 	// Translate tunes the pruning translator. Plans translated under
-	// different options never alias in the cache. Setting Translate.Adaptive
-	// switches the planner to cost-based per-query planning: statistics are
-	// collected (and refreshed when the data mutates), every query's pruned
-	// and baseline translations are costed, and the cheaper plan — plus
-	// per-query factoring and join order decisions — wins. Explain reports
-	// the decisions.
+	// different options never alias in the cache. Translate.Adaptive selects
+	// nothing: every planner serves by the same rule (see ChoosePlan), and
+	// Explain reports its decision.
 	Translate TranslateOptions
-	// Backend, when non-nil, is where Exec runs cached plans. Eval against
-	// an explicit store ignores it. Execute options apply only to the
-	// in-memory engine; a DB backend executes however its database does.
+	// Backend, when non-nil, is where Exec runs cached plans. Execute
+	// options apply only to the in-memory engine; a DB backend executes
+	// however its database does.
 	// Wrap it with NewResilientBackend to add retries, a circuit breaker,
 	// and degraded-mode fallback without touching the planner.
 	Backend Backend
-	// Timeout, when positive, is the per-query deadline Exec and
-	// EvalContext apply on top of the caller's context. A query that
+	// Timeout, when positive, is the per-query deadline Exec applies on
+	// top of the caller's context. A query that
 	// exceeds it aborts with context.DeadlineExceeded instead of holding a
 	// serving goroutine hostage.
 	Timeout time.Duration
@@ -495,15 +467,6 @@ type Planner struct {
 	audits     atomic.Int64
 	violations atomic.Int64
 	safeServes atomic.Int64
-
-	// Adaptive machinery. A Mem backend keeps its own live statistics; live
-	// is the tracker for the store an explicit-store Eval last read, probed
-	// the snapshot of a backend that can only be probed (kept until
-	// RefreshStats or an Update drops it).
-	live              atomic.Pointer[stats.Tracker]
-	probed            atomic.Pointer[Statistics]
-	statsCollects     atomic.Int64
-	decisionRefreshes atomic.Int64
 
 	// Update machinery: the lazily-built batch applier (rebuilt when the
 	// installed schema changes) and the write counters. applierMu guards
@@ -557,8 +520,8 @@ func backendTopology(b Backend) string {
 // Schema returns the mapping the planner currently serves.
 func (p *Planner) Schema() *Schema { return p.schema.Load() }
 
-// SetSchema atomically installs a new mapping. In-flight Evals finish under
-// the schema they started with; subsequent Evals translate (and cache) under
+// SetSchema atomically installs a new mapping. In-flight queries finish under
+// the schema they started with; subsequent ones translate (and cache) under
 // the new fingerprint, so stale plans are never served. The trust state
 // resets to TrustUnverified: whatever the last audit said, it said it about
 // a different mapping.
@@ -568,241 +531,104 @@ func (p *Planner) SetSchema(s *Schema) {
 	p.lastAudit.Store(nil)
 }
 
-// Plan returns the pruned translation for query, from the cache when
-// possible. Serving (Exec) consults the trust state and may substitute the
-// safe-mode plan instead; Plan itself always answers with the pruned one so
-// diagnostics and tests can inspect it.
+// Plan returns the translation Exec serves for query while the instance is
+// trusted, from the cache when possible: the pruned translation, or the
+// factored baseline when pruning fell back. Serving (Exec) consults the trust
+// state and may substitute the safe-mode plan instead.
 func (p *Planner) Plan(query string) (*Translation, error) {
-	return p.planMode(query, false)
+	cp, err := p.planMode(query, false)
+	if err != nil {
+		return nil, err
+	}
+	return cp.tr, nil
 }
 
-// planMode translates query in either pruned or safe (baseline) mode, with
-// both kinds cached under mode-distinct keys so flipping trust state never
-// serves a plan produced under the other mode.
-func (p *Planner) planMode(query string, safe bool) (*Translation, error) {
+// cachedPlan is one plan-cache entry: the translation served and the rule's
+// decision behind it.
+type cachedPlan struct {
+	tr  *Translation
+	dec *PlanDecision
+}
+
+// planMode applies the plan rule to query in trusted or safe mode, with both
+// kinds cached under mode-distinct keys so flipping trust state never serves
+// a plan produced under the other mode. Trusted mode serves the pruned
+// translation unless it fell back; safe mode serves the baseline of [9],
+// correct on any instance, lossless or not. A served baseline always carries
+// the shared-prefix rewrite, a pure SQL-to-SQL transformation.
+func (p *Planner) planMode(query string, safe bool) (*cachedPlan, error) {
 	s := p.schema.Load()
 	optKey := p.optKey
 	if safe {
-		optKey = safeModeKey
-		if p.cfg.Translate.FactorPrefixes {
-			optKey = safeModeKey + "+factored"
-		}
-		optKey += p.topoKey
+		optKey = safeModeKey + p.topoKey
 	}
 	k := plancache.Key{SchemaFP: s.Fingerprint(), Query: query, Options: optKey}
 	if v, ok := p.cache.Get(k); ok {
-		return v.(*Translation), nil
+		return v.(*cachedPlan), nil
 	}
 	q, err := ParseQuery(query)
 	if err != nil {
 		return nil, err
 	}
 	var tr *Translation
+	var dec *PlanDecision
 	if safe {
-		// Safe mode: the baseline translation of [9], correct on any
-		// instance, lossless or not. Fallback marks the pruning as unused.
-		// The shared-work rewrite is a pure SQL-to-SQL transformation, so
-		// it stays on in safe mode when the planner is configured for it.
 		nq, err := TranslateNaive(s, q)
 		if err != nil {
 			return nil, err
 		}
-		if p.cfg.Translate.FactorPrefixes {
-			nq, _ = translate.FactorSharedPrefixes(nq, s)
-		}
-		tr = &Translation{Query: nq, Fallback: true}
+		dec = translate.ChoosePlan(nq, nil, s, nil)
+		dec.Reason = translate.ReasonSafeMode
 	} else {
 		if tr, err = TranslateWithOptions(s, q, p.cfg.Translate); err != nil {
 			return nil, err
 		}
+		if tr.Fallback {
+			dec = translate.ChoosePlan(tr.Query, nil, s, nil)
+		} else {
+			dec = translate.ChoosePlan(nil, tr.Query, s, nil)
+		}
 	}
-	p.cache.PutTagged(k, tr, sqlast.Relations(tr.Query))
-	return tr, nil
+	if !dec.UsePruned {
+		tr = &Translation{Query: dec.Query, Fallback: true}
+	}
+	cp := &cachedPlan{tr: tr, dec: dec}
+	p.cache.PutTagged(k, cp, sqlast.Relations(tr.Query))
+	return cp, nil
 }
 
 // safeModeKey is the plan-cache options key for safe-mode (baseline) plans;
 // the baseline translator takes no options, so one key covers them all.
 const safeModeKey = "safe-mode"
 
-// adaptive reports whether this planner plans cost-based per query.
-func (p *Planner) adaptive() bool { return p.cfg.Translate.Adaptive }
-
-// adaptivePlan is the one cache entry of an adaptively planned query. The
-// candidate translations and their relation footprint depend only on
-// (schema, query, options), never on rows, so a write leaves them alone;
-// only the choice between them depends on data. decision holds that choice
-// together with the statistics fingerprints of the footprint's relations it
-// was made against, and is swapped when one of them has moved.
-type adaptivePlan struct {
-	naive, pruned *SQL // pruned is nil when there is nothing to choose
-	classes       []core.PrunedClass
-	rels          []string
-	decision      atomic.Pointer[adaptiveDecision]
-}
-
-// adaptiveDecision is one outcome of the chooser: the translation Exec
-// serves, the Decision behind it (Explain prints it), and fps[i], rels[i]'s
-// statistics fingerprint then.
-type adaptiveDecision struct {
-	tr  *Translation
-	dec *PlanDecision
-	fps []uint64
-}
-
-// decide runs the chooser over the candidates against snap and installs it.
-func (ap *adaptivePlan) decide(s *Schema, snap *Statistics) *adaptiveDecision {
-	dec := translate.ChoosePlan(ap.naive, ap.pruned, s, stats.NewEstimator(snap))
-	d := &adaptiveDecision{
-		tr:  &Translation{Query: dec.Query, Fallback: !dec.UsePruned},
-		dec: dec,
-		fps: make([]uint64, len(ap.rels)),
-	}
-	if dec.UsePruned {
-		d.tr.Classes = ap.classes
-	}
-	for i, r := range ap.rels {
-		d.fps[i] = snap.Table(r).Fingerprint()
-	}
-	ap.decision.Store(d)
-	return d
-}
-
-// StatsSnapshot returns current statistics for the serving backend,
-// collecting on first use. The in-memory backend maintains its statistics
-// from every committed batch, so its snapshot is always current; other
-// backends are probed once and kept until RefreshStats or an Update.
+// StatsSnapshot counts the serving backend's rows per relation. No plan
+// reads it; it stays because the repository benchmark still calls it.
 func (p *Planner) StatsSnapshot(ctx context.Context) (*Statistics, error) {
-	if m, ok := p.backend().(*backend.Mem); ok {
-		return p.liveStats(m.StatsTracker()), nil
-	}
-	if snap := p.probed.Load(); snap != nil {
-		return snap, nil
-	}
-	snap, err := backend.CollectStats(ctx, p.backend(), p.schema.Load())
-	if err != nil {
-		return nil, err
-	}
-	p.statsCollects.Add(1)
-	p.probed.Store(snap)
-	return snap, nil
+	return backend.CollectStats(ctx, p.backend(), p.schema.Load())
 }
 
-// liveStats snapshots a tracker, counting the call as a collection when it
-// had to scan a table (first use, or a write that bypassed the backend).
-func (p *Planner) liveStats(tr *stats.Tracker) *Statistics {
-	snap, scanned := tr.Snapshot()
-	if scanned {
-		p.statsCollects.Add(1)
-	}
-	return snap
-}
-
-// storeStats is liveStats for an explicit store (the Eval path).
-func (p *Planner) storeStats(store *Store) *Statistics {
-	tr := p.live.Load()
-	if tr == nil || tr.Store() != store {
-		tr = stats.NewTracker(store)
-		p.live.Store(tr)
-	}
-	return p.liveStats(tr)
-}
-
-// RefreshStats drops a probed statistics snapshot and collects a new one —
-// for database backends (whose mutations the planner cannot observe) after
-// loads, or on a timer.
-func (p *Planner) RefreshStats(ctx context.Context) (*Statistics, error) {
-	p.probed.Store(nil)
-	return p.StatsSnapshot(ctx)
-}
-
-// planAdaptive runs the cost-based plan path. A query has one cache entry,
-// keyed by (schema fingerprint, query, options) and tagged with its relation
-// footprint (trust demotion purges by relation). A hit compares the
-// decision's recorded per-relation statistics fingerprints with snap's and
-// serves; if a relation the query reads has changed, the chooser re-runs
-// over the cached candidates — no parse, PathId, prune or SQLGen — and the
-// new decision is swapped in. Writes to other relations cost nothing.
-func (p *Planner) planAdaptive(query string, snap *Statistics) (*Translation, *PlanDecision, error) {
-	s := p.schema.Load()
-	k := plancache.Key{SchemaFP: s.Fingerprint(), Query: query, Options: p.optKey + "|adaptive"}
-	if v, ok := p.cache.Get(k); ok {
-		ap := v.(*adaptivePlan)
-		d := ap.decision.Load()
-		for i, r := range ap.rels {
-			if snap.Table(r).Fingerprint() != d.fps[i] {
-				d = ap.decide(s, snap)
-				p.decisionRefreshes.Add(1)
-				break
-			}
-		}
-		return d.tr, d.dec, nil
-	}
-	q, err := ParseQuery(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := p.cfg.Translate
-	opts.Adaptive = true
-	opts.FactorPrefixes = false // the chooser decides factoring per query
-	tr, err := TranslateWithOptions(s, q, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	ap := &adaptivePlan{naive: tr.Baseline, pruned: tr.Query, classes: tr.Classes}
-	if tr.Fallback || ap.naive == nil {
-		// Fallback translations and empty ones (no schema match, so no
-		// Baseline either) leave a single candidate: nothing to choose.
-		ap.naive, ap.pruned = tr.Query, nil
-	}
-	// The footprint is the union over both candidates: whichever plan a
-	// future statistics state favors, its relations are covered.
-	ap.rels = relationUnion(ap.naive, ap.pruned)
-	d := ap.decide(s, snap)
-	p.cache.PutTagged(k, ap, ap.rels)
-	return d.tr, d.dec, nil
-}
-
-// relationUnion is the sorted union of the relations two candidate plans read.
-func relationUnion(a, b *SQL) []string {
-	rels := sqlast.Relations(a)
-	if b != nil {
-		rels = append(rels, sqlast.Relations(b)...)
-	}
-	sort.Strings(rels)
-	return slices.Compact(rels)
-}
-
-// Explanation is the adaptive planner's answer to "what would you do with
-// this query, and why": the decision with its estimates, the chosen plan,
-// and the statistics fingerprint it was made against. xml2sql -explain
-// renders one.
+// Explanation is the planner's answer to "what would you serve for this
+// query, and why": the plan rule's decision and the plan itself. xml2sql
+// -explain and the server's /explain render one.
 type Explanation struct {
 	// Query is the path expression explained.
 	Query string
-	// StatsFingerprint identifies the statistics snapshot the decision was
-	// checked against.
-	StatsFingerprint string
-	// Decision is the chooser's outcome: plan choice, rewrites, and the
-	// per-candidate estimates behind them.
+	// Decision is the rule's outcome: pruned or baseline, whether the
+	// baseline was factored, and the reason (pruned, fallback or safe mode).
 	Decision *PlanDecision
-	// Plan is the chosen translation as Exec would serve it.
+	// Plan is the translation Exec serves right now.
 	Plan *Translation
 }
 
-// Explain runs the adaptive plan path for query — regardless of whether the
-// planner itself is configured adaptive — and reports the decision. It uses
-// (and fills) the same caches as Exec, so explaining then executing plans
-// exactly once.
+// Explain reports the plan Exec would serve for query under the current
+// trust state, and why. It uses (and fills) the same cache as Exec, so
+// explaining then executing plans exactly once.
 func (p *Planner) Explain(ctx context.Context, query string) (*Explanation, error) {
-	snap, err := p.StatsSnapshot(ctx)
+	cp, err := p.planMode(query, p.safeMode())
 	if err != nil {
 		return nil, err
 	}
-	tr, dec, err := p.planAdaptive(query, snap)
-	if err != nil {
-		return nil, err
-	}
-	return &Explanation{Query: query, StatsFingerprint: snap.Fingerprint(), Decision: dec, Plan: tr}, nil
+	return &Explanation{Query: query, Decision: cp.dec, Plan: cp.tr}, nil
 }
 
 // safeMode reports whether Exec must serve the baseline translation right
@@ -898,30 +724,6 @@ func (p *Planner) Audit(ctx context.Context) (*IntegrityReport, error) {
 // since the schema was installed.
 func (p *Planner) LastAudit() *IntegrityReport { return p.lastAudit.Load() }
 
-// Eval translates (with caching) and executes query against the store.
-func (p *Planner) Eval(store *Store, query string) (*Result, error) {
-	return p.EvalContext(context.Background(), store, query)
-}
-
-// EvalContext is Eval under a caller context plus the configured Timeout:
-// cancellation and deadline expiry abort the execution promptly with
-// ctx.Err().
-func (p *Planner) EvalContext(ctx context.Context, store *Store, query string) (*Result, error) {
-	var tr *Translation
-	var err error
-	if p.adaptive() {
-		tr, _, err = p.planAdaptive(query, p.storeStats(store))
-	} else {
-		tr, err = p.Plan(query)
-	}
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := p.queryCtx(ctx)
-	defer cancel()
-	return engine.Execute(ctx, store, tr.Query, p.cfg.Execute)
-}
-
 // Exec translates (with caching) and executes query on the configured
 // backend under ctx plus the configured Timeout. A Planner whose config
 // names no backend gets a fresh in-memory one on first use, so Exec works
@@ -934,24 +736,7 @@ func (p *Planner) EvalContext(ctx context.Context, store *Store, query string) (
 // Stats().SafeModeServes.
 func (p *Planner) Exec(ctx context.Context, query string) (*Result, error) {
 	safe := p.safeMode()
-	if p.adaptive() && !safe {
-		// Adaptive serving: plan cost-based against the current statistics
-		// snapshot. Safe mode bypasses it — on untrusted data only the
-		// baseline translation may serve, and the estimates were made about
-		// data the audit just impeached.
-		snap, err := p.StatsSnapshot(ctx)
-		if err != nil {
-			return nil, err
-		}
-		tr, _, err := p.planAdaptive(query, snap)
-		if err != nil {
-			return nil, err
-		}
-		ctx, cancel := p.queryCtx(ctx)
-		defer cancel()
-		return p.backend().Execute(ctx, tr.Query)
-	}
-	tr, err := p.planMode(query, safe)
+	cp, err := p.planMode(query, safe)
 	if err != nil {
 		return nil, err
 	}
@@ -960,7 +745,7 @@ func (p *Planner) Exec(ctx context.Context, query string) (*Result, error) {
 	}
 	ctx, cancel := p.queryCtx(ctx)
 	defer cancel()
-	return p.backend().Execute(ctx, tr.Query)
+	return p.backend().Execute(ctx, cp.tr.Query)
 }
 
 // queryCtx applies the per-query deadline, if configured.
@@ -1006,12 +791,9 @@ type PlannerStats struct {
 	// translation because the instance was not trusted — the integrity
 	// counterpart of the resilience layer's Fallbacks counter.
 	SafeModeServes int64 `json:"safe_mode_serves"`
-	// StatsCollects counts statistics passes that scanned or probed data: 1
-	// after first use, +1 per noticed write that bypassed the backend, +0 per
-	// Update. DecisionRefreshes counts adaptive decisions re-made because a
-	// relation the query reads had changed.
-	StatsCollects     int64 `json:"stats_collects"`
-	DecisionRefreshes int64 `json:"decision_refreshes"`
+	// StatsCollects is a compile-only shim: it is always 0, since no plan
+	// collects statistics. It stays because the repository benchmark reads it.
+	StatsCollects int64 `json:"-"`
 	// Updates counts mutation batches applied through Update;
 	// UpdateRejects counts batches rejected (invalid, conflicting, or
 	// failed) — rejected batches left the instance untouched.
@@ -1027,14 +809,12 @@ func (p *Planner) Stats() PlannerStats {
 	st := p.cache.Stats()
 	return PlannerStats{
 		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: st.Entries,
-		Audits:            p.audits.Load(),
-		ViolationsFound:   p.violations.Load(),
-		SafeModeServes:    p.safeServes.Load(),
-		StatsCollects:     p.statsCollects.Load(),
-		DecisionRefreshes: p.decisionRefreshes.Load(),
-		Updates:           p.updates.Load(),
-		UpdateRejects:     p.updateRejects.Load(),
-		Trust:             TrustState(p.trust.Load()),
+		Audits:          p.audits.Load(),
+		ViolationsFound: p.violations.Load(),
+		SafeModeServes:  p.safeServes.Load(),
+		Updates:         p.updates.Load(),
+		UpdateRejects:   p.updateRejects.Load(),
+		Trust:           TrustState(p.trust.Load()),
 	}
 }
 
