@@ -124,12 +124,17 @@ func RunAblations(sc Scale) (string, error) {
 }
 
 func measureOpts(store *relational.Store, q *sqlast.Query, opts engine.Options) float64 {
+	return measureFor(store, q, opts, MinMeasureTime)
+}
+
+// measureFor is measureOpts with an explicit measurement window.
+func measureFor(store *relational.Store, q *sqlast.Query, opts engine.Options, d time.Duration) float64 {
 	if _, err := engine.Execute(context.Background(), store, q, opts); err != nil {
 		return 0
 	}
 	var reps int
 	start := time.Now()
-	for time.Since(start) < MinMeasureTime || reps < 3 {
+	for time.Since(start) < d || reps < 3 {
 		if _, err := engine.Execute(context.Background(), store, q, opts); err != nil {
 			return 0
 		}

@@ -50,7 +50,12 @@ func Execute(ctx context.Context, store *relational.Store, q *sqlast.Query, opts
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
-	return ex.query(q)
+	res, err := ex.query(q)
+	if err != nil {
+		return nil, err
+	}
+	res.Work = ex.work
+	return res, nil
 }
 
 type executor struct {
@@ -62,8 +67,9 @@ type executor struct {
 	// cheaper than ctx.Err() on hot row loops (and nil for Background, which
 	// a nil-channel select handles for free).
 	done <-chan struct{}
-	// rows counts materialized rows against opts.MaxRows across all branches.
-	rows int
+	// work accumulates the query's Work; its Materialized count is checked
+	// against opts.MaxRows across all branches.
+	work Work
 }
 
 // cancelCheckInterval is how many rows a join or filter loop processes
@@ -84,6 +90,7 @@ func (ex *executor) cancelled() error {
 // tick counts down a loop-local budget and polls for cancellation when it
 // runs out.
 func (ex *executor) tick(countdown *int) error {
+	ex.work.Examined++
 	*countdown--
 	if *countdown > 0 {
 		return nil
@@ -94,10 +101,8 @@ func (ex *executor) tick(countdown *int) error {
 
 // charge counts n newly materialized rows against Options.MaxRows.
 func (ex *executor) charge(n int) error {
-	if ex.opts.MaxRows <= 0 || n == 0 {
-		return nil
-	}
-	if ex.rows += n; ex.rows > ex.opts.MaxRows {
+	ex.work.Materialized += n
+	if ex.opts.MaxRows > 0 && ex.work.Materialized > ex.opts.MaxRows {
 		return &ResourceError{Resource: ResourceRows, Limit: ex.opts.MaxRows}
 	}
 	return nil
@@ -560,6 +565,7 @@ func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts 
 	}
 
 	if cur == nil {
+		ex.work.Scanned += len(rel.rows)
 		return &frame{bindings: solo.bindings, rows: rows, width: solo.width, owned: len(local) > 0}, pending, nil
 	}
 
@@ -575,6 +581,7 @@ func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts 
 	}
 	switch {
 	case len(keys) == 0 || ex.opts.ForceNestedLoop:
+		ex.work.Scanned += len(rel.rows)
 		next.rows, err = ex.nestedLoopJoin(cur, rows, keys, arena)
 	case !ex.opts.DisableIndexes && len(keys) == 1 && len(local) == 0 && rel.table != nil && rel.table.HasIndex(keys[0].column):
 		// Index probe: a single equality join against an unfiltered base
@@ -582,6 +589,7 @@ func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts 
 		// the per-query hash table.
 		next.rows, err = ex.indexJoin(cur, rel.table, keys[0], arena)
 	default:
+		ex.work.Scanned += len(rel.rows)
 		next.rows, err = ex.hashJoin(cur, rows, keys, arena)
 	}
 	if err != nil {

@@ -20,7 +20,25 @@ import (
 type Result struct {
 	Cols []string
 	Rows []relational.Row
+	// Work counts what producing the rows cost; Execute sets it.
+	Work Work
 }
+
+// Work is a query's deterministic work: it depends on the plan and the
+// data, never on the machine, so two plans compare exactly.
+type Work struct {
+	// Scanned counts rows read in full from a table or CTE (an index
+	// probe reads only its matches, counted as materialized).
+	Scanned int
+	// Examined counts rows a filter or join loop visited.
+	Examined int
+	// Materialized counts rows the query built: join outputs, projected
+	// rows and recursive-CTE accumulation.
+	Materialized int
+}
+
+// Total is the sum of the three counts.
+func (w Work) Total() int { return w.Scanned + w.Examined + w.Materialized }
 
 // Len returns the number of rows.
 func (r *Result) Len() int { return len(r.Rows) }
