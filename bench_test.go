@@ -182,7 +182,7 @@ func BenchmarkTranslateQ7Pruned(b *testing.B) {
 // translation amortized to a cache hit); Cold = the uncached
 // translate+execute path on the same query and store. The recursive S3
 // schema's Q4 is the headline case: pruning a recursive mapping is the most
-// expensive translation (cycle unrolling during pattern enumeration) while
+// expensive translation (conflicts are walked over the recursive product) while
 // its pruned SQL (R6 ⋈ R10) is among the cheapest to execute, which is
 // exactly the regime the paper's contribution creates — and where a plan
 // cache pays off most.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"xmlsql/internal/pathexpr"
 	"xmlsql/internal/pathid"
 	"xmlsql/internal/sqlast"
 	"xmlsql/internal/translate"
@@ -13,9 +12,6 @@ import (
 // Options tune the lossless-constraint-aware translator; the zero value is
 // the paper's algorithm.
 type Options struct {
-	// Unroll bounds cycle traversal during pattern enumeration for
-	// recursive schemas (0 means DefaultUnroll).
-	Unroll int
 	// DisableEdgeAnnotOpt turns off the §4.3 edge-annotation optimization
 	// (ablation): suffixes then always include the parent join.
 	DisableEdgeAnnotOpt bool
@@ -61,20 +57,13 @@ func TranslateOpts(g *pathid.Graph, opts Options) (*Result, error) {
 	if g.Empty() {
 		return &Result{Query: &sqlast.Query{}}, nil
 	}
-	unroll := opts.Unroll
-	if unroll <= 0 {
-		unroll = DefaultUnroll
-	}
-
 	pr := &pruner{
-		dfa:        pathexpr.BuildPredDFA(g.Query),
-		unroll:     unroll,
+		schema:     newSchemaSide(g.Product()),
 		useLeadOpt: !opts.DisableEdgeAnnotOpt,
 	}
 	if opts.CombineIdenticalOnly {
 		pr.combineMode = combineIdenticalOnly
 	}
-	pr.schemaPaths = enumerateSchemaPaths(g.Schema, g.Query, pr.dfa, unroll)
 	for _, a := range g.Accepts() {
 		it, err := newItem(g, a)
 		if err != nil {

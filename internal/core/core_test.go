@@ -459,8 +459,6 @@ func TestTranslateOptionsAblations(t *testing.T) {
 	for name, opts := range map[string]core.Options{
 		"no-lead-opt":    {DisableEdgeAnnotOpt: true, NoFallback: true},
 		"identical-only": {CombineIdenticalOnly: true, NoFallback: true},
-		"unroll-1":       {Unroll: 1, NoFallback: true},
-		"unroll-5":       {Unroll: 5, NoFallback: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			res, err := core.TranslateOpts(g, opts)

@@ -24,6 +24,11 @@ type item struct {
 
 	resultRel string
 	resultCol string
+
+	// Derived from the region; grow clears them.
+	sg   *stepGraph
+	ends []int
+	key  string
 }
 
 type entryState struct {
@@ -56,6 +61,7 @@ func newItem(g *pathid.Graph, accept int) (*item, error) {
 // It returns false when the item cannot grow further (every entry is the
 // cross-product start).
 func (it *item) grow(useLeadOpt bool) bool {
+	it.sg, it.ends, it.key = nil, nil, ""
 	grew := false
 	entries := make([]int, 0, len(it.entry))
 	for e := range it.entry {
@@ -124,14 +130,6 @@ func (it *item) isBoundary(id int) bool {
 	return false
 }
 
-// leadOf returns the lead conditions of the given entry node.
-func (it *item) leadOf(entry int) []schema.EdgeCond {
-	if es, ok := it.entry[entry]; ok {
-		return es.lead
-	}
-	return nil
-}
-
 // linear reports whether the region is a simple path: one entry, every node
 // with at most one child inside the region, no node revisits. Linear items
 // are the tree case of §4 and are merged with BuildCombinedSelect.
@@ -175,103 +173,89 @@ func (it *item) linear() ([]int, bool) {
 	}
 }
 
-// patterns enumerates the retrieval patterns of the item's entry-to-result
-// paths, with cycles unrolled at most `unroll` times per node.
-func (it *item) patterns(unroll int) []*Pattern {
-	var out []*Pattern
-	visits := map[int]int{}
-	var cur []int
-
-	entries := make([]int, 0, len(it.entry))
-	for e := range it.entry {
-		entries = append(entries, e)
+// stepGraph returns the step graph of the item's entry-to-result paths and
+// its end steps: the steps at the result node or, for a column-only result,
+// at the nearest tuple node above it (once per route to it). A route from an
+// entry with no tuple node on the way is a bare scan of the result's owning
+// relation and ends at a step of its own.
+func (it *item) stepGraph() (*stepGraph, []int) {
+	if it.sg != nil {
+		return it.sg, it.ends
 	}
-	sort.Ints(entries)
-
-	var rec func(id int)
-	var lead []schema.EdgeCond
-	var rootComplete bool
-	rec = func(id int) {
-		if visits[id] >= unroll {
-			return
+	r := region{g: it.g, in: func(id int) bool { return it.nodes[id] }, lead: func(id int) ([]schema.EdgeCond, bool) {
+		es, ok := it.entry[id]
+		if !ok {
+			return nil, false
 		}
-		visits[id]++
-		cur = append(cur, id)
-		defer func() {
-			visits[id]--
-			cur = cur[:len(cur)-1]
-		}()
-		if id == it.result {
-			if pat := it.cpPathPattern(lead, cur, rootComplete); pat != nil {
-				out = append(out, pat)
-			}
-		}
-		for _, e := range it.g.Children(id) {
-			if it.nodes[e.To] {
-				rec(e.To)
-			}
-		}
+		return es.lead, true
+	}}
+	it.sg, it.ends = r.steps(), nil
+	if it.g.SchemaNode(it.result).HasRelation() {
+		it.ends = it.sg.into[it.result]
+		return it.sg, it.ends
 	}
-	for _, e := range entries {
-		lead = it.entry[e].lead
-		rootComplete = e == it.g.Start()
-		rec(e)
-	}
-	return out
-}
-
-// cpPathPattern builds the pattern of one cross-product path (with entry
-// lead conditions). Returns nil for degenerate paths without annotation.
-func (it *item) cpPathPattern(lead []schema.EdgeCond, nodes []int, rootComplete bool) *Pattern {
-	s := it.g.Schema
-	pat := &Pattern{RootComplete: rootComplete}
-	pending := append([]schema.EdgeCond(nil), lead...)
-	for i, cpID := range nodes {
-		if i > 0 {
-			if e := cpEdgeBetween(it.g, nodes[i-1], cpID); e != nil && e.Cond != nil {
-				pending = append(pending, *e.Cond)
-			}
-		}
-		sn := it.g.SchemaNode(cpID)
-		if !sn.HasRelation() {
+	for _, rt := range r.routes(it.result) {
+		if rt.start == noStart {
+			it.ends = append(it.ends, it.sg.into[rt.from]...)
 			continue
 		}
-		occ := append(append([]schema.EdgeCond(nil), pending...), translate.NodeConds(it.g, cpID)...)
-		pat.appendOcc(sn.Relation, occ)
-		pending = nil
+		it.ends = append(it.ends, len(it.sg.steps))
+		it.sg.steps = append(it.sg.steps, newStep(it.resultRel, rt.conds, nil, rt.start))
 	}
-	if len(pat.RelSeq) == 0 {
-		// Bare column-only leaf: a scan of the owning relation.
-		rel, _, err := s.Annot(it.g.Node(nodes[len(nodes)-1]).Schema)
-		if err != nil {
-			return nil
-		}
-		pat.appendOcc(rel, pending)
-	}
-	return pat
+	return it.sg, it.ends
 }
 
-func cpEdgeBetween(g *pathid.Graph, from, to int) *pathid.Edge {
-	for _, e := range g.Children(from) {
-		if e.To == to {
-			return &e
+// templateKey renders the item's region as §5.1's template graph,
+// independent of node ids: nodes are numbered in the order a walk up from
+// the result meets them, each node's in-region parents ordered by their
+// rendering (ties by id), and every node is written with its annotation,
+// selections, entry lead conditions and parent edges. Equal keys mean
+// isomorphic regions, which produce identical SQL and are emitted once.
+func (it *item) templateKey() string {
+	if it.key != "" {
+		return it.key
+	}
+	label := func(id int) string {
+		sn := it.g.SchemaNode(id)
+		l := fmt.Sprintf("%s.%s%v", sn.Relation, sn.Column, translate.NodeConds(it.g, id))
+		if es, ok := it.entry[id]; ok {
+			l += fmt.Sprintf("<%v", es.lead)
+		}
+		if id == it.g.Start() {
+			l += "^"
+		}
+		return l
+	}
+	num := map[int]int{it.result: 0}
+	order := []int{it.result}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s.%s", it.resultRel, it.resultCol)
+	for k := 0; k < len(order); k++ {
+		var ps []pathid.Edge
+		for _, pe := range it.g.Parents(order[k]) {
+			if it.nodes[pe.From] {
+				ps = append(ps, pe)
+			}
+		}
+		sort.Slice(ps, func(i, j int) bool {
+			li, lj := label(ps[i].From)+fmt.Sprint(ps[i].Cond), label(ps[j].From)+fmt.Sprint(ps[j].Cond)
+			return li < lj || li == lj && ps[i].From < ps[j].From
+		})
+		fmt.Fprintf(&b, "|%s<-", label(order[k]))
+		for _, pe := range ps {
+			if _, ok := num[pe.From]; !ok {
+				num[pe.From] = len(order)
+				order = append(order, pe.From)
+			}
+			fmt.Fprintf(&b, "%d", num[pe.From])
+			if pe.Cond != nil {
+				fmt.Fprintf(&b, "[%s]", pe.Cond)
+			}
+			b.WriteString(",")
 		}
 	}
-	return nil
-}
-
-// templateKey canonically describes the item's query template: the sorted
-// multiset of its (bounded) path patterns plus its result annotation. Items
-// with equal keys produce identical SQL and are emitted once — the §5.1
-// notion of combinability restricted to exactly-matching templates.
-func (it *item) templateKey(unroll int) string {
-	pats := it.patterns(unroll)
-	strs := make([]string, len(pats))
-	for i, p := range pats {
-		strs[i] = p.String()
-	}
-	sort.Strings(strs)
-	return fmt.Sprintf("%s.%s|%d|%s", it.resultRel, it.resultCol, len(it.nodes), strings.Join(strs, ";"))
+	it.key = b.String()
+	return it.key
 }
 
 // pathSpec converts a linear item into the PathSpec consumed by the shared

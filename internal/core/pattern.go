@@ -18,8 +18,10 @@ import (
 // Pattern abstracts the tuple-retrieval behaviour of SQL(p) for a (suffix)
 // path p: the sequence of relations joined top-down and, per occurrence,
 // the selection conditions known to hold. Two SQL queries can return the
-// value of a common element only if their patterns conflict (§4.2); the
-// pruning loops reason entirely in terms of patterns.
+// value of a common element only if their patterns conflict (§4.2). The
+// pruning loops decide conflicts on step graphs, which stand for all of a
+// region's patterns at once; Conflicts is the same decision for two single
+// patterns.
 type Pattern struct {
 	// RelSeq is the paper's RelSeq(p), top-down.
 	RelSeq []string
@@ -38,12 +40,6 @@ type Pattern struct {
 	// overlaps a longer one.
 	RootComplete bool
 }
-
-// Len returns the number of relation occurrences.
-func (p *Pattern) Len() int { return len(p.RelSeq) }
-
-// LastRel returns the relation whose tuples the query returns.
-func (p *Pattern) LastRel() string { return p.RelSeq[len(p.RelSeq)-1] }
 
 // String renders the pattern for debugging and template keys.
 func (p *Pattern) String() string {
@@ -105,33 +101,23 @@ func (p *Pattern) String() string {
 //     result tuples' ancestor chains end at the document root, so the longer
 //     pattern's extra joins can never be satisfied.
 func Conflicts(p, q *Pattern) bool {
-	shorter, longer := p, q
-	if shorter.Len() > longer.Len() {
-		shorter, longer = longer, shorter
-	}
-	off := longer.Len() - shorter.Len()
-	for i := 0; i < shorter.Len(); i++ {
-		if shorter.RelSeq[i] != longer.RelSeq[off+i] {
-			return false
+	a, b := p.steps(), q.steps()
+	return overlaps(a, b, []int{len(a.steps) - 1}, []int{len(b.steps) - 1}, false)
+}
+
+// steps is the pattern as a one-path step graph.
+func (p *Pattern) steps() *stepGraph {
+	sg := &stepGraph{}
+	for i, rel := range p.RelSeq {
+		s := step{rel: rel, sels: p.Sels[i], neqs: p.neqAt(i), start: freeStart}
+		if i > 0 {
+			s.start, s.prev = noStart, []int{i - 1}
+		} else if p.RootComplete {
+			s.start = rootStart
 		}
+		sg.steps = append(sg.steps, s)
 	}
-	if shorter.RootComplete && off != 0 {
-		return false
-	}
-	for i := 0; i < shorter.Len(); i++ {
-		a, b := shorter.Sels[i], longer.Sels[off+i]
-		for col, va := range a {
-			if vb, ok := b[col]; ok && !va.Equal(vb) {
-				return false
-			}
-		}
-		// An equality on one side excluded by the other side's negative
-		// knowledge rules the overlap out.
-		if excludedBy(a, longer.neqAt(off+i)) || excludedBy(b, shorter.neqAt(i)) {
-			return false
-		}
-	}
-	return true
+	return sg
 }
 
 func (p *Pattern) neqAt(i int) map[string][]relational.Value {
@@ -183,16 +169,4 @@ func condsToNeqMap(conds []schema.EdgeCond) map[string][]relational.Value {
 		m[c.Column] = append(m[c.Column], c.Value)
 	}
 	return m
-}
-
-// appendOcc pushes one occurrence's conditions onto the pattern.
-func (p *Pattern) appendOcc(rel string, conds []schema.EdgeCond) {
-	p.RelSeq = append(p.RelSeq, rel)
-	p.Sels = append(p.Sels, condsToMap(conds))
-	if neq := condsToNeqMap(conds); neq != nil || p.Neqs != nil {
-		for len(p.Neqs) < len(p.RelSeq)-1 {
-			p.Neqs = append(p.Neqs, nil)
-		}
-		p.Neqs = append(p.Neqs, neq)
-	}
 }

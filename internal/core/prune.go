@@ -2,16 +2,15 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
-	"xmlsql/internal/pathexpr"
+	"xmlsql/internal/translate"
 )
 
 // pruner runs the two pruning loops of Figures 4 and 8 over the PathSet.
 type pruner struct {
 	items       []*item
-	schemaPaths []schemaPath
-	dfa         *pathexpr.PredDFA
-	unroll      int
+	schema      *schemaSide
 	useLeadOpt  bool
 	combineMode combineMode
 }
@@ -48,24 +47,10 @@ func (pr *pruner) run() error {
 //  3. an entry node also has a parent inside the region ("mixed entry"):
 //     its scan branch would subsume its derived branch.
 func (pr *pruner) needsGrowth(it *item) bool {
-	pats := pr.itemPatterns(it)
-	for _, pat := range pats {
-		for i := range pr.schemaPaths {
-			sp := &pr.schemaPaths[i]
-			if sp.pat.LastRel() != pat.LastRel() {
-				continue
-			}
-			if Conflicts(pat, sp.pat) && !sp.inResult(it.g.Schema, pr.dfa, it.resultCol) {
-				return true
-			}
-		}
-	}
-	for i := 0; i < len(pats); i++ {
-		for j := i + 1; j < len(pats); j++ {
-			if Conflicts(pats[i], pats[j]) {
-				return true
-			}
-		}
+	sg, ends := it.stepGraph()
+	if overlaps(sg, pr.schema.sg, ends, pr.schema.nonResultEnds(it.resultRel, it.resultCol), false) ||
+		overlaps(sg, sg, ends, ends, true) {
+		return true
 	}
 	for e := range it.entry {
 		for _, pe := range it.g.Parents(e) {
@@ -75,10 +60,6 @@ func (pr *pruner) needsGrowth(it *item) bool {
 		}
 	}
 	return false
-}
-
-func (pr *pruner) itemPatterns(it *item) []*Pattern {
-	return it.patterns(pr.unroll)
 }
 
 // loopNonResultConflicts is the first while loop: grow every item until its
@@ -160,16 +141,9 @@ func (pr *pruner) loopResultConflicts() error {
 }
 
 func (pr *pruner) itemsConflict(p, q *item) bool {
-	ppats := pr.itemPatterns(p)
-	qpats := pr.itemPatterns(q)
-	for _, a := range ppats {
-		for _, b := range qpats {
-			if Conflicts(a, b) {
-				return true
-			}
-		}
-	}
-	return false
+	ps, pe := p.stepGraph()
+	qs, qe := q.stepGraph()
+	return overlaps(ps, qs, pe, qe, false)
 }
 
 // combinable decides whether two items' queries may overlap without growing:
@@ -180,7 +154,7 @@ func (pr *pruner) combinable(p, q *item) bool {
 	if p.resultRel != q.resultRel || p.resultCol != q.resultCol {
 		return false
 	}
-	if p.templateKey(pr.unroll) == q.templateKey(pr.unroll) {
+	if p.templateKey() == q.templateKey() {
 		return true
 	}
 	if pr.combineMode == combineIdenticalOnly {
@@ -191,20 +165,8 @@ func (pr *pruner) combinable(p, q *item) bool {
 	if !pok || !qok {
 		return false
 	}
-	ppat := p.cpPathPattern(p.leadOf(pseq[0]), pseq, pseq[0] == p.g.Start())
-	qpat := q.cpPathPattern(q.leadOf(qseq[0]), qseq, qseq[0] == q.g.Start())
-	if ppat == nil || qpat == nil {
-		return false
-	}
-	if ppat.RootComplete != qpat.RootComplete || ppat.Len() != qpat.Len() {
-		return false
-	}
-	for i := range ppat.RelSeq {
-		if ppat.RelSeq[i] != qpat.RelSeq[i] {
-			return false
-		}
-	}
-	return true
+	return (pseq[0] == p.g.Start()) == (qseq[0] == q.g.Start()) &&
+		slices.Equal(translate.PathRelSeq(p.g, pseq), translate.PathRelSeq(q.g, qseq))
 }
 
 func (pr *pruner) growthLimit() int {

@@ -67,14 +67,11 @@ func (pr *pruner) generate() (*sqlast.Query, []PrunedClass, error) {
 		var seq []int
 		seqL, isLin := it.linear()
 		if isLin {
-			pat := it.cpPathPattern(it.leadOf(seqL[0]), seqL, seqL[0] == g.Start())
-			if pat == nil {
-				return nil, nil, fmt.Errorf("core: cannot build pattern for linear suffix")
-			}
-			key = fmt.Sprintf("L|%v|%s.%s|%s", pat.RootComplete, it.resultRel, it.resultCol, strings.Join(pat.RelSeq, ","))
+			key = fmt.Sprintf("L|%v|%s.%s|%s", seqL[0] == g.Start(), it.resultRel, it.resultCol,
+				strings.Join(translate.PathRelSeq(g, seqL), ","))
 			seq = seqL
 		} else {
-			key = "G|" + it.templateKey(pr.unroll)
+			key = "G|" + it.templateKey()
 		}
 		c, ok := index[key]
 		if !ok {

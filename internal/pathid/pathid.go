@@ -7,7 +7,6 @@ package pathid
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"xmlsql/internal/pathexpr"
@@ -46,6 +45,7 @@ type Graph struct {
 	parents  [][]Edge
 	start    int   // CP node of the schema root, or -1 when nothing matches
 	accepts  []int // accepting node ids, sorted
+	product  *Graph
 }
 
 // Empty reports whether no schema path matches the query.
@@ -72,6 +72,30 @@ func (g *Graph) Accepts() []int { return g.accepts }
 // SchemaNode returns the underlying schema node of a cross-product node.
 func (g *Graph) SchemaNode(id int) *schema.Node { return g.Schema.Node(g.nodes[id].Schema) }
 
+// Product returns the product before trimming: every pair reachable from
+// the root pair, including pairs in dead DFA states. Its paths from Start
+// are all of the schema's root-to-node paths, each node paired with the
+// query state reached there, so it answers "which schema paths end at a
+// tuple the query does not return" in finite space even for recursive
+// schemas. The product of a product is nil.
+func (g *Graph) Product() *Graph { return g.product }
+
+func (g *Graph) add(n *Node) {
+	n.ID = len(g.nodes)
+	g.nodes = append(g.nodes, n)
+	g.children = append(g.children, nil)
+	g.parents = append(g.parents, nil)
+	if n.Accepting {
+		g.accepts = append(g.accepts, n.ID)
+	}
+}
+
+func (g *Graph) link(from, to int, cond *schema.EdgeCond) {
+	e := Edge{From: from, To: to, Cond: cond}
+	g.children[from] = append(g.children[from], e)
+	g.parents[to] = append(g.parents[to], e)
+}
+
 // Build runs the PathId stage: it products the schema against the query DFA
 // starting at the schema root and keeps exactly the pairs that are reachable
 // from the root pair and co-reachable to an accepting pair.
@@ -80,7 +104,10 @@ func (g *Graph) SchemaNode(id int) *schema.Node { return g.Schema.Node(g.nodes[i
 // carries a predicate splits into a satisfied branch (selection col='v' on
 // the node's tuple, where col is the value column storing the predicate
 // child) and an unsatisfied branch (col!='v'); branches that cannot reach an
-// accepting pair are trimmed as usual.
+// accepting pair are trimmed as usual. A pair in a dead state (no accepting
+// state reachable) is expanded without predicate branching, since no branch
+// can change its outcome; such pairs are keyed by the predicate branch that
+// entered the dead state, so they never make a query ambiguous.
 func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 	dfa := pathexpr.BuildPredDFA(q)
 	g := &Graph{Schema: s, Query: q, start: -1}
@@ -89,35 +116,44 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 		return nil, fmt.Errorf("pathid: predicate on the document root step is not supported")
 	}
 
+	deadStates := map[int]bool{}
+	dead := func(st int) bool {
+		d, ok := deadStates[st]
+		if !ok {
+			d = dfa.Dead(st)
+			deadStates[st] = d
+		}
+		return d
+	}
+
 	type key struct {
 		sn schema.NodeID
 		st int
+		pc schema.EdgeCond // the entering predicate branch, for dead states only
 	}
 	index := map[key]int{}
-	var order []key
-	predConds := map[int][]schema.EdgeCond{}
+	p := &Graph{Schema: s, Query: q}
 
 	add := func(k key, conds []schema.EdgeCond) (int, error) {
+		if dead(k.st) && len(conds) > 0 {
+			k.pc = conds[0]
+		}
 		if id, ok := index[k]; ok {
-			if !sameConds(predConds[id], conds) {
+			if !sameConds(p.nodes[id].PredConds, conds) {
 				return 0, fmt.Errorf("pathid: ambiguous predicate query: node %s reached with contradictory predicate branches", s.Node(k.sn).Name)
 			}
 			return id, nil
 		}
-		id := len(order)
-		index[k] = id
-		order = append(order, k)
-		if len(conds) > 0 {
-			predConds[id] = conds
-		}
-		return id, nil
+		index[k] = len(p.nodes)
+		p.add(&Node{Schema: k.sn, State: k.st, Accepting: dfa.Accepting(k.st), PredConds: conds})
+		return index[k], nil
 	}
 
 	// successors computes the (state, conds) variants when stepping into
 	// schema node n from state st.
 	successors := func(st int, n *schema.Node) ([]int, [][]schema.EdgeCond, error) {
 		pred := q.PredForLabel(n.Label)
-		if pred == nil {
+		if pred == nil || dead(st) {
 			return []int{dfa.Step(st, n.Label, false)}, [][]schema.EdgeCond{nil}, nil
 		}
 		col, err := predColumn(s, n, pred.Child)
@@ -142,100 +178,65 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 	}
 
 	root := s.Root()
-	rootState := dfa.Step(dfa.Start(), s.Node(root).Label, false)
-	startKey := key{sn: root, st: rootState}
-	if _, err := add(startKey, nil); err != nil {
+	if _, err := add(key{sn: root, st: dfa.Step(dfa.Start(), s.Node(root).Label, false)}, nil); err != nil {
 		return nil, err
 	}
-
-	type rawEdge struct {
-		from, to int
-		cond     *schema.EdgeCond
-	}
-	var rawEdges []rawEdge
-	for work := 0; work < len(order); work++ {
-		k := order[work]
-		if dfa.Dead(k.st) {
-			continue // no accepting pair ever reachable below this state
-		}
-		for _, e := range s.Node(k.sn).Children() {
-			states, condVariants, err := successors(k.st, s.Node(e.To))
+	for work := 0; work < len(p.nodes); work++ {
+		n := p.nodes[work]
+		for _, e := range s.Node(n.Schema).Children() {
+			states, condVariants, err := successors(n.State, s.Node(e.To))
 			if err != nil {
 				return nil, err
 			}
 			for vi, childState := range states {
-				ck := key{sn: e.To, st: childState}
-				cid, err := add(ck, condVariants[vi])
+				cid, err := add(key{sn: e.To, st: childState}, condVariants[vi])
 				if err != nil {
 					return nil, err
 				}
-				rawEdges = append(rawEdges, rawEdge{from: work, to: cid, cond: e.Cond})
+				p.link(work, cid, e.Cond)
 			}
 		}
 	}
+	g.product = p
 
 	// Co-reachability: keep pairs from which an accepting pair is reachable
 	// (accepting pairs keep themselves).
-	adj := make([][]int, len(order))
-	radj := make([][]int, len(order))
-	for _, e := range rawEdges {
-		adj[e.from] = append(adj[e.from], e.to)
-		radj[e.to] = append(radj[e.to], e.from)
-	}
-	keep := make([]bool, len(order))
-	var stack []int
-	for i, k := range order {
-		if dfa.Accepting(k.st) {
-			keep[i] = true
-			stack = append(stack, i)
-		}
+	keep := make([]bool, len(p.nodes))
+	stack := append([]int(nil), p.accepts...)
+	for _, i := range stack {
+		keep[i] = true
 	}
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, p := range radj[i] {
-			if !keep[p] {
-				keep[p] = true
-				stack = append(stack, p)
+		for _, e := range p.parents[i] {
+			if !keep[e.From] {
+				keep[e.From] = true
+				stack = append(stack, e.From)
 			}
 		}
 	}
-	_ = adj
-
-	if !keep[index[startKey]] {
+	if !keep[0] {
 		return g, nil // empty result
 	}
 
 	// Renumber kept nodes.
-	newID := make([]int, len(order))
-	for i := range newID {
+	newID := make([]int, len(p.nodes))
+	for i, n := range p.nodes {
 		newID[i] = -1
-	}
-	for i, k := range order {
-		if !keep[i] {
-			continue
-		}
-		id := len(g.nodes)
-		newID[i] = id
-		n := &Node{ID: id, Schema: k.sn, State: k.st, Accepting: dfa.Accepting(k.st), PredConds: predConds[i]}
-		g.nodes = append(g.nodes, n)
-		g.children = append(g.children, nil)
-		g.parents = append(g.parents, nil)
-		if n.Accepting {
-			g.accepts = append(g.accepts, id)
+		if keep[i] {
+			newID[i] = len(g.nodes)
+			g.add(&Node{Schema: n.Schema, State: n.State, Accepting: n.Accepting, PredConds: n.PredConds})
 		}
 	}
-	for _, e := range rawEdges {
-		f, t := newID[e.from], newID[e.to]
-		if f < 0 || t < 0 {
-			continue
+	for i := range p.nodes {
+		for _, e := range p.children[i] {
+			if f, t := newID[e.From], newID[e.To]; f >= 0 && t >= 0 {
+				g.link(f, t, e.Cond)
+			}
 		}
-		ce := Edge{From: f, To: t, Cond: e.cond}
-		g.children[f] = append(g.children[f], ce)
-		g.parents[t] = append(g.parents[t], ce)
 	}
-	g.start = newID[index[startKey]]
-	sort.Ints(g.accepts)
+	g.start = newID[0]
 
 	// Every accepting node must have a retrievable value.
 	for _, id := range g.accepts {

@@ -185,7 +185,7 @@ func TestPlannerTranslateOptionsKeyed(t *testing.T) {
 	// component of the cache key (exercised directly in the plancache tests)
 	// keeps such plans from ever aliasing the default ones.
 	abl := xmlsql.NewPlannerWith(s3, xmlsql.PlannerConfig{
-		Translate: xmlsql.TranslateOptions{DisableEdgeAnnotOpt: true, Unroll: 4},
+		Translate: xmlsql.TranslateOptions{DisableEdgeAnnotOpt: true},
 		Execute:   xmlsql.ExecuteOptions{DisableIndexes: true},
 	})
 	def := xmlsql.NewPlanner(s3)
