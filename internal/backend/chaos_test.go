@@ -105,53 +105,58 @@ func TestChaosDifferentialUnderFaults(t *testing.T) {
 
 // TestResilientDegradesToMemMirror takes the primary down entirely and
 // requires the wrapper to keep answering from its mirror-loaded Mem fallback,
-// row-for-row identical to the reference, while the breaker trips.
+// row-for-row identical to the reference, while the breaker trips — on every
+// workload: trees, DAGs, and recursive CTEs.
 func TestResilientDegradesToMemMirror(t *testing.T) {
 	ctx := context.Background()
-	tc := diffCases(t)[0]
-	ref, _ := loadBoth(t, tc.schema, sqlast.DialectSQLite, tc.doc)
+	for _, tc := range diffCases(t) {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			ref, _ := loadBoth(t, tc.schema, sqlast.DialectSQLite, tc.doc)
 
-	inst := fakedb.New()
-	primary := backend.NewDB(sql.OpenDB(inst.Connector()), sqlast.DialectSQLite)
-	wrapped := resilient.Wrap(primary, resilient.Options{
-		Retry:       resilient.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond},
-		Breaker:     resilient.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
-		Fallback:    backend.NewMem(),
-		MirrorLoads: true,
-	})
-	t.Cleanup(func() { wrapped.Close() })
-	if err := wrapped.EnsureSchema(tc.schema); err != nil {
-		t.Fatalf("EnsureSchema: %v", err)
-	}
-	if _, err := wrapped.Load(tc.schema, tc.doc); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
+			inst := fakedb.New()
+			primary := backend.NewDB(sql.OpenDB(inst.Connector()), sqlast.DialectSQLite)
+			wrapped := resilient.Wrap(primary, resilient.Options{
+				Retry:       resilient.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond},
+				Breaker:     resilient.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
+				Fallback:    backend.NewMem(),
+				MirrorLoads: true,
+			})
+			t.Cleanup(func() { wrapped.Close() })
+			if err := wrapped.EnsureSchema(tc.schema); err != nil {
+				t.Fatalf("EnsureSchema: %v", err)
+			}
+			if _, err := wrapped.Load(tc.schema, tc.doc); err != nil {
+				t.Fatalf("Load: %v", err)
+			}
 
-	// Primary down hard: every operation fails from here on.
-	inst.SetFaults(fakedb.FaultConfig{FailFirst: 1 << 30})
-	for _, query := range tc.queries {
-		for mode, q := range translations(t, tc.schema, query) {
-			want, err := ref.Execute(ctx, q)
-			if err != nil {
-				t.Fatalf("%s %s on reference: %v", query, mode, err)
+			// Primary down hard: every operation fails from here on.
+			inst.SetFaults(fakedb.FaultConfig{FailFirst: 1 << 30})
+			for _, query := range tc.queries {
+				for mode, q := range translations(t, tc.schema, query) {
+					want, err := ref.Execute(ctx, q)
+					if err != nil {
+						t.Fatalf("%s %s on reference: %v", query, mode, err)
+					}
+					got, err := wrapped.Execute(ctx, q)
+					if err != nil {
+						t.Fatalf("%s %s degraded: %v", query, mode, err)
+					}
+					if !want.MultisetEqual(got) {
+						t.Errorf("%s %s: degraded answer diverges:\n%s", query, mode, want.MultisetDiff(got))
+					}
+				}
 			}
-			got, err := wrapped.Execute(ctx, q)
-			if err != nil {
-				t.Fatalf("%s %s degraded: %v", query, mode, err)
+			st := wrapped.Stats()
+			if st.Fallbacks == 0 || st.BreakerTrips == 0 {
+				t.Fatalf("stats = %+v, want fallbacks and at least one breaker trip", st)
 			}
-			if !want.MultisetEqual(got) {
-				t.Errorf("%s %s: degraded answer diverges:\n%s", query, mode, want.MultisetDiff(got))
+			// Once tripped, the breaker short-circuits: the primary sees far
+			// fewer attempts than the query count.
+			if st.Fallbacks != st.Executes {
+				t.Fatalf("stats = %+v, want every execute served by the fallback", st)
 			}
-		}
-	}
-	st := wrapped.Stats()
-	if st.Fallbacks == 0 || st.BreakerTrips == 0 {
-		t.Fatalf("stats = %+v, want fallbacks and at least one breaker trip", st)
-	}
-	// Once tripped, the breaker short-circuits: the primary sees far fewer
-	// attempts than the query count.
-	if st.Fallbacks != st.Executes {
-		t.Fatalf("stats = %+v, want every execute served by the fallback", st)
+		})
 	}
 }
 

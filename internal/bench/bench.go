@@ -51,13 +51,21 @@ type Comparison struct {
 	PrunedSQL   string
 	Fallback    bool
 
-	Rows      int
-	NaiveNs   float64
-	PrunedNs  float64
-	Speedup   float64
-	Verified  bool
-	TotalRows int // store size
+	Rows int
+	// NaiveWork and PrunedWork are each plan's engine.Work total (rows
+	// scanned + examined + materialized), always counted by the in-memory
+	// engine, so they are exact and the same under every backend.
+	NaiveWork  int
+	PrunedWork int
+	NaiveNs    float64
+	PrunedNs   float64
+	Speedup    float64
+	Verified   bool
+	TotalRows  int // store size
 }
+
+// Name identifies the case in summaries: experiment, workload and query.
+func (c *Comparison) Name() string { return c.Experiment + " " + c.Workload + " " + c.Query }
 
 // MinMeasureTime is how long each side is measured (adaptive repetitions).
 const MinMeasureTime = 50 * time.Millisecond
@@ -83,7 +91,8 @@ func RunOn(c Case, backendName string) (*Comparison, error) {
 	// backend is what executes (and is measured). The fakedb route copies
 	// the shredded rows over the same DDL + INSERT scripts xml2sql emits,
 	// so custom ShredOpts instances transfer exactly.
-	exec := memExec(store)
+	mem := memExec(store)
+	exec := mem
 	label := "mem"
 	switch backendName {
 	case "", "mem":
@@ -149,6 +158,17 @@ func RunOn(c Case, backendName string) (*Comparison, error) {
 		verified = pres.MultisetEqual(want)
 	}
 
+	// Work is counted on the in-memory engine whatever backend is timed.
+	nwork, pwork := nres, pres
+	if label != "mem" {
+		if nwork, err = mem(naive); err != nil {
+			return nil, err
+		}
+		if pwork, err = mem(pruned.Query); err != nil {
+			return nil, err
+		}
+	}
+
 	naiveNs := measure(exec, naive)
 	prunedNs := measure(exec, pruned.Query)
 
@@ -161,6 +181,8 @@ func RunOn(c Case, backendName string) (*Comparison, error) {
 		PrunedSQL:   pruned.Query.SQL(),
 		Fallback:    pruned.Fallback,
 		Rows:        pres.Len(),
+		NaiveWork:   nwork.Work.Total(),
+		PrunedWork:  pwork.Work.Total(),
 		NaiveNs:     naiveNs,
 		PrunedNs:    prunedNs,
 		Verified:    verified,

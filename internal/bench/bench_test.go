@@ -50,6 +50,9 @@ func TestRunVerifiesAndMeasures(t *testing.T) {
 	if cmp.NaiveNs <= 0 || cmp.PrunedNs <= 0 || cmp.Speedup <= 0 {
 		t.Errorf("timings not measured: %v / %v", cmp.NaiveNs, cmp.PrunedNs)
 	}
+	if cmp.PrunedWork <= 0 || cmp.PrunedWork >= cmp.NaiveWork {
+		t.Errorf("work: naive %d, pruned %d; want 0 < pruned < naive", cmp.NaiveWork, cmp.PrunedWork)
+	}
 }
 
 func TestRunOnFakeDBBackend(t *testing.T) {
@@ -63,6 +66,14 @@ func TestRunOnFakeDBBackend(t *testing.T) {
 	cmp, err := bench.RunOn(c, "fakedb")
 	if err != nil {
 		t.Fatal(err)
+	}
+	mem, err := bench.Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.NaiveWork != mem.NaiveWork || cmp.PrunedWork != mem.PrunedWork {
+		t.Errorf("fakedb work %d/%d, mem work %d/%d; work is counted on mem under every backend",
+			cmp.NaiveWork, cmp.PrunedWork, mem.NaiveWork, mem.PrunedWork)
 	}
 	if !cmp.Verified {
 		t.Error("verification failed on fakedb backend")
@@ -99,6 +110,9 @@ func TestRunSuiteSmall(t *testing.T) {
 			t.Errorf("%s %s: pruned has more joins (%v) than naive (%v)",
 				c.Experiment, c.Query, c.PrunedShape, c.NaiveShape)
 		}
+		if c.PrunedWork > c.NaiveWork {
+			t.Errorf("%s: pruned does more work (%d) than naive (%d)", c.Name(), c.PrunedWork, c.NaiveWork)
+		}
 	}
 	table := bench.FormatTable(cmps)
 	if !strings.Contains(table, "E1") || !strings.Contains(table, "speedup") {
@@ -112,53 +126,28 @@ func TestRunSuiteSmall(t *testing.T) {
 	}
 }
 
-func TestRunChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness run")
+// TestSummaryCountsWorkRegressions pins what a regression is: a case whose
+// pruned plan does more work than the baseline. A case that is only slower
+// on the clock is named, not counted.
+func TestSummaryCountsWorkRegressions(t *testing.T) {
+	cmp := func(query string, naiveWork, prunedWork int, speedup float64) *bench.Comparison {
+		return &bench.Comparison{Case: bench.Case{Experiment: "E8", Workload: "w", Query: query},
+			NaiveWork: naiveWork, PrunedWork: prunedWork, Speedup: speedup, Verified: true}
 	}
-	cmps, err := bench.RunChaos(1)
-	if err != nil {
-		t.Fatal(err)
+	cmps := []*bench.Comparison{
+		cmp("/faster", 10, 5, 2),
+		cmp("/parity", 10, 10, 0.97),
+		cmp("/more-work", 10, 11, 1.2),
 	}
-	var faults, retries, trips, fallbacks int64
-	for _, c := range cmps {
-		if !c.Verified {
-			t.Errorf("%s/%s: chaos verification failed", c.Scenario, c.Workload)
-		}
-		faults += c.Faults
-		retries += c.Retries
-		trips += c.BreakerTrips
-		fallbacks += c.Fallbacks
-	}
-	if faults == 0 || retries == 0 {
-		t.Fatalf("chaos suite injected %d faults / %d retries; the faults scenario is vacuous", faults, retries)
-	}
-	if trips == 0 || fallbacks == 0 {
-		t.Fatalf("chaos suite recorded %d trips / %d fallbacks; the outage scenario is vacuous", trips, fallbacks)
-	}
-	if out := bench.FormatChaos(cmps); !strings.Contains(out, "outage") || !strings.Contains(out, "fallbacks") {
-		t.Error("chaos table formatting broken")
-	}
-}
-
-func TestRunAudit(t *testing.T) {
-	cmps, err := bench.RunAudit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmps) < 5 {
-		t.Fatalf("audit suite covered %d workloads", len(cmps))
-	}
-	for _, c := range cmps {
-		if !c.Verified {
-			t.Errorf("%s: audit verification failed", c.Workload)
-		}
-		if c.Tuples == 0 || c.Injected == 0 || c.Violations < c.Injected || c.Degradations == 0 {
-			t.Errorf("%s: vacuous audit numbers: %+v", c.Workload, c)
+	sum := bench.Summary(cmps)
+	for _, want := range []string{"1 regressions", "slower on the clock only: E8 w /parity\n"} {
+		if !strings.Contains(sum, want) {
+			t.Errorf("summary missing %q:\n%s", want, sum)
 		}
 	}
-	if out := bench.FormatAudit(cmps); !strings.Contains(out, "violations") || !strings.Contains(out, "degradations") {
-		t.Error("audit table formatting broken")
+	rep := bench.BuildReport("xmlsql", 1, cmps, bench.Sections{}).Summary
+	if rep.Regressions != 1 || len(rep.ClockOnly) != 1 || rep.ClockOnly[0] != "E8 w /parity" {
+		t.Errorf("report summary = %+v", rep)
 	}
 }
 
@@ -174,68 +163,6 @@ func TestAblations(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRunUpdatesSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness run")
-	}
-	cmps, err := bench.RunUpdates(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmps) != 1 {
-		t.Fatalf("got %d comparisons, want 1", len(cmps))
-	}
-	c := cmps[0]
-	if !c.Verified {
-		t.Errorf("updates run not verified: %+v", c)
-	}
-	if c.Batches == 0 || c.BatchNs <= 0 || c.WrittenPerBatch == 0 {
-		t.Errorf("throughput numbers missing: %+v", c)
-	}
-	if c.IncrementalAuditNs <= 0 || c.FullAuditNs <= 0 {
-		t.Errorf("audit timings missing: %+v", c)
-	}
-	if !c.UntouchedKeptHot {
-		t.Error("untouched query lost its cached plan across a write")
-	}
-	// The 5x audit gate is asserted at benchrunner scale, not here: at the
-	// tiny harness scale a full scan is nearly as cheap as the neighborhood
-	// probe. The gate machinery itself must still flag an impossible bar.
-	if errs := bench.UpdatesGate(cmps, 1e12); len(errs) == 0 {
-		t.Error("UpdatesGate accepted an impossible speedup bar")
-	}
-}
-
-// TestRunShardedSmall runs a miniature sharded sweep: every point must
-// verify against the single store (before and after the mixed writes), skew
-// and merge overhead must be recorded, and the gate must pass with the
-// speedup requirement waived (a tiny instance has nothing to amortize).
-func TestRunShardedSmall(t *testing.T) {
-	rep, err := bench.RunSharded(bench.ShardedConfig{
-		Scales: []int{4}, ShardCounts: []int{1, 2}, MixedRounds: 1, MixedReads: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Sweeps) != 1 || len(rep.Sweeps[0].Sweep) != 2 {
-		t.Fatalf("sweep shape: %d scales, %d points", len(rep.Sweeps), len(rep.Sweeps[0].Sweep))
-	}
-	for _, pt := range rep.Sweeps[0].Sweep {
-		if !pt.Verified {
-			t.Errorf("%d-shard point not verified", pt.Shards)
-		}
-		if len(pt.RowsPerShard) != pt.Shards || pt.MaxRowShare <= 0 {
-			t.Errorf("%d-shard point missing skew data: rows %v, share %v", pt.Shards, pt.RowsPerShard, pt.MaxRowShare)
-		}
-		if pt.MergeNsPerScatter <= 0 {
-			t.Errorf("%d-shard point missing overhead counters: merge %v", pt.Shards, pt.MergeNsPerScatter)
-		}
-	}
-	if errs := bench.ShardedGate(rep, 2, 0.01); len(errs) > 0 {
-		t.Fatalf("gate: %v", errs)
 	}
 }
 

@@ -6,22 +6,23 @@ import (
 )
 
 // FormatTable renders comparisons as the fixed-width table printed by
-// cmd/benchrunner and recorded in EXPERIMENTS.md.
+// cmd/benchrunner and recorded in EXPERIMENTS.md. The work columns are
+// engine.Work totals: exact, so they decide regressions; the times do not.
 func FormatTable(cmps []*Comparison) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-3s %-15s %-45s %-26s %-26s %10s %10s %8s %3s\n",
-		"id", "workload", "query", "naive shape", "pruned shape", "naive/op", "pruned/op", "speedup", "ok")
-	b.WriteString(strings.Repeat("-", 154))
+	fmt.Fprintf(&b, "%-3s %-15s %-45s %-26s %-26s %10s %10s %8s %11s %11s %3s\n",
+		"id", "workload", "query", "naive shape", "pruned shape", "naive/op", "pruned/op", "speedup", "naive work", "pruned work", "ok")
+	b.WriteString(strings.Repeat("-", 178))
 	b.WriteString("\n")
 	for _, c := range cmps {
 		ok := "yes"
 		if !c.Verified {
 			ok = "NO"
 		}
-		fmt.Fprintf(&b, "%-3s %-15s %-45s %-26s %-26s %10s %10s %7.2fx %3s\n",
+		fmt.Fprintf(&b, "%-3s %-15s %-45s %-26s %-26s %10s %10s %7.2fx %11d %11d %3s\n",
 			c.Experiment, c.Workload, truncate(c.Query, 45),
 			c.NaiveShape.String(), c.PrunedShape.String(),
-			fmtNs(c.NaiveNs), fmtNs(c.PrunedNs), c.Speedup, ok)
+			fmtNs(c.NaiveNs), fmtNs(c.PrunedNs), c.Speedup, c.NaiveWork, c.PrunedWork, ok)
 	}
 	return b.String()
 }
@@ -40,36 +41,45 @@ func FormatDetails(cmps []*Comparison) string {
 }
 
 // Summary aggregates the speedup distribution, the statistic the paper
-// quotes from [10] (1.15x–93x, many queries >= 10x).
+// quotes from [10] (1.15x–93x, many queries >= 10x). A regression is a case
+// whose pruned plan does more work than the baseline; a case that is only
+// slower on the clock is named, not counted.
 func Summary(cmps []*Comparison) string {
 	if len(cmps) == 0 {
 		return "no results\n"
 	}
-	minS, maxS := cmps[0].Speedup, cmps[0].Speedup
-	over10 := 0
-	slower := 0
-	allVerified := true
-	for _, c := range cmps {
-		if c.Speedup < minS {
-			minS = c.Speedup
+	sum := summarize(cmps)
+	var b strings.Builder
+	fmt.Fprintf(&b, "speedup range %.2fx – %.2fx over %d queries; %d at >= 10x; %d regressions (pruned does more work); all results verified: %v\n",
+		sum.MinSpeedup, sum.MaxSpeedup, sum.Queries, sum.Over10x, sum.Regressions, sum.AllVerified)
+	if len(sum.ClockOnly) > 0 {
+		fmt.Fprintf(&b, "slower on the clock only: %s\n", strings.Join(sum.ClockOnly, "; "))
+	}
+	return b.String()
+}
+
+func summarize(cmps []*Comparison) ReportSummary {
+	sum := ReportSummary{Queries: len(cmps), AllVerified: true}
+	for i, c := range cmps {
+		if i == 0 || c.Speedup < sum.MinSpeedup {
+			sum.MinSpeedup = c.Speedup
 		}
-		if c.Speedup > maxS {
-			maxS = c.Speedup
+		if c.Speedup > sum.MaxSpeedup {
+			sum.MaxSpeedup = c.Speedup
 		}
 		if c.Speedup >= 10 {
-			over10++
+			sum.Over10x++
 		}
-		if c.Speedup < 1 {
-			slower++
+		if c.PrunedWork > c.NaiveWork {
+			sum.Regressions++
+		} else if c.Speedup < 1 {
+			sum.ClockOnly = append(sum.ClockOnly, c.Name())
 		}
 		if !c.Verified {
-			allVerified = false
+			sum.AllVerified = false
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "speedup range %.2fx – %.2fx over %d queries; %d at >= 10x; %d regressions; all results verified: %v\n",
-		minS, maxS, len(cmps), over10, slower, allVerified)
-	return b.String()
+	return sum
 }
 
 func fmtNs(ns float64) string {

@@ -14,7 +14,8 @@ import (
 
 // Node is an XML element. Text-only content is stored in Text; element
 // children in Children. (Mixed content is not needed for the paper's data
-// model: value-bearing elements are leaves.)
+// model: value-bearing elements are leaves, and Parse rejects an element
+// that has both.)
 type Node struct {
 	Label    string
 	Text     string
@@ -65,6 +66,9 @@ func Parse(r io.Reader) (*Document, error) {
 		case xml.EndElement:
 			if len(stack) == 0 {
 				return nil, fmt.Errorf("xmltree: unbalanced end element %s", t.Name.Local)
+			}
+			if top := stack[len(stack)-1]; top.Text != "" && len(top.Children) > 0 {
+				return nil, fmt.Errorf("xmltree: element <%s> has both text and child elements (mixed content is not supported)", top.Label)
 			}
 			stack = stack[:len(stack)-1]
 		case xml.CharData:

@@ -49,6 +49,22 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsMixedContent: text beside child elements has no place in
+// the data model, and Serialize would drop it, so Parse refuses it and names
+// the element.
+func TestParseRejectsMixedContent(t *testing.T) {
+	for _, in := range []string{
+		"<a><A/>0</a>",
+		"<r><a>0<A/></a></r>",
+		"<r><a>x<A/>y</a></r>",
+	} {
+		_, err := ParseString(in)
+		if err == nil || !strings.Contains(err.Error(), "<a>") {
+			t.Errorf("ParseString(%q) = %v, want an error naming <a>", in, err)
+		}
+	}
+}
+
 func TestWalkOrderAndCount(t *testing.T) {
 	d, _ := ParseString(`<a><b><c/></b><d/></a>`)
 	var order []string

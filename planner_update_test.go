@@ -3,9 +3,12 @@ package xmlsql_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"xmlsql"
+	"xmlsql/internal/bench"
+	"xmlsql/internal/integrity"
 	"xmlsql/internal/relational"
 	"xmlsql/internal/workloads"
 )
@@ -157,6 +160,54 @@ func TestPlannerUpdateScopedInvalidation(t *testing.T) {
 	}
 	if m := p.Stats().Misses; m != m0 {
 		t.Fatalf("touched query re-translated after a write (%d -> %d misses); translations do not depend on rows", m0, m)
+	}
+}
+
+// TestIncrementalAuditScope pins the incremental audit's scope as a count:
+// on XMark at the harness's default scale, after 16 batches that each
+// insert one InCategory under every Africa item, the audit of the last
+// batch's touched tuples covers exactly 401 tuples, at most a fifth of what
+// the full audit of the same store covers, and both verdicts are clean.
+func TestIncrementalAuditScope(t *testing.T) {
+	ctx := context.Background()
+	s := workloads.XMark()
+	store := xmlsql.NewStore()
+	doc := workloads.GenerateXMark(workloads.XMarkConfig{
+		ItemsPerContinent: bench.DefaultScale().ItemsPerContinent, CategoriesPerItem: 2, NumCategories: 50, Seed: 1,
+	})
+	if _, err := xmlsql.Shred(s, store, doc); err != nil {
+		t.Fatalf("shred: %v", err)
+	}
+	p := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: xmlsql.NewMemBackendOn(store)})
+	var touched xmlsql.TouchedTuples
+	for i := 0; i < 16; i++ {
+		res, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{{
+			Op:   xmlsql.UpdateInsert,
+			Path: "/Site/Regions/Africa/Item",
+			XML:  fmt.Sprintf("<InCategory><Category>scope-%d</Category></InCategory>", i),
+		}}})
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		touched = res.Touched
+	}
+
+	inc, err := integrity.AuditIncrementalOpts(ctx, integrity.StoreProbe(store), s, touched, integrity.Options{})
+	if err != nil {
+		t.Fatalf("incremental audit: %v", err)
+	}
+	full, err := integrity.Audit(ctx, integrity.StoreSource(store), s)
+	if err != nil {
+		t.Fatalf("full audit: %v", err)
+	}
+	if !inc.Clean() || !full.Clean() {
+		t.Fatalf("verdicts: incremental clean=%v, full clean=%v", inc.Clean(), full.Clean())
+	}
+	if inc.Tuples != 401 {
+		t.Errorf("incremental audit covered %d tuples, want 401", inc.Tuples)
+	}
+	if 5*inc.Tuples > full.Tuples {
+		t.Errorf("incremental audit covered %d tuples, more than a fifth of the full audit's %d", inc.Tuples, full.Tuples)
 	}
 }
 
