@@ -76,6 +76,11 @@ func (m *Mem) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result, err
 	return engine.Execute(ctx, m.store, q, m.opts)
 }
 
+// Prepare is Execute stopped before the projection (engine.Prepare).
+func (m *Mem) Prepare(ctx context.Context, q *sqlast.Query) (*engine.Prepared, error) {
+	return engine.Prepare(ctx, m.store, q, m.opts)
+}
+
 // EngineStats returns zero counters. The engine no longer shares work across
 // branches; the method stays only because the repository benchmark's
 // engine.memo_hit_share probe still reads these two fields.

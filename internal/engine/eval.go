@@ -36,26 +36,37 @@ type Options struct {
 	MaxCTEIterations int
 }
 
-// Execute evaluates q against the store under a context. Evaluation is
-// serial: CTEs in definition order, then the UNION ALL branches in branch
-// order, so rows come back in branch order and the first failing branch's
-// error is the one reported. Cancellation is cooperative and prompt: the
-// executor polls the context between UNION ALL branches, between
-// recursive-CTE rounds, and every cancelCheckInterval rows inside join and
-// filter loops, so a cancelled or deadline-expired context aborts even a
-// single long-running branch with ctx.Err() rather than running it to
-// completion.
+// Execute evaluates q against the store under a context: Prepare, then
+// AppendRows(nil). Evaluation is serial: CTEs in definition order, then the
+// UNION ALL branches in branch order, so rows come back in branch order and
+// the first failing branch's error is the one reported. Cancellation is
+// cooperative and prompt: the executor polls the context between UNION ALL
+// branches, between recursive-CTE rounds, and every cancelCheckInterval rows
+// inside join and filter loops, so a cancelled or deadline-expired context
+// aborts even a single long-running branch with ctx.Err() rather than
+// running it to completion.
 func Execute(ctx context.Context, store *relational.Store, q *sqlast.Query, opts Options) (*Result, error) {
+	p, err := Prepare(ctx, store, q, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Cols: p.Cols, Rows: p.AppendRows(nil), Work: p.Work}, nil
+}
+
+// Prepare evaluates q as Execute does, up to each SELECT block's final
+// projection: its Work, MaxRows charges and errors are final, and
+// AppendRows writes the answer rows wherever the caller wants them.
+func Prepare(ctx context.Context, store *relational.Store, q *sqlast.Query, opts Options) (*Prepared, error) {
 	ex := &executor{store: store, ctes: map[string]*Result{}, opts: opts, done: ctx.Done(), ctx: ctx}
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
-	res, err := ex.query(q)
+	p, err := ex.query(q)
 	if err != nil {
 		return nil, err
 	}
-	res.Work = ex.work
-	return res, nil
+	p.Work = ex.work
+	return p, nil
 }
 
 type executor struct {
@@ -131,7 +142,7 @@ func (ex *executor) resolve(name string) (*relation, error) {
 	return &relation{cols: cols, rows: t.Rows(), table: t}, nil
 }
 
-func (ex *executor) query(q *sqlast.Query) (*Result, error) {
+func (ex *executor) query(q *sqlast.Query) (*Prepared, error) {
 	// Materialize CTEs in order; later CTEs and the main body may reference
 	// earlier ones.
 	defined := make([]string, 0, len(q.With))
@@ -149,7 +160,7 @@ func (ex *executor) query(q *sqlast.Query) (*Result, error) {
 		if cte.Recursive {
 			res, err = ex.recursiveCTE(cte)
 		} else {
-			res, err = ex.query(cte.Body)
+			res, err = ex.materialize(cte.Body)
 		}
 		if err != nil {
 			return nil, err
@@ -158,58 +169,51 @@ func (ex *executor) query(q *sqlast.Query) (*Result, error) {
 		defined = append(defined, cte.Name)
 	}
 
-	branches, err := ex.evalSelects(q.Selects)
-	if err != nil {
-		return nil, err
-	}
-	if len(branches) == 0 {
-		return &Result{}, nil
-	}
-	if len(branches) == 1 {
-		return &Result{Cols: branches[0].Cols, Rows: branches[0].Rows}, nil
-	}
-	total := 0
-	for _, r := range branches {
-		if len(r.Cols) != len(branches[0].Cols) {
-			return nil, fmt.Errorf("engine: union all arity mismatch: %d vs %d", len(branches[0].Cols), len(r.Cols))
-		}
-		total += len(r.Rows)
-	}
-	out := &Result{Cols: branches[0].Cols, Rows: make([]relational.Row, 0, total)}
-	for _, r := range branches {
-		out.Rows = append(out.Rows, r.Rows...)
-	}
-	return out, nil
+	return ex.evalSelects(q.Selects)
 }
 
-// evalSelects evaluates a UNION ALL's branches in branch order and returns
-// their results in that order, stopping at the first error.
-func (ex *executor) evalSelects(sels []*sqlast.Select) ([]*Result, error) {
-	out := make([]*Result, len(sels))
+// evalSelects evaluates a UNION ALL's branches in branch order, stopping at
+// the first error, and returns them unprojected.
+func (ex *executor) evalSelects(sels []*sqlast.Select) (*Prepared, error) {
+	p := &Prepared{blocks: make([]block, len(sels))}
 	for i, s := range sels {
-		r, err := ex.safeSelect(s)
+		b, err := ex.safeSelect(s)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = r
+		if i == 0 {
+			p.Cols = b.cols
+		} else if len(b.cols) != len(p.Cols) {
+			return nil, fmt.Errorf("engine: union all arity mismatch: %d vs %d", len(p.Cols), len(b.cols))
+		}
+		p.blocks[i] = b
 	}
-	return out, nil
+	return p, nil
 }
 
 // safeSelect evaluates one UNION branch with the serving-path protections:
 // a cancellation check before starting and panic containment, so one
 // poisoned branch fails the query with an error instead of killing the
 // serving process.
-func (ex *executor) safeSelect(s *sqlast.Select) (res *Result, err error) {
+func (ex *executor) safeSelect(s *sqlast.Select) (b block, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: panic evaluating union branch: %v", r)
 		}
 	}()
 	if err := ex.cancelled(); err != nil {
-		return nil, err
+		return block{}, err
 	}
 	return ex.selectBlock(s)
+}
+
+// materialize evaluates q into a Result, for a CTE's rows.
+func (ex *executor) materialize(q *sqlast.Query) (*Result, error) {
+	p, err := ex.query(q)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Cols: p.Cols, Rows: p.AppendRows(nil)}, nil
 }
 
 // recursiveCTE evaluates a linear-recursive UNION ALL CTE with standard
@@ -230,26 +234,17 @@ func (ex *executor) recursiveCTE(cte sqlast.CTE) (*Result, error) {
 	}
 	if len(rec) == 0 {
 		// Not actually recursive; evaluate as a plain CTE.
-		return ex.query(cte.Body)
+		return ex.materialize(cte.Body)
 	}
 
-	acc := &Result{}
-	baseResults, err := ex.evalSelects(base)
+	seed, err := ex.evalSelects(base)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range baseResults {
-		if acc.Cols == nil {
-			acc.Cols = r.Cols
-		} else if len(acc.Cols) != len(r.Cols) {
-			return nil, fmt.Errorf("engine: recursive cte %q: arity mismatch among base branches", cte.Name)
-		}
-		acc.Rows = append(acc.Rows, r.Rows...)
-	}
-	if acc.Cols == nil {
+	if seed.Cols == nil {
 		return nil, fmt.Errorf("engine: recursive cte %q has no base branch", cte.Name)
 	}
-
+	acc := &Result{Cols: seed.Cols, Rows: seed.AppendRows(nil)}
 	if err := ex.charge(len(acc.Rows)); err != nil {
 		return nil, err
 	}
@@ -258,8 +253,9 @@ func (ex *executor) recursiveCTE(cte sqlast.CTE) (*Result, error) {
 	if ex.opts.MaxCTEIterations > 0 {
 		maxRounds = ex.opts.MaxCTEIterations
 	}
-	// Each round binds the name to the previous round's delta; unbind it
-	// however the loop ends.
+	// Each round binds the name to the previous round's delta, the
+	// accumulator's tail, and projects onto the accumulator's end; unbind
+	// the name however the loop ends.
 	defer delete(ex.ctes, cte.Name)
 	delta := acc.Rows
 	for round := 0; len(delta) > 0; round++ {
@@ -276,22 +272,19 @@ func (ex *executor) recursiveCTE(cte sqlast.CTE) (*Result, error) {
 			return nil, err
 		}
 		ex.ctes[cte.Name] = &Result{Cols: acc.Cols, Rows: delta}
-		recResults, err := ex.evalSelects(rec)
+		next, err := ex.evalSelects(rec)
 		if err != nil {
 			return nil, err
 		}
-		var next []relational.Row
-		for _, r := range recResults {
-			if len(r.Cols) != len(acc.Cols) {
-				return nil, fmt.Errorf("engine: recursive cte %q: arity mismatch in recursive branch", cte.Name)
-			}
-			next = append(next, r.Rows...)
+		if len(next.Cols) != len(acc.Cols) {
+			return nil, fmt.Errorf("engine: recursive cte %q: arity mismatch in recursive branch", cte.Name)
 		}
-		if err := ex.charge(len(next)); err != nil {
+		if err := ex.charge(next.Len()); err != nil {
 			return nil, err
 		}
-		acc.Rows = append(acc.Rows, next...)
-		delta = next
+		n := len(acc.Rows)
+		acc.Rows = next.AppendRows(acc.Rows)
+		delta = acc.Rows[n:]
 	}
 	return acc, nil
 }
@@ -400,15 +393,15 @@ func (f *frame) extend(alias string, cols []string, refs []sqlast.ColRef) (next 
 	return next, src
 }
 
-func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
+func (ex *executor) selectBlock(s *sqlast.Select) (block, error) {
 	if len(s.From) == 0 {
-		return nil, fmt.Errorf("engine: select with empty FROM")
+		return block{}, fmt.Errorf("engine: select with empty FROM")
 	}
 	seen := map[string]bool{}
 	for _, f := range s.From {
 		a := aliasOf(f)
 		if seen[a] {
-			return nil, fmt.Errorf("engine: duplicate alias %s", a)
+			return block{}, fmt.Errorf("engine: duplicate alias %s", a)
 		}
 		seen[a] = true
 	}
@@ -430,10 +423,10 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 	for _, f := range s.From {
 		rel, err := ex.resolve(f.Source)
 		if err != nil {
-			return nil, err
+			return block{}, err
 		}
 		if cur, remaining, err = ex.joinStep(cur, rel, aliasOf(f), remaining, need); err != nil {
-			return nil, err
+			return block{}, err
 		}
 	}
 
@@ -441,23 +434,25 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 	if len(remaining) > 0 {
 		pred, err := bindAll(remaining, cur, true)
 		if err != nil {
-			return nil, err
+			return block{}, err
 		}
 		rows, err := ex.filter(cur.rows, pred)
 		if err != nil {
-			return nil, err
+			return block{}, err
 		}
 		cur = &frame{bindings: cur.bindings, rows: rows, width: cur.width, owned: true}
 	}
 
-	// Projection.
-	var projs []operand
+	// Projection, bound here and run by AppendRows. projs is never nil, so
+	// a block of finished rows (projs nil) is told apart from one projecting
+	// no columns.
+	projs := make([]operand, 0, len(s.Cols))
 	var names []string
 	for _, item := range s.Cols {
 		if item.Star {
 			bi := slices.IndexFunc(cur.bindings, func(b binding) bool { return b.alias == item.StarTable })
 			if bi < 0 {
-				return nil, fmt.Errorf("engine: star over unknown alias %s", item.StarTable)
+				return block{}, fmt.Errorf("engine: star over unknown alias %s", item.StarTable)
 			}
 			for i, c := range cur.bindings[bi].cols {
 				projs = append(projs, operand{idx: cur.bindings[bi].offset + i})
@@ -467,7 +462,7 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 		}
 		p, err := bindOperand(item.Expr, cur)
 		if err != nil {
-			return nil, err
+			return block{}, err
 		}
 		name := item.As
 		if c, ok := item.Expr.(sqlast.ColRef); ok && name == "" {
@@ -477,37 +472,9 @@ func (ex *executor) selectBlock(s *sqlast.Select) (*Result, error) {
 		names = append(names, name)
 	}
 	if err := ex.charge(len(cur.rows)); err != nil {
-		return nil, err
+		return block{}, err
 	}
-	// A projection of one ascending run of columns lo..hi-1 is a window onto
-	// each frame row: stored rows and join rows are never written, so the
-	// result shares them instead of copying their values. An owned row slice
-	// is rewritten in place; any other gets a fresh one, as does a nil one,
-	// so Rows is never nil.
-	if lo, hi, ok := window(projs); ok {
-		rows := cur.rows
-		if !cur.owned || rows == nil {
-			rows = make([]relational.Row, len(cur.rows))
-		}
-		for i, row := range cur.rows {
-			rows[i] = row[lo:hi:hi]
-		}
-		return &Result{Cols: names, Rows: rows}, nil
-	}
-	// Otherwise one arena holds every projected value; each row is a
-	// capacity-capped window onto it, so an append to one row copies instead
-	// of writing into its neighbour.
-	w := len(projs)
-	arena := make([]relational.Value, len(cur.rows)*w)
-	res := &Result{Cols: names, Rows: make([]relational.Row, len(cur.rows))}
-	for i, row := range cur.rows {
-		out := arena[i*w : (i+1)*w : (i+1)*w]
-		for j, p := range projs {
-			out[j] = p.get(row)
-		}
-		res.Rows[i] = out
-	}
-	return res, nil
+	return block{cols: names, rows: cur.rows, owned: cur.owned, projs: projs}, nil
 }
 
 // window reports whether projs read the frame offsets lo..hi-1 in order.

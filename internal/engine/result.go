@@ -8,6 +8,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,6 +23,94 @@ type Result struct {
 	Rows []relational.Row
 	// Work counts what producing the rows cost; Execute sets it.
 	Work Work
+}
+
+// Prepared is a query evaluated up to each SELECT block's final projection.
+// Its Work is final; AppendRows projects the blocks, in branch order, into
+// the caller's slice, so a merge of several answers writes each row once.
+type Prepared struct {
+	Cols []string
+	Work Work
+
+	blocks []block
+}
+
+// block is one SELECT block's frame rows and the projection that turns each
+// into an answer row; a block with no projection holds finished rows.
+type block struct {
+	cols  []string
+	rows  []relational.Row
+	projs []operand
+	// owned is set when the block built its row slice (a filter or a join),
+	// so a lone block may be projected in place.
+	owned bool
+}
+
+// Finished wraps an already projected result as a Prepared whose rows are
+// appended as they are.
+func Finished(res *Result) *Prepared {
+	return &Prepared{Cols: res.Cols, Work: res.Work, blocks: []block{{cols: res.Cols, rows: res.Rows}}}
+}
+
+// Len returns the number of answer rows.
+func (p *Prepared) Len() int {
+	n := 0
+	for _, b := range p.blocks {
+		n += len(b.rows)
+	}
+	return n
+}
+
+// AppendRows appends the answer rows to dst and returns the extended slice.
+// With dst nil, a lone block of finished rows is returned as it is, and a
+// lone block's window projection rewrites the block's owned row slice in
+// place, so call it once.
+func (p *Prepared) AppendRows(dst []relational.Row) []relational.Row {
+	if dst == nil && len(p.blocks) == 1 {
+		b := p.blocks[0]
+		if b.projs == nil {
+			return b.rows
+		}
+		if _, _, ok := window(b.projs); ok && b.owned && b.rows != nil {
+			dst = b.rows[:0]
+		}
+	}
+	if dst == nil {
+		dst = make([]relational.Row, 0, p.Len()) // so Rows is never nil
+	}
+	dst = slices.Grow(dst, p.Len())
+	for _, b := range p.blocks {
+		dst = b.appendTo(dst)
+	}
+	return dst
+}
+
+// appendTo appends the block's answer rows to dst. A projection of one
+// ascending run of columns lo..hi-1 is a window onto each frame row: stored
+// rows and join rows are never written, so the answer shares them instead of
+// copying their values. Otherwise one arena holds every projected value;
+// each row is a capacity-capped window onto it, so an append to one row
+// copies instead of writing into its neighbour.
+func (b block) appendTo(dst []relational.Row) []relational.Row {
+	if b.projs == nil {
+		return append(dst, b.rows...)
+	}
+	if lo, hi, ok := window(b.projs); ok {
+		for _, row := range b.rows {
+			dst = append(dst, row[lo:hi:hi])
+		}
+		return dst
+	}
+	w := len(b.projs)
+	arena := make([]relational.Value, len(b.rows)*w)
+	for i, row := range b.rows {
+		out := arena[i*w : (i+1)*w : (i+1)*w]
+		for j, p := range b.projs {
+			out[j] = p.get(row)
+		}
+		dst = append(dst, out)
+	}
+	return dst
 }
 
 // Work is a query's deterministic work: it depends on the plan and the

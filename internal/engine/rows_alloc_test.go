@@ -93,6 +93,49 @@ func TestOneColumnScanAllocatesOnlyRowHeaders(t *testing.T) {
 	}
 }
 
+// A UNION ALL of two one-column scans allocates one row slice, for the whole
+// answer: the branches project straight into it.
+func TestUnionOfScansAllocatesOneRowSlice(t *testing.T) {
+	const fixed = 16 << 10
+	header := float64(unsafe.Sizeof(relational.Row{}))
+	scan := &sqlast.Select{Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: []sqlast.FromItem{{Source: "AC", Alias: "c"}}}
+	q := &sqlast.Query{Selects: []*sqlast.Select{scan, scan}}
+	n := float64(2 * 1000 * 8)
+	if got := bytesPerExec(t, allocStore(t, 1000, 8), q, engine.Options{}); got > header*n+fixed {
+		t.Errorf("union of two one-column scans, %.0f rows: %.0f bytes, budget %.0f per row plus %d", n, got, header, fixed)
+	}
+}
+
+// A scatter of a one-column scan allocates one row header per answer row and
+// no values, at any shard count: each shard's rows are projected once,
+// straight into the answer.
+func TestScatterScanAllocatesOnlyRowHeaders(t *testing.T) {
+	const fixed = 16 << 10
+	header := float64(unsafe.Sizeof(relational.Row{}))
+	cfg := workloads.DefaultXMarkConfig()
+	cfg.ItemsPerContinent = 25
+	docs := workloads.GenerateXMarkScale(cfg, 40)
+	q := sqlast.SingleSelect(&sqlast.Select{Cols: []sqlast.SelectItem{sqlast.Col("I", "name")}, From: []sqlast.FromItem{sqlast.From("Item", "I")}})
+	for _, shards := range []int{1, 2, 4} {
+		comp, err := sharded.NewMem(shards, sharded.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := comp.Load(workloads.XMark(), docs...); err != nil {
+			t.Fatal(err)
+		}
+		var res *engine.Result
+		got := bytesPerRun(func() {
+			if res, err = comp.Execute(context.Background(), q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n := float64(res.Len()); got > header*n+fixed {
+			t.Errorf("%d-shard scan of %.0f rows: %.0f bytes, budget %.0f per row plus %d", shards, n, got, header, fixed)
+		}
+	}
+}
+
 // A projection onto one ascending run of columns allocates nothing per row
 // over the filter or join it reads: projecting the same columns reordered
 // costs exactly one more arena of values and row headers.

@@ -127,6 +127,17 @@ func TestWindowedResultsSurviveWrites(t *testing.T) {
 				Cols: []sqlast.SelectItem{sqlast.Col("I", "name")}, From: []sqlast.FromItem{sqlast.From("Item", "I")},
 			}))
 		}},
+		{"union all", local(&sqlast.Query{Selects: []*sqlast.Select{
+			{Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: []sqlast.FromItem{{Source: "AC", Alias: "c"}}},
+			{Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: joinFrom, Where: joinEq},
+		}})},
+		{"sharded index join", func() (*engine.Result, error) {
+			return comp.Execute(ctx, sqlast.SingleSelect(&sqlast.Select{
+				Cols:  []sqlast.SelectItem{sqlast.Col("I", "name"), sqlast.Col("IC", "category")},
+				From:  []sqlast.FromItem{sqlast.From("Item", "I"), sqlast.From("InCat", "IC")},
+				Where: sqlast.Eq(sqlast.ColRef{Table: "IC", Column: "parentid"}, sqlast.ColRef{Table: "I", Column: "id"}),
+			}))
+		}},
 	}
 	held := make([]*engine.Result, len(reads))
 	want := make([][]relational.Row, len(reads))

@@ -299,6 +299,75 @@ func TestOneShardMergeDoesNotCopy(t *testing.T) {
 	}
 }
 
+// TestScatterWorkEqualsSingleStore: a scatter's Work is the sum of its
+// shards' Work, and that sum is exactly a single store's Work on the same
+// documents, for every workload query, naive and pruned, at 1, 2 and 4
+// shards.
+func TestScatterWorkEqualsSingleStore(t *testing.T) {
+	ctx := context.Background()
+	for _, w := range diffWorkloads() {
+		ref := singleReference(t, w)
+		for _, n := range []int{1, 2, 4} {
+			c := memShardTopology(t, w, n)
+			for _, query := range w.queries {
+				for vi, q := range translations(t, w.schema, query) {
+					want, err := ref.Execute(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := c.Execute(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Work != want.Work {
+						t.Errorf("%s %s (translation %d) on %d shards: work %+v, single store %+v", w.name, query, vi, n, got.Work, want.Work)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkScatter times a 4-shard scatter of a one-column scan and of a
+// Q2-shaped index join over 100 xmark documents.
+func BenchmarkScatter(b *testing.B) {
+	cfg := workloads.DefaultXMarkConfig()
+	cfg.ItemsPerContinent = 25
+	c, err := sharded.NewMem(4, sharded.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.Load(workloads.XMark(), workloads.GenerateXMarkScale(cfg, 100)...); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		q    *sqlast.Query
+	}{
+		{"scan", sqlast.SingleSelect(&sqlast.Select{
+			Cols: []sqlast.SelectItem{sqlast.Col("I", "name")},
+			From: []sqlast.FromItem{sqlast.From("Item", "I")},
+		})},
+		// Q2's pruned translation.
+		{"index-join", sqlast.SingleSelect(&sqlast.Select{
+			Cols: []sqlast.SelectItem{sqlast.Col("IC", "category")},
+			From: []sqlast.FromItem{sqlast.From("Item", "I"), sqlast.From("InCat", "IC")},
+			Where: sqlast.Conj(
+				sqlast.Eq(sqlast.ColRef{Table: "IC", Column: "parentid"}, sqlast.ColRef{Table: "I", Column: "id"}),
+				sqlast.Eq(sqlast.ColRef{Table: "I", Column: "parentcode"}, sqlast.IntLit(1))),
+		})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Execute(context.Background(), bc.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestSkewBench ensures the default hash partitioner actually spreads the
 // scale workload: with 24 documents on 4 shards no shard should be empty.
 func TestHashPartitionerSpreads(t *testing.T) {

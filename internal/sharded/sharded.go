@@ -398,15 +398,18 @@ func (c *Sharded) registerIDs(ids []int64, shard int) {
 
 // Execute implements Backend: the query scatters to every shard (bounded
 // worker pool, each shard running its full plan — including any recursive
-// CTE's local fixpoint — on its own engine), and the shard results merge by
-// multiset concatenation in shard order. Within a shard the engine's own
-// deterministic branch-order merge applies, so the global row order is
-// shard-then-branch. The first shard error (or ctx cancellation) cancels the
-// remaining workers and is returned.
+// CTE's local fixpoint — on its own engine), and the shard answers are
+// concatenated in shard order. Mem shards stop before their projection
+// (Mem.Prepare), so the gather projects each answer row once, straight
+// into the composite's answer; other shards' results are copied in as they
+// are. Within a shard the engine's deterministic branch order applies, so
+// the global row order is shard-then-branch, and the composite's Work is
+// the sum of the shards'. The first shard error (or ctx cancellation)
+// cancels the remaining workers and is returned.
 func (c *Sharded) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result, error) {
 	c.scatters.Add(1)
 	n := len(c.shards)
-	results := make([]*engine.Result, n)
+	prepared := make([]*engine.Prepared, n)
 	errs := make([]error, n)
 
 	workers := c.par
@@ -434,13 +437,13 @@ func (c *Sharded) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result,
 					errs[i] = err
 					return
 				}
-				res, err := c.shards[i].Execute(ctx, q)
+				p, err := c.prepare(ctx, i, q)
 				if err != nil {
 					errs[i] = fmt.Errorf("sharded: shard %d: %w", i, err)
 					cancel() // tear the scatter down promptly
 					return
 				}
-				results[i] = res
+				prepared[i] = p
 			}
 		}()
 	}
@@ -461,30 +464,41 @@ func (c *Sharded) Execute(ctx context.Context, q *sqlast.Query) (*engine.Result,
 	}
 
 	start := time.Now()
-	var merged *engine.Result
-	var cols []string
-	total, filled := 0, 0
-	for _, r := range results {
-		total += len(r.Rows)
-		if cols == nil && r.Cols != nil {
-			cols = r.Cols
+	res := &engine.Result{}
+	total := 0
+	for _, p := range prepared {
+		total += p.Len()
+		if res.Cols == nil {
+			res.Cols = p.Cols
 		}
-		if len(r.Rows) > 0 {
-			merged = r
-			filled++
-		}
+		res.Work.Scanned += p.Work.Scanned
+		res.Work.Examined += p.Work.Examined
+		res.Work.Materialized += p.Work.Materialized
 	}
-	// With one non-empty shard (every 1-shard composite, and scatters
-	// selective enough to hit one shard) its result is the answer as is.
-	if filled != 1 {
-		merged = &engine.Result{Cols: cols, Rows: make([]relational.Row, 0, total)}
-		for _, r := range results {
-			merged.Rows = append(merged.Rows, r.Rows...)
-		}
+	// A 1-shard composite's answer is built as its shard's own would be;
+	// a wider one's is allocated once and each shard projected into it.
+	if n > 1 {
+		res.Rows = make([]relational.Row, 0, total)
+	}
+	for _, p := range prepared {
+		res.Rows = p.AppendRows(res.Rows)
 	}
 	c.mergeNs.Add(time.Since(start).Nanoseconds())
 	c.mergedRows.Add(int64(total))
-	return merged, nil
+	return res, nil
+}
+
+// prepare runs q on shard i up to its projection: a Mem shard through its
+// engine, any other as a finished result.
+func (c *Sharded) prepare(ctx context.Context, i int, q *sqlast.Query) (*engine.Prepared, error) {
+	if m, ok := c.shards[i].(*backend.Mem); ok {
+		return m.Prepare(ctx, q)
+	}
+	res, err := c.shards[i].Execute(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Finished(res), nil
 }
 
 // Close implements Backend, closing every shard and returning the first
@@ -509,8 +523,8 @@ type Metrics struct {
 	RowsPerShard []int64 `json:"rows_per_shard"`
 	// Scatters counts Execute calls (each fans out to every shard).
 	Scatters int64 `json:"scatters"`
-	// MergeNs is the cumulative time spent concatenating shard results;
-	// MergedRows the rows that passed through the merge.
+	// MergeNs is the cumulative time spent allocating the answers and
+	// projecting the shards into them; MergedRows the rows so projected.
 	MergeNs    int64 `json:"merge_ns"`
 	MergedRows int64 `json:"merged_rows"`
 }
