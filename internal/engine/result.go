@@ -75,10 +75,11 @@ func (p *Prepared) AppendRows(dst []relational.Row) []relational.Row {
 			dst = b.rows[:0]
 		}
 	}
+	n := p.Len()
 	if dst == nil {
-		dst = make([]relational.Row, 0, p.Len()) // so Rows is never nil
+		dst = make([]relational.Row, 0, n) // so Rows is never nil
 	}
-	dst = slices.Grow(dst, p.Len())
+	dst = slices.Grow(dst, n)
 	for _, b := range p.blocks {
 		dst = b.appendTo(dst)
 	}
