@@ -541,7 +541,7 @@ func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts 
 		walkRefs(c, func(c sqlast.ColRef) { refs = append(refs, c) })
 	}
 	next, src := cur.extend(alias, rel.cols, refs)
-	arena := rowArena{width: next.width, src: src}
+	arena := newRowArena(cur.width, next.width, src)
 	keys, err := bindJoinKeys(joinConds, cur, solo, alias)
 	if err != nil {
 		return nil, nil, err
@@ -599,17 +599,23 @@ func (ex *executor) applyCovered(f *frame, pending []sqlast.Expr) (*frame, []sql
 	return &frame{bindings: f.bindings, rows: rows, width: f.width, owned: true}, rest, nil
 }
 
-// filter returns the rows pred accepts, polling for cancellation.
+// filter returns the rows pred accepts, polling for cancellation. It notes
+// their positions in a pointer-free slice first, so the output is allocated
+// once, at its exact size.
 func (ex *executor) filter(rows []relational.Row, pred predicate) ([]relational.Row, error) {
-	var out []relational.Row
+	var at []int32
 	countdown := cancelCheckInterval
-	for _, r := range rows {
+	for i, r := range rows {
 		if err := ex.tick(&countdown); err != nil {
 			return nil, err
 		}
 		if pred(r) {
-			out = append(out, r)
+			at = append(at, int32(i))
 		}
+	}
+	out := make([]relational.Row, len(at))
+	for j, i := range at {
+		out[j] = rows[i]
 	}
 	return out, nil
 }
@@ -660,17 +666,60 @@ const (
 	arenaMaxRows = 4096
 )
 
-// rowArena carves a join's combined rows from shared chunks. Each row is
-// capacity-capped, so an append to one row copies instead of writing into
-// its neighbour. src picks the kept columns from the left row followed by
-// the right one; nil keeps them all.
+// rowArena builds a join's combined rows. When the kept columns are one
+// ascending run of the left row's columns or of the right row's, a combined
+// row is a window onto that row and nothing is copied. Otherwise rows are
+// carved from shared chunks. Either way each row is capacity-capped, so an
+// append to one row copies instead of writing into its neighbour or the next
+// column of the row it shares. src picks the kept columns from the left row
+// followed by the right one; nil keeps them all.
 type rowArena struct {
 	width, chunk int
 	src          []int
 	free         []relational.Value
+	// side is the row a window reads (sideLeft, sideRight), from column lo
+	// on; sideNone joins into the chunks.
+	side, lo int
+}
+
+const (
+	sideNone = iota
+	sideLeft
+	sideRight
+)
+
+// newRowArena lays out the join rows that keep src (see extend) of a left
+// row left columns wide, width columns in all.
+func newRowArena(left, width int, src []int) rowArena {
+	a := rowArena{width: width, src: src}
+	if width == 0 {
+		return a
+	}
+	lo := 0
+	if src != nil {
+		lo = src[0]
+		for j, s := range src {
+			if s != lo+j {
+				return a
+			}
+		}
+	}
+	switch {
+	case lo+width <= left:
+		a.side, a.lo = sideLeft, lo
+	case lo >= left:
+		a.side, a.lo = sideRight, lo-left
+	}
+	return a
 }
 
 func (a *rowArena) join(l, r relational.Row) relational.Row {
+	switch hi := a.lo + a.width; a.side {
+	case sideLeft:
+		return l[a.lo:hi:hi]
+	case sideRight:
+		return r[a.lo:hi:hi]
+	}
 	if len(a.free) < a.width {
 		a.chunk = min(max(2*a.chunk, arenaMinRows), arenaMaxRows)
 		a.free = make([]relational.Value, a.chunk*a.width)
@@ -712,9 +761,15 @@ func (ex *executor) nestedLoopJoin(cur *frame, rightRows []relational.Row, keys 
 	return out, nil
 }
 
-// indexJoin probes a persistent table index for a single equi-join.
+// indexJoin probes a persistent table index for a single equi-join. Its
+// output is allocated once, for the left rows times the index's mean bucket
+// size, rounded up, and at most one row per right row, so a selective or
+// skewed probe cannot over-allocate past the table.
 func (ex *executor) indexJoin(cur *frame, t *relational.Table, k joinKey, arena rowArena) ([]relational.Row, error) {
 	var out, matches []relational.Row
+	if rows, keys := t.IndexShape(k.column); keys > 0 {
+		out = make([]relational.Row, 0, min(rows, (len(cur.rows)*rows+keys-1)/keys))
+	}
 	countdown := cancelCheckInterval
 	for _, lrow := range cur.rows {
 		if err := ex.tick(&countdown); err != nil {

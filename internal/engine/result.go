@@ -63,15 +63,15 @@ func (p *Prepared) Len() int {
 
 // AppendRows appends the answer rows to dst and returns the extended slice.
 // With dst nil, a lone block of finished rows is returned as it is, and a
-// lone block's window projection rewrites the block's owned row slice in
-// place, so call it once.
+// lone block's projection rewrites the block's owned row slice in place (row
+// i is read before slot i is written), so call it once.
 func (p *Prepared) AppendRows(dst []relational.Row) []relational.Row {
 	if dst == nil && len(p.blocks) == 1 {
 		b := p.blocks[0]
 		if b.projs == nil {
 			return b.rows
 		}
-		if _, _, ok := window(b.projs); ok && b.owned && b.rows != nil {
+		if b.owned && b.rows != nil {
 			dst = b.rows[:0]
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"database/sql"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -138,7 +139,8 @@ func TestScatterScanAllocatesOnlyRowHeaders(t *testing.T) {
 
 // A projection onto one ascending run of columns allocates nothing per row
 // over the filter or join it reads: projecting the same columns reordered
-// costs exactly one more arena of values and row headers.
+// costs exactly one more arena of values, its row headers rewriting the
+// filter's or the join's row slice in place.
 func TestWindowProjectionAllocatesNothingPerRow(t *testing.T) {
 	const slack = 1 << 10
 	s := allocStore(t, 1000, 8)
@@ -160,16 +162,68 @@ func TestWindowProjectionAllocatesNothingPerRow(t *testing.T) {
 		}
 		n := res.Len()
 		var values []relational.Value
-		var rows []relational.Row
-		arena := bytesPerRun(func() {
-			values, rows = make([]relational.Value, 2*n), make([]relational.Row, n)
-		})
-		_, _ = values, rows
+		arena := bytesPerRun(func() { values = make([]relational.Value, 2*n) })
+		_ = values
 		window, reordered := bytesPerExec(t, s, c.window, engine.Options{}), bytesPerExec(t, s, c.reordered, engine.Options{})
 		if projection := window - (reordered - arena); projection > slack {
 			t.Errorf("%s: the window projection of %d rows allocates %.0f bytes (%.0f against %.0f for the reordered one, whose arena is %.0f)",
 				c.what, n, projection, window, reordered, arena)
 		}
+	}
+}
+
+// A Q2-shaped block (a local filter, an index join, one child column)
+// allocates its answer's row headers and little else: each join row is a
+// window onto the stored child row, and the join's output, sized once from
+// the index, becomes the answer's row slice.
+func TestFilteredIndexJoinAllocatesOnlyRowHeaders(t *testing.T) {
+	const fixed = 16 << 10
+	header := float64(unsafe.Sizeof(relational.Row{}))
+	q := sqlast.SingleSelect(&sqlast.Select{
+		Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: joinFrom,
+		Where: sqlast.Conj(joinEq, sqlast.Eq(sqlast.ColRef{Table: "p", Column: "code"}, sqlast.IntLit(3))),
+	})
+	for _, parents := range []int{125, 1000} {
+		s := allocStore(t, parents, 8)
+		res, err := engine.Execute(context.Background(), s, q, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := float64(res.Len())
+		if got := bytesPerExec(t, s, q, engine.Options{}); got > header*n+fixed {
+			t.Errorf("filtered index join of %.0f rows: %.0f bytes, budget %.0f per row plus %d", n, got, header, fixed)
+		}
+	}
+}
+
+// An index join whose left keys mostly miss a skewed index sizes its output
+// for the index's mean bucket, but never past one row per probed row: one
+// parent's 1000 children and ten single children, probed by 1000 parents
+// of which one hits the big bucket. Besides the output, the join allocates
+// only its probe buffer, which holds the largest bucket.
+func TestSkewedIndexJoinCapsOutputAtTable(t *testing.T) {
+	const slack = 4 << 10
+	s := allocStore(t, 0, 0)
+	p, c := s.Table("AP"), s.Table("AC")
+	for i := int64(1); i <= 1000; i++ {
+		p.MustInsert(relational.Row{relational.Int(i + 1000), relational.Int(0)})
+		c.MustInsert(relational.Row{relational.Int(i), relational.Int(1001), relational.String("v")})
+	}
+	for i := int64(1); i <= 10; i++ {
+		c.MustInsert(relational.Row{relational.Int(i + 1000), relational.Int(-i), relational.String("v")})
+	}
+	q := sqlast.SingleSelect(&sqlast.Select{Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: joinFrom, Where: joinEq})
+	res, err := engine.Execute(context.Background(), s, q, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	right := c.Len()
+	if res.Len() != 1000 || cap(res.Rows) > right {
+		t.Errorf("skewed index join: %d rows with capacity %d, want 1000 rows and capacity at most the %d probed rows", res.Len(), cap(res.Rows), right)
+	}
+	header := float64(unsafe.Sizeof(relational.Row{}))
+	if got := bytesPerExec(t, s, q, engine.Options{}); got > header*float64(right+1000)+slack {
+		t.Errorf("skewed index join: %.0f bytes, budget %.0f per probed row and per row of the largest bucket, plus %d", got, header, slack)
 	}
 }
 
@@ -299,6 +353,35 @@ func TestResultRowsAreCappedWindows(t *testing.T) {
 		run(k.name+" join", sqlast.SingleSelect(join), k.opts)
 	}
 	run("union all", &sqlast.Query{Selects: []*sqlast.Select{join, join}}, engine.Options{})
+
+	// A join that keeps one run of one side's columns returns windows onto
+	// that side's stored rows: c.parentid of the child on the right, p.id of
+	// the parent on the left. Appending to one copies, and the stored row's
+	// next column stays as it was.
+	for _, side := range []struct {
+		what  string
+		item  sqlast.SelectItem
+		table string
+		col   int
+	}{
+		{"right", sqlast.Col("c", "parentid"), "AC", 1},
+		{"left", sqlast.Col("p", "id"), "AP", 0},
+	} {
+		q := sqlast.SingleSelect(&sqlast.Select{Cols: []sqlast.SelectItem{side.item}, From: joinFrom, Where: joinEq})
+		for _, k := range joinKinds {
+			what := k.name + " join, " + side.what + " window"
+			row := run(what, q, k.opts).Rows[0]
+			stored := s.Table(side.table).Rows()
+			i := slices.IndexFunc(stored, func(r relational.Row) bool { return &r[side.col] == &row[0] })
+			if i < 0 {
+				t.Fatalf("%s: row 0 is no window onto a stored %s row", what, side.table)
+			}
+			want := stored[i].Clone()
+			if grown := append(row, relational.String("appended")); &grown[0] == &row[0] || !slices.Equal(stored[i], want) {
+				t.Fatalf("%s: appending to row 0 wrote into the stored row, now %v", what, stored[i])
+			}
+		}
+	}
 
 	// Descendants of node 1 in the chain 1 <- 2 <- ... <- 5.
 	chain := buildChainStore(t)

@@ -122,6 +122,16 @@ func TestWindowedResultsSurviveWrites(t *testing.T) {
 		{"star scan", local(acSelect(nil, sqlast.Star("c")))},
 		{"filtered scan", local(acSelect(sqlast.Eq(sqlast.ColRef{Table: "c", Column: "parentid"}, sqlast.IntLit(3)), sqlast.Col("c", "v")))},
 		{"index join", local(sqlast.SingleSelect(&sqlast.Select{Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: joinFrom, Where: joinEq}))},
+		// Q2's shape: a filter, then an index join whose rows are windows
+		// onto the stored child rows.
+		{"filtered index join", local(sqlast.SingleSelect(&sqlast.Select{
+			Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: joinFrom,
+			Where: sqlast.Conj(joinEq, sqlast.Eq(sqlast.ColRef{Table: "p", Column: "code"}, sqlast.IntLit(3))),
+		}))},
+		// A hash join whose rows are windows onto the stored rows on its left.
+		{"hash join, left window", local(sqlast.SingleSelect(&sqlast.Select{
+			Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: []sqlast.FromItem{joinFrom[1], joinFrom[0]}, Where: joinEq,
+		}))},
 		{"sharded scan", func() (*engine.Result, error) {
 			return comp.Execute(ctx, sqlast.SingleSelect(&sqlast.Select{
 				Cols: []sqlast.SelectItem{sqlast.Col("I", "name")}, From: []sqlast.FromItem{sqlast.From("Item", "I")},
@@ -131,6 +141,15 @@ func TestWindowedResultsSurviveWrites(t *testing.T) {
 			{Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: []sqlast.FromItem{{Source: "AC", Alias: "c"}}},
 			{Cols: []sqlast.SelectItem{sqlast.Col("c", "v")}, From: joinFrom, Where: joinEq},
 		}})},
+		{"sharded Q2", func() (*engine.Result, error) {
+			return comp.Execute(ctx, sqlast.SingleSelect(&sqlast.Select{
+				Cols: []sqlast.SelectItem{sqlast.Col("IC", "category")},
+				From: []sqlast.FromItem{sqlast.From("Item", "I"), sqlast.From("InCat", "IC")},
+				Where: sqlast.Conj(
+					sqlast.Eq(sqlast.ColRef{Table: "IC", Column: "parentid"}, sqlast.ColRef{Table: "I", Column: "id"}),
+					sqlast.Eq(sqlast.ColRef{Table: "I", Column: "parentcode"}, sqlast.IntLit(1))),
+			}))
+		}},
 		{"sharded index join", func() (*engine.Result, error) {
 			return comp.Execute(ctx, sqlast.SingleSelect(&sqlast.Select{
 				Cols:  []sqlast.SelectItem{sqlast.Col("I", "name"), sqlast.Col("IC", "category")},

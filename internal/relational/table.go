@@ -62,14 +62,15 @@ func (r Row) Key() string {
 
 // Table is an in-memory heap of rows plus optional hash indexes.
 //
-// Readers (Rows, AppendLookup, LookupPK, Len, SortedRows) may overlap each
-// other and writers: an RWMutex guards the row slice and the indexes. The
-// row slice is copy-on-write: Insert appends past the end of every slice a
-// reader holds, and a delete or update publishes a fresh dense slice, so a
-// slice from Rows stays one version of the table. Indexes map values to the
-// stored rows, in table order, and every write maintains them for the rows
-// it touches. A stored row is cloned on the way in, never mutated, and has a
-// column (CreateTable rejects column-less schemas), so &r[0] identifies it.
+// Readers (Rows, AppendLookup, IndexShape, LookupPK, Len, SortedRows) may
+// overlap each other and writers: an RWMutex guards the row slice and the
+// indexes. The row slice is copy-on-write: Insert appends past the end of
+// every slice a reader holds, and a delete or update publishes a fresh dense
+// slice, so a slice from Rows stays one version of the table. Indexes map
+// values to the stored rows, in table order, and every write maintains them
+// for the rows it touches. A stored row is cloned on the way in, never
+// mutated, and has a column (CreateTable rejects column-less schemas), so
+// &r[0] identifies it.
 type Table struct {
 	mu      sync.RWMutex
 	schema  *TableSchema
@@ -381,6 +382,18 @@ func (t *Table) HasIndex(column string) bool {
 	defer t.mu.RUnlock()
 	_, ok := t.indexes[column]
 	return ok
+}
+
+// IndexShape returns the table's row count and the number of distinct
+// values in the named column's index, 0 when the column has no index: rows
+// over keys is the index's mean bucket size.
+func (t *Table) IndexShape(column string) (rows, keys int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if idx, ok := t.indexes[column]; ok {
+		keys = len(idx.buckets)
+	}
+	return len(t.rows), keys
 }
 
 // AppendLookup appends to dst the rows whose named column equals v, in table

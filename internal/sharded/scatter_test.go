@@ -328,8 +328,9 @@ func TestScatterWorkEqualsSingleStore(t *testing.T) {
 	}
 }
 
-// BenchmarkScatter times a 4-shard scatter of a one-column scan and of a
-// Q2-shaped index join over 100 xmark documents.
+// BenchmarkScatter times a 4-shard scatter of a one-column scan, of a
+// filtered one-column scan and of a Q2-shaped index join over 100 xmark
+// documents.
 func BenchmarkScatter(b *testing.B) {
 	cfg := workloads.DefaultXMarkConfig()
 	cfg.ItemsPerContinent = 25
@@ -347,6 +348,11 @@ func BenchmarkScatter(b *testing.B) {
 		{"scan", sqlast.SingleSelect(&sqlast.Select{
 			Cols: []sqlast.SelectItem{sqlast.Col("I", "name")},
 			From: []sqlast.FromItem{sqlast.From("Item", "I")},
+		})},
+		{"filtered-scan", sqlast.SingleSelect(&sqlast.Select{
+			Cols:  []sqlast.SelectItem{sqlast.Col("I", "name")},
+			From:  []sqlast.FromItem{sqlast.From("Item", "I")},
+			Where: sqlast.Eq(sqlast.ColRef{Table: "I", Column: "parentcode"}, sqlast.IntLit(1)),
 		})},
 		// Q2's pruned translation.
 		{"index-join", sqlast.SingleSelect(&sqlast.Select{
