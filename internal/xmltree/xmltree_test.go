@@ -127,26 +127,48 @@ func TestMatchNodes(t *testing.T) {
 	}
 }
 
-// TestMatchNodesAgainstNFA cross-checks the DFA evaluator against the plain
-// NFA matcher on random documents and queries.
+// TestMatchNodesAgainstNFA cross-checks the automaton evaluator against the
+// plain NFA matcher on random documents and generated queries: / and //
+// steps, wildcards, repeated labels and step predicates. Elements get text
+// children p, so a predicate [p='x'] holds on some elements and fails on
+// others. One long query on deep documents has more than 64 steps.
 func TestMatchNodesAgainstNFA(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	labels := []string{"a", "b", "c"}
+	elem := func() *Node {
+		n := &Node{Label: labels[rng.Intn(len(labels))]}
+		if rng.Intn(2) == 0 {
+			n.Children = append(n.Children, NewText("p", []string{"x", "y"}[rng.Intn(2)]))
+		}
+		return n
+	}
 	var gen func(depth int) *Node
 	gen = func(depth int) *Node {
-		n := &Node{Label: labels[rng.Intn(len(labels))]}
+		n := elem()
 		if depth < 4 {
-			kids := rng.Intn(3)
-			for i := 0; i < kids; i++ {
+			for i := rng.Intn(3); i > 0; i-- {
 				n.Children = append(n.Children, gen(depth+1))
 			}
 		}
 		return n
 	}
-	queries := []string{"//a", "/a/b", "//a//b", "/a//c", "//b/c", "//a/b//c"}
-	for i := 0; i < 300; i++ {
-		d := &Document{Root: gen(0)}
-		q := pathexpr.MustParse(queries[rng.Intn(len(queries))])
+	// step draws one step over label l; a label carries the predicate
+	// [p='x'] on the steps that draw one (when pred allows it), so it never
+	// carries two.
+	step := func(b *strings.Builder, desc bool, l string, pred bool) {
+		b.WriteString("/")
+		if desc {
+			b.WriteString("/")
+		}
+		if rng.Intn(4) == 0 {
+			l = "*"
+		}
+		b.WriteString(l)
+		if pred && l != "*" && rng.Intn(3) == 0 {
+			b.WriteString("[p='x']")
+		}
+	}
+	check := func(d *Document, q *pathexpr.Path) int {
 		a := MatchNodes(d, q)
 		b := MatchNodesNFA(d, q)
 		if len(a) != len(b) {
@@ -157,6 +179,47 @@ func TestMatchNodesAgainstNFA(t *testing.T) {
 				t.Fatalf("match order differs for %s", q)
 			}
 		}
+		return len(a)
+	}
+	for i := 0; i < 600; i++ {
+		var b strings.Builder
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			step(&b, rng.Intn(2) == 0, labels[rng.Intn(len(labels))], true)
+		}
+		check(&Document{Root: gen(0)}, pathexpr.MustParse(b.String()))
+	}
+	// Long queries follow a chain of 160 elements, each with a small side
+	// tree: a / step takes the next element's label, a // step skips up to
+	// two elements first, and a predicate goes only on a step whose chain
+	// element satisfies it, so the chain itself matches.
+	matched := 0
+	for i := 0; i < 10; i++ {
+		chain := make([]*Node, 160)
+		for j := range chain {
+			chain[j] = elem()
+			if j > 0 {
+				chain[j-1].Children = append(chain[j-1].Children, chain[j], gen(3))
+			}
+		}
+		var b strings.Builder
+		for j, n := 0, 0; n < 70 && j < len(chain); n++ {
+			desc := n > 0 && rng.Intn(2) == 0
+			if desc {
+				j += rng.Intn(3)
+			}
+			if j < len(chain) {
+				step(&b, desc, chain[j].Label, SatisfiesPred(chain[j], &pathexpr.Pred{Child: "p", Value: "x"}))
+			}
+			j++
+		}
+		q := pathexpr.MustParse(b.String())
+		if len(q.Steps) <= 64 {
+			t.Fatalf("long query has %d steps", len(q.Steps))
+		}
+		matched += check(&Document{Root: chain[0]}, q)
+	}
+	if matched == 0 {
+		t.Error("no long query matched")
 	}
 }
 
