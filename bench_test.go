@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xmlsql"
+	"xmlsql/internal/docgen"
 	"xmlsql/internal/workloads"
 )
 
@@ -173,6 +174,53 @@ func BenchmarkTranslateQ7Pruned(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := xmlsql.Translate(s, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTranslateCold is the plan-cache miss without execution: parse,
+// PathId and the pruning translator over a fixed mix of 32 docgen
+// expressions on each of the six mappings of the benchmark's cold-adhoc
+// workload (xmark, xmarkfull, adex, s3, the Edge mapping of xmarkfull,
+// xmarkauctions). One op translates one expression of the mix.
+func BenchmarkTranslateCold(b *testing.B) {
+	edge, err := xmlsql.EdgeMapping(workloads.XMarkFull())
+	if err != nil {
+		b.Fatal(err)
+	}
+	type expr struct {
+		s    *xmlsql.Schema
+		text string
+	}
+	var mix []expr
+	for k, s := range []*xmlsql.Schema{workloads.XMark(), workloads.XMarkFull(), workloads.ADEX(),
+		workloads.S3(), edge, workloads.XMarkAuctions()} {
+		g := docgen.New(int64(64+k), docgen.DefaultConfig())
+		for i, n := 0, 0; i < 400 && n < 32; i++ {
+			text := g.Query(s)
+			if i%2 == 1 {
+				text = g.PredQuery(s)
+			}
+			q, err := xmlsql.ParseQuery(text)
+			if err != nil {
+				continue
+			}
+			if _, err := xmlsql.Translate(s, q); err == nil {
+				mix = append(mix, expr{s, text})
+				n++
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := mix[i%len(mix)]
+		q, err := xmlsql.ParseQuery(e.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := xmlsql.Translate(e.s, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,7 @@ package pathexpr
 import "testing"
 
 // FuzzParse checks the parser never panics and that accepted queries
-// round-trip through String and drive the automata without crashing.
+// round-trip through String and drive the automaton as the NFA does.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"/a",
@@ -31,16 +31,17 @@ func FuzzParse(f *testing.F) {
 		if len(p2.Steps) != len(p.Steps) {
 			t.Fatalf("reparse step count differs for %q", input)
 		}
-		// And drive both automata without panicking.
-		dfa := BuildDFA(p)
-		pdfa := BuildPredDFA(p)
-		st, pst := dfa.Start(), pdfa.Start()
-		for _, l := range []string{"a", "b", "zz"} {
-			st = dfa.Step(st, l)
-			pst = pdfa.Step(pst, l, true)
-			pst = pdfa.Step(pst, l, false)
+		// And drive the automaton without panicking, agreeing with the NFA.
+		// Each label comes twice: satisfying its predicate, then not.
+		d := BuildPredDFA(p)
+		st := d.Start()
+		var seq []string
+		for _, l := range []string{"a", "a", "b", "b", "zz", "zz"} {
+			st = d.Step(st, l, len(seq)%2 == 0)
+			seq = append(seq, l)
+			if d.Accepting(st) != p.MatchesPred(seq, func(level int) bool { return level%2 == 0 }) {
+				t.Fatalf("%q: DFA and NFA disagree on %v", input, seq)
+			}
 		}
-		_ = dfa.Accepting(st)
-		_ = pdfa.Accepting(pst)
 	})
 }

@@ -1,7 +1,8 @@
 // Package pathexpr implements simple path expressions (SPEs, §3.3 of the
 // paper) — queries of the form "s1 l1 s2 l2 … sk lk" where each si is / or //
 // and each li is a tag name — together with the query automaton of [9]: an
-// NFA over element-label sequences and its subset-construction DFA.
+// NFA over element-label sequences and its subset-construction DFA
+// (PredDFA).
 //
 // A root-to-node label sequence <l1 … ln> matches the query iff it is in the
 // language  T(s1 l1) T(s2 l2) …  where T(/l) = l and T(//l) = Σ* l.
@@ -144,32 +145,10 @@ func validateLabel(l string) error {
 	return nil
 }
 
-// Matches reports whether the root-to-node label sequence matches the query.
-// This is the reference (NFA-simulation) implementation used to validate the
-// DFA; both are exercised by property tests.
+// Matches reports whether the root-to-node label sequence matches the
+// query, every predicate taken as satisfied.
 func (p *Path) Matches(labels []string) bool {
-	// state set: bitmask over 0..len(Steps); state i = "first i steps
-	// matched". Small queries, so a map works for arbitrary length.
-	cur := map[int]bool{0: true}
-	for _, l := range labels {
-		next := map[int]bool{}
-		for st := range cur {
-			if st < len(p.Steps) {
-				step := p.Steps[st]
-				if step.Descendant {
-					next[st] = true // stay (skip this element)
-				}
-				if step.Label == Wildcard || step.Label == l {
-					next[st+1] = true
-				}
-			}
-		}
-		cur = next
-		if len(cur) == 0 {
-			return false
-		}
-	}
-	return cur[len(p.Steps)]
+	return p.MatchesPred(labels, func(int) bool { return true })
 }
 
 // Labels returns the distinct non-wildcard labels used by the query.

@@ -71,52 +71,69 @@ func TestMatchesBasics(t *testing.T) {
 	}
 }
 
-// TestDFAEquivalentToNFA is the automaton property test: on random queries
-// and random label sequences, the subset-construction DFA must accept
-// exactly when the NFA simulation does.
+// randomQuery draws a query of one to four steps over labels, with
+// wildcards and, when preds is set, the predicate [p='x'] on some steps (a
+// label's steps share one predicate, as Parse requires).
+func randomQuery(rng *rand.Rand, labels []string, preds bool) *Path {
+	q := ""
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		if rng.Intn(2) == 0 {
+			q += "/"
+		} else {
+			q += "//"
+		}
+		if rng.Intn(8) == 0 {
+			q += "*"
+			continue
+		}
+		q += labels[rng.Intn(len(labels))]
+		if preds && rng.Intn(3) == 0 {
+			q += "[p='x']"
+		}
+	}
+	return MustParse(q)
+}
+
+// run steps the automaton over a label sequence from the start state.
+func run(d *PredDFA, labels []string, sat []bool) int {
+	st := d.Start()
+	for i, l := range labels {
+		st = d.Step(st, l, sat[i])
+	}
+	return st
+}
+
+// TestDFAEquivalentToNFA is the automaton property test: on random
+// (predicated) queries and random label sequences, with random predicate
+// outcomes, the subset-construction DFA must accept exactly when the NFA
+// simulation does.
 func TestDFAEquivalentToNFA(t *testing.T) {
 	labels := []string{"a", "b", "c", "d"}
-	gen := func(rng *rand.Rand) (*Path, []string) {
-		n := 1 + rng.Intn(4)
-		q := ""
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				q += "/"
-			} else {
-				q += "//"
-			}
-			if rng.Intn(8) == 0 {
-				q += "*"
-			} else {
-				q += labels[rng.Intn(len(labels))]
-			}
-		}
-		m := rng.Intn(7)
-		seq := make([]string, m)
-		for i := range seq {
-			// Include labels outside the query's alphabet.
-			pool := append([]string{}, labels...)
-			pool = append(pool, "z", "w")
-			seq[i] = pool[rng.Intn(len(pool))]
-		}
-		return MustParse(q), seq
-	}
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5000; i++ {
-		p, seq := gen(rng)
-		dfa := BuildDFA(p)
-		if got, want := dfa.Run(seq), p.Matches(seq); got != want {
-			t.Fatalf("DFA.Run(%v) = %v, NFA = %v for query %s", seq, got, want, p)
+		p := randomQuery(rng, labels, true)
+		m := rng.Intn(7)
+		seq, sat := make([]string, m), make([]bool, m)
+		for j := range seq {
+			// Include labels outside the query's alphabet.
+			pool := append(append([]string{}, labels...), "z", "w")
+			seq[j], sat[j] = pool[rng.Intn(len(pool))], rng.Intn(2) == 0
+		}
+		dfa := BuildPredDFA(p)
+		want := p.MatchesPred(seq, func(level int) bool { return sat[level] })
+		if got := dfa.Accepting(run(dfa, seq, sat)); got != want {
+			t.Fatalf("DFA on %v (sat %v) = %v, NFA = %v for query %s", seq, sat, got, want, p)
 		}
 	}
 }
 
-// TestDFARunPrefixIndependence: running the DFA stepwise must equal Run.
+// TestDFARunStepwise: every prefix of a run accepts exactly when the NFA
+// accepts that prefix.
 func TestDFARunStepwise(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := MustParse("//a/b//c")
-		dfa := BuildDFA(p)
+		dfa := BuildPredDFA(p)
 		labels := []string{"a", "b", "c", "x"}
 		n := rng.Intn(8)
 		st := dfa.Start()
@@ -124,26 +141,52 @@ func TestDFARunStepwise(t *testing.T) {
 		for i := 0; i < n; i++ {
 			l := labels[rng.Intn(len(labels))]
 			seq = append(seq, l)
-			st = dfa.Step(st, l)
+			st = dfa.Step(st, l, true)
+			if dfa.Accepting(st) != p.Matches(seq) {
+				return false
+			}
 		}
-		return dfa.Accepting(st) == p.Matches(seq)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestDFADeadStates checks Dead against reachability: a state is dead
+// exactly when no accepting state is reachable from it.
 func TestDFADeadStates(t *testing.T) {
 	p := MustParse("/a/b")
-	dfa := BuildDFA(p)
+	dfa := BuildPredDFA(p)
 	// After consuming "x" at the root, no continuation can match.
-	st := dfa.Step(dfa.Start(), "x")
-	if !dfa.Dead(st) {
+	if st := dfa.Step(dfa.Start(), "x", true); !dfa.Dead(st) {
 		t.Error("state after wrong root label must be dead")
 	}
-	st = dfa.Step(dfa.Start(), "a")
-	if dfa.Dead(st) {
+	if st := dfa.Step(dfa.Start(), "a", true); dfa.Dead(st) {
 		t.Error("state after correct prefix must be live")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 500; i++ {
+		p := randomQuery(rng, []string{"a", "b", "c"}, true)
+		d := BuildPredDFA(p)
+		// live is the fixpoint of "accepting, or a step leads to a live
+		// state".
+		live := make([]bool, d.NumStates())
+		for changed := true; changed; {
+			changed = false
+			for s := range live {
+				for sym := 0; sym < d.nSyms && !live[s]; sym++ {
+					if d.Accepting(s) || live[d.Next(s, sym)] {
+						live[s], changed = true, true
+					}
+				}
+			}
+		}
+		for s, l := range live {
+			if d.Dead(s) == l {
+				t.Fatalf("%s: state %d: Dead = %v, reachable acceptance = %v", p, s, d.Dead(s), l)
+			}
+		}
 	}
 }
 
@@ -159,8 +202,7 @@ func TestDFAStateCountReasonable(t *testing.T) {
 	// Subset construction on SPE NFAs stays small (states are subsets of a
 	// chain); guard against blowup regressions.
 	p := MustParse("//a//b//c//d//e")
-	dfa := BuildDFA(p)
-	if dfa.NumStates() > 64 {
-		t.Errorf("DFA has %d states for a 5-step query", dfa.NumStates())
+	if n := BuildPredDFA(p).NumStates(); n > 64 {
+		t.Errorf("DFA has %d states for a 5-step query", n)
 	}
 }

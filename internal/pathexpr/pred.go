@@ -1,9 +1,8 @@
 package pathexpr
 
 import (
-	"fmt"
+	"encoding/binary"
 	"sort"
-	"strings"
 )
 
 // Pred is a step predicate "[child='value']": the element matches the step
@@ -42,144 +41,127 @@ func (p *Path) PredForLabel(label string) *Pred {
 
 // MatchesPred is the predicate-aware NFA matcher: satFor reports, for each
 // consumed element (indexed by its depth in the label sequence), whether it
-// satisfies the predicate attached to the step it would advance.
+// satisfies the predicate attached to the step it would advance. It is the
+// reference the automaton is checked against.
 func (p *Path) MatchesPred(labels []string, satFor func(level int) bool) bool {
-	cur := map[int]bool{0: true}
+	n := len(p.Steps)
+	cur, next := make([]bool, n+1), make([]bool, n+1)
+	cur[0] = true
 	for level, l := range labels {
-		next := map[int]bool{}
-		for st := range cur {
-			if st >= len(p.Steps) {
+		clear(next)
+		alive := false
+		for st, on := range cur[:n] {
+			if !on {
 				continue
 			}
 			step := p.Steps[st]
 			if step.Descendant {
-				next[st] = true
+				next[st], alive = true, true
 			}
-			if step.Label == Wildcard || step.Label == l {
-				if step.Pred == nil || satFor(level) {
-					next[st+1] = true
-				}
+			if (step.Label == Wildcard || step.Label == l) && (step.Pred == nil || satFor(level)) {
+				next[st+1], alive = true, true
 			}
 		}
-		cur = next
-		if len(cur) == 0 {
+		if !alive {
 			return false
 		}
+		cur, next = next, cur
 	}
-	return cur[len(p.Steps)]
+	return cur[n]
 }
 
-// PredDFA is the deterministic query automaton over the enriched alphabet
-// (label, predicate-satisfied): elements whose label carries a predicate
-// step transition differently depending on whether they satisfy it.
+// PredDFA is the deterministic query automaton, obtained from the query's
+// NFA by subset construction, over the enriched alphabet (label,
+// predicate-satisfied): elements whose label carries a predicate step
+// transition differently depending on whether they satisfy it. Labels the
+// query does not name share one "other" symbol. PathId runs it along schema
+// paths, and the reference evaluator along document paths.
 type PredDFA struct {
-	start   int
-	accept  []bool
-	trans   [][]int
-	symbols map[string]int // label -> base symbol index (x2 when pred'd)
+	start  int
+	nSyms  int
+	trans  []int // trans[state*nSyms+sym]
+	accept []bool
+	dead   []bool
+	// syms maps a query label to its symbol; a predicated label's
+	// unsatisfied symbol follows its satisfied one.
+	syms    map[string]int
 	hasPred map[string]bool
-	nSyms   int
 }
 
-// BuildPredDFA compiles a (possibly predicated) path expression.
+// BuildPredDFA compiles a (possibly predicated) path expression. NFA state i
+// is "the first i steps matched"; a DFA state is a set of them, kept as a
+// bitset of len(Steps)+1 bits whose words key the subset table. Stepping a
+// set on a symbol keeps the // steps' bits and shifts up the bits of the
+// steps the symbol advances.
 func BuildPredDFA(p *Path) *PredDFA {
 	labels := p.Labels()
 	sort.Strings(labels)
-	d := &PredDFA{symbols: map[string]int{}, hasPred: map[string]bool{}}
-	idx := 0
+	d := &PredDFA{syms: map[string]int{}, hasPred: map[string]bool{}}
+	var symLabel []string // per symbol: its label, "" for other
+	var symSat []bool
 	for _, l := range labels {
-		d.symbols[l] = idx
+		d.syms[l] = len(symLabel)
+		symLabel, symSat = append(symLabel, l), append(symSat, true)
 		if p.PredForLabel(l) != nil {
 			d.hasPred[l] = true
-			idx += 2 // (l, sat) and (l, unsat)
-		} else {
-			idx++
+			symLabel, symSat = append(symLabel, l), append(symSat, false)
 		}
 	}
-	other := idx
-	d.nSyms = idx + 1
+	symLabel, symSat = append(symLabel, ""), append(symSat, true)
+	d.nSyms = len(symLabel)
 
-	// Decode a symbol back to (labelIdx, sat) during NFA stepping.
-	type symInfo struct {
-		label string
-		sat   bool
-		other bool
-	}
-	infos := make([]symInfo, d.nSyms)
-	for _, l := range labels {
-		base := d.symbols[l]
-		if d.hasPred[l] {
-			infos[base] = symInfo{label: l, sat: true}
-			infos[base+1] = symInfo{label: l, sat: false}
-		} else {
-			infos[base] = symInfo{label: l, sat: false}
+	n := len(p.Steps)
+	words := n/64 + 1
+	desc := make([]uint64, words)        // steps that may skip an element
+	adv := make([]uint64, d.nSyms*words) // per symbol: steps it advances
+	for i, st := range p.Steps {
+		bit := uint64(1) << (i % 64)
+		if st.Descendant {
+			desc[i/64] |= bit
 		}
-	}
-	infos[other] = symInfo{other: true}
-
-	nfaStep := func(states []int, sym int) []int {
-		info := infos[sym]
-		set := map[int]bool{}
-		for _, st := range states {
-			if st >= len(p.Steps) {
-				continue
+		for sym, l := range symLabel {
+			if (st.Label == Wildcard || st.Label == l && l != "") && (st.Pred == nil || symSat[sym]) {
+				adv[sym*words+i/64] |= bit
 			}
-			step := p.Steps[st]
-			if step.Descendant {
-				set[st] = true
-			}
-			labelMatches := step.Label == Wildcard || (!info.other && step.Label == info.label)
-			if !labelMatches {
-				continue
-			}
-			if step.Pred != nil && !info.sat {
-				continue
-			}
-			set[st+1] = true
 		}
-		out := make([]int, 0, len(set))
-		for s := range set {
-			out = append(out, s)
-		}
-		sort.Ints(out)
-		return out
 	}
 
-	encode := func(states []int) string {
-		var b strings.Builder
-		for i, s := range states {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", s)
-		}
-		return b.String()
-	}
-
+	var sets []uint64 // sets[state*words:] is the state's subset
 	index := map[string]int{}
-	var subsets [][]int
-	add := func(states []int) int {
-		k := encode(states)
-		if id, ok := index[k]; ok {
+	key := make([]byte, 8*words)
+	add := func(set []uint64) int {
+		empty := true
+		for i, w := range set {
+			binary.LittleEndian.PutUint64(key[8*i:], w)
+			empty = empty && w == 0
+		}
+		if id, ok := index[string(key)]; ok {
 			return id
 		}
-		id := len(subsets)
-		index[k] = id
-		subsets = append(subsets, states)
-		d.trans = append(d.trans, make([]int, d.nSyms))
-		acc := false
-		for _, s := range states {
-			if s == len(p.Steps) {
-				acc = true
-			}
-		}
-		d.accept = append(d.accept, acc)
+		id := len(d.accept)
+		index[string(key)] = id
+		sets = append(sets, set...)
+		d.trans = append(d.trans, make([]int, d.nSyms)...)
+		d.accept = append(d.accept, set[n/64]&(1<<(n%64)) != 0)
+		// Every NFA state reaches acceptance (feed it the labels of the
+		// remaining steps, satisfying their predicates), so exactly the
+		// empty set is dead.
+		d.dead = append(d.dead, empty)
 		return id
 	}
-	d.start = add([]int{0})
-	for work := 0; work < len(subsets); work++ {
+	next := make([]uint64, words)
+	next[0] = 1
+	d.start = add(next)
+	for work := 0; work < len(d.accept); work++ {
+		cur := sets[work*words : (work+1)*words]
 		for sym := 0; sym < d.nSyms; sym++ {
-			d.trans[work][sym] = add(nfaStep(subsets[work], sym))
+			var carry uint64
+			for w, c := range cur {
+				a := c & adv[sym*words+w]
+				next[w] = c&desc[w] | a<<1 | carry
+				carry = a >> 63
+			}
+			d.trans[work*d.nSyms+sym] = add(next)
 		}
 	}
 	return d
@@ -188,45 +170,33 @@ func BuildPredDFA(p *Path) *PredDFA {
 // Start returns the start state.
 func (d *PredDFA) Start() int { return d.start }
 
+// NumStates returns the number of states.
+func (d *PredDFA) NumStates() int { return len(d.accept) }
+
 // Accepting reports whether the state accepts.
 func (d *PredDFA) Accepting(state int) bool { return d.accept[state] }
 
-// Step advances on an element with the given label; sat reports whether the
-// element satisfies the predicate attached to that label (ignored for
-// labels without predicates).
-func (d *PredDFA) Step(state int, label string, sat bool) int {
-	base, ok := d.symbols[label]
-	if !ok {
-		return d.trans[state][d.nSyms-1] // other
+// Sym returns the symbol of an element with the given label; sat reports
+// whether the element satisfies the predicate attached to that label
+// (ignored for labels without predicates).
+func (d *PredDFA) Sym(label string, sat bool) int {
+	sym, ok := d.syms[label]
+	switch {
+	case !ok:
+		return d.nSyms - 1
+	case !sat && d.hasPred[label]:
+		return sym + 1
 	}
-	if d.hasPred[label] && !sat {
-		return d.trans[state][base+1]
-	}
-	return d.trans[state][base]
+	return sym
 }
 
-// HasPred reports whether elements with this label are predicate-sensitive.
-func (d *PredDFA) HasPred(label string) bool { return d.hasPred[label] }
+// Next advances on a symbol.
+func (d *PredDFA) Next(state, sym int) int { return d.trans[state*d.nSyms+sym] }
+
+// Step advances on an element; see Sym.
+func (d *PredDFA) Step(state int, label string, sat bool) int {
+	return d.Next(state, d.Sym(label, sat))
+}
 
 // Dead reports whether no accepting state is reachable from the state.
-func (d *PredDFA) Dead(state int) bool {
-	seen := make([]bool, len(d.trans))
-	stack := []int{state}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		if d.accept[s] {
-			return false
-		}
-		for _, t := range d.trans[s] {
-			if !seen[t] {
-				stack = append(stack, t)
-			}
-		}
-	}
-	return true
-}
+func (d *PredDFA) Dead(state int) bool { return d.dead[state] }

@@ -40,12 +40,15 @@ type Graph struct {
 	Schema *schema.Schema
 	Query  *pathexpr.Path
 
-	nodes    []*Node
-	children [][]Edge
-	parents  [][]Edge
-	start    int   // CP node of the schema root, or -1 when nothing matches
-	accepts  []int // accepting node ids, sorted
-	product  *Graph
+	nodes []Node
+	// children holds the edges grouped by From and parents the same edges
+	// grouped by To, both in link order; node i's run starts at
+	// childAt[i] (parentAt[i]) and ends at the next node's.
+	children, parents []Edge
+	childAt, parentAt []int
+	start             int   // CP node of the schema root, or -1 when nothing matches
+	accepts           []int // accepting node ids, sorted
+	product           *Graph
 }
 
 // Empty reports whether no schema path matches the query.
@@ -54,17 +57,22 @@ func (g *Graph) Empty() bool { return g.start < 0 }
 // Start returns the cross-product node of the schema root.
 func (g *Graph) Start() int { return g.start }
 
-// Nodes returns all cross-product nodes in id order.
-func (g *Graph) Nodes() []*Node { return g.nodes }
+// Nodes returns all cross-product nodes in id order. The slice must not be
+// mutated.
+func (g *Graph) Nodes() []Node { return g.nodes }
 
 // Node returns the node with the given id.
-func (g *Graph) Node(id int) *Node { return g.nodes[id] }
+func (g *Graph) Node(id int) *Node { return &g.nodes[id] }
 
 // Children returns the outgoing edges of a node.
-func (g *Graph) Children(id int) []Edge { return g.children[id] }
+func (g *Graph) Children(id int) []Edge {
+	return g.children[g.childAt[id]:g.childAt[id+1]:g.childAt[id+1]]
+}
 
 // Parents returns the incoming edges of a node.
-func (g *Graph) Parents(id int) []Edge { return g.parents[id] }
+func (g *Graph) Parents(id int) []Edge {
+	return g.parents[g.parentAt[id]:g.parentAt[id+1]:g.parentAt[id+1]]
+}
 
 // Accepting returns the ids of accepting nodes (the query's result nodes).
 func (g *Graph) Accepts() []int { return g.accepts }
@@ -80,20 +88,36 @@ func (g *Graph) SchemaNode(id int) *schema.Node { return g.Schema.Node(g.nodes[i
 // schemas. The product of a product is nil.
 func (g *Graph) Product() *Graph { return g.product }
 
-func (g *Graph) add(n *Node) {
+func (g *Graph) add(n Node) int {
 	n.ID = len(g.nodes)
 	g.nodes = append(g.nodes, n)
-	g.children = append(g.children, nil)
-	g.parents = append(g.parents, nil)
 	if n.Accepting {
 		g.accepts = append(g.accepts, n.ID)
 	}
+	return n.ID
 }
 
-func (g *Graph) link(from, to int, cond *schema.EdgeCond) {
-	e := Edge{From: from, To: to, Cond: cond}
-	g.children[from] = append(g.children[from], e)
-	g.parents[to] = append(g.parents[to], e)
+// link indexes the graph's edges, given in link order.
+func (g *Graph) link(edges []Edge) {
+	g.children, g.childAt = group(edges, len(g.nodes), func(e Edge) int { return e.From })
+	g.parents, g.parentAt = group(edges, len(g.nodes), func(e Edge) int { return e.To })
+}
+
+// group is a stable counting sort of edges by key, with each key's offset.
+func group(edges []Edge, n int, key func(Edge) int) ([]Edge, []int) {
+	at := make([]int, n+2)
+	for _, e := range edges {
+		at[key(e)+2]++
+	}
+	for i := 2; i < len(at); i++ {
+		at[i] += at[i-1]
+	}
+	out := make([]Edge, len(edges))
+	for _, e := range edges {
+		out[at[key(e)+1]] = e
+		at[key(e)+1]++
+	}
+	return out, at[:n+1]
 }
 
 // Build runs the PathId stage: it products the schema against the query DFA
@@ -109,95 +133,118 @@ func (g *Graph) link(from, to int, cond *schema.EdgeCond) {
 // can change its outcome; such pairs are keyed by the predicate branch that
 // entered the dead state, so they never make a query ambiguous.
 func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
-	dfa := pathexpr.BuildPredDFA(q)
-	g := &Graph{Schema: s, Query: q, start: -1}
-
-	if q.PredForLabel(s.Node(s.Root()).Label) != nil {
+	root := s.Root()
+	if q.PredForLabel(s.Node(root).Label) != nil {
 		return nil, fmt.Errorf("pathid: predicate on the document root step is not supported")
 	}
+	dfa := pathexpr.BuildPredDFA(q)
 
-	deadStates := map[int]bool{}
-	dead := func(st int) bool {
-		d, ok := deadStates[st]
-		if !ok {
-			d = dfa.Dead(st)
-			deadStates[st] = d
+	// Per schema label id: the symbols of an element that does and does
+	// not satisfy the label's predicate, and the predicate. The empty label
+	// is never a query label, so it has the symbol of every label the query
+	// does not name.
+	type labelSyms struct {
+		sat, unsat int
+		pred       *pathexpr.Pred
+	}
+	other := dfa.Sym("", false)
+	syms := make([]labelSyms, s.NumLabels())
+	for i := range syms {
+		syms[i] = labelSyms{sat: other, unsat: other}
+	}
+	for _, st := range q.Steps {
+		if id, ok := s.LabelID(st.Label); ok {
+			syms[id] = labelSyms{dfa.Sym(st.Label, true), dfa.Sym(st.Label, false), q.PredForLabel(st.Label)}
 		}
-		return d
 	}
 
-	type key struct {
+	// index holds 1 + the product node of (schema node, state), at
+	// sn*states+st; a dead state entered through a predicate branch is keyed
+	// by that branch too, in the side map.
+	states := dfa.NumStates()
+	index := make([]int32, s.NumNodes()*states)
+	type deadKey struct {
 		sn schema.NodeID
 		st int
-		pc schema.EdgeCond // the entering predicate branch, for dead states only
+		pc schema.EdgeCond
 	}
-	index := map[key]int{}
+	var deadIndex map[deadKey]int32
 	p := &Graph{Schema: s, Query: q}
+	var edges []Edge
 
-	add := func(k key, conds []schema.EdgeCond) (int, error) {
-		if dead(k.st) && len(conds) > 0 {
-			k.pc = conds[0]
+	add := func(sn schema.NodeID, st int, conds []schema.EdgeCond) (int, error) {
+		slot := &index[int(sn)*states+st]
+		var dk deadKey
+		if dfa.Dead(st) && len(conds) > 0 {
+			dk = deadKey{sn: sn, st: st, pc: conds[0]}
+			id := deadIndex[dk]
+			slot = &id
 		}
-		if id, ok := index[k]; ok {
+		if *slot > 0 {
+			id := int(*slot - 1)
 			if !sameConds(p.nodes[id].PredConds, conds) {
-				return 0, fmt.Errorf("pathid: ambiguous predicate query: node %s reached with contradictory predicate branches", s.Node(k.sn).Name)
+				return 0, fmt.Errorf("pathid: ambiguous predicate query: node %s reached with contradictory predicate branches", s.Node(sn).Name)
 			}
 			return id, nil
 		}
-		index[k] = len(p.nodes)
-		p.add(&Node{Schema: k.sn, State: k.st, Accepting: dfa.Accepting(k.st), PredConds: conds})
-		return index[k], nil
+		id := p.add(Node{Schema: sn, State: st, Accepting: dfa.Accepting(st), PredConds: conds})
+		*slot = int32(id + 1)
+		if dk.pc.Column != "" {
+			if deadIndex == nil {
+				deadIndex = map[deadKey]int32{}
+			}
+			deadIndex[dk] = *slot
+		}
+		return id, nil
+	}
+	// step adds the product node entered from node from over schema edge e
+	// in state st, with the predicate branch conds, and links it.
+	step := func(from int, e schema.Edge, st int, conds []schema.EdgeCond) error {
+		to, err := add(e.To, st, conds)
+		edges = append(edges, Edge{From: from, To: to, Cond: e.Cond})
+		return err
 	}
 
-	// successors computes the (state, conds) variants when stepping into
-	// schema node n from state st.
-	successors := func(st int, n *schema.Node) ([]int, [][]schema.EdgeCond, error) {
-		pred := q.PredForLabel(n.Label)
-		if pred == nil || dead(st) {
-			return []int{dfa.Step(st, n.Label, false)}, [][]schema.EdgeCond{nil}, nil
-		}
-		col, err := predColumn(s, n, pred.Child)
-		if err != nil {
-			return nil, nil, err
-		}
-		unsatState := dfa.Step(st, n.Label, false)
-		if col == "" {
-			// The schema gives this node no such child: elements can never
-			// satisfy the predicate, and no selection is needed.
-			return []int{unsatState}, [][]schema.EdgeCond{nil}, nil
-		}
-		satState := dfa.Step(st, n.Label, true)
-		if satState == unsatState {
-			return nil, nil, fmt.Errorf("pathid: ambiguous predicate query: satisfaction of %s does not affect matching at %s", pred, n.Name)
-		}
-		val := relational.String(pred.Value)
-		return []int{satState, unsatState}, [][]schema.EdgeCond{
-			{{Column: col, Value: val}},
-			{{Column: col, Value: val, Neq: true}},
-		}, nil
-	}
-
-	root := s.Root()
-	if _, err := add(key{sn: root, st: dfa.Step(dfa.Start(), s.Node(root).Label, false)}, nil); err != nil {
+	if _, err := add(root, dfa.Next(dfa.Start(), syms[s.NodeLabelID(root)].unsat), nil); err != nil {
 		return nil, err
 	}
 	for work := 0; work < len(p.nodes); work++ {
-		n := p.nodes[work]
-		for _, e := range s.Node(n.Schema).Children() {
-			states, condVariants, err := successors(n.State, s.Node(e.To))
-			if err != nil {
-				return nil, err
-			}
-			for vi, childState := range states {
-				cid, err := add(key{sn: e.To, st: childState}, condVariants[vi])
-				if err != nil {
+		st := p.nodes[work].State
+		for _, e := range s.Node(p.nodes[work].Schema).Children() {
+			ls := syms[s.NodeLabelID(e.To)]
+			unsat := dfa.Next(st, ls.unsat)
+			col := ""
+			if ls.pred != nil && !dfa.Dead(st) {
+				var err error
+				if col, err = s.PredColumn(e.To, ls.pred.Child); err != nil {
 					return nil, err
 				}
-				p.link(work, cid, e.Cond)
+			}
+			if col == "" {
+				// No predicate, a dead state, or a node the schema gives no
+				// such child: elements never satisfy it, and no selection
+				// is needed.
+				if err := step(work, e, unsat, nil); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			sat := dfa.Next(st, ls.sat)
+			if sat == unsat {
+				return nil, fmt.Errorf("pathid: ambiguous predicate query: satisfaction of %s does not affect matching at %s", ls.pred, s.Node(e.To).Name)
+			}
+			val := relational.String(ls.pred.Value)
+			conds := []schema.EdgeCond{{Column: col, Value: val}, {Column: col, Value: val, Neq: true}}
+			if err := step(work, e, sat, conds[:1:1]); err != nil {
+				return nil, err
+			}
+			if err := step(work, e, unsat, conds[1:]); err != nil {
+				return nil, err
 			}
 		}
 	}
-	g.product = p
+	p.link(edges)
+	g := &Graph{Schema: s, Query: q, start: -1, product: p}
 
 	// Co-reachability: keep pairs from which an accepting pair is reachable
 	// (accepting pairs keep themselves).
@@ -209,7 +256,7 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range p.parents[i] {
+		for _, e := range p.Parents(i) {
 			if !keep[e.From] {
 				keep[e.From] = true
 				stack = append(stack, e.From)
@@ -225,17 +272,16 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 	for i, n := range p.nodes {
 		newID[i] = -1
 		if keep[i] {
-			newID[i] = len(g.nodes)
-			g.add(&Node{Schema: n.Schema, State: n.State, Accepting: n.Accepting, PredConds: n.PredConds})
+			newID[i] = g.add(n)
 		}
 	}
-	for i := range p.nodes {
-		for _, e := range p.children[i] {
-			if f, t := newID[e.From], newID[e.To]; f >= 0 && t >= 0 {
-				g.link(f, t, e.Cond)
-			}
+	edges = edges[:0]
+	for _, e := range p.children {
+		if f, t := newID[e.From], newID[e.To]; f >= 0 && t >= 0 {
+			edges = append(edges, Edge{From: f, To: t, Cond: e.Cond})
 		}
 	}
+	g.link(edges)
 	g.start = newID[0]
 
 	// Every accepting node must have a retrievable value.
@@ -264,7 +310,7 @@ func (g *Graph) String() string {
 			b.WriteString(" <root>")
 		}
 		b.WriteString(" ->")
-		for _, e := range g.children[n.ID] {
+		for _, e := range g.Children(n.ID) {
 			c := g.nodes[e.To]
 			fmt.Fprintf(&b, " (%s,%d)", g.Schema.Node(c.Schema).Name, c.State)
 			if e.Cond != nil {
@@ -306,7 +352,7 @@ func (g *Graph) EnumeratePaths(limit, maxCycleVisits int) ([][]int, bool) {
 			}
 			out = append(out, append([]int(nil), cur...))
 		}
-		for _, e := range g.children[id] {
+		for _, e := range g.Children(id) {
 			if !rec(e.To) {
 				return false
 			}
@@ -327,73 +373,4 @@ func sameConds(a, b []schema.EdgeCond) bool {
 		}
 	}
 	return true
-}
-
-// predColumn resolves a step predicate's child label at schema node n: the
-// value column (of n's own tuple) storing that child's text. It returns ""
-// when the schema gives n no such child (the predicate is unsatisfiable
-// there), and an error when the child exists but owns its own relation —
-// such predicates would require a semijoin, which the translation fragment
-// deliberately excludes.
-//
-// Only *direct* children qualify: "[a='v']" is a child-axis test, and a
-// value leaf nested under an unannotated structural node is a grandchild
-// even though its text lands in the same tuple. (The randomized stress suite
-// caught exactly that confusion.)
-func predColumn(s *schema.Schema, n *schema.Node, childLabel string) (string, error) {
-	if !n.HasRelation() {
-		return "", fmt.Errorf("pathid: predicate on %q requires it to be relation-annotated", n.Label)
-	}
-	var found string
-	for _, e := range n.Children() {
-		m := s.Node(e.To)
-		if m.Label != childLabel {
-			continue
-		}
-		switch {
-		case m.HasRelation():
-			return "", fmt.Errorf("pathid: predicate child %q of %q is stored in its own relation %s, not as a value column",
-				childLabel, n.Label, m.Relation)
-		case m.Column != "":
-			if m.Column == schema.IDColumn {
-				return "", fmt.Errorf("pathid: predicate child %q of %q is an elemid, not a text value", childLabel, n.Label)
-			}
-			found = m.Column
-		}
-	}
-	if found == "" {
-		return "", nil
-	}
-	// Soundness: the resolved column must be populated *only* by direct
-	// childLabel children of nodes in n's relation. If any other source
-	// feeds the same (relation, column) pair — a self-storing node, a leaf
-	// under a structural intermediary, or a differently-labelled leaf — a
-	// column selection cannot distinguish predicate satisfaction from those
-	// foreign values, and the query must be rejected rather than
-	// mistranslated.
-	rel := n.Relation
-	for _, m := range s.Nodes() {
-		if m.Column != found {
-			continue
-		}
-		owner, err := s.OwnerRelation(m.ID)
-		if err != nil || owner != rel {
-			continue
-		}
-		if m.HasRelation() {
-			return "", fmt.Errorf("pathid: predicate column %s.%s is also stored as %s's own text; the predicate cannot be expressed as a column selection",
-				rel, found, m.Name)
-		}
-		if m.Label != childLabel {
-			return "", fmt.Errorf("pathid: predicate column %s.%s is also populated by %q children; the predicate cannot be expressed as a column selection",
-				rel, found, m.Label)
-		}
-		for _, pe := range m.Parents() {
-			if s.Node(pe.From).Relation != rel {
-				return "", fmt.Errorf("pathid: predicate column %s.%s is populated through a structural intermediary at %s; the predicate cannot be expressed as a column selection",
-					rel, found, m.Name)
-			}
-		}
-	}
-	return found, nil
 }

@@ -101,6 +101,7 @@ type Schema struct {
 	byName map[string]NodeID
 	root   NodeID
 	fpc    fingerprintCache
+	comp   compiled
 }
 
 // Root returns the root node's id.
@@ -278,8 +279,14 @@ func (s *Schema) collectOwners(id NodeID, seen map[NodeID]bool, owners map[strin
 // Annot returns the node's value annotation as "Relation.Column" (for
 // column-bearing nodes) or "Relation.id" (for relation-annotated nodes
 // without a value column, whose query result is the elemid). It errors on
-// unannotated nodes, which have no retrievable value.
+// unannotated nodes, which have no retrievable value. The answer is
+// computed once per node.
 func (s *Schema) Annot(id NodeID) (rel, col string, err error) {
+	a := s.compiled().annot[id]
+	return a.rel, a.col, a.err
+}
+
+func (s *Schema) annot(id NodeID) (rel, col string, err error) {
 	n := s.nodes[id]
 	if n.Column != "" {
 		rel, err = s.OwnerRelation(id)
