@@ -1,8 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"xmlsql/internal/pathid"
@@ -191,17 +191,17 @@ func (it *item) stepGraph() (*stepGraph, []int) {
 	}}
 	it.sg, it.ends = r.steps(), nil
 	if it.g.SchemaNode(it.result).HasRelation() {
-		it.ends = it.sg.into[it.result]
+		it.ends = it.sg.appendInto(nil, it.result)
 		return it.sg, it.ends
 	}
-	for _, rt := range r.routes(it.result) {
-		if rt.start == noStart {
-			it.ends = append(it.ends, it.sg.into[rt.from]...)
-			continue
+	r.routes(it.result, func(from int, start startKind, conds []schema.EdgeCond) {
+		if start == noStart {
+			it.ends = it.sg.appendInto(it.ends, from)
+			return
 		}
 		it.ends = append(it.ends, len(it.sg.steps))
-		it.sg.steps = append(it.sg.steps, newStep(it.resultRel, rt.conds, nil, rt.start))
-	}
+		it.sg.steps = append(it.sg.steps, newStep(it.resultRel, conds, nil, start))
+	})
 	return it.sg, it.ends
 }
 
@@ -217,19 +217,25 @@ func (it *item) templateKey() string {
 	}
 	label := func(id int) string {
 		sn := it.g.SchemaNode(id)
-		l := fmt.Sprintf("%s.%s%v", sn.Relation, sn.Column, translate.NodeConds(it.g, id))
+		l := sn.Relation + "." + sn.Column + condList(translate.NodeConds(it.g, id))
 		if es, ok := it.entry[id]; ok {
-			l += fmt.Sprintf("<%v", es.lead)
+			l += "<" + condList(es.lead)
 		}
 		if id == it.g.Start() {
 			l += "^"
 		}
 		return l
 	}
+	edgeCond := func(c *schema.EdgeCond) string {
+		if c == nil {
+			return "<nil>"
+		}
+		return c.String()
+	}
 	num := map[int]int{it.result: 0}
 	order := []int{it.result}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s.%s", it.resultRel, it.resultCol)
+	b.WriteString(it.resultRel + "." + it.resultCol)
 	for k := 0; k < len(order); k++ {
 		var ps []pathid.Edge
 		for _, pe := range it.g.Parents(order[k]) {
@@ -238,24 +244,38 @@ func (it *item) templateKey() string {
 			}
 		}
 		sort.Slice(ps, func(i, j int) bool {
-			li, lj := label(ps[i].From)+fmt.Sprint(ps[i].Cond), label(ps[j].From)+fmt.Sprint(ps[j].Cond)
+			li, lj := label(ps[i].From)+edgeCond(ps[i].Cond), label(ps[j].From)+edgeCond(ps[j].Cond)
 			return li < lj || li == lj && ps[i].From < ps[j].From
 		})
-		fmt.Fprintf(&b, "|%s<-", label(order[k]))
+		b.WriteString("|" + label(order[k]) + "<-")
 		for _, pe := range ps {
 			if _, ok := num[pe.From]; !ok {
 				num[pe.From] = len(order)
 				order = append(order, pe.From)
 			}
-			fmt.Fprintf(&b, "%d", num[pe.From])
+			b.WriteString(strconv.Itoa(num[pe.From]))
 			if pe.Cond != nil {
-				fmt.Fprintf(&b, "[%s]", pe.Cond)
+				b.WriteString("[" + pe.Cond.String() + "]")
 			}
 			b.WriteString(",")
 		}
 	}
 	it.key = b.String()
 	return it.key
+}
+
+// condList renders conditions as "[c1 c2]".
+func condList(conds []schema.EdgeCond) string {
+	var b strings.Builder
+	b.WriteString("[")
+	for i, c := range conds {
+		if i > 0 {
+			b.WriteString(" ")
+		}
+		b.WriteString(c.String())
+	}
+	b.WriteString("]")
+	return b.String()
 }
 
 // pathSpec converts a linear item into the PathSpec consumed by the shared

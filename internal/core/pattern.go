@@ -109,11 +109,24 @@ func Conflicts(p, q *Pattern) bool {
 func (p *Pattern) steps() *stepGraph {
 	sg := &stepGraph{}
 	for i, rel := range p.RelSeq {
-		s := step{rel: rel, sels: p.Sels[i], neqs: p.neqAt(i), start: freeStart}
+		var conds []schema.EdgeCond
+		for col, v := range p.Sels[i] {
+			conds = append(conds, schema.EdgeCond{Column: col, Value: v})
+		}
+		for col, vs := range p.neqAt(i) {
+			for _, v := range vs {
+				conds = append(conds, schema.EdgeCond{Column: col, Value: v, Neq: true})
+			}
+		}
+		start := freeStart
 		if i > 0 {
-			s.start, s.prev = noStart, []int{i - 1}
+			start = noStart
 		} else if p.RootComplete {
-			s.start = rootStart
+			start = rootStart
+		}
+		s := newStep(rel, conds, nil, start)
+		if i > 0 {
+			s.prevLo, s.prevHi = i-1, i
 		}
 		sg.steps = append(sg.steps, s)
 	}
@@ -125,48 +138,4 @@ func (p *Pattern) neqAt(i int) map[string][]relational.Value {
 		return nil
 	}
 	return p.Neqs[i]
-}
-
-func excludedBy(sels map[string]relational.Value, neqs map[string][]relational.Value) bool {
-	if len(neqs) == 0 {
-		return false
-	}
-	for col, v := range sels {
-		for _, ex := range neqs[col] {
-			if v.Equal(ex) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// condsToMap folds a condition list into a column -> value map of the
-// positive conditions. Conflicting duplicates cannot arise for patterns
-// produced from valid schemas (the shredder rejects them), so later values
-// simply win.
-func condsToMap(conds []schema.EdgeCond) map[string]relational.Value {
-	m := map[string]relational.Value{}
-	for _, c := range conds {
-		if !c.Neq {
-			m[c.Column] = c.Value
-		}
-	}
-	return m
-}
-
-// condsToNeqMap collects the negative conditions, or nil when there are
-// none.
-func condsToNeqMap(conds []schema.EdgeCond) map[string][]relational.Value {
-	var m map[string][]relational.Value
-	for _, c := range conds {
-		if !c.Neq {
-			continue
-		}
-		if m == nil {
-			m = map[string][]relational.Value{}
-		}
-		m[c.Column] = append(m[c.Column], c.Value)
-	}
-	return m
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"xmlsql/internal/schema"
@@ -67,8 +68,8 @@ func (pr *pruner) generate() (*sqlast.Query, []PrunedClass, error) {
 		var seq []int
 		seqL, isLin := it.linear()
 		if isLin {
-			key = fmt.Sprintf("L|%v|%s.%s|%s", seqL[0] == g.Start(), it.resultRel, it.resultCol,
-				strings.Join(translate.PathRelSeq(g, seqL), ","))
+			key = "L|" + strconv.FormatBool(seqL[0] == g.Start()) + "|" + it.resultRel + "." + it.resultCol + "|" +
+				strings.Join(translate.PathRelSeq(g, seqL), ",")
 			seq = seqL
 		} else {
 			key = "G|" + it.templateKey()

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
+	"strings"
+
 	"xmlsql/internal/pathid"
-	"xmlsql/internal/relational"
 	"xmlsql/internal/schema"
 	"xmlsql/internal/translate"
 )
@@ -15,11 +17,14 @@ import (
 // end step spells a pattern bottom-up, so graphs with cycles stand for their
 // infinitely many patterns in finite space.
 type step struct {
-	rel   string
-	sels  map[string]relational.Value
-	neqs  map[string][]relational.Value
-	prev  []int // steps that can come just before this one
-	start startKind
+	rel string
+	// sels are the positive selections, one per column, and neqs the
+	// excluded values, both sorted by column.
+	sels, neqs []schema.EdgeCond
+	// The steps that can come just before this one are prevLo..prevHi-1:
+	// the steps at one graph node, which are numbered consecutively.
+	prevLo, prevHi int
+	start          startKind
 }
 
 // startKind says whether a path can begin at a step, and whether it then
@@ -34,15 +39,7 @@ const (
 
 type stepGraph struct {
 	steps []step
-	into  map[int][]int // graph node -> the steps occurring at it
-}
-
-// route is one way up from a node to the nearest tuple node or path start
-// above it: from is that tuple node, or the start node when start is set.
-type route struct {
-	from  int
-	start startKind
-	conds []schema.EdgeCond // top-down
+	at    []int // the steps occurring at graph node v are at[v]..at[v+1]-1
 }
 
 // region restricts a graph to the nodes in() accepts; lead reports whether
@@ -53,68 +50,136 @@ type region struct {
 	lead func(int) ([]schema.EdgeCond, bool)
 }
 
-// routes lists the ways up from v inside the region: to each nearest tuple
-// node above it, and to each path start on the way, v itself included.
-func (r region) routes(v int) []route {
-	var out []route
-	onPath := map[int]bool{}
-	var up func(x int, below []schema.EdgeCond)
-	up = func(x int, below []schema.EdgeCond) {
-		if lead, ok := r.lead(x); ok {
-			kind := freeStart
-			if x == r.g.Start() {
-				kind = rootStart
-			}
-			out = append(out, route{from: x, start: kind, conds: append(append([]schema.EdgeCond(nil), lead...), below...)})
+// routes calls emit for each way up from v inside the region: to each
+// nearest tuple node above it (from), and to each path start on the way, v
+// itself included (from is the start, and start says which kind). conds,
+// top-down, are the route's conditions; emit must not keep them.
+func (r region) routes(v int, emit func(from int, start startKind, conds []schema.EdgeCond)) {
+	w := &walker{region: r, emit: emit}
+	w.up(v)
+}
+
+// walker walks up from a node for routes; its buffers are reused from one
+// walk to the next.
+type walker struct {
+	region
+	emit  func(from int, start startKind, conds []schema.EdgeCond)
+	path  []int             // the nodes on the way up
+	below []schema.EdgeCond // the conditions met, bottom-up
+	conds []schema.EdgeCond
+}
+
+func (w *walker) topDown(lead []schema.EdgeCond) []schema.EdgeCond {
+	w.conds = append(w.conds[:0], lead...)
+	for i := len(w.below) - 1; i >= 0; i-- {
+		w.conds = append(w.conds, w.below[i])
+	}
+	return w.conds
+}
+
+func (w *walker) up(x int) {
+	if lead, ok := w.lead(x); ok {
+		kind := freeStart
+		if x == w.g.Start() {
+			kind = rootStart
 		}
-		onPath[x] = true
-		defer delete(onPath, x)
-		for _, pe := range r.g.Parents(x) {
-			if !r.in(pe.From) {
-				continue
-			}
-			conds := below
-			if pe.Cond != nil {
-				conds = append([]schema.EdgeCond{*pe.Cond}, below...)
-			}
-			switch {
-			case r.g.SchemaNode(pe.From).HasRelation():
-				out = append(out, route{from: pe.From, conds: conds})
-			case !onPath[pe.From]:
-				up(pe.From, conds)
-			}
+		w.emit(x, kind, w.topDown(lead))
+	}
+	w.path = append(w.path, x)
+	for _, pe := range w.g.Parents(x) {
+		if !w.in(pe.From) {
+			continue
+		}
+		if pe.Cond != nil {
+			w.below = append(w.below, *pe.Cond)
+		}
+		switch {
+		case w.g.SchemaNode(pe.From).HasRelation():
+			w.emit(pe.From, noStart, w.topDown(nil))
+		case !slices.Contains(w.path, pe.From):
+			w.up(pe.From)
+		}
+		if pe.Cond != nil {
+			w.below = w.below[:len(w.below)-1]
 		}
 	}
-	up(v, nil)
-	return out
+	w.path = w.path[:len(w.path)-1]
 }
 
 // steps builds the region's step graph over its tuple nodes.
 func (r region) steps() *stepGraph {
-	sg := &stepGraph{into: map[int][]int{}}
-	var via []route // per step: the route it is reached over
-	for _, n := range r.g.Nodes() {
-		if !r.in(n.ID) || !r.g.SchemaNode(n.ID).HasRelation() {
-			continue
-		}
-		own := translate.NodeConds(r.g, n.ID)
-		for _, rt := range r.routes(n.ID) {
-			sg.into[n.ID] = append(sg.into[n.ID], len(sg.steps))
-			sg.steps = append(sg.steps, newStep(r.g.SchemaNode(n.ID).Relation, rt.conds, own, rt.start))
-			via = append(via, rt)
+	nodes := r.g.Nodes()
+	tuples := 0 // most tuple nodes have one route
+	for v := range nodes {
+		if r.in(v) && r.g.SchemaNode(v).HasRelation() {
+			tuples++
 		}
 	}
-	for i, rt := range via {
-		if rt.start == noStart {
-			sg.steps[i].prev = sg.into[rt.from]
+	sg := &stepGraph{steps: make([]step, 0, tuples), at: make([]int, len(nodes)+1)}
+	from := make([]int, 0, tuples) // per step: the tuple node its route comes from, or -1
+	var rel string
+	var own []schema.EdgeCond
+	w := &walker{region: r, emit: func(x int, start startKind, conds []schema.EdgeCond) {
+		sg.steps = append(sg.steps, newStep(rel, conds, own, start))
+		if start != noStart {
+			x = -1
+		}
+		from = append(from, x)
+	}}
+	for v := range nodes {
+		sg.at[v] = len(sg.steps)
+		if !r.in(v) || !r.g.SchemaNode(v).HasRelation() {
+			continue
+		}
+		rel, own = r.g.SchemaNode(v).Relation, translate.NodeConds(r.g, v)
+		w.up(v)
+	}
+	sg.at[len(nodes)] = len(sg.steps)
+	for i, x := range from {
+		if x >= 0 {
+			sg.steps[i].prevLo, sg.steps[i].prevHi = sg.at[x], sg.at[x+1]
 		}
 	}
 	return sg
 }
 
+// appendInto appends the steps occurring at graph node v to out.
+func (sg *stepGraph) appendInto(out []int, v int) []int {
+	for i := sg.at[v]; i < sg.at[v+1]; i++ {
+		out = append(out, i)
+	}
+	return out
+}
+
+// newStep folds a route's conditions and the node's own into sorted
+// selections; a later selection of a column replaces an earlier one.
 func newStep(rel string, route, own []schema.EdgeCond, start startKind) step {
-	conds := append(append([]schema.EdgeCond(nil), route...), own...)
-	return step{rel: rel, sels: condsToMap(conds), neqs: condsToNeqMap(conds), start: start}
+	conds := make([]schema.EdgeCond, 0, len(route)+len(own))
+	for _, neq := range [2]bool{false, true} {
+		for _, part := range [2][]schema.EdgeCond{route, own} {
+			for _, c := range part {
+				if c.Neq == neq {
+					conds = append(conds, c)
+				}
+			}
+		}
+	}
+	byCol := func(a, b schema.EdgeCond) int { return strings.Compare(a.Column, b.Column) }
+	k := 0
+	for k < len(conds) && !conds[k].Neq {
+		k++
+	}
+	sels, neqs := conds[:k], conds[k:]
+	slices.SortStableFunc(sels, byCol)
+	slices.SortStableFunc(neqs, byCol)
+	// Keep the last selection of each column.
+	out := sels[:0]
+	for i, c := range sels {
+		if i+1 == len(sels) || sels[i+1].Column != c.Column {
+			out = append(out, c)
+		}
+	}
+	return step{rel: rel, sels: out[:len(out):len(out)], neqs: neqs, start: start}
 }
 
 // compatible is Conflicts' rule for one aligned occurrence: the same
@@ -123,12 +188,34 @@ func compatible(a, b *step) bool {
 	if a.rel != b.rel {
 		return false
 	}
-	for col, va := range a.sels {
-		if vb, ok := b.sels[col]; ok && !va.Equal(vb) {
+	for i, j := 0, 0; i < len(a.sels) && j < len(b.sels); {
+		switch ca, cb := a.sels[i].Column, b.sels[j].Column; {
+		case ca < cb:
+			i++
+		case ca > cb:
+			j++
+		case !a.sels[i].Value.Equal(b.sels[j].Value):
 			return false
+		default:
+			i, j = i+1, j+1
 		}
 	}
 	return !excludedBy(a.sels, b.neqs) && !excludedBy(b.sels, a.neqs)
+}
+
+// excludedBy reports whether a selection picks a value a neq excludes;
+// both lists are sorted by column.
+func excludedBy(sels, neqs []schema.EdgeCond) bool {
+	i := 0
+	for _, n := range neqs {
+		for i < len(sels) && sels[i].Column < n.Column {
+			i++
+		}
+		if i < len(sels) && sels[i].Column == n.Column && sels[i].Value.Equal(n.Value) {
+			return true
+		}
+	}
+	return false
 }
 
 // overlaps decides exactly whether a path of a ending at an aEnds step and
@@ -145,11 +232,15 @@ func overlaps(a, b *stepGraph, aEnds, bEnds []int, distinct bool) bool {
 		i, j int
 		div  bool
 	}
-	seen := map[pair]bool{}
+	seen := make([]bool, 2*len(a.steps)*len(b.steps)) // by (i, j, div)
 	var stack []pair
 	push := func(p pair) {
-		if !seen[p] && compatible(&a.steps[p.i], &b.steps[p.j]) {
-			seen[p] = true
+		k := 2 * (p.i*len(b.steps) + p.j)
+		if p.div {
+			k++
+		}
+		if !seen[k] && compatible(&a.steps[p.i], &b.steps[p.j]) {
+			seen[k] = true
 			stack = append(stack, p)
 		}
 	}
@@ -165,11 +256,11 @@ func overlaps(a, b *stepGraph, aEnds, bEnds []int, distinct bool) bool {
 		switch {
 		case sa.start != noStart && sb.start != noStart && (p.div || !distinct):
 			return true // both paths start here: one length
-		case sa.start == freeStart && len(sb.prev) > 0, sb.start == freeStart && len(sa.prev) > 0:
+		case sa.start == freeStart && sb.prevHi > sb.prevLo, sb.start == freeStart && sa.prevHi > sa.prevLo:
 			return true // the shorter path starts below the root
 		}
-		for _, i := range sa.prev {
-			for _, j := range sb.prev {
+		for i := sa.prevLo; i < sa.prevHi; i++ {
+			for j := sb.prevLo; j < sb.prevHi; j++ {
 				push(pair{i, j, distinct && (p.div || i != j)})
 			}
 		}
@@ -183,12 +274,14 @@ type schemaSide struct {
 	p    *pathid.Graph
 	sg   *stepGraph
 	ends map[[2]string][]int
+	seen []bool // scratch for inResult
 }
 
 func newSchemaSide(p *pathid.Graph) *schemaSide {
 	all := func(int) bool { return true }
 	start := func(id int) ([]schema.EdgeCond, bool) { return nil, id == p.Start() }
-	return &schemaSide{p: p, sg: region{g: p, in: all, lead: start}.steps(), ends: map[[2]string][]int{}}
+	return &schemaSide{p: p, sg: region{g: p, in: all, lead: start}.steps(), ends: map[[2]string][]int{},
+		seen: make([]bool, len(p.Nodes()))}
 }
 
 // nonResultEnds lists the steps at tuple nodes of relation rel whose tuples
@@ -199,9 +292,9 @@ func (ss *schemaSide) nonResultEnds(rel, col string) []int {
 		return ends
 	}
 	var ends []int
-	for _, n := range ss.p.Nodes() {
-		if sn := ss.p.SchemaNode(n.ID); sn.Relation == rel && !ss.inResult(n.ID, col) {
-			ends = append(ends, ss.sg.into[n.ID]...)
+	for v := range ss.p.Nodes() {
+		if sn := ss.p.SchemaNode(v); sn.Relation == rel && !ss.inResult(v, col) {
+			ends = ss.sg.appendInto(ends, v)
 		}
 	}
 	ss.ends[k] = ends
@@ -220,7 +313,12 @@ func (ss *schemaSide) inResult(v int, col string) bool {
 	if own == col && ss.p.Node(v).Accepting {
 		return true
 	}
-	seen := map[int]bool{}
+	var visited []int
+	defer func() {
+		for _, x := range visited {
+			ss.seen[x] = false
+		}
+	}()
 	var down func(x int) bool
 	down = func(x int) bool {
 		for _, e := range ss.p.Children(x) {
@@ -232,8 +330,9 @@ func (ss *schemaSide) inResult(v int, col string) bool {
 				if m.Column == col && ss.p.Node(e.To).Accepting {
 					return true
 				}
-			case !seen[e.To]:
-				seen[e.To] = true
+			case !ss.seen[e.To]:
+				ss.seen[e.To] = true
+				visited = append(visited, e.To)
 				if down(e.To) {
 					return true
 				}

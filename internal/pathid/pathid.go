@@ -97,27 +97,25 @@ func (g *Graph) add(n Node) int {
 	return n.ID
 }
 
-// link indexes the graph's edges, given in link order.
+// link indexes the graph's edges, given grouped by From in link order.
 func (g *Graph) link(edges []Edge) {
-	g.children, g.childAt = group(edges, len(g.nodes), func(e Edge) int { return e.From })
-	g.parents, g.parentAt = group(edges, len(g.nodes), func(e Edge) int { return e.To })
-}
-
-// group is a stable counting sort of edges by key, with each key's offset.
-func group(edges []Edge, n int, key func(Edge) int) ([]Edge, []int) {
-	at := make([]int, n+2)
+	n := len(g.nodes)
+	g.children, g.childAt = edges, make([]int, n+1)
+	g.parents, g.parentAt = make([]Edge, len(edges)), make([]int, n+2)
 	for _, e := range edges {
-		at[key(e)+2]++
+		g.childAt[e.From+1]++
+		g.parentAt[e.To+2]++
 	}
-	for i := 2; i < len(at); i++ {
-		at[i] += at[i-1]
+	for i := 0; i < n; i++ {
+		g.childAt[i+1] += g.childAt[i]
+		g.parentAt[i+2] += g.parentAt[i+1]
 	}
-	out := make([]Edge, len(edges))
+	// parents: a stable counting sort of the edges by To.
 	for _, e := range edges {
-		out[at[key(e)+1]] = e
-		at[key(e)+1]++
+		g.parents[g.parentAt[e.To+1]] = e
+		g.parentAt[e.To+1]++
 	}
-	return out, at[:n+1]
+	g.parentAt = g.parentAt[:n+1]
 }
 
 // Build runs the PathId stage: it products the schema against the query DFA
@@ -169,8 +167,8 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 		pc schema.EdgeCond
 	}
 	var deadIndex map[deadKey]int32
-	p := &Graph{Schema: s, Query: q}
-	var edges []Edge
+	p := &Graph{Schema: s, Query: q, nodes: make([]Node, 0, 2*s.NumNodes())}
+	edges := make([]Edge, 0, 2*s.NumNodes())
 
 	add := func(sn schema.NodeID, st int, conds []schema.EdgeCond) (int, error) {
 		slot := &index[int(sn)*states+st]
@@ -269,13 +267,14 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 
 	// Renumber kept nodes.
 	newID := make([]int, len(p.nodes))
+	g.nodes = make([]Node, 0, len(p.nodes))
 	for i, n := range p.nodes {
 		newID[i] = -1
 		if keep[i] {
 			newID[i] = g.add(n)
 		}
 	}
-	edges = edges[:0]
+	edges = make([]Edge, 0, len(p.children))
 	for _, e := range p.children {
 		if f, t := newID[e.From], newID[e.To]; f >= 0 && t >= 0 {
 			edges = append(edges, Edge{From: f, To: t, Cond: e.Cond})
