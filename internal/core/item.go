@@ -194,14 +194,15 @@ func (it *item) stepGraph() (*stepGraph, []int) {
 		it.ends = it.sg.appendInto(nil, it.result)
 		return it.sg, it.ends
 	}
-	r.routes(it.result, func(from int, start startKind, conds []schema.EdgeCond) {
+	w := &walker{region: r, emit: func(from int, start startKind, conds []schema.EdgeCond) {
 		if start == noStart {
 			it.ends = it.sg.appendInto(it.ends, from)
 			return
 		}
 		it.ends = append(it.ends, len(it.sg.steps))
 		it.sg.steps = append(it.sg.steps, newStep(it.resultRel, conds, nil, start))
-	})
+	}}
+	w.up(it.result)
 	return it.sg, it.ends
 }
 
@@ -266,16 +267,11 @@ func (it *item) templateKey() string {
 
 // condList renders conditions as "[c1 c2]".
 func condList(conds []schema.EdgeCond) string {
-	var b strings.Builder
-	b.WriteString("[")
+	s := make([]string, len(conds))
 	for i, c := range conds {
-		if i > 0 {
-			b.WriteString(" ")
-		}
-		b.WriteString(c.String())
+		s[i] = c.String()
 	}
-	b.WriteString("]")
-	return b.String()
+	return "[" + strings.Join(s, " ") + "]"
 }
 
 // pathSpec converts a linear item into the PathSpec consumed by the shared

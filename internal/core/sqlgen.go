@@ -160,7 +160,7 @@ func normalizeEntries(it *item) (map[int][]schema.EdgeCond, error) {
 	out := map[int][]schema.EdgeCond{}
 	add := func(id int, lead []schema.EdgeCond) error {
 		if prev, dup := out[id]; dup {
-			if !condsEqual(prev, lead) {
+			if !schema.SameConds(prev, lead) {
 				return errCannotPrune // would need disjunctive entry conditions
 			}
 			return nil
@@ -215,18 +215,6 @@ func normalizeEntries(it *item) (map[int][]schema.EdgeCond, error) {
 		return nil, errCannotPrune
 	}
 	return out, nil
-}
-
-func condsEqual(a, b []schema.EdgeCond) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Column != b[i].Column || a[i].Neq != b[i].Neq || !a[i].Value.Identical(b[i].Value) {
-			return false
-		}
-	}
-	return true
 }
 
 func nodeNames(it *item, ids []int) []string {

@@ -50,17 +50,11 @@ type region struct {
 	lead func(int) ([]schema.EdgeCond, bool)
 }
 
-// routes calls emit for each way up from v inside the region: to each
-// nearest tuple node above it (from), and to each path start on the way, v
-// itself included (from is the start, and start says which kind). conds,
-// top-down, are the route's conditions; emit must not keep them.
-func (r region) routes(v int, emit func(from int, start startKind, conds []schema.EdgeCond)) {
-	w := &walker{region: r, emit: emit}
-	w.up(v)
-}
-
-// walker walks up from a node for routes; its buffers are reused from one
-// walk to the next.
+// walker finds the routes up from a node inside a region: up(v) calls emit
+// for each way up to a nearest tuple node above v (from), and to each path
+// start on the way, v itself included (from is the start, and start says
+// which kind). conds, top-down, are the route's conditions; emit must not
+// keep them, since the walker's buffers are reused from walk to walk.
 type walker struct {
 	region
 	emit  func(from int, start startKind, conds []schema.EdgeCond)
@@ -109,14 +103,8 @@ func (w *walker) up(x int) {
 // steps builds the region's step graph over its tuple nodes.
 func (r region) steps() *stepGraph {
 	nodes := r.g.Nodes()
-	tuples := 0 // most tuple nodes have one route
-	for v := range nodes {
-		if r.in(v) && r.g.SchemaNode(v).HasRelation() {
-			tuples++
-		}
-	}
-	sg := &stepGraph{steps: make([]step, 0, tuples), at: make([]int, len(nodes)+1)}
-	from := make([]int, 0, tuples) // per step: the tuple node its route comes from, or -1
+	sg := &stepGraph{at: make([]int, len(nodes)+1)}
+	var from []int // per step: the tuple node its route comes from, or -1
 	var rel string
 	var own []schema.EdgeCond
 	w := &walker{region: r, emit: func(x int, start startKind, conds []schema.EdgeCond) {
@@ -154,64 +142,46 @@ func (sg *stepGraph) appendInto(out []int, v int) []int {
 // newStep folds a route's conditions and the node's own into sorted
 // selections; a later selection of a column replaces an earlier one.
 func newStep(rel string, route, own []schema.EdgeCond, start startKind) step {
-	conds := make([]schema.EdgeCond, 0, len(route)+len(own))
-	for _, neq := range [2]bool{false, true} {
-		for _, part := range [2][]schema.EdgeCond{route, own} {
-			for _, c := range part {
-				if c.Neq == neq {
-					conds = append(conds, c)
-				}
-			}
+	conds := append(append(make([]schema.EdgeCond, 0, len(route)+len(own)), route...), own...)
+	slices.SortStableFunc(conds, func(a, b schema.EdgeCond) int {
+		switch {
+		case a.Neq == b.Neq:
+			return strings.Compare(a.Column, b.Column)
+		case a.Neq:
+			return 1 // selections first
 		}
-	}
-	byCol := func(a, b schema.EdgeCond) int { return strings.Compare(a.Column, b.Column) }
+		return -1
+	})
 	k := 0
 	for k < len(conds) && !conds[k].Neq {
 		k++
 	}
-	sels, neqs := conds[:k], conds[k:]
-	slices.SortStableFunc(sels, byCol)
-	slices.SortStableFunc(neqs, byCol)
-	// Keep the last selection of each column.
-	out := sels[:0]
-	for i, c := range sels {
-		if i+1 == len(sels) || sels[i+1].Column != c.Column {
-			out = append(out, c)
+	sels := conds[:0]
+	for i, c := range conds[:k] {
+		if i+1 == k || conds[i+1].Column != c.Column {
+			sels = append(sels, c)
 		}
 	}
-	return step{rel: rel, sels: out[:len(out):len(out)], neqs: neqs, start: start}
+	return step{rel: rel, sels: sels[:len(sels):len(sels)], neqs: conds[k:], start: start}
 }
 
 // compatible is Conflicts' rule for one aligned occurrence: the same
 // relation, and no column selected to two values or to an excluded one.
 func compatible(a, b *step) bool {
-	if a.rel != b.rel {
-		return false
-	}
-	for i, j := 0, 0; i < len(a.sels) && j < len(b.sels); {
-		switch ca, cb := a.sels[i].Column, b.sels[j].Column; {
-		case ca < cb:
-			i++
-		case ca > cb:
-			j++
-		case !a.sels[i].Value.Equal(b.sels[j].Value):
-			return false
-		default:
-			i, j = i+1, j+1
-		}
-	}
-	return !excludedBy(a.sels, b.neqs) && !excludedBy(b.sels, a.neqs)
+	return a.rel == b.rel && !clashes(a.sels, b.sels, false) &&
+		!clashes(a.sels, b.neqs, true) && !clashes(b.sels, a.neqs, true)
 }
 
-// excludedBy reports whether a selection picks a value a neq excludes;
-// both lists are sorted by column.
-func excludedBy(sels, neqs []schema.EdgeCond) bool {
+// clashes reports whether sels selects a column to another value than a
+// selection of other does (neq unset) or to a value other excludes (neq
+// set). Both lists are sorted by column, and sels has one entry per column.
+func clashes(sels, other []schema.EdgeCond, neq bool) bool {
 	i := 0
-	for _, n := range neqs {
-		for i < len(sels) && sels[i].Column < n.Column {
+	for _, o := range other {
+		for i < len(sels) && sels[i].Column < o.Column {
 			i++
 		}
-		if i < len(sels) && sels[i].Column == n.Column && sels[i].Value.Equal(n.Value) {
+		if i < len(sels) && sels[i].Column == o.Column && sels[i].Value.Equal(o.Value) == neq {
 			return true
 		}
 	}
@@ -274,14 +244,12 @@ type schemaSide struct {
 	p    *pathid.Graph
 	sg   *stepGraph
 	ends map[[2]string][]int
-	seen []bool // scratch for inResult
 }
 
 func newSchemaSide(p *pathid.Graph) *schemaSide {
 	all := func(int) bool { return true }
 	start := func(id int) ([]schema.EdgeCond, bool) { return nil, id == p.Start() }
-	return &schemaSide{p: p, sg: region{g: p, in: all, lead: start}.steps(), ends: map[[2]string][]int{},
-		seen: make([]bool, len(p.Nodes()))}
+	return &schemaSide{p: p, sg: region{g: p, in: all, lead: start}.steps(), ends: map[[2]string][]int{}}
 }
 
 // nonResultEnds lists the steps at tuple nodes of relation rel whose tuples
@@ -313,12 +281,7 @@ func (ss *schemaSide) inResult(v int, col string) bool {
 	if own == col && ss.p.Node(v).Accepting {
 		return true
 	}
-	var visited []int
-	defer func() {
-		for _, x := range visited {
-			ss.seen[x] = false
-		}
-	}()
+	var seen []bool // made on the first unannotated node
 	var down func(x int) bool
 	down = func(x int) bool {
 		for _, e := range ss.p.Children(x) {
@@ -330,9 +293,11 @@ func (ss *schemaSide) inResult(v int, col string) bool {
 				if m.Column == col && ss.p.Node(e.To).Accepting {
 					return true
 				}
-			case !ss.seen[e.To]:
-				ss.seen[e.To] = true
-				visited = append(visited, e.To)
+			case seen == nil || !seen[e.To]:
+				if seen == nil {
+					seen = make([]bool, len(ss.p.Nodes()))
+				}
+				seen[e.To] = true
 				if down(e.To) {
 					return true
 				}

@@ -166,7 +166,7 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 		st int
 		pc schema.EdgeCond
 	}
-	var deadIndex map[deadKey]int32
+	deadIndex := map[deadKey]int32{}
 	p := &Graph{Schema: s, Query: q, nodes: make([]Node, 0, 2*s.NumNodes())}
 	edges := make([]Edge, 0, 2*s.NumNodes())
 
@@ -180,7 +180,7 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 		}
 		if *slot > 0 {
 			id := int(*slot - 1)
-			if !sameConds(p.nodes[id].PredConds, conds) {
+			if !schema.SameConds(p.nodes[id].PredConds, conds) {
 				return 0, fmt.Errorf("pathid: ambiguous predicate query: node %s reached with contradictory predicate branches", s.Node(sn).Name)
 			}
 			return id, nil
@@ -188,19 +188,19 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 		id := p.add(Node{Schema: sn, State: st, Accepting: dfa.Accepting(st), PredConds: conds})
 		*slot = int32(id + 1)
 		if dk.pc.Column != "" {
-			if deadIndex == nil {
-				deadIndex = map[deadKey]int32{}
-			}
 			deadIndex[dk] = *slot
 		}
 		return id, nil
 	}
 	// step adds the product node entered from node from over schema edge e
 	// in state st, with the predicate branch conds, and links it.
-	step := func(from int, e schema.Edge, st int, conds []schema.EdgeCond) error {
-		to, err := add(e.To, st, conds)
+	var err error
+	step := func(from int, e schema.Edge, st int, conds []schema.EdgeCond) {
+		to, aerr := add(e.To, st, conds)
 		edges = append(edges, Edge{From: from, To: to, Cond: e.Cond})
-		return err
+		if err == nil {
+			err = aerr
+		}
 	}
 
 	if _, err := add(root, dfa.Next(dfa.Start(), syms[s.NodeLabelID(root)].unsat), nil); err != nil {
@@ -209,11 +209,13 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 	for work := 0; work < len(p.nodes); work++ {
 		st := p.nodes[work].State
 		for _, e := range s.Node(p.nodes[work].Schema).Children() {
+			if err != nil {
+				return nil, err
+			}
 			ls := syms[s.NodeLabelID(e.To)]
 			unsat := dfa.Next(st, ls.unsat)
 			col := ""
 			if ls.pred != nil && !dfa.Dead(st) {
-				var err error
 				if col, err = s.PredColumn(e.To, ls.pred.Child); err != nil {
 					return nil, err
 				}
@@ -222,9 +224,7 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 				// No predicate, a dead state, or a node the schema gives no
 				// such child: elements never satisfy it, and no selection
 				// is needed.
-				if err := step(work, e, unsat, nil); err != nil {
-					return nil, err
-				}
+				step(work, e, unsat, nil)
 				continue
 			}
 			sat := dfa.Next(st, ls.sat)
@@ -233,13 +233,12 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 			}
 			val := relational.String(ls.pred.Value)
 			conds := []schema.EdgeCond{{Column: col, Value: val}, {Column: col, Value: val, Neq: true}}
-			if err := step(work, e, sat, conds[:1:1]); err != nil {
-				return nil, err
-			}
-			if err := step(work, e, unsat, conds[1:]); err != nil {
-				return nil, err
-			}
+			step(work, e, sat, conds[:1:1])
+			step(work, e, unsat, conds[1:])
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	p.link(edges)
 	g := &Graph{Schema: s, Query: q, start: -1, product: p}
@@ -341,9 +340,8 @@ func (g *Graph) EnumeratePaths(limit, maxCycleVisits int) ([][]int, bool) {
 			return true
 		}
 		visits[id]++
-		defer func() { visits[id]-- }()
 		cur = append(cur, id)
-		defer func() { cur = cur[:len(cur)-1] }()
+		defer func() { visits[id], cur = visits[id]-1, cur[:len(cur)-1] }()
 		if g.nodes[id].Accepting {
 			if len(out) >= limit {
 				complete = false
@@ -360,16 +358,4 @@ func (g *Graph) EnumeratePaths(limit, maxCycleVisits int) ([][]int, bool) {
 	}
 	rec(g.start)
 	return out, complete
-}
-
-func sameConds(a, b []schema.EdgeCond) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Column != b[i].Column || a[i].Neq != b[i].Neq || !a[i].Value.Identical(b[i].Value) {
-			return false
-		}
-	}
-	return true
 }

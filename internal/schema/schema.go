@@ -17,6 +17,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,6 +48,14 @@ func (c EdgeCond) String() string {
 		op = "!="
 	}
 	return c.Column + op + c.Value.String()
+}
+
+// SameConds reports whether two condition lists are identical, element by
+// element.
+func SameConds(a, b []EdgeCond) bool {
+	return slices.EqualFunc(a, b, func(x, y EdgeCond) bool {
+		return x.Column == y.Column && x.Neq == y.Neq && x.Value.Identical(y.Value)
+	})
 }
 
 // Edge is a directed schema edge.
