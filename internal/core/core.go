@@ -57,15 +57,16 @@ func TranslateOpts(g *pathid.Graph, opts Options) (*Result, error) {
 	if g.Empty() {
 		return &Result{Query: &sqlast.Query{}}, nil
 	}
+	w := &walker{}
 	pr := &pruner{
-		schema:     newSchemaSide(g.Product()),
+		schema:     newSchemaSide(g.Product(), w),
 		useLeadOpt: !opts.DisableEdgeAnnotOpt,
 	}
 	if opts.CombineIdenticalOnly {
 		pr.combineMode = combineIdenticalOnly
 	}
 	for _, a := range g.Accepts() {
-		it, err := newItem(g, a)
+		it, err := newItem(g, a, w)
 		if err != nil {
 			return nil, err
 		}

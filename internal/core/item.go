@@ -25,6 +25,8 @@ type item struct {
 	resultRel string
 	resultCol string
 
+	w *walker // shared by the items of one translation
+
 	// Derived from the region; grow clears them.
 	sg   *stepGraph
 	ends []int
@@ -36,7 +38,7 @@ type entryState struct {
 	leadTried bool
 }
 
-func newItem(g *pathid.Graph, accept int) (*item, error) {
+func newItem(g *pathid.Graph, accept int, w *walker) (*item, error) {
 	rel, col, err := g.Schema.Annot(g.Node(accept).Schema)
 	if err != nil {
 		return nil, err
@@ -48,6 +50,7 @@ func newItem(g *pathid.Graph, accept int) (*item, error) {
 		result:    accept,
 		resultRel: rel,
 		resultCol: col,
+		w:         w,
 	}, nil
 }
 
@@ -110,9 +113,7 @@ func (it *item) grow(useLeadOpt bool) bool {
 	}
 	if len(it.entry) == 0 {
 		// Everything reachable is included; the start node is the entry.
-		if _, ok := it.nodes[it.g.Start()]; !ok {
-			it.nodes[it.g.Start()] = true
-		}
+		it.nodes[it.g.Start()] = true
 		it.entry[it.g.Start()] = &entryState{leadTried: true}
 	}
 	return grew
@@ -182,27 +183,20 @@ func (it *item) stepGraph() (*stepGraph, []int) {
 	if it.sg != nil {
 		return it.sg, it.ends
 	}
-	r := region{g: it.g, in: func(id int) bool { return it.nodes[id] }, lead: func(id int) ([]schema.EdgeCond, bool) {
-		es, ok := it.entry[id]
-		if !ok {
-			return nil, false
-		}
-		return es.lead, true
-	}}
-	it.sg, it.ends = r.steps(), nil
+	it.w.g, it.w.it = it.g, it
+	it.sg, it.ends = it.w.steps(), nil
 	if it.g.SchemaNode(it.result).HasRelation() {
 		it.ends = it.sg.appendInto(nil, it.result)
 		return it.sg, it.ends
 	}
-	w := &walker{region: r, emit: func(from int, start startKind, conds []schema.EdgeCond) {
-		if start == noStart {
-			it.ends = it.sg.appendInto(it.ends, from)
-			return
+	for _, rt := range it.w.routes(it.result) {
+		if rt.start == noStart {
+			it.ends = it.sg.appendInto(it.ends, rt.from)
+			continue
 		}
 		it.ends = append(it.ends, len(it.sg.steps))
-		it.sg.steps = append(it.sg.steps, newStep(it.resultRel, conds, nil, start))
-	}}
-	w.up(it.result)
+		it.sg.add(it.resultRel, rt.conds, nil, rt.start)
+	}
 	return it.sg, it.ends
 }
 

@@ -124,11 +124,10 @@ func (p *Pattern) steps() *stepGraph {
 		} else if p.RootComplete {
 			start = rootStart
 		}
-		s := newStep(rel, conds, nil, start)
+		sg.add(rel, conds, nil, start)
 		if i > 0 {
-			s.prevLo, s.prevHi = i-1, i
+			sg.steps[i].prevLo, sg.steps[i].prevHi = i-1, i
 		}
-		sg.steps = append(sg.steps, s)
 	}
 	return sg
 }

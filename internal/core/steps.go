@@ -39,36 +39,58 @@ const (
 
 type stepGraph struct {
 	steps []step
-	at    []int // the steps occurring at graph node v are at[v]..at[v+1]-1
+	at    []int             // the steps occurring at graph node v are at[v]..at[v+1]-1
+	conds []schema.EdgeCond // backs the steps' selections
 }
 
-// region restricts a graph to the nodes in() accepts; lead reports whether
-// a node is a path start and with which lead conditions.
-type region struct {
-	g    *pathid.Graph
-	in   func(int) bool
-	lead func(int) ([]schema.EdgeCond, bool)
+func (w *walker) in(v int) bool { return w.it == nil || w.it.nodes[v] }
+
+func (w *walker) lead(v int) ([]schema.EdgeCond, bool) {
+	if w.it == nil {
+		return nil, v == w.g.Start()
+	}
+	if es, ok := w.it.entry[v]; ok {
+		return es.lead, true
+	}
+	return nil, false
 }
 
-// walker finds the routes up from a node inside a region: up(v) calls emit
-// for each way up to a nearest tuple node above v (from), and to each path
-// start on the way, v itself included (from is the start, and start says
-// which kind). conds, top-down, are the route's conditions; emit must not
-// keep them, since the walker's buffers are reused from walk to walk.
+// route is one way up from a node to the nearest tuple node or path start
+// above it: from is that tuple node, or the start node when start is set.
+type route struct {
+	from  int
+	start startKind
+	conds []schema.EdgeCond // top-down
+}
+
+// walker lists routes and builds step graphs over a region: an item's
+// region, whose path starts are the item's entries, or the whole graph (it
+// nil), whose one path start is the start node. Its buffers are reused from
+// walk to walk, so a route list is good until the next call of routes.
 type walker struct {
-	region
-	emit  func(from int, start startKind, conds []schema.EdgeCond)
+	g     *pathid.Graph
+	it    *item
+	out   []route
 	path  []int             // the nodes on the way up
 	below []schema.EdgeCond // the conditions met, bottom-up
-	conds []schema.EdgeCond
+	conds []schema.EdgeCond // backs the routes' conditions
 }
 
-func (w *walker) topDown(lead []schema.EdgeCond) []schema.EdgeCond {
-	w.conds = append(w.conds[:0], lead...)
+// routes lists the ways up from v inside the region: to each nearest tuple
+// node above it, and to each path start on the way, v itself included.
+func (w *walker) routes(v int) []route {
+	w.out, w.conds = w.out[:0], w.conds[:0]
+	w.up(v)
+	return w.out
+}
+
+func (w *walker) emit(from int, start startKind, lead []schema.EdgeCond) {
+	n := len(w.conds)
+	w.conds = append(w.conds, lead...)
 	for i := len(w.below) - 1; i >= 0; i-- {
 		w.conds = append(w.conds, w.below[i])
 	}
-	return w.conds
+	w.out = append(w.out, route{from, start, w.conds[n:len(w.conds):len(w.conds)]})
 }
 
 func (w *walker) up(x int) {
@@ -77,7 +99,7 @@ func (w *walker) up(x int) {
 		if x == w.g.Start() {
 			kind = rootStart
 		}
-		w.emit(x, kind, w.topDown(lead))
+		w.emit(x, kind, lead)
 	}
 	w.path = append(w.path, x)
 	for _, pe := range w.g.Parents(x) {
@@ -89,7 +111,7 @@ func (w *walker) up(x int) {
 		}
 		switch {
 		case w.g.SchemaNode(pe.From).HasRelation():
-			w.emit(pe.From, noStart, w.topDown(nil))
+			w.emit(pe.From, noStart, nil)
 		case !slices.Contains(w.path, pe.From):
 			w.up(pe.From)
 		}
@@ -101,26 +123,27 @@ func (w *walker) up(x int) {
 }
 
 // steps builds the region's step graph over its tuple nodes.
-func (r region) steps() *stepGraph {
-	nodes := r.g.Nodes()
-	sg := &stepGraph{at: make([]int, len(nodes)+1)}
-	var from []int // per step: the tuple node its route comes from, or -1
-	var rel string
-	var own []schema.EdgeCond
-	w := &walker{region: r, emit: func(x int, start startKind, conds []schema.EdgeCond) {
-		sg.steps = append(sg.steps, newStep(rel, conds, own, start))
-		if start != noStart {
-			x = -1
-		}
-		from = append(from, x)
-	}}
+func (w *walker) steps() *stepGraph {
+	nodes := w.g.Nodes()
+	size := len(nodes) // most nodes of a region are tuple nodes with one route
+	if w.it != nil {
+		size = len(w.it.nodes)
+	}
+	sg := &stepGraph{steps: make([]step, 0, size), at: make([]int, len(nodes)+1)}
+	from := make([]int, 0, size) // per step: the tuple node its route comes from, or -1
 	for v := range nodes {
 		sg.at[v] = len(sg.steps)
-		if !r.in(v) || !r.g.SchemaNode(v).HasRelation() {
+		if !w.in(v) || !w.g.SchemaNode(v).HasRelation() {
 			continue
 		}
-		rel, own = r.g.SchemaNode(v).Relation, translate.NodeConds(r.g, v)
-		w.up(v)
+		own := translate.NodeConds(w.g, v)
+		for _, rt := range w.routes(v) {
+			sg.add(w.g.SchemaNode(v).Relation, rt.conds, own, rt.start)
+			if rt.start != noStart {
+				rt.from = -1
+			}
+			from = append(from, rt.from)
+		}
 	}
 	sg.at[len(nodes)] = len(sg.steps)
 	for i, x := range from {
@@ -139,10 +162,12 @@ func (sg *stepGraph) appendInto(out []int, v int) []int {
 	return out
 }
 
-// newStep folds a route's conditions and the node's own into sorted
-// selections; a later selection of a column replaces an earlier one.
-func newStep(rel string, route, own []schema.EdgeCond, start startKind) step {
-	conds := append(append(make([]schema.EdgeCond, 0, len(route)+len(own)), route...), own...)
+// add appends a step whose selections fold a route's conditions and the
+// node's own, sorted; a later selection of a column replaces an earlier one.
+func (sg *stepGraph) add(rel string, route, own []schema.EdgeCond, start startKind) {
+	n := len(sg.conds)
+	sg.conds = append(append(sg.conds, route...), own...)
+	conds := sg.conds[n:len(sg.conds):len(sg.conds)]
 	slices.SortStableFunc(conds, func(a, b schema.EdgeCond) int {
 		switch {
 		case a.Neq == b.Neq:
@@ -162,7 +187,7 @@ func newStep(rel string, route, own []schema.EdgeCond, start startKind) step {
 			sels = append(sels, c)
 		}
 	}
-	return step{rel: rel, sels: sels[:len(sels):len(sels)], neqs: conds[k:], start: start}
+	sg.steps = append(sg.steps, step{rel: rel, sels: sels[:len(sels):len(sels)], neqs: conds[k:], start: start})
 }
 
 // compatible is Conflicts' rule for one aligned occurrence: the same
@@ -246,10 +271,9 @@ type schemaSide struct {
 	ends map[[2]string][]int
 }
 
-func newSchemaSide(p *pathid.Graph) *schemaSide {
-	all := func(int) bool { return true }
-	start := func(id int) ([]schema.EdgeCond, bool) { return nil, id == p.Start() }
-	return &schemaSide{p: p, sg: region{g: p, in: all, lead: start}.steps(), ends: map[[2]string][]int{}}
+func newSchemaSide(p *pathid.Graph, w *walker) *schemaSide {
+	w.g, w.it = p, nil
+	return &schemaSide{p: p, sg: w.steps(), ends: map[[2]string][]int{}}
 }
 
 // nonResultEnds lists the steps at tuple nodes of relation rel whose tuples

@@ -84,8 +84,8 @@ type PredDFA struct {
 	dead   []bool
 	// syms maps a query label to its symbol; a predicated label's
 	// unsatisfied symbol follows its satisfied one.
-	syms    map[string]int
-	hasPred map[string]bool
+	syms  map[string]int
+	preds map[string]*Pred
 }
 
 // BuildPredDFA compiles a (possibly predicated) path expression. NFA state i
@@ -96,14 +96,13 @@ type PredDFA struct {
 func BuildPredDFA(p *Path) *PredDFA {
 	labels := p.Labels()
 	sort.Strings(labels)
-	d := &PredDFA{syms: map[string]int{}, hasPred: map[string]bool{}}
+	d := &PredDFA{syms: map[string]int{}, preds: map[string]*Pred{}}
 	var symLabel []string // per symbol: its label, "" for other
 	var symSat []bool
 	for _, l := range labels {
 		d.syms[l] = len(symLabel)
 		symLabel, symSat = append(symLabel, l), append(symSat, true)
-		if p.PredForLabel(l) != nil {
-			d.hasPred[l] = true
+		if d.preds[l] = p.PredForLabel(l); d.preds[l] != nil {
 			symLabel, symSat = append(symLabel, l), append(symSat, false)
 		}
 	}
@@ -184,10 +183,35 @@ func (d *PredDFA) Sym(label string, sat bool) int {
 	switch {
 	case !ok:
 		return d.nSyms - 1
-	case !sat && d.hasPred[label]:
+	case !sat && d.preds[label] != nil:
 		return sym + 1
 	}
 	return sym
+}
+
+// LabelSyms are the symbols of an element with some label that satisfies
+// the label's predicate (Sat) and that does not (Unsat); they are one
+// symbol for a label without a predicate. Pred is the label's predicate.
+type LabelSyms struct {
+	Sat, Unsat int
+	Pred       *Pred
+}
+
+// Intern returns the LabelSyms of every label of an interned label table of
+// n labels, where id gives a label's id. Labels the query does not name get
+// the "other" symbol.
+func (d *PredDFA) Intern(n int, id func(label string) (int, bool)) []LabelSyms {
+	other := d.nSyms - 1
+	out := make([]LabelSyms, n)
+	for i := range out {
+		out[i] = LabelSyms{Sat: other, Unsat: other}
+	}
+	for l, sym := range d.syms {
+		if i, ok := id(l); ok {
+			out[i] = LabelSyms{Sat: sym, Unsat: d.Sym(l, false), Pred: d.preds[l]}
+		}
+	}
+	return out
 }
 
 // Next advances on a symbol.

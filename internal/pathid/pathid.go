@@ -7,6 +7,7 @@ package pathid
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"xmlsql/internal/pathexpr"
@@ -99,23 +100,17 @@ func (g *Graph) add(n Node) int {
 
 // link indexes the graph's edges, given grouped by From in link order.
 func (g *Graph) link(edges []Edge) {
-	n := len(g.nodes)
-	g.children, g.childAt = edges, make([]int, n+1)
-	g.parents, g.parentAt = make([]Edge, len(edges)), make([]int, n+2)
+	g.children, g.parents = edges, slices.Clone(edges)
+	slices.SortStableFunc(g.parents, func(a, b Edge) int { return a.To - b.To })
+	g.childAt, g.parentAt = make([]int, len(g.nodes)+1), make([]int, len(g.nodes)+1)
 	for _, e := range edges {
 		g.childAt[e.From+1]++
-		g.parentAt[e.To+2]++
-	}
-	for i := 0; i < n; i++ {
-		g.childAt[i+1] += g.childAt[i]
-		g.parentAt[i+2] += g.parentAt[i+1]
-	}
-	// parents: a stable counting sort of the edges by To.
-	for _, e := range edges {
-		g.parents[g.parentAt[e.To+1]] = e
 		g.parentAt[e.To+1]++
 	}
-	g.parentAt = g.parentAt[:n+1]
+	for i := range g.nodes {
+		g.childAt[i+1] += g.childAt[i]
+		g.parentAt[i+1] += g.parentAt[i]
+	}
 }
 
 // Build runs the PathId stage: it products the schema against the query DFA
@@ -137,24 +132,7 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 	}
 	dfa := pathexpr.BuildPredDFA(q)
 
-	// Per schema label id: the symbols of an element that does and does
-	// not satisfy the label's predicate, and the predicate. The empty label
-	// is never a query label, so it has the symbol of every label the query
-	// does not name.
-	type labelSyms struct {
-		sat, unsat int
-		pred       *pathexpr.Pred
-	}
-	other := dfa.Sym("", false)
-	syms := make([]labelSyms, s.NumLabels())
-	for i := range syms {
-		syms[i] = labelSyms{sat: other, unsat: other}
-	}
-	for _, st := range q.Steps {
-		if id, ok := s.LabelID(st.Label); ok {
-			syms[id] = labelSyms{dfa.Sym(st.Label, true), dfa.Sym(st.Label, false), q.PredForLabel(st.Label)}
-		}
-	}
+	syms := dfa.Intern(s.NumLabels(), s.LabelID) // by schema label id
 
 	// index holds 1 + the product node of (schema node, state), at
 	// sn*states+st; a dead state entered through a predicate branch is keyed
@@ -203,7 +181,7 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 		}
 	}
 
-	if _, err := add(root, dfa.Next(dfa.Start(), syms[s.NodeLabelID(root)].unsat), nil); err != nil {
+	if _, err := add(root, dfa.Next(dfa.Start(), syms[s.NodeLabelID(root)].Unsat), nil); err != nil {
 		return nil, err
 	}
 	for work := 0; work < len(p.nodes); work++ {
@@ -213,10 +191,10 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 				return nil, err
 			}
 			ls := syms[s.NodeLabelID(e.To)]
-			unsat := dfa.Next(st, ls.unsat)
+			unsat := dfa.Next(st, ls.Unsat)
 			col := ""
-			if ls.pred != nil && !dfa.Dead(st) {
-				if col, err = s.PredColumn(e.To, ls.pred.Child); err != nil {
+			if ls.Pred != nil && !dfa.Dead(st) {
+				if col, err = s.PredColumn(e.To, ls.Pred.Child); err != nil {
 					return nil, err
 				}
 			}
@@ -227,11 +205,11 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 				step(work, e, unsat, nil)
 				continue
 			}
-			sat := dfa.Next(st, ls.sat)
+			sat := dfa.Next(st, ls.Sat)
 			if sat == unsat {
-				return nil, fmt.Errorf("pathid: ambiguous predicate query: satisfaction of %s does not affect matching at %s", ls.pred, s.Node(e.To).Name)
+				return nil, fmt.Errorf("pathid: ambiguous predicate query: satisfaction of %s does not affect matching at %s", ls.Pred, s.Node(e.To).Name)
 			}
-			val := relational.String(ls.pred.Value)
+			val := relational.String(ls.Pred.Value)
 			conds := []schema.EdgeCond{{Column: col, Value: val}, {Column: col, Value: val, Neq: true}}
 			step(work, e, sat, conds[:1:1])
 			step(work, e, unsat, conds[1:])
