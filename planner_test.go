@@ -207,3 +207,51 @@ func TestPlannerTranslateOptionsKeyed(t *testing.T) {
 		t.Fatalf("ablation planner stats = %+v, want 1 hit / 1 miss", st)
 	}
 }
+
+// TestPlannerConcurrentSharedSchema starts planners on one fresh schema at
+// once, so that their first translations race to compile the schema's
+// tables; every plan must equal the one a planner on another copy of the
+// mapping produces alone.
+func TestPlannerConcurrentSharedSchema(t *testing.T) {
+	queries := []string{
+		workloads.QueryQ1, workloads.QueryQ2, "//Item/name",
+		"//Item[name='a b c']/InCategory/Category",
+	}
+	want := map[string]string{}
+	ref := xmlsql.NewPlanner(workloads.XMark())
+	for _, q := range queries {
+		tr, err := ref.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[q] = tr.Query.SQL()
+	}
+	s := workloads.XMark()
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			p := xmlsql.NewPlanner(s)
+			for i := range queries {
+				q := queries[(g+i)%len(queries)]
+				tr, err := p.Plan(q)
+				if err != nil {
+					errs <- fmt.Errorf("%s: %v", q, err)
+					return
+				}
+				if got := tr.Query.SQL(); got != want[q] {
+					errs <- fmt.Errorf("%s: concurrent plan\n%s\ndiffers from\n%s", q, got, want[q])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
