@@ -59,7 +59,7 @@ func TranslateOpts(g *pathid.Graph, opts Options) (*Result, error) {
 	}
 	w := &walker{}
 	pr := &pruner{
-		schema:     newSchemaSide(g.Product(), w),
+		schema:     &schemaSide{p: g.Product(), ends: map[[2]string][]int{}},
 		useLeadOpt: !opts.DisableEdgeAnnotOpt,
 	}
 	if opts.CombineIdenticalOnly {

@@ -195,7 +195,7 @@ func (it *item) stepGraph() (*stepGraph, []int) {
 			continue
 		}
 		it.ends = append(it.ends, len(it.sg.steps))
-		it.sg.add(it.resultRel, rt.conds, nil, rt.start)
+		it.sg.add(it.resultRel, rt.conds, nil, rt.start, rt.from)
 	}
 	return it.sg, it.ends
 }

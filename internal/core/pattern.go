@@ -107,7 +107,7 @@ func Conflicts(p, q *Pattern) bool {
 
 // steps is the pattern as a one-path step graph.
 func (p *Pattern) steps() *stepGraph {
-	sg := &stepGraph{}
+	sg := &stepGraph{at: []int32{0}}
 	for i, rel := range p.RelSeq {
 		var conds []schema.EdgeCond
 		for col, v := range p.Sels[i] {
@@ -124,10 +124,8 @@ func (p *Pattern) steps() *stepGraph {
 		} else if p.RootComplete {
 			start = rootStart
 		}
-		sg.add(rel, conds, nil, start)
-		if i > 0 {
-			sg.steps[i].prevLo, sg.steps[i].prevHi = i-1, i
-		}
+		sg.add(rel, nil, conds, start, i-1)
+		sg.at = append(sg.at, int32(i+1)) // one step per occurrence
 	}
 	return sg
 }

@@ -48,7 +48,8 @@ func (pr *pruner) run() error {
 //     its scan branch would subsume its derived branch.
 func (pr *pruner) needsGrowth(it *item) bool {
 	sg, ends := it.stepGraph()
-	if overlaps(sg, pr.schema.sg, ends, pr.schema.nonResultEnds(it.resultRel, it.resultCol), false) ||
+	nonResult := pr.schema.nonResultEnds(it.resultRel, it.resultCol) // builds pr.schema.sg if needed
+	if overlaps(sg, pr.schema.sg, ends, nonResult, false) ||
 		overlaps(sg, sg, ends, ends, true) {
 		return true
 	}

@@ -18,13 +18,11 @@ import (
 // infinitely many patterns in finite space.
 type step struct {
 	rel string
-	// sels are the positive selections, one per column, and neqs the
-	// excluded values, both sorted by column.
-	sels, neqs []schema.EdgeCond
-	// The steps that can come just before this one are prevLo..prevHi-1:
-	// the steps at one graph node, which are numbered consecutively.
-	prevLo, prevHi int
-	start          startKind
+	// The step's selections are conds[lo:mid] of its graph, one per column,
+	// and its excluded values conds[mid:hi], both sorted by column.
+	lo, mid, hi int32
+	from        int32 // the graph node whose steps can come just before this one
+	start       startKind
 }
 
 // startKind says whether a path can begin at a step, and whether it then
@@ -39,8 +37,8 @@ const (
 
 type stepGraph struct {
 	steps []step
-	at    []int             // the steps occurring at graph node v are at[v]..at[v+1]-1
-	conds []schema.EdgeCond // backs the steps' selections
+	at    []int32            // the steps occurring at graph node v are at[v]..at[v+1]-1
+	conds []*schema.EdgeCond // the steps' selections, in the schema or the graph
 }
 
 func (w *walker) in(v int) bool { return w.it == nil || w.it.nodes[v] }
@@ -60,7 +58,7 @@ func (w *walker) lead(v int) ([]schema.EdgeCond, bool) {
 type route struct {
 	from  int
 	start startKind
-	conds []schema.EdgeCond // top-down
+	conds []*schema.EdgeCond // top-down
 }
 
 // walker lists routes and builds step graphs over a region: an item's
@@ -71,9 +69,9 @@ type walker struct {
 	g     *pathid.Graph
 	it    *item
 	out   []route
-	path  []int             // the nodes on the way up
-	below []schema.EdgeCond // the conditions met, bottom-up
-	conds []schema.EdgeCond // backs the routes' conditions
+	path  []int              // the nodes on the way up
+	below []*schema.EdgeCond // the edges' conditions met, bottom-up, nil for none
+	conds []*schema.EdgeCond // backs the routes' conditions
 }
 
 // routes lists the ways up from v inside the region: to each nearest tuple
@@ -86,9 +84,13 @@ func (w *walker) routes(v int) []route {
 
 func (w *walker) emit(from int, start startKind, lead []schema.EdgeCond) {
 	n := len(w.conds)
-	w.conds = append(w.conds, lead...)
+	for i := range lead {
+		w.conds = append(w.conds, &lead[i])
+	}
 	for i := len(w.below) - 1; i >= 0; i-- {
-		w.conds = append(w.conds, w.below[i])
+		if c := w.below[i]; c != nil {
+			w.conds = append(w.conds, c)
+		}
 	}
 	w.out = append(w.out, route{from, start, w.conds[n:len(w.conds):len(w.conds)]})
 }
@@ -106,18 +108,14 @@ func (w *walker) up(x int) {
 		if !w.in(pe.From) {
 			continue
 		}
-		if pe.Cond != nil {
-			w.below = append(w.below, *pe.Cond)
-		}
+		w.below = append(w.below, pe.Cond)
 		switch {
 		case w.g.SchemaNode(pe.From).HasRelation():
 			w.emit(pe.From, noStart, nil)
 		case !slices.Contains(w.path, pe.From):
 			w.up(pe.From)
 		}
-		if pe.Cond != nil {
-			w.below = w.below[:len(w.below)-1]
-		}
+		w.below = w.below[:len(w.below)-1]
 	}
 	w.path = w.path[:len(w.path)-1]
 }
@@ -129,46 +127,51 @@ func (w *walker) steps() *stepGraph {
 	if w.it != nil {
 		size = len(w.it.nodes)
 	}
-	sg := &stepGraph{steps: make([]step, 0, size), at: make([]int, len(nodes)+1)}
-	from := make([]int, 0, size) // per step: the tuple node its route comes from, or -1
+	sg := &stepGraph{steps: make([]step, 0, size), at: make([]int32, len(nodes)+1)}
 	for v := range nodes {
-		sg.at[v] = len(sg.steps)
+		sg.at[v] = int32(len(sg.steps))
 		if !w.in(v) || !w.g.SchemaNode(v).HasRelation() {
 			continue
 		}
 		own := translate.NodeConds(w.g, v)
 		for _, rt := range w.routes(v) {
-			sg.add(w.g.SchemaNode(v).Relation, rt.conds, own, rt.start)
-			if rt.start != noStart {
-				rt.from = -1
-			}
-			from = append(from, rt.from)
+			sg.add(w.g.SchemaNode(v).Relation, rt.conds, own, rt.start, rt.from)
 		}
 	}
-	sg.at[len(nodes)] = len(sg.steps)
-	for i, x := range from {
-		if x >= 0 {
-			sg.steps[i].prevLo, sg.steps[i].prevHi = sg.at[x], sg.at[x+1]
-		}
-	}
+	sg.at[len(nodes)] = int32(len(sg.steps))
 	return sg
+}
+
+// prev returns the range of the steps that can come just before s: the
+// steps at the graph node its route comes from, which are numbered
+// consecutively, and none where a path starts.
+func (sg *stepGraph) prev(s *step) (int, int) {
+	if s.start != noStart {
+		return 0, 0
+	}
+	return int(sg.at[s.from]), int(sg.at[s.from+1])
 }
 
 // appendInto appends the steps occurring at graph node v to out.
 func (sg *stepGraph) appendInto(out []int, v int) []int {
 	for i := sg.at[v]; i < sg.at[v+1]; i++ {
-		out = append(out, i)
+		out = append(out, int(i))
 	}
 	return out
 }
 
 // add appends a step whose selections fold a route's conditions and the
-// node's own, sorted; a later selection of a column replaces an earlier one.
-func (sg *stepGraph) add(rel string, route, own []schema.EdgeCond, start startKind) {
+// node's own, sorted. A later selection of a column replaces an earlier
+// one: conflicting ones cannot arise from valid schemas (the shredder
+// rejects them).
+func (sg *stepGraph) add(rel string, route []*schema.EdgeCond, own []schema.EdgeCond, start startKind, from int) {
 	n := len(sg.conds)
-	sg.conds = append(append(sg.conds, route...), own...)
-	conds := sg.conds[n:len(sg.conds):len(sg.conds)]
-	slices.SortStableFunc(conds, func(a, b schema.EdgeCond) int {
+	sg.conds = append(sg.conds, route...)
+	for i := range own {
+		sg.conds = append(sg.conds, &own[i])
+	}
+	conds := sg.conds[n:]
+	slices.SortStableFunc(conds, func(a, b *schema.EdgeCond) int {
 		switch {
 		case a.Neq == b.Neq:
 			return strings.Compare(a.Column, b.Column)
@@ -177,30 +180,31 @@ func (sg *stepGraph) add(rel string, route, own []schema.EdgeCond, start startKi
 		}
 		return -1
 	})
-	k := 0
-	for k < len(conds) && !conds[k].Neq {
-		k++
-	}
-	sels := conds[:0]
-	for i, c := range conds[:k] {
-		if i+1 == k || conds[i+1].Column != c.Column {
-			sels = append(sels, c)
+	m, k := 0, 0 // conds[:k] are the selections; the last of each column moves to conds[:m]
+	for ; k < len(conds) && !conds[k].Neq; k++ {
+		if k+1 == len(conds) || conds[k+1].Neq || conds[k+1].Column != conds[k].Column {
+			conds[m] = conds[k]
+			m++
 		}
 	}
-	sg.steps = append(sg.steps, step{rel: rel, sels: sels[:len(sels):len(sels)], neqs: conds[k:], start: start})
+	sg.conds = sg.conds[:n+m+copy(conds[m:], conds[k:])]
+	sg.steps = append(sg.steps, step{rel: rel, lo: int32(n), mid: int32(n + m), hi: int32(len(sg.conds)), from: int32(from), start: start})
 }
 
-// compatible is Conflicts' rule for one aligned occurrence: the same
-// relation, and no column selected to two values or to an excluded one.
-func compatible(a, b *step) bool {
-	return a.rel == b.rel && !clashes(a.sels, b.sels, false) &&
-		!clashes(a.sels, b.neqs, true) && !clashes(b.sels, a.neqs, true)
+// compatible is Conflicts' rule for the aligned occurrences a.steps[i] and
+// b.steps[j]: the same relation, and no column selected to two values or to
+// an excluded one.
+func compatible(a, b *stepGraph, i, j int) bool {
+	sa, sb := &a.steps[i], &b.steps[j]
+	as, an := a.conds[sa.lo:sa.mid], a.conds[sa.mid:sa.hi]
+	bs, bn := b.conds[sb.lo:sb.mid], b.conds[sb.mid:sb.hi]
+	return sa.rel == sb.rel && !clashes(as, bs, false) && !clashes(as, bn, true) && !clashes(bs, an, true)
 }
 
 // clashes reports whether sels selects a column to another value than a
 // selection of other does (neq unset) or to a value other excludes (neq
 // set). Both lists are sorted by column, and sels has one entry per column.
-func clashes(sels, other []schema.EdgeCond, neq bool) bool {
+func clashes(sels, other []*schema.EdgeCond, neq bool) bool {
 	i := 0
 	for _, o := range other {
 		for i < len(sels) && sels[i].Column < o.Column {
@@ -227,6 +231,9 @@ func overlaps(a, b *stepGraph, aEnds, bEnds []int, distinct bool) bool {
 		i, j int
 		div  bool
 	}
+	if len(aEnds) == 0 || len(bEnds) == 0 {
+		return false
+	}
 	seen := make([]bool, 2*len(a.steps)*len(b.steps)) // by (i, j, div)
 	var stack []pair
 	push := func(p pair) {
@@ -234,7 +241,7 @@ func overlaps(a, b *stepGraph, aEnds, bEnds []int, distinct bool) bool {
 		if p.div {
 			k++
 		}
-		if !seen[k] && compatible(&a.steps[p.i], &b.steps[p.j]) {
+		if !seen[k] && compatible(a, b, p.i, p.j) {
 			seen[k] = true
 			stack = append(stack, p)
 		}
@@ -248,14 +255,16 @@ func overlaps(a, b *stepGraph, aEnds, bEnds []int, distinct bool) bool {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		sa, sb := &a.steps[p.i], &b.steps[p.j]
+		alo, ahi := a.prev(sa)
+		blo, bhi := b.prev(sb)
 		switch {
 		case sa.start != noStart && sb.start != noStart && (p.div || !distinct):
 			return true // both paths start here: one length
-		case sa.start == freeStart && sb.prevHi > sb.prevLo, sb.start == freeStart && sa.prevHi > sa.prevLo:
+		case sa.start == freeStart && bhi > blo, sb.start == freeStart && ahi > alo:
 			return true // the shorter path starts below the root
 		}
-		for i := sa.prevLo; i < sa.prevHi; i++ {
-			for j := sb.prevLo; j < sb.prevHi; j++ {
+		for i := alo; i < ahi; i++ {
+			for j := blo; j < bhi; j++ {
 				push(pair{i, j, distinct && (p.div || i != j)})
 			}
 		}
@@ -264,16 +273,12 @@ func overlaps(a, b *stepGraph, aEnds, bEnds []int, distinct bool) bool {
 }
 
 // schemaSide is the product's step graph: every root-to-tuple path of the
-// schema, with the query state at its end.
+// schema, with the query state at its end. It is built when a relation
+// first has a tuple outside the result; until then no path can conflict.
 type schemaSide struct {
 	p    *pathid.Graph
 	sg   *stepGraph
 	ends map[[2]string][]int
-}
-
-func newSchemaSide(p *pathid.Graph, w *walker) *schemaSide {
-	w.g, w.it = p, nil
-	return &schemaSide{p: p, sg: w.steps(), ends: map[[2]string][]int{}}
 }
 
 // nonResultEnds lists the steps at tuple nodes of relation rel whose tuples
@@ -286,6 +291,9 @@ func (ss *schemaSide) nonResultEnds(rel, col string) []int {
 	var ends []int
 	for v := range ss.p.Nodes() {
 		if sn := ss.p.SchemaNode(v); sn.Relation == rel && !ss.inResult(v, col) {
+			if ss.sg == nil {
+				ss.sg = (&walker{g: ss.p}).steps()
+			}
 			ends = ss.sg.appendInto(ends, v)
 		}
 	}
@@ -305,7 +313,7 @@ func (ss *schemaSide) inResult(v int, col string) bool {
 	if own == col && ss.p.Node(v).Accepting {
 		return true
 	}
-	var seen []bool // made on the first unannotated node
+	seen := map[int]bool{}
 	var down func(x int) bool
 	down = func(x int) bool {
 		for _, e := range ss.p.Children(x) {
@@ -317,10 +325,7 @@ func (ss *schemaSide) inResult(v int, col string) bool {
 				if m.Column == col && ss.p.Node(e.To).Accepting {
 					return true
 				}
-			case seen == nil || !seen[e.To]:
-				if seen == nil {
-					seen = make([]bool, len(ss.p.Nodes()))
-				}
+			case !seen[e.To]:
 				seen[e.To] = true
 				if down(e.To) {
 					return true

@@ -6,6 +6,7 @@
 package pathid
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -176,14 +177,10 @@ func Build(s *schema.Schema, q *pathexpr.Path) (*Graph, error) {
 	step := func(from int, e schema.Edge, st int, conds []schema.EdgeCond) {
 		to, aerr := add(e.To, st, conds)
 		edges = append(edges, Edge{From: from, To: to, Cond: e.Cond})
-		if err == nil {
-			err = aerr
-		}
+		err = cmp.Or(err, aerr) // the first error
 	}
 
-	if _, err := add(root, dfa.Next(dfa.Start(), syms[s.NodeLabelID(root)].Unsat), nil); err != nil {
-		return nil, err
-	}
+	_, _ = add(root, dfa.Next(dfa.Start(), syms[s.NodeLabelID(root)].Unsat), nil) // the first node: no conflict
 	for work := 0; work < len(p.nodes); work++ {
 		st := p.nodes[work].State
 		for _, e := range s.Node(p.nodes[work].Schema).Children() {
