@@ -313,7 +313,7 @@ func (ss *schemaSide) inResult(v int, col string) bool {
 	if own == col && ss.p.Node(v).Accepting {
 		return true
 	}
-	seen := map[int]bool{}
+	var seen map[int]bool // made on the first unannotated node
 	var down func(x int) bool
 	down = func(x int) bool {
 		for _, e := range ss.p.Children(x) {
@@ -326,6 +326,9 @@ func (ss *schemaSide) inResult(v int, col string) bool {
 					return true
 				}
 			case !seen[e.To]:
+				if seen == nil {
+					seen = map[int]bool{}
+				}
 				seen[e.To] = true
 				if down(e.To) {
 					return true

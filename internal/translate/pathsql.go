@@ -249,11 +249,17 @@ func BuildCombinedSelect(g *pathid.Graph, specs []PathSpec) (*sqlast.Select, err
 
 	sel := &sqlast.Select{}
 	aliases := skeleton(analyses[0].relSeq, specs[0].Anchored, sel)
+	sel.Cols = []sqlast.SelectItem{sqlast.Col(aliases[len(aliases)-1], analyses[0].col)}
 
 	// Split path conditions into the common core and per-path residue.
 	exprSets := make([][]sqlast.Expr, len(specs))
 	for i, pa := range analyses {
 		exprSets[i] = selExprs(pa, aliases)
+	}
+	if len(specs) == 1 && len(exprSets[0]) <= 1 {
+		// One path with at most one condition: it is the common core.
+		sel.Where = sqlast.Conj(sel.Where, sqlast.Conj(exprSets[0]...))
+		return sel, nil
 	}
 	count := map[string]int{}
 	repr := map[string]sqlast.Expr{}
@@ -307,7 +313,6 @@ func BuildCombinedSelect(g *pathid.Graph, specs []PathSpec) (*sqlast.Select, err
 		where = sqlast.Conj(where, sqlast.Disj(residues...))
 	}
 	sel.Where = where
-	sel.Cols = []sqlast.SelectItem{sqlast.Col(aliases[len(aliases)-1], analyses[0].col)}
 	return sel, nil
 }
 
@@ -326,9 +331,10 @@ func sameStrings(a, b []string) bool {
 func exprKey(e sqlast.Expr) string { return sqlast.ExprString(e) }
 
 func findEdge(g *pathid.Graph, from, to int) *pathid.Edge {
-	for _, e := range g.Children(from) {
-		if e.To == to {
-			return &e
+	es := g.Children(from)
+	for i := range es {
+		if es[i].To == to {
+			return &es[i]
 		}
 	}
 	return nil
