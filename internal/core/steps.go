@@ -41,18 +41,6 @@ type stepGraph struct {
 	conds []*schema.EdgeCond // the steps' selections, in the schema or the graph
 }
 
-func (w *walker) in(v int) bool { return w.it == nil || w.it.nodes[v] }
-
-func (w *walker) lead(v int) ([]schema.EdgeCond, bool) {
-	if w.it == nil {
-		return nil, v == w.g.Start()
-	}
-	if es, ok := w.it.entry[v]; ok {
-		return es.lead, true
-	}
-	return nil, false
-}
-
 // route is one way up from a node to the nearest tuple node or path start
 // above it: from is that tuple node, or the start node when start is set.
 type route struct {
@@ -72,6 +60,18 @@ type walker struct {
 	path  []int              // the nodes on the way up
 	below []*schema.EdgeCond // the edges' conditions met, bottom-up, nil for none
 	conds []*schema.EdgeCond // backs the routes' conditions
+}
+
+func (w *walker) in(v int) bool { return w.it == nil || w.it.nodes[v] }
+
+func (w *walker) lead(v int) ([]schema.EdgeCond, bool) {
+	if w.it == nil {
+		return nil, v == w.g.Start()
+	}
+	if es, ok := w.it.entry[v]; ok {
+		return es.lead, true
+	}
+	return nil, false
 }
 
 // routes lists the ways up from v inside the region: to each nearest tuple
