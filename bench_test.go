@@ -2,6 +2,7 @@ package xmlsql_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"xmlsql"
@@ -280,5 +281,57 @@ func BenchmarkShredXMark(b *testing.B) {
 		if _, err := xmlsql.Shred(s, store, doc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// updateFixture is the mixed-rw benchmark's tenant without the log: ten
+// default xmark documents, the first with one more item per continent, on a
+// volatile in-memory backend behind a planner. Item item-Af-20 occurs in the
+// first document only; the pairs insert under it.
+func updateFixture(tb testing.TB) *xmlsql.Planner {
+	tb.Helper()
+	s := workloads.XMark()
+	docs := workloads.GenerateXMarkScale(workloads.DefaultXMarkConfig(), 10)
+	big := workloads.DefaultXMarkConfig()
+	big.ItemsPerContinent++
+	docs[0] = workloads.GenerateXMark(big)
+	mem := xmlsql.NewMemBackend()
+	if err := mem.EnsureSchema(s); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := mem.Load(s, docs...); err != nil {
+		tb.Fatal(err)
+	}
+	return xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: mem, Translate: xmlsql.TranslateOptions{Adaptive: true}})
+}
+
+// updatePair inserts an InCategory with a fresh category under item-Af-20,
+// then deletes it by that category: the two batches a mixed-rw client
+// alternates.
+func updatePair(tb testing.TB, p *xmlsql.Planner, k int) {
+	value := fmt.Sprintf("pair-%d", k)
+	for _, m := range []xmlsql.UpdateMutation{
+		{Op: xmlsql.UpdateInsert, Path: "//Item[name='item-Af-20']",
+			XML: "<InCategory><Category>" + value + "</Category></InCategory>"},
+		{Op: xmlsql.UpdateDelete, Path: "//Item/InCategory[Category='" + value + "']"},
+	} {
+		res, err := p.Update(context.Background(), xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{m}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if res.Stmts != 1 {
+			tb.Fatalf("%s %s: %d statements, want 1", m.Op, m.Path, res.Stmts)
+		}
+	}
+}
+
+// BenchmarkPlannerUpdate times one insert+delete pair through
+// Planner.Update on the mixed-rw-shaped instance.
+func BenchmarkPlannerUpdate(b *testing.B) {
+	p := updateFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		updatePair(b, p, i)
 	}
 }

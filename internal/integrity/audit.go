@@ -52,19 +52,29 @@ func Audit(ctx context.Context, src Source, s *schema.Schema) (*Report, error) {
 
 // AuditOpts is Audit with explicit options.
 func AuditOpts(ctx context.Context, src Source, s *schema.Schema, opts Options) (*Report, error) {
+	a, err := run(ctx, s, opts, func(a *auditor) error { return a.load(ctx, src) })
+	if err != nil {
+		return nil, err
+	}
+	return a.rep, nil
+}
+
+// run builds an auditor, ingests what load fetches, and runs the structural
+// pass over it.
+func run(ctx context.Context, s *schema.Schema, opts Options, load func(*auditor) error) (*auditor, error) {
 	start := time.Now()
 	a, err := newAuditor(s, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := a.load(ctx, src); err != nil {
+	if err := load(a); err != nil {
 		return nil, err
 	}
 	if err := a.structural(ctx); err != nil {
 		return nil, err
 	}
 	a.rep.Elapsed = time.Since(start)
-	return a.rep, nil
+	return a, nil
 }
 
 // achain is one downward route from an annotated schema node, through
@@ -111,11 +121,13 @@ func (t *tup) condsMatch(conds []schema.EdgeCond) bool {
 	return true
 }
 
-type auditor struct {
-	s    *schema.Schema
-	max  int
-	rep  *Report
+// tables are the auditor's schema-derived lookups. They are built once per
+// schema (schema.AuditTables) and shared read-only by every audit of it.
+type tables struct {
+	err  error
 	defs map[string]*schema.RelationDef
+	tss  map[string]*relational.TableSchema
+	rels []string // sorted
 	// relNodes: relation -> schema nodes annotated with it.
 	relNodes map[string][]schema.NodeID
 	// chains: annotated node -> routes to the next annotated nodes below.
@@ -129,6 +141,13 @@ type auditor struct {
 	// intrinsic: relation -> value column stored by every node of the
 	// relation (hence mandatory in every tuple).
 	intrinsic map[string]string
+}
+
+type auditor struct {
+	*tables
+	s   *schema.Schema
+	max int
+	rep *Report
 
 	tuples   map[string][]*tup
 	byID     map[int64][]*tup
@@ -136,31 +155,41 @@ type auditor struct {
 }
 
 func newAuditor(s *schema.Schema, opts Options) (*auditor, error) {
+	t := s.AuditTables(func() any { return compile(s) }).(*tables)
+	if t.err != nil {
+		return nil, t.err
+	}
+	a := &auditor{tables: t, s: s, max: opts.MaxViolations, rep: &Report{Schema: s.Name, Relations: len(t.defs)},
+		tuples: map[string][]*tup{}, byID: map[int64][]*tup{}, byParent: map[int64][]*tup{}}
+	if a.max <= 0 {
+		a.max = DefaultMaxViolations
+	}
+	return a, nil
+}
+
+func compile(s *schema.Schema) *tables {
 	if !s.RootNode().HasRelation() {
-		return nil, fmt.Errorf("integrity: cannot audit schema %s: root node %s has no relation annotation", s.Name, s.RootNode().Name)
+		return &tables{err: fmt.Errorf("integrity: cannot audit schema %s: root node %s has no relation annotation", s.Name, s.RootNode().Name)}
 	}
 	defs, err := s.DeriveRelations()
 	if err != nil {
-		return nil, fmt.Errorf("integrity: %w", err)
+		return &tables{err: fmt.Errorf("integrity: %w", err)}
 	}
-	a := &auditor{
-		s:          s,
-		max:        opts.MaxViolations,
-		rep:        &Report{Schema: s.Name, Relations: len(defs)},
+	a := &tables{
 		defs:       defs,
+		tss:        make(map[string]*relational.TableSchema, len(defs)),
 		relNodes:   map[string][]schema.NodeID{},
 		chains:     map[schema.NodeID][]achain{},
 		parentRels: map[string]map[string]bool{},
 		domains:    map[string]map[string]map[string]bool{},
 		domainVals: map[string]map[string][]relational.Value{},
 		intrinsic:  map[string]string{},
-		tuples:     map[string][]*tup{},
-		byID:       map[int64][]*tup{},
-		byParent:   map[int64][]*tup{},
 	}
-	if a.max <= 0 {
-		a.max = DefaultMaxViolations
+	for rel, def := range defs {
+		a.tss[rel] = def.TableSchema()
+		a.rels = append(a.rels, rel)
 	}
+	sort.Strings(a.rels)
 	for _, n := range s.Nodes() {
 		if n.HasRelation() {
 			a.relNodes[n.Relation] = append(a.relNodes[n.Relation], n.ID)
@@ -172,7 +201,7 @@ func newAuditor(s *schema.Schema, opts Options) (*auditor, error) {
 		}
 		chains, err := chainsFrom(s, n.ID)
 		if err != nil {
-			return nil, err
+			return &tables{err: err}
 		}
 		a.chains[n.ID] = chains
 		for _, ch := range chains {
@@ -201,10 +230,10 @@ func newAuditor(s *schema.Schema, opts Options) (*auditor, error) {
 			a.intrinsic[rel] = col
 		}
 	}
-	return a, nil
+	return a
 }
 
-func (a *auditor) addParentRel(child, parent string) {
+func (a *tables) addParentRel(child, parent string) {
 	set, ok := a.parentRels[child]
 	if !ok {
 		set = map[string]bool{}
@@ -213,7 +242,7 @@ func (a *auditor) addParentRel(child, parent string) {
 	set[parent] = true
 }
 
-func (a *auditor) addDomain(rel string, c schema.EdgeCond) {
+func (a *tables) addDomain(rel string, c schema.EdgeCond) {
 	byCol, ok := a.domains[rel]
 	if !ok {
 		byCol = map[string]map[string]bool{}
@@ -284,14 +313,11 @@ func (a *auditor) violate(v Violation) {
 // load probes every relation with one SELECT and runs the per-tuple column
 // checks (P3) while building the structural indexes.
 func (a *auditor) load(ctx context.Context, src Source) error {
-	rels := a.s.Relations()
-	sort.Strings(rels)
-	for _, rel := range rels {
+	for _, rel := range a.rels {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		def := a.defs[rel]
-		ts := def.TableSchema()
+		ts := a.tss[rel]
 		sel := &sqlast.Select{From: []sqlast.FromItem{sqlast.From(rel, rel)}}
 		for _, c := range ts.Columns {
 			sel.Cols = append(sel.Cols, sqlast.Col(rel, c.Name))
@@ -393,11 +419,7 @@ func (a *auditor) ingest(rel string, ts *relational.TableSchema, row relational.
 func (a *auditor) structural(ctx context.Context) error {
 	rootRel := a.s.RootNode().Relation
 	rootID := a.s.Root()
-	rels := make([]string, 0, len(a.tuples))
-	for rel := range a.tuples {
-		rels = append(rels, rel)
-	}
-	sort.Strings(rels)
+	rels := a.rels
 
 	// Document roots and root-shaped strays (NULL parentid elsewhere).
 	var queue []*tup

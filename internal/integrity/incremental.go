@@ -3,8 +3,8 @@ package integrity
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"time"
 
 	"xmlsql/internal/relational"
 	"xmlsql/internal/schema"
@@ -84,19 +84,32 @@ func AuditIncremental(ctx context.Context, probe Probe, s *schema.Schema, touche
 
 // AuditIncrementalOpts is AuditIncremental with explicit options.
 func AuditIncrementalOpts(ctx context.Context, probe Probe, s *schema.Schema, touched Touched, opts Options) (*Report, error) {
-	start := time.Now()
-	a, err := newAuditor(s, opts)
+	a, err := run(ctx, s, opts, func(a *auditor) error { return a.loadNeighborhood(ctx, probe, touched) })
 	if err != nil {
 		return nil, err
 	}
-	if err := a.loadNeighborhood(ctx, probe, touched); err != nil {
-		return nil, err
-	}
-	if err := a.structural(ctx); err != nil {
-		return nil, err
-	}
-	a.rep.Elapsed = time.Since(start)
 	return a.rep, nil
+}
+
+// Place returns the schema node that each tuple of rel with one of ids sits
+// at: the auditor's top-down placement, run over the tuples' ancestor
+// chains. An id that rel does not hold, or whose tuple places at no single
+// node, is absent from the result.
+func Place(ctx context.Context, probe Probe, s *schema.Schema, rel string, ids []int64) (map[int64]schema.NodeID, error) {
+	a, err := run(ctx, s, Options{}, func(a *auditor) error {
+		_, err := a.loadAncestors(ctx, probe, ids)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int64]schema.NodeID, len(ids))
+	for _, t := range a.tuples[rel] {
+		if len(t.pos) == 1 {
+			out[t.id] = t.pos[0]
+		}
+	}
+	return out, nil
 }
 
 // loadNeighborhood is the incremental counterpart of load: instead of one
@@ -105,63 +118,25 @@ func AuditIncrementalOpts(ctx context.Context, probe Probe, s *schema.Schema, to
 // every row it finds, building the same structural indexes the full pass
 // uses.
 func (a *auditor) loadNeighborhood(ctx context.Context, probe Probe, touched Touched) error {
-	rels := a.s.Relations()
-	sort.Strings(rels)
-	tss := make(map[string]*relational.TableSchema, len(rels))
-	for _, rel := range rels {
-		tss[rel] = a.defs[rel].TableSchema()
-	}
-
-	// fetched marks ids already probed across every relation; loaded ids
-	// found per relation (so the child sweep does not re-ingest them).
-	fetched := map[int64]bool{}
-	var frontier []int64
-	add := func(id int64) {
-		if !fetched[id] {
-			fetched[id] = true
-			frontier = append(frontier, id)
-		}
-	}
+	touchedIDs := make([]int64, 0, len(touched.Written)+len(touched.Deleted))
 	for _, r := range touched.Written {
-		add(r.ID)
+		touchedIDs = append(touchedIDs, r.ID)
 	}
 	for _, r := range touched.Deleted {
-		add(r.ID)
+		touchedIDs = append(touchedIDs, r.ID)
 	}
-	touchedIDs := append([]int64(nil), frontier...)
-
-	// Ancestor chains: fetch each frontier id in every relation, then chase
-	// the parent ids of whatever was found. Cycles terminate on the fetched
-	// set; chains end at NULL-parent roots or at absent parents (dangling,
-	// judged by the structural pass).
-	for len(frontier) > 0 {
-		ids := frontier
-		frontier = nil
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, rel := range rels {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			rows, err := probe.FetchByID(ctx, rel, ids)
-			if err != nil {
-				return fmt.Errorf("integrity: probing %s by id: %w", rel, err)
-			}
-			for _, row := range rows {
-				a.rep.Tuples++
-				a.ingest(rel, tss[rel], row)
-				if len(row) > 1 && !row[1].IsNull() && row[1].Kind() == relational.KindInt {
-					add(row[1].AsInt())
-				}
-			}
-		}
+	slices.Sort(touchedIDs)
+	touchedIDs = slices.Compact(touchedIDs)
+	fetched, err := a.loadAncestors(ctx, probe, touchedIDs)
+	if err != nil {
+		return err
 	}
 
 	// One child level below the touched ids. Children of written tuples must
 	// still place under them; children of deleted tuples are dangling. Rows
 	// already loaded by id are skipped.
 	if len(touchedIDs) > 0 {
-		sort.Slice(touchedIDs, func(i, j int) bool { return touchedIDs[i] < touchedIDs[j] })
-		for _, rel := range rels {
+		for _, rel := range a.rels {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -174,7 +149,7 @@ func (a *auditor) loadNeighborhood(ctx context.Context, probe Probe, touched Tou
 					continue
 				}
 				a.rep.Tuples++
-				a.ingest(rel, tss[rel], row)
+				a.ingest(rel, a.tss[rel], row)
 			}
 		}
 	}
@@ -183,6 +158,46 @@ func (a *auditor) loadNeighborhood(ctx context.Context, probe Probe, touched Tou
 		sortTups(ts)
 	}
 	return nil
+}
+
+// loadAncestors ingests the tuples with the given ids, in every relation,
+// and then chases the parent ids of whatever it found, returning every id
+// it probed. Cycles terminate on the probed set; chains end at NULL-parent
+// roots or at absent parents (dangling, judged by the structural pass).
+func (a *auditor) loadAncestors(ctx context.Context, probe Probe, ids []int64) (map[int64]bool, error) {
+	fetched := make(map[int64]bool, len(ids))
+	var frontier []int64
+	add := func(id int64) {
+		if !fetched[id] {
+			fetched[id] = true
+			frontier = append(frontier, id)
+		}
+	}
+	for _, id := range ids {
+		add(id)
+	}
+	for len(frontier) > 0 {
+		ids := frontier
+		frontier = nil
+		slices.Sort(ids)
+		for _, rel := range a.rels {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			rows, err := probe.FetchByID(ctx, rel, ids)
+			if err != nil {
+				return nil, fmt.Errorf("integrity: probing %s by id: %w", rel, err)
+			}
+			for _, row := range rows {
+				a.rep.Tuples++
+				a.ingest(rel, a.tss[rel], row)
+				if len(row) > 1 && !row[1].IsNull() && row[1].Kind() == relational.KindInt {
+					add(row[1].AsInt())
+				}
+			}
+		}
+	}
+	return fetched, nil
 }
 
 // storeProbe answers probes from a relational.Store using the primary-key
@@ -254,15 +269,11 @@ type sourceProbe struct {
 
 // NewSourceProbe builds a Probe over a Source for the given mapping.
 func NewSourceProbe(src Source, s *schema.Schema) (Probe, error) {
-	defs, err := s.DeriveRelations()
+	a, err := newAuditor(s, Options{})
 	if err != nil {
-		return nil, fmt.Errorf("integrity: %w", err)
+		return nil, err
 	}
-	tss := make(map[string]*relational.TableSchema, len(defs))
-	for rel, def := range defs {
-		tss[rel] = def.TableSchema()
-	}
-	return sourceProbe{src: src, tss: tss}, nil
+	return sourceProbe{src: src, tss: a.tss}, nil
 }
 
 func (p sourceProbe) fetch(ctx context.Context, rel, keyCol string, keys []int64) ([]relational.Row, error) {

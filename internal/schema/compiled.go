@@ -15,6 +15,12 @@ type compiled struct {
 	labelOf []int          // node -> label id
 	annot   []annotation   // node -> Annot's answer
 	preds   [][]predColumn // node -> PredColumn's answer per child label
+
+	// Built on first use too, apart: schemas that only translate need neither.
+	relOnce, auditOnce sync.Once
+	defs               map[string]*RelationDef // DeriveRelations' answer
+	defsErr            error
+	audit              any // AuditTables' value
 }
 
 type annotation struct {
@@ -59,6 +65,14 @@ func (s *Schema) compiled() *compiled {
 		}
 	})
 	return c
+}
+
+// AuditTables returns the auditor's tables for s, calling build on first
+// use; internal/integrity owns their type, the schema only holds them.
+func (s *Schema) AuditTables(build func() any) any {
+	c := &s.comp
+	c.auditOnce.Do(func() { c.audit = build() })
+	return c.audit
 }
 
 func containsLabel(ps []predColumn, label int) bool {

@@ -33,8 +33,15 @@ func (r *RelationDef) TableSchema() *relational.TableSchema {
 // annotations: one relation per distinct node annotation, carrying every
 // condition column appearing on edges owned by the relation and every value
 // column stored into it. Kinds are inferred from the condition literals;
-// value columns are VARCHAR.
+// value columns are VARCHAR. The answer is computed once and shared: callers
+// must not modify it.
 func (s *Schema) DeriveRelations() (map[string]*RelationDef, error) {
+	c := &s.comp
+	c.relOnce.Do(func() { c.defs, c.defsErr = s.deriveRelations() })
+	return c.defs, c.defsErr
+}
+
+func (s *Schema) deriveRelations() (map[string]*RelationDef, error) {
 	defs := map[string]*RelationDef{}
 	get := func(name string) *RelationDef {
 		d, ok := defs[name]

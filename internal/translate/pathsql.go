@@ -9,6 +9,7 @@ package translate
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"xmlsql/internal/pathid"
@@ -251,69 +252,77 @@ func BuildCombinedSelect(g *pathid.Graph, specs []PathSpec) (*sqlast.Select, err
 	aliases := skeleton(analyses[0].relSeq, specs[0].Anchored, sel)
 	sel.Cols = []sqlast.SelectItem{sqlast.Col(aliases[len(aliases)-1], analyses[0].col)}
 
-	// Split path conditions into the common core and per-path residue.
-	exprSets := make([][]sqlast.Expr, len(specs))
+	// Split path conditions into the common core and per-path residue,
+	// comparing (occurrence, condition) pairs by value.
+	sets := make([][]occCond, len(specs))
 	for i, pa := range analyses {
-		exprSets[i] = selExprs(pa, aliases)
+		for occ, conds := range pa.sels {
+			for _, c := range conds {
+				sets[i] = append(sets[i], occCond{occ, c})
+			}
+		}
 	}
-	if len(specs) == 1 && len(exprSets[0]) <= 1 {
+	exprs := func(set []occCond) []sqlast.Expr {
+		out := make([]sqlast.Expr, len(set))
+		for i, p := range set {
+			out[i] = CondExpr(aliases[p.occ], p.cond)
+		}
+		return out
+	}
+	if len(specs) == 1 && len(sets[0]) <= 1 {
 		// One path with at most one condition: it is the common core.
-		sel.Where = sqlast.Conj(sel.Where, sqlast.Conj(exprSets[0]...))
+		sel.Where = sqlast.Conj(sel.Where, sqlast.Conj(exprs(sets[0])...))
 		return sel, nil
 	}
-	count := map[string]int{}
-	repr := map[string]sqlast.Expr{}
-	for _, set := range exprSets {
-		seen := map[string]bool{}
-		for _, e := range set {
-			k := exprKey(e)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			count[k]++
-			repr[k] = e
-		}
-	}
-	var common []sqlast.Expr
-	commonSet := map[string]bool{}
 	// Preserve first-path ordering for deterministic output.
-	for _, e := range exprSets[0] {
-		k := exprKey(e)
-		if count[k] == len(specs) && !commonSet[k] {
-			commonSet[k] = true
-			common = append(common, e)
+	var common []occCond
+	for _, p := range sets[0] {
+		if slices.Contains(common, p) {
+			continue
+		}
+		inAll := true
+		for _, set := range sets[1:] {
+			inAll = inAll && slices.Contains(set, p)
+		}
+		if inAll {
+			common = append(common, p)
 		}
 	}
-	var residues []sqlast.Expr
+	var residues [][]occCond
 	anyEmpty := false
-	seenResidue := map[string]bool{}
-	for _, set := range exprSets {
-		var rest []sqlast.Expr
-		for _, e := range set {
-			if !commonSet[exprKey(e)] {
-				rest = append(rest, e)
+	for _, set := range sets {
+		var rest []occCond
+		for _, p := range set {
+			if !slices.Contains(common, p) {
+				rest = append(rest, p)
 			}
 		}
 		if len(rest) == 0 {
 			anyEmpty = true
 			continue
 		}
-		r := sqlast.Conj(rest...)
-		k := exprKey(r)
-		if seenResidue[k] {
-			continue
+		if !slices.ContainsFunc(residues, func(r []occCond) bool { return slices.Equal(r, rest) }) {
+			residues = append(residues, rest)
 		}
-		seenResidue[k] = true
-		residues = append(residues, r)
 	}
 
-	where := sqlast.Conj(sel.Where, sqlast.Conj(common...))
+	where := sqlast.Conj(sel.Where, sqlast.Conj(exprs(common)...))
 	if !anyEmpty && len(residues) > 0 {
-		where = sqlast.Conj(where, sqlast.Disj(residues...))
+		disj := make([]sqlast.Expr, len(residues))
+		for i, r := range residues {
+			disj[i] = sqlast.Conj(exprs(r)...)
+		}
+		where = sqlast.Conj(where, sqlast.Disj(disj...))
 	}
 	sel.Where = where
 	return sel, nil
+}
+
+// occCond is one selection of a combined path: a condition on the alias of
+// relation occurrence occ.
+type occCond struct {
+	occ  int
+	cond schema.EdgeCond
 }
 
 func sameStrings(a, b []string) bool {
@@ -327,8 +336,6 @@ func sameStrings(a, b []string) bool {
 	}
 	return true
 }
-
-func exprKey(e sqlast.Expr) string { return sqlast.ExprString(e) }
 
 func findEdge(g *pathid.Graph, from, to int) *pathid.Edge {
 	es := g.Children(from)

@@ -12,15 +12,10 @@ import (
 	"xmlsql/internal/xmltree"
 )
 
-// plan stages one mutation's effects. Planning never writes: every effect
-// lands in the staging image and its DML statement list, to be audited and
-// then applied as one atomic batch.
-func (a *Applier) plan(ctx context.Context, st *staging, idx int, m Mutation) error {
-	targets, err := a.resolve(ctx, idx, m)
-	if err != nil {
-		return err
-	}
-
+// plan stages one mutation's effects on its resolved targets. Planning never
+// writes: every effect lands in the staging image and its DML statement
+// list, to be audited and then applied as one atomic batch.
+func (a *Applier) plan(ctx context.Context, st *staging, idx int, m Mutation, targets []target) error {
 	var elem *xmltree.Node
 	if m.Op == OpInsert || m.Op == OpReplace {
 		doc, err := xmltree.ParseString(m.XML)

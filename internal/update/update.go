@@ -7,12 +7,12 @@
 // the pre-batch instance.
 //
 // The package leans on the same machinery queries use: targets are resolved
-// by building the path/schema cross product (pathid) and running the
-// translated SELECTs, inserted subtrees are aligned and decomposed exactly
-// as the shredder would (shred.AlignAt plus the same owner/pending-condition
-// walk), and validity is judged by the incremental auditor
-// (integrity.AuditIncremental) over an overlay that shows the batch's staged
-// effects as if they had been applied. Because validation precedes
+// by running, once, the translation a read of the same path is served
+// (pruned, unless pruning falls back or the planner is in safe mode);
+// inserted subtrees are aligned and decomposed exactly as the shredder would
+// (shred.AlignAt plus the same owner/pending-condition walk); and validity
+// is judged by the incremental auditor (integrity.AuditIncremental) over an
+// overlay that shows the batch's staged effects as if they had been applied. Because validation precedes
 // application, an invalid batch is rejected with nothing written even on
 // backends that cannot roll back after commit.
 package update
@@ -82,11 +82,10 @@ type Batch struct {
 type ErrorKind int
 
 const (
-	// ErrPath: the path expression is invalid, or matches the schema in a
-	// way the update path does not support (recursive reachability that
-	// cannot be enumerated).
+	// ErrPath: the path expression is invalid, or does not translate.
 	ErrPath ErrorKind = iota
-	// ErrTarget: the path selects no tuple-producing schema position.
+	// ErrTarget: the path selects no tuple-producing schema position, or
+	// an insert or replace target that places at none of the path's.
 	ErrTarget
 	// ErrConform: an inserted subtree does not conform at the position the
 	// mutation lands it in.
@@ -211,7 +210,14 @@ func ForStore(s *schema.Schema, store *relational.Store, opts Options) (*Applier
 // Result carries the batch's footprint and the post-apply audit. On failure
 // the error is a *Error (planning or validation rejections — nothing was
 // applied) or the backend's error (the backend rolled the batch back).
+// Targets resolve by the translation a trusting planner serves reads.
 func (a *Applier) Apply(ctx context.Context, b Batch) (*Result, error) {
+	return a.ApplyMode(ctx, b, false)
+}
+
+// ApplyMode is Apply under a planner's trust rule: with safe set, targets
+// resolve by the baseline translation, as reads are served in safe mode.
+func (a *Applier) ApplyMode(ctx context.Context, b Batch, safe bool) (*Result, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
@@ -227,7 +233,11 @@ func (a *Applier) Apply(ctx context.Context, b Batch) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := a.plan(ctx, st, i, m); err != nil {
+		targets, err := a.resolve(ctx, i, m, safe)
+		if err != nil {
+			return nil, err
+		}
+		if err := a.plan(ctx, st, i, m, targets); err != nil {
 			return nil, err
 		}
 	}

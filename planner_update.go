@@ -78,6 +78,10 @@ func NewUpdateApplier(s *Schema, store *Store, opts UpdateOptions) (*UpdateAppli
 //     wrote), while detected pre-existing dirt flips the planner to
 //     TrustViolated scoped to the violating relations.
 //
+// A mutation's targets are the elements Exec returns for its path in the
+// same trust state: they resolve by the pruned translation, or by the
+// baseline when pruning falls back or the planner is in safe mode.
+//
 // Updates are accepted in every trust state — on a TrustViolated instance
 // they are the repair vector (each batch is still validated against P1–P3
 // before applying, so updates never make the instance dirtier). A failed or
@@ -89,7 +93,7 @@ func (p *Planner) Update(ctx context.Context, b UpdateBatch) (*UpdateResult, err
 		p.updateRejects.Add(1)
 		return nil, err
 	}
-	res, err := a.Apply(ctx, b)
+	res, err := a.ApplyMode(ctx, b, p.safeMode())
 	if err != nil {
 		p.updateRejects.Add(1)
 		return nil, err

@@ -336,3 +336,118 @@ func TestPlannerUpdateThroughResilientBackend(t *testing.T) {
 		t.Fatalf("category rows %d -> %d, want +3", before, got)
 	}
 }
+
+// TestPlannerUpdateFollowsTrustRule pins which elements a delete addresses on
+// a dirty instance: an orphan InCat tuple carries the deleted category. A
+// violated planner resolves targets by the baseline, which joins down from
+// the root and never reaches the orphan, so the orphan stays. An optimistic
+// planner that has not audited resolves by the pruned scan of InCat, so the
+// orphan goes. Either way the delete removes exactly what Exec of the same
+// path returns in that trust state.
+func TestPlannerUpdateFollowsTrustRule(t *testing.T) {
+	const path = "//Item/InCategory[Category='doomed']"
+	for _, violated := range []bool{true, false} {
+		ctx := context.Background()
+		p, store := newUpdatePlanner(t, nil)
+		if _, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{{
+			Op: xmlsql.UpdateInsert, Path: "/Site/Regions/Africa/Item",
+			XML: "<InCategory><Category>doomed</Category></InCategory>",
+		}}}); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		if err := xmlsql.InjectOrphan(p.Schema(), store, "InCat", 987654); err != nil {
+			t.Fatal(err)
+		}
+		incat := store.Table("InCat")
+		pi, ci := incat.Schema().ColumnIndex("parentid"), incat.Schema().ColumnIndex("category")
+		orphan := func(r relational.Row) bool { return r[pi].Equal(relational.Int(987654)) }
+		if _, err := incat.UpdateWhere(orphan, func(r relational.Row) relational.Row {
+			r[ci] = relational.String("doomed")
+			return r
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if violated {
+			p.SetTrustState(xmlsql.TrustViolated)
+		} else if p.TrustState() != xmlsql.TrustUnverified {
+			t.Fatalf("trust = %v, want TrustUnverified", p.TrustState())
+		}
+
+		served, err := p.Exec(ctx, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{{
+			Op: xmlsql.UpdateDelete, Path: path}}})
+		if err != nil {
+			t.Fatalf("violated=%v: delete: %v", violated, err)
+		}
+		want := map[int64]bool{}
+		for _, row := range served.Rows {
+			want[row[0].AsInt()] = true
+		}
+		got := map[int64]bool{}
+		for _, r := range res.Touched.Deleted {
+			got[r.ID] = true
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("violated=%v: deleted %v, Exec served %v", violated, got, want)
+		}
+		left := 0
+		for _, r := range incat.Rows() {
+			if orphan(r) {
+				left++
+			}
+		}
+		if wantLeft := map[bool]int{true: 1, false: 0}[violated]; left != wantLeft {
+			t.Errorf("violated=%v: %d orphans left, want %d", violated, left, wantLeft)
+		}
+	}
+}
+
+// TestPlannerUpdateConcurrentPlannersShareSchema runs updates and audits on
+// two planners that serve one *Schema over separate stores at once. The
+// auditor's tables and the derived relations are built once per schema and
+// then only read; under -race this shows the sharing is safe.
+func TestPlannerUpdateConcurrentPlannersShareSchema(t *testing.T) {
+	s := workloads.XMark()
+	var planners []*xmlsql.Planner
+	for i := 0; i < 2; i++ {
+		store := xmlsql.NewStore()
+		doc := workloads.GenerateXMark(workloads.XMarkConfig{ItemsPerContinent: 2, CategoriesPerItem: 1, NumCategories: 4, Seed: int64(i + 1)})
+		if _, err := xmlsql.Shred(s, store, doc); err != nil {
+			t.Fatal(err)
+		}
+		planners = append(planners, xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: xmlsql.NewMemBackendOn(store)}))
+	}
+	errs := make(chan error, 2*len(planners))
+	for i, p := range planners {
+		for w := 0; w < 2; w++ {
+			go func(p *xmlsql.Planner, tag string) {
+				ctx := context.Background()
+				for k := 0; k < 10; k++ {
+					value := fmt.Sprintf("%s-%d", tag, k)
+					for _, m := range []xmlsql.UpdateMutation{
+						{Op: xmlsql.UpdateInsert, Path: "//Item[name='item-Af-0']", XML: "<InCategory><Category>" + value + "</Category></InCategory>"},
+						{Op: xmlsql.UpdateDelete, Path: "//Item/InCategory[Category='" + value + "']"},
+					} {
+						if _, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{m}}); err != nil {
+							errs <- err
+							return
+						}
+					}
+					if rep, err := p.Audit(ctx); err != nil || !rep.Clean() {
+						errs <- fmt.Errorf("audit: %v %v", rep, err)
+						return
+					}
+				}
+				errs <- nil
+			}(p, fmt.Sprintf("p%d-w%d", i, w))
+		}
+	}
+	for i := 0; i < 2*len(planners); i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
