@@ -2,6 +2,8 @@ package xmlsql_test
 
 import (
 	"context"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,6 +11,99 @@ import (
 	"xmlsql/internal/backend/fakedb"
 	"xmlsql/internal/workloads"
 )
+
+// diffWorkload bundles a schema, a small instance, its query list, and the
+// label alphabet fuzzed paths draw from.
+type diffWorkload struct {
+	name    string
+	schema  *xmlsql.Schema
+	doc     *xmlsql.Document
+	queries []string
+	labels  []string
+}
+
+func diffWorkloads(t *testing.T) []diffWorkload {
+	t.Helper()
+	xm := workloads.XMark()
+	xmDoc := workloads.GenerateXMark(workloads.XMarkConfig{
+		ItemsPerContinent: 8, CategoriesPerItem: 2, NumCategories: 10, Seed: 7,
+	})
+	xfEdge, err := xmlsql.EdgeMapping(workloads.XMarkFull())
+	if err != nil {
+		t.Fatal(err)
+	}
+	xfDoc := workloads.GenerateXMarkFull(workloads.XMarkConfig{
+		ItemsPerContinent: 5, CategoriesPerItem: 2, NumCategories: 10, Seed: 7,
+	})
+	s2 := workloads.S2()
+	s2Edge, err := xmlsql.EdgeMapping(s2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2Doc := workloads.GenerateS2(10, 7)
+	s3 := workloads.S3()
+	s3Doc := workloads.GenerateS3(workloads.S3Config{Fanout: 2, MaxDepth: 4, Seed: 7})
+	xaEdge, err := xmlsql.EdgeMapping(workloads.XMarkAuctions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	xaDoc := workloads.GenerateXMarkAuctions(workloads.XMarkAuctionsConfig{
+		ItemsPerContinent: 4, People: 6, OpenAuctions: 6, BiddersPerAuction: 2, ClosedAuctions: 3, Seed: 7,
+	})
+	return []diffWorkload{
+		{
+			name: "xmark", schema: xm, doc: xmDoc,
+			queries: []string{workloads.QueryQ1, workloads.QueryQ2, "//Item", "//InCategory/Category"},
+			labels:  []string{"Site", "Regions", "Africa", "Asia", "Item", "name", "InCategory", "Category"},
+		},
+		{
+			name: "xmarkfull-edge", schema: xfEdge, doc: xfDoc,
+			queries: []string{workloads.QueryQ8, "//Item/name", "//InCategory"},
+			labels:  []string{"Site", "Regions", "Europe", "Item", "name", "InCategory", "Category"},
+		},
+		{
+			name: "s2", schema: s2, doc: s2Doc,
+			queries: []string{"//s/t1", "//t2"},
+			labels:  []string{"root", "m1", "m2", "m3", "s", "t1", "t2"},
+		},
+		{
+			name: "s2-edge", schema: s2Edge, doc: s2Doc,
+			queries: []string{"//s/t1", "//t2"},
+			labels:  []string{"root", "m1", "m2", "m3", "s", "t1", "t2"},
+		},
+		{
+			name: "s3", schema: s3, doc: s3Doc,
+			queries: []string{workloads.QueryQ4, workloads.QueryQ5},
+			labels:  []string{"E0", "E1", "E6", "E10", "elemid"},
+		},
+		{
+			name: "xmarkauctions-edge", schema: xaEdge, doc: xaDoc,
+			queries: []string{"//ItemRef", "//name", "//Bidder/Increase"},
+			labels:  []string{"Site", "OpenAuctions", "OpenAuction", "ItemRef", "Bidder", "Increase", "People", "Person", "Name"},
+		},
+	}
+}
+
+// fuzzPaths derives seeded pseudo-random path expressions from a label
+// alphabet: 1–3 steps, each prefixed by / or //.
+func fuzzPaths(labels []string, n int, seed int64) []string {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		var b strings.Builder
+		steps := 1 + rng.Intn(3)
+		for s := 0; s < steps; s++ {
+			if s == 0 || rng.Intn(2) == 0 {
+				b.WriteString("//")
+			} else {
+				b.WriteString("/")
+			}
+			b.WriteString(labels[rng.Intn(len(labels))])
+		}
+		out = append(out, b.String())
+	}
+	return out
+}
 
 // TestPlannerAdaptiveDifferential checks that the plan rule is purely a
 // performance decision: for every workload query plus fuzzed paths, a
@@ -131,8 +226,8 @@ func TestPlannerAdaptiveExplain(t *testing.T) {
 	if ex.Decision.Reason != "pruned" || !ex.Decision.UsePruned || ex.Plan.Fallback {
 		t.Fatalf("Q1 on a trusted instance: reason %q, want the pruned plan", ex.Decision.Reason)
 	}
-	if key := ex.Decision.KnobKey(); key != "plan=pruned,factor=false" {
-		t.Fatalf("knob key %q, want plan=pruned,factor=false", key)
+	if key := ex.Decision.KnobKey(); key != "plan=pruned" {
+		t.Fatalf("knob key %q, want plan=pruned", key)
 	}
 	// Explain primed the cache: the following Exec serves without re-planning.
 	misses := p.Stats().Misses

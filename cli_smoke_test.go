@@ -162,8 +162,8 @@ func TestCLIXml2sqlExplain(t *testing.T) {
 	out := runCLI(t, "./cmd/xml2sql", "-workload", "xmark", "-query", "//Item/InCategory/Category", "-explain", "-execute")
 	for _, want := range []string{
 		"plan decision (rule: serve the pruned translation unless it fell back",
-		"trusted:   plan=pruned,factor=false [reason: pruned;",
-		"safe mode: plan=baseline,factor=true [reason: safe mode;",
+		"trusted:   plan=pruned [reason: pruned;",
+		"safe mode: plan=baseline [reason: safe mode;",
 		"results verified equal",
 	} {
 		if !strings.Contains(out, want) {
@@ -200,7 +200,7 @@ edge r -> b
 	out := runCLI(t, "./cmd/xml2sql", "-schema", dsl, "-query", "//a", "-explain")
 	for _, want := range []string{
 		"pruning not applicable; baseline retained",
-		"trusted:   plan=baseline,factor=false [reason: fallback;",
+		"trusted:   plan=baseline [reason: fallback;",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("xml2sql -explain (fallback) output missing %q:\n%s", want, out)

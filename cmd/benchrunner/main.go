@@ -57,8 +57,7 @@ func main() {
 	details := flag.Bool("details", false, "print per-query SQL details")
 	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
 	scaling := flag.Bool("scaling", false, "also run the Q1 speedup-vs-size scaling series")
-	adaptive := flag.Bool("adaptive", true, "also run the plan-rule suite (pruned unless it fell back, factored baseline otherwise, vs fixed configurations)")
-	adaptiveGate := flag.Float64("adaptive-max-vs-best", 1.1, "fail if the lower quartile of the rule's plan over the best fixed configuration exceeds this factor on any shared-work case (headline cases fail when the upper-quartile speedup is below 1.0; every case fails when the served plan does more work than a fixed configuration)")
+	adaptive := flag.Bool("adaptive", true, "also run the plan-rule suite (pruned unless it fell back, baseline otherwise, vs fixed configurations; fails when the served plan does more work than a fixed configuration or a case's upper-quartile speedup is below 1.0)")
 	frontend := flag.Bool("frontend", true, "also run the serving front-end suite (closed-loop clients against live HTTP/line listeners, under-capacity and overload)")
 	frontendClients := flag.Int("frontend-clients", 4, "closed-loop client count for the under-capacity front-end runs")
 	frontendOverClients := flag.Int("frontend-over-clients", 16, "closed-loop client count for the overload front-end runs")
@@ -110,7 +109,7 @@ func main() {
 		}
 		fmt.Println()
 		fmt.Print(bench.FormatAdaptive(adp))
-		if errs := bench.AdaptiveGate(adp, *adaptiveGate); len(errs) > 0 {
+		if errs := bench.AdaptiveGate(adp); len(errs) > 0 {
 			for _, e := range errs {
 				fmt.Fprintf(os.Stderr, "benchrunner: ADAPTIVE GATE: %v\n", e)
 			}

@@ -26,9 +26,8 @@
 //
 // -stats dumps a generated instance's per-relation row counts as JSON;
 // -explain prints the plan rule's decision for the query: the pruned
-// translation serves unless pruning fell back, a served baseline carries the
-// shared-prefix rewrite, and an untrusted instance (safe mode) gets the
-// baseline.
+// translation serves unless pruning fell back, and an untrusted instance
+// (safe mode) gets the baseline.
 //
 // -update applies a JSON mutation batch to a generated workload instance and
 // prints the planned DML, the batch's footprint, and the incremental audit
@@ -87,11 +86,10 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "deadline for each -execute run (e.g. 5s); 0 means none")
 	maxRows := flag.Int("max-rows", 0, "abort -execute runs that materialize more than this many rows; 0 means unlimited")
 	maxCTEIter := flag.Int("max-cte-iterations", 0, "abort -execute runs whose recursive CTE exceeds this many rounds; 0 means the engine default")
-	factor := flag.Bool("factor-prefixes", false, "apply the shared-work rewrite to both translations: collapse literal-only branch differences into IN and hoist common join prefixes into a WITH CTE")
 	audit := flag.Bool("audit", false, "generate a workload document, shred it, and audit the instance against the lossless-from-XML constraint (built-in workloads only)")
 	corrupt := flag.Bool("corrupt", false, "with -audit: inject an orphan tuple first, demonstrating detection and safe-mode degradation")
 	showStats := flag.Bool("stats", false, "generate a workload document, shred it, and dump its per-relation row counts as JSON (built-in workloads only)")
-	explain := flag.Bool("explain", false, "print the plan rule's decision for the query: the plan served on a trusted instance and in safe mode, whether the baseline is factored, and why")
+	explain := flag.Bool("explain", false, "print the plan rule's decision for the query: the plan served on a trusted instance and in safe mode, and why")
 	updateJSON := flag.String("update", "", `apply a JSON mutation batch ('[{"op":"insert","path":"//Item","xml":"<...>"}]'; ops: insert, delete, replace) to a generated workload instance, printing the planned DML and the incremental audit verdict (built-in workloads only)`)
 	dataDir := flag.String("data-dir", "", "durable data directory for -update: recover the instance from its write-ahead log (first run initializes it) and fsync the batch before acknowledging")
 	fsyncEvery := flag.Duration("fsync", 0, "group-commit window for the -data-dir log; unset or 0 fsyncs every commit")
@@ -197,16 +195,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "xml2sql: lossless translation: %v\n", err)
 		os.Exit(1)
 	}
-	factorNote := ""
-	if *factor {
-		var changedN, changedP bool
-		naive, changedN = translate.FactorSharedPrefixes(naive, s)
-		pruned.Query, changedP = translate.FactorSharedPrefixes(pruned.Query, s)
-		factorNote = fmt.Sprintf(" [shared-work rewrite: baseline %s, lossless %s]",
-			factoredLabel(changedN), factoredLabel(changedP))
-	}
 
-	fmt.Printf("-- query: %s over schema %s (%s)%s\n\n", q, s.Name, s.Classify(), factorNote)
+	fmt.Printf("-- query: %s over schema %s (%s)\n\n", q, s.Name, s.Classify())
 	fmt.Printf("-- baseline translation [9] (%s):\n%s\n\n", naive.Shape(), naive.SQLFor(dialect))
 	label := "exploiting the lossless-from-XML constraint"
 	if pruned.Fallback {
@@ -237,13 +227,6 @@ func main() {
 			fmt.Printf("--   %s\n", c)
 		}
 	}
-}
-
-func factoredLabel(changed bool) string {
-	if changed {
-		return "rewritten"
-	}
-	return "unchanged"
 }
 
 // validateFlags rejects explicitly-set flag values that make no sense, with
@@ -406,7 +389,7 @@ func runStats(s *schema.Schema, workload string) error {
 // states: the plan a verified instance serves, and the one safe mode serves.
 func printExplain(s *schema.Schema, query string) error {
 	p := xmlsql.NewPlanner(s)
-	fmt.Printf("\n-- plan decision (rule: serve the pruned translation unless it fell back; a served baseline is factored):\n")
+	fmt.Printf("\n-- plan decision (rule: serve the pruned translation unless it fell back, else the baseline):\n")
 	for _, mode := range []struct {
 		label string
 		trust xmlsql.TrustState

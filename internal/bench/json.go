@@ -17,10 +17,9 @@ type Report struct {
 	Backend    string       `json:"backend"`
 	GoMaxProcs int          `json:"gomaxprocs"`
 	Cases      []ReportCase `json:"cases"`
-	// Adaptive records the plan rule against every fixed knob setting:
-	// headline cases gated on speedup >= 1.0 (the rule serves the pruned
-	// translation), shared-work cases gated on staying within 10% of the
-	// best fixed configuration (the rule serves the factored baseline).
+	// Adaptive records the plan rule against every fixed knob setting on
+	// the headline cases, gated on exact work and on speedup >= 1.0 (the
+	// rule serves the pruned translation).
 	Adaptive []*AdaptiveComparison `json:"adaptive,omitempty"`
 	// ServingFrontend records the closed-loop runs against the live network
 	// front end (HTTP and line protocol, under-capacity and overload):

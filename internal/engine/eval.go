@@ -419,7 +419,7 @@ func (ex *executor) selectBlock(s *sqlast.Select) (block, error) {
 
 	// Build left-deep join in FROM order.
 	var cur *frame
-	remaining := splitConjuncts(s.Where)
+	remaining := sqlast.Conjuncts(s.Where)
 	for _, f := range s.From {
 		rel, err := ex.resolve(f.Source)
 		if err != nil {
@@ -827,21 +827,6 @@ func (ex *executor) hashJoin(cur *frame, rightRows []relational.Row, keys []join
 		}
 	}
 	return out, nil
-}
-
-// splitConjuncts flattens a WHERE expression into top-level conjuncts.
-func splitConjuncts(e sqlast.Expr) []sqlast.Expr {
-	if e == nil {
-		return nil
-	}
-	if a, ok := e.(sqlast.And); ok {
-		var out []sqlast.Expr
-		for _, k := range a.Kids {
-			out = append(out, splitConjuncts(k)...)
-		}
-		return out
-	}
-	return []sqlast.Expr{e}
 }
 
 // exprAliases collects the table aliases an expression references.

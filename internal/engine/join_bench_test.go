@@ -65,16 +65,10 @@ func unionQuery(k int) *sqlast.Query {
 	return q
 }
 
-func runUnionBench(b *testing.B, factored bool) {
+// BenchmarkUnion runs six UNION ALL branches over the same AP⋈AC chain.
+func BenchmarkUnion(b *testing.B) {
 	s := allocStore(b, 200, 20)
 	q := unionQuery(6)
-	if factored {
-		fq, changed := sqlast.FactorUnions(q, nil)
-		if !changed {
-			b.Fatal("expected the union to factor")
-		}
-		q = fq
-	}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,12 +76,4 @@ func runUnionBench(b *testing.B, factored bool) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkUnionUnfactored(b *testing.B) {
-	runUnionBench(b, false)
-}
-
-func BenchmarkUnionFactored(b *testing.B) {
-	runUnionBench(b, true)
 }

@@ -260,7 +260,6 @@ type explainResponse struct {
 	Query     string `json:"query"`
 	Reason    string `json:"reason"`
 	UsePruned bool   `json:"use_pruned"`
-	Factored  bool   `json:"factored"`
 	SQL       string `json:"sql"`
 }
 
@@ -286,7 +285,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Query:     req.Query,
 		Reason:    d.Reason,
 		UsePruned: d.UsePruned,
-		Factored:  d.Factored,
 		SQL:       ex.Plan.Query.SQL(),
 	}
 	writeJSON(w, http.StatusOK, resp)

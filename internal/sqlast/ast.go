@@ -215,6 +215,22 @@ func Conj(kids ...Expr) Expr {
 	return And{Kids: flat}
 }
 
+// Conjuncts flattens an expression into its top-level AND conjuncts (nil
+// yields none).
+func Conjuncts(e Expr) []Expr {
+	if e == nil {
+		return nil
+	}
+	if a, ok := e.(And); ok {
+		var out []Expr
+		for _, k := range a.Kids {
+			out = append(out, Conjuncts(k)...)
+		}
+		return out
+	}
+	return []Expr{e}
+}
+
 // Disj builds a disjunction, flattening nested Ors and dropping nils (a nil
 // disjunct is TRUE, making the whole disjunction TRUE, so Disj returns nil).
 func Disj(kids ...Expr) Expr {

@@ -1,7 +1,7 @@
 // Package stats counts the rows of each relation of a shredded instance.
 //
 // No plan depends on these counts. The planner serves the pruned translation
-// unless translation fell back, and the factored baseline otherwise (see
+// unless translation fell back, and the baseline otherwise (see
 // translate.ChoosePlan); the lossless-from-XML constraint, not the data,
 // decides. Row counts remain as an operator's view of an instance (xml2sql
 // -stats) and as the input of the repository benchmark's collection probe.

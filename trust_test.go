@@ -232,3 +232,84 @@ func TestPlannerTrustConcurrentReaudit(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSafeModeServesBaseline checks what safe mode serves: the baseline of
+// [9] exactly as TranslateNaive emits it, answering as the baseline does,
+// and flipping the trust state back and forth re-serves each mode's own
+// cached plan.
+func TestSafeModeServesBaseline(t *testing.T) {
+	ctx := context.Background()
+	s := workloads.XMark()
+	doc := workloads.GenerateXMark(workloads.XMarkConfig{
+		ItemsPerContinent: 5, CategoriesPerItem: 2, NumCategories: 10, Seed: 3,
+	})
+	query := workloads.QueryQ1
+	store := xmlsql.NewStore()
+	if _, err := xmlsql.Shred(s, store, doc); err != nil {
+		t.Fatal(err)
+	}
+	naive, err := xmlsql.TranslateNaive(s, xmlsql.MustParseQuery(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := xmlsql.Execute(ctx, store, naive, xmlsql.ExecuteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	p := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: xmlsql.NewMemBackendOn(store)})
+	p.SetTrustState(xmlsql.TrustViolated)
+	safe, err := p.Explain(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := safe.Decision; d.UsePruned || d.Reason != "safe mode" {
+		t.Fatalf("safe-mode decision %s (reason %q), want the baseline", d.KnobKey(), d.Reason)
+	}
+	if got := safe.Plan.Query.SQL(); got != naive.SQL() {
+		t.Fatalf("safe-mode plan is not the baseline:\n%s\nwant\n%s", got, naive.SQL())
+	}
+	got, err := p.Exec(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.MultisetEqual(got) {
+		t.Fatalf("safe-mode serving differs from the baseline:\n%s", want.MultisetDiff(got))
+	}
+
+	// Flipping the trust state back and forth re-serves each mode's own
+	// plan, never the other mode's. (Entering TrustViolated purges the
+	// cache, so a flip may re-plan, but the plan it makes is the mode's.)
+	p.SetTrustState(xmlsql.TrustVerified)
+	trusted, err := p.Explain(ctx, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trusted.Decision.UsePruned || trusted.Plan.Query.SQL() == naive.SQL() {
+		t.Fatalf("trusted decision %s, want the pruned plan", trusted.Decision.KnobKey())
+	}
+	for i, mode := range []struct {
+		trust xmlsql.TrustState
+		plan  *xmlsql.Translation
+	}{
+		{xmlsql.TrustViolated, safe.Plan},
+		{xmlsql.TrustVerified, trusted.Plan},
+		{xmlsql.TrustViolated, safe.Plan},
+	} {
+		p.SetTrustState(mode.trust)
+		ex, err := p.Explain(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ex.Plan.Query.SQL(), mode.plan.Query.SQL(); got != want {
+			t.Fatalf("flip %d to %s: serves\n%s\nwant the mode's plan\n%s", i, mode.trust, got, want)
+		}
+		got, err := p.Exec(ctx, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.MultisetEqual(got) {
+			t.Fatalf("flip %d to %s: serving differs:\n%s", i, mode.trust, want.MultisetDiff(got))
+		}
+	}
+}

@@ -133,7 +133,7 @@ type (
 	// counts. No plan depends on it.
 	Statistics = stats.Stats
 	// PlanDecision records the plan rule's outcome for one query: pruned or
-	// baseline, whether the baseline was factored, and why.
+	// baseline, and why.
 	PlanDecision = translate.Decision
 )
 
@@ -368,25 +368,15 @@ func Execute(ctx context.Context, store *Store, q *SQL, opts ExecuteOptions) (*R
 	return engine.Execute(ctx, store, q, opts)
 }
 
-// FactorSharedPrefixes applies the shared-work rewrite to a generated SQL
-// statement: UNION ALL branches that differ only in one equality literal
-// collapse into a single IN branch, and maximal common join prefixes across
-// the remaining branches hoist into a WITH CTE computed once. The result is
-// multiset-equivalent to the input on every instance and renders through all
-// dialects; the second return reports whether anything changed.
-func FactorSharedPrefixes(s *Schema, q *SQL) (*SQL, bool) {
-	return translate.FactorSharedPrefixes(q, s)
-}
-
 // CollectStatistics counts the rows of every table of an in-memory store.
 func CollectStatistics(store *Store) *Statistics { return stats.CollectStore(store) }
 
 // ChoosePlan applies the plan rule directly: naive is the baseline
 // translation, pruned the constraint-exploiting one (nil when translation
 // fell back). Pruned serves whenever it exists; otherwise the baseline serves
-// with the shared-prefix rewrite applied. The Planner applies the same rule
-// to every query it serves; ChoosePlan is for tools and tests that want the
-// decision without a planner.
+// exactly as emitted. The Planner applies the same rule to every query it
+// serves; ChoosePlan is for tools and tests that want the decision without a
+// planner.
 func ChoosePlan(naive, pruned *SQL, s *Schema) *PlanDecision {
 	return translate.ChoosePlan(naive, pruned, s, nil)
 }
@@ -533,7 +523,7 @@ func (p *Planner) SetSchema(s *Schema) {
 
 // Plan returns the translation Exec serves for query while the instance is
 // trusted, from the cache when possible: the pruned translation, or the
-// factored baseline when pruning fell back. Serving (Exec) consults the trust
+// baseline when pruning fell back. Serving (Exec) consults the trust
 // state and may substitute the safe-mode plan instead.
 func (p *Planner) Plan(query string) (*Translation, error) {
 	cp, err := p.planMode(query, false)
@@ -554,8 +544,8 @@ type cachedPlan struct {
 // kinds cached under mode-distinct keys so flipping trust state never serves
 // a plan produced under the other mode. Trusted mode serves the pruned
 // translation unless it fell back; safe mode serves the baseline of [9],
-// correct on any instance, lossless or not. A served baseline always carries
-// the shared-prefix rewrite, a pure SQL-to-SQL transformation.
+// correct on any instance, lossless or not. Either way the plan serves
+// exactly as its translator emitted it.
 func (p *Planner) planMode(query string, safe bool) (*cachedPlan, error) {
 	s := p.schema.Load()
 	optKey := p.optKey
@@ -577,8 +567,8 @@ func (p *Planner) planMode(query string, safe bool) (*cachedPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		dec = translate.ChoosePlan(nq, nil, s, nil)
-		dec.Reason = translate.ReasonSafeMode
+		tr = &Translation{Query: nq, Fallback: true}
+		dec = &PlanDecision{Reason: translate.ReasonSafeMode, Query: nq}
 	} else {
 		if tr, err = TranslateWithOptions(s, q, p.cfg.Translate); err != nil {
 			return nil, err
@@ -588,9 +578,6 @@ func (p *Planner) planMode(query string, safe bool) (*cachedPlan, error) {
 		} else {
 			dec = translate.ChoosePlan(nil, tr.Query, s, nil)
 		}
-	}
-	if !dec.UsePruned {
-		tr = &Translation{Query: dec.Query, Fallback: true}
 	}
 	cp := &cachedPlan{tr: tr, dec: dec}
 	p.cache.PutTagged(k, cp, sqlast.Relations(tr.Query))
@@ -613,8 +600,8 @@ func (p *Planner) StatsSnapshot(ctx context.Context) (*Statistics, error) {
 type Explanation struct {
 	// Query is the path expression explained.
 	Query string
-	// Decision is the rule's outcome: pruned or baseline, whether the
-	// baseline was factored, and the reason (pruned, fallback or safe mode).
+	// Decision is the rule's outcome: pruned or baseline, and the reason
+	// (pruned, fallback or safe mode).
 	Decision *PlanDecision
 	// Plan is the translation Exec serves right now.
 	Plan *Translation
