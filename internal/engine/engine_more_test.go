@@ -217,3 +217,82 @@ func TestIndexJoinSkippedWithLocalFilter(t *testing.T) {
 		t.Errorf("filtered indexed query returned %v", res.Strings())
 	}
 }
+
+// TestPrimaryKeyJoinProbesIndex joins children to their parents on the
+// parent's primary key, with no other index built: the join probes the key,
+// so Work.Scanned counts the children alone, as an indexless run does not.
+func TestPrimaryKeyJoinProbesIndex(t *testing.T) {
+	s := buildStore(t)
+	q := sqlast.SingleSelect(&sqlast.Select{
+		Cols: []sqlast.SelectItem{sqlast.Col("C", "v"), sqlast.Col("P", "kind")},
+		From: []sqlast.FromItem{sqlast.From("C", "C"), sqlast.From("P", "P")},
+		Where: sqlast.Eq(sqlast.ColRef{Table: "P", Column: "id"},
+			sqlast.ColRef{Table: "C", Column: "parentid"}),
+	})
+	probed := mustRun(t, s, q)
+	scanned, err := engine.Execute(context.Background(), s, q, engine.Options{DisableIndexes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !probed.MultisetEqual(scanned) || probed.Len() != 3 {
+		t.Fatalf("key probe answered %d rows, the hash join %d:\n%s", probed.Len(), scanned.Len(), probed.MultisetDiff(scanned))
+	}
+	if probed.Work.Scanned != 4 || scanned.Work.Scanned != 7 {
+		t.Errorf("Scanned %d with the key probe and %d without, want 4 (C) and 7 (C and P)", probed.Work.Scanned, scanned.Work.Scanned)
+	}
+}
+
+// TestPlanRecompilesOnAnotherLayout runs a query compiled on one store on a
+// store whose P has its columns in another order. The run recompiles for
+// that layout instead of reading the first plan's offsets, and the plan
+// memoised on the query stays the first store's.
+func TestPlanRecompilesOnAnotherLayout(t *testing.T) {
+	first := buildStore(t)
+	other := relational.NewStore()
+	p, err := other.CreateTable(&relational.TableSchema{
+		Name: "P",
+		Columns: []relational.Column{
+			{Name: "kind", Kind: relational.KindInt},
+			{Name: "id", Kind: relational.KindInt},
+			{Name: "parentid", Kind: relational.KindInt},
+		},
+		PrimaryKey: "id",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range first.Table("P").Rows() {
+		p.MustInsert(relational.Row{r[2], r[0], r[1]})
+	}
+	c, err := other.CreateTable(first.Table("C").Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range first.Table("C").Rows() {
+		c.MustInsert(r)
+	}
+	q := sqlast.SingleSelect(&sqlast.Select{
+		Cols: []sqlast.SelectItem{sqlast.Col("C", "v"), sqlast.Col("P", "kind")},
+		From: []sqlast.FromItem{sqlast.From("P", "P"), sqlast.From("C", "C")},
+		Where: sqlast.Conj(
+			sqlast.Eq(sqlast.ColRef{Table: "C", Column: "parentid"}, sqlast.ColRef{Table: "P", Column: "id"}),
+			sqlast.Eq(sqlast.ColRef{Table: "P", Column: "kind"}, sqlast.IntLit(1)),
+		),
+	})
+	want := mustRun(t, first, q)
+	plan := q.Compiled()
+	if plan == nil {
+		t.Fatal("the first run memoised no plan")
+	}
+	for i := 0; i < 2; i++ {
+		if got := mustRun(t, other, q); !got.MultisetEqual(want) || want.Len() != 2 {
+			t.Fatalf("run %d on the other layout:\n%s", i, got.MultisetDiff(want))
+		}
+		if q.Compiled() != plan {
+			t.Fatalf("run %d on the other layout replaced the memoised plan", i)
+		}
+	}
+	if got := mustRun(t, first, q); !got.MultisetEqual(want) {
+		t.Fatalf("the first store after the other:\n%s", got.MultisetDiff(want))
+	}
+}

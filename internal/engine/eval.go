@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"xmlsql/internal/relational"
 	"xmlsql/internal/sqlast"
@@ -55,13 +54,25 @@ func Execute(ctx context.Context, store *relational.Store, q *sqlast.Query, opts
 
 // Prepare evaluates q as Execute does, up to each SELECT block's final
 // projection: its Work, MaxRows charges and errors are final, and
-// AppendRows writes the answer rows wherever the caller wants them.
-func Prepare(ctx context.Context, store *relational.Store, q *sqlast.Query, opts Options) (*Prepared, error) {
-	ex := &executor{store: store, ctes: map[string]*Result{}, opts: opts, done: ctx.Done(), ctx: ctx}
+// AppendRows writes the answer rows wherever the caller wants them. The
+// first run compiles q (see compiled); later runs do only the data work.
+// A panic while compiling or evaluating fails the query instead of the
+// serving process.
+func Prepare(ctx context.Context, store *relational.Store, q *sqlast.Query, opts Options) (p *Prepared, err error) {
+	ex := &executor{opts: opts, done: ctx.Done(), ctx: ctx}
 	if err := ex.cancelled(); err != nil {
 		return nil, err
 	}
-	p, err := ex.query(q)
+	defer func() {
+		if r := recover(); r != nil {
+			p, err = nil, fmt.Errorf("engine: panic evaluating union branch: %v", r)
+		}
+	}()
+	pl, tables, err := compiled(store, q)
+	if err == nil {
+		ex.tables, ex.ctes = tables, make([][]relational.Row, pl.slots)
+		p, err = ex.query(pl.root)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -70,10 +81,12 @@ func Prepare(ctx context.Context, store *relational.Store, q *sqlast.Query, opts
 }
 
 type executor struct {
-	store *relational.Store
-	ctes  map[string]*Result
-	opts  Options
-	ctx   context.Context
+	// tables are the plan's tables in the run's store; ctes each CTE slot's
+	// rows (a recursive CTE's last delta while its rounds run).
+	tables []*relational.Table
+	ctes   [][]relational.Row
+	opts   Options
+	ctx    context.Context
 	// done is ctx.Done(), captured once: polling a channel in a select is
 	// cheaper than ctx.Err() on hot row loops (and nil for Background, which
 	// a nil-channel select handles for free).
@@ -119,362 +132,131 @@ func (ex *executor) charge(n int) error {
 	return nil
 }
 
-// relation is a uniform row source: a base table or a materialized CTE.
-type relation struct {
-	cols []string
-	rows []relational.Row
-	// table is set for base tables, enabling index probes.
-	table *relational.Table
-}
-
-func (ex *executor) resolve(name string) (*relation, error) {
-	if r, ok := ex.ctes[name]; ok {
-		return &relation{cols: r.Cols, rows: r.Rows}, nil
-	}
-	t := ex.store.Table(name)
-	if t == nil {
-		return nil, fmt.Errorf("engine: unknown table or cte %q", name)
-	}
-	cols := make([]string, len(t.Schema().Columns))
-	for i, c := range t.Schema().Columns {
-		cols[i] = c.Name
-	}
-	return &relation{cols: cols, rows: t.Rows(), table: t}, nil
-}
-
-func (ex *executor) query(q *sqlast.Query) (*Prepared, error) {
-	// Materialize CTEs in order; later CTEs and the main body may reference
-	// earlier ones.
-	defined := make([]string, 0, len(q.With))
-	defer func() {
-		for _, name := range defined {
-			delete(ex.ctes, name)
-		}
-	}()
-	for _, cte := range q.With {
-		if _, dup := ex.ctes[cte.Name]; dup {
-			return nil, fmt.Errorf("engine: duplicate cte %q", cte.Name)
-		}
-		var res *Result
-		var err error
-		if cte.Recursive {
-			res, err = ex.recursiveCTE(cte)
-		} else {
-			res, err = ex.materialize(cte.Body)
-		}
+func (ex *executor) query(qp *queryPlan) (*Prepared, error) {
+	for _, c := range qp.ctes {
+		rows, err := ex.cte(c)
 		if err != nil {
 			return nil, err
 		}
-		ex.ctes[cte.Name] = res
-		defined = append(defined, cte.Name)
+		ex.ctes[c.slot] = rows
 	}
-
-	return ex.evalSelects(q.Selects)
+	return ex.evalSelects(qp)
 }
 
-// evalSelects evaluates a UNION ALL's branches in branch order, stopping at
-// the first error, and returns them unprojected.
-func (ex *executor) evalSelects(sels []*sqlast.Select) (*Prepared, error) {
-	p := &Prepared{blocks: make([]block, len(sels))}
-	for i, s := range sels {
-		b, err := ex.safeSelect(s)
-		if err != nil {
+// evalSelects evaluates a UNION ALL's branches in branch order, polling for
+// cancellation before each and stopping at the first error, and returns them
+// unprojected.
+func (ex *executor) evalSelects(qp *queryPlan) (*Prepared, error) {
+	p := &Prepared{Cols: qp.cols, blocks: make([]block, len(qp.sels))}
+	for i, s := range qp.sels {
+		if err := ex.cancelled(); err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			p.Cols = b.cols
-		} else if len(b.cols) != len(p.Cols) {
-			return nil, fmt.Errorf("engine: union all arity mismatch: %d vs %d", len(p.Cols), len(b.cols))
+		b, err := ex.selectBlock(s)
+		if err != nil {
+			return nil, err
 		}
 		p.blocks[i] = b
 	}
 	return p, nil
 }
 
-// safeSelect evaluates one UNION branch with the serving-path protections:
-// a cancellation check before starting and panic containment, so one
-// poisoned branch fails the query with an error instead of killing the
-// serving process.
-func (ex *executor) safeSelect(s *sqlast.Select) (b block, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: panic evaluating union branch: %v", r)
-		}
-	}()
-	if err := ex.cancelled(); err != nil {
-		return block{}, err
-	}
-	return ex.selectBlock(s)
-}
-
-// materialize evaluates q into a Result, for a CTE's rows.
-func (ex *executor) materialize(q *sqlast.Query) (*Result, error) {
-	p, err := ex.query(q)
+// cte evaluates a CTE's rows. A recursive CTE is linear-recursive UNION ALL
+// with standard SQL:1999 semantics: its body seeds the working table; its
+// recursive branches are re-evaluated against only the rows produced in the
+// previous round, until a round produces nothing.
+func (ex *executor) cte(c *ctePlan) ([]relational.Row, error) {
+	seed, err := ex.query(c.body)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cols: p.Cols, Rows: p.AppendRows(nil)}, nil
-}
-
-// recursiveCTE evaluates a linear-recursive UNION ALL CTE with standard
-// SQL:1999 semantics: base branches seed the working table; recursive
-// branches are re-evaluated against only the rows produced in the previous
-// round, until a round produces nothing.
-func (ex *executor) recursiveCTE(cte sqlast.CTE) (*Result, error) {
-	var base, rec []*sqlast.Select
-	for _, s := range cte.Body.Selects {
-		if selectReferences(s, cte.Name) {
-			rec = append(rec, s)
-		} else {
-			base = append(base, s)
-		}
+	acc := seed.AppendRows(nil)
+	if c.rec == nil {
+		return acc, nil
 	}
-	if len(cte.Body.With) > 0 {
-		return nil, fmt.Errorf("engine: nested WITH inside recursive cte %q is not supported", cte.Name)
-	}
-	if len(rec) == 0 {
-		// Not actually recursive; evaluate as a plain CTE.
-		return ex.materialize(cte.Body)
-	}
-
-	seed, err := ex.evalSelects(base)
-	if err != nil {
+	if err := ex.charge(len(acc)); err != nil {
 		return nil, err
 	}
-	if seed.Cols == nil {
-		return nil, fmt.Errorf("engine: recursive cte %q has no base branch", cte.Name)
-	}
-	acc := &Result{Cols: seed.Cols, Rows: seed.AppendRows(nil)}
-	if err := ex.charge(len(acc.Rows)); err != nil {
-		return nil, err
-	}
-
 	maxRounds := MaxRecursionRounds
 	if ex.opts.MaxCTEIterations > 0 {
 		maxRounds = ex.opts.MaxCTEIterations
 	}
-	// Each round binds the name to the previous round's delta, the
-	// accumulator's tail, and projects onto the accumulator's end; unbind
-	// the name however the loop ends.
-	defer delete(ex.ctes, cte.Name)
-	delta := acc.Rows
+	// Each round binds the slot to the previous round's delta, the
+	// accumulator's tail, and projects onto the accumulator's end.
+	delta := acc
 	for round := 0; len(delta) > 0; round++ {
 		if round >= maxRounds {
-			return nil, &ResourceError{
-				Resource: ResourceCTEIterations,
-				Limit:    maxRounds,
-				Detail:   fmt.Sprintf("recursive cte %q", cte.Name),
-			}
+			return nil, &ResourceError{Resource: ResourceCTEIterations, Limit: maxRounds, Detail: fmt.Sprintf("recursive cte %q", c.name)}
 		}
 		// Poll between rounds: a diverging fixpoint (cyclic instance) must
 		// still honor cancellation even when each round is fast.
 		if err := ex.cancelled(); err != nil {
 			return nil, err
 		}
-		ex.ctes[cte.Name] = &Result{Cols: acc.Cols, Rows: delta}
-		next, err := ex.evalSelects(rec)
+		ex.ctes[c.slot] = delta
+		next, err := ex.evalSelects(c.rec)
 		if err != nil {
 			return nil, err
-		}
-		if len(next.Cols) != len(acc.Cols) {
-			return nil, fmt.Errorf("engine: recursive cte %q: arity mismatch in recursive branch", cte.Name)
 		}
 		if err := ex.charge(next.Len()); err != nil {
 			return nil, err
 		}
-		n := len(acc.Rows)
-		acc.Rows = next.AppendRows(acc.Rows)
-		delta = acc.Rows[n:]
+		n := len(acc)
+		acc = next.AppendRows(acc)
+		delta = acc[n:]
 	}
 	return acc, nil
 }
 
-func selectReferences(s *sqlast.Select, name string) bool {
-	for _, f := range s.From {
-		if f.Source == name {
-			return true
+// selectBlock runs one compiled SELECT up to its projection. Each step reads
+// its relation, by index probes or in full and filtered by its local
+// predicate, joins it to the rows so far, and filters by what it covers.
+func (ex *executor) selectBlock(s *selectPlan) (block, error) {
+	var rows []relational.Row
+	owned := false // rows were built here, not a relation's own slice
+	for i := range s.steps {
+		st, t, err := &s.steps[i], (*relational.Table)(nil), error(nil)
+		if st.table >= 0 {
+			t = ex.tables[st.table]
 		}
-	}
-	return false
-}
-
-// binding maps an alias to its column layout inside the composite row built
-// during join processing.
-type binding struct {
-	alias  string
-	cols   []string
-	offset int
-}
-
-type frame struct {
-	bindings []binding
-	rows     []relational.Row
-	width    int
-	// owned is set when this SELECT built rows (a filter or a join), so the
-	// projection may rewrite the slice in place; a table's or CTE's own row
-	// slice is never written.
-	owned bool
-}
-
-func (f *frame) find(table, column string) (int, error) {
-	if table != "" {
-		for _, b := range f.bindings {
-			if b.alias != table {
-				continue
-			}
-			for i, c := range b.cols {
-				if c == column {
-					return b.offset + i, nil
-				}
-			}
-			return -1, fmt.Errorf("engine: alias %s has no column %s", table, column)
-		}
-		return -1, fmt.Errorf("engine: unknown alias %s", table)
-	}
-	found := -1
-	for _, b := range f.bindings {
-		for i, c := range b.cols {
-			if c == column {
-				if found >= 0 {
-					return -1, fmt.Errorf("engine: ambiguous column %s", column)
-				}
-				found = b.offset + i
-			}
-		}
-	}
-	if found < 0 {
-		return -1, fmt.Errorf("engine: unknown column %s", column)
-	}
-	return found, nil
-}
-
-func (f *frame) hasAlias(alias string) bool {
-	for _, b := range f.bindings {
-		if b.alias == alias {
-			return true
-		}
-	}
-	return false
-}
-
-// extend lays out the frame that joining f with a relation produces, keeping
-// the columns some ref reads; a "*" ref reads all of its alias's columns, or
-// of every alias when it names none. src is each kept column's offset in f's
-// row followed by the relation's, or nil when all are kept.
-func (f *frame) extend(alias string, cols []string, refs []sqlast.ColRef) (next *frame, src []int) {
-	next = &frame{bindings: make([]binding, 0, len(f.bindings)+1)}
-	src = make([]int, 0, f.width+len(cols))
-	add := func(alias string, cols []string, base int) {
-		from := len(src)
-		for i, c := range cols {
-			if slices.ContainsFunc(refs, func(r sqlast.ColRef) bool {
-				return (r.Table == "" || r.Table == alias) && (r.Column == c || r.Column == "*")
-			}) {
-				src = append(src, base+i)
-			}
-		}
-		b := binding{alias: alias, cols: cols, offset: next.width}
-		if kept := src[from:]; len(kept) < len(cols) {
-			b.cols = make([]string, len(kept))
-			for j, k := range kept {
-				b.cols[j] = cols[k-base]
-			}
-		}
-		next.bindings = append(next.bindings, b)
-		next.width += len(b.cols)
-	}
-	for _, b := range f.bindings {
-		add(b.alias, b.cols, b.offset)
-	}
-	add(alias, cols, f.width)
-	if next.width == f.width+len(cols) {
-		src = nil
-	}
-	return next, src
-}
-
-func (ex *executor) selectBlock(s *sqlast.Select) (block, error) {
-	if len(s.From) == 0 {
-		return block{}, fmt.Errorf("engine: select with empty FROM")
-	}
-	seen := map[string]bool{}
-	for _, f := range s.From {
-		a := aliasOf(f)
-		if seen[a] {
-			return block{}, fmt.Errorf("engine: duplicate alias %s", a)
-		}
-		seen[a] = true
-	}
-
-	// Joins carry only the columns read after them: need lists those the
-	// projection reads.
-	var need []sqlast.ColRef
-	for _, item := range s.Cols {
-		if item.Star {
-			need = append(need, sqlast.ColRef{Table: item.StarTable, Column: "*"})
+		if i > 0 && st.probe && !ex.opts.ForceNestedLoop && !ex.opts.DisableIndexes && t.HasIndex(st.keys[0].column) {
+			rows, err = ex.indexJoin(rows, t, st.keys[0], st.arena)
 		} else {
-			walkRefs(item.Expr, func(c sqlast.ColRef) { need = append(need, c) })
-		}
-	}
-
-	// Build left-deep join in FROM order.
-	var cur *frame
-	remaining := sqlast.Conjuncts(s.Where)
-	for _, f := range s.From {
-		rel, err := ex.resolve(f.Source)
-		if err != nil {
-			return block{}, err
-		}
-		if cur, remaining, err = ex.joinStep(cur, rel, aliasOf(f), remaining, need); err != nil {
-			return block{}, err
-		}
-	}
-
-	// Residual predicates (e.g. ORs across aliases).
-	if len(remaining) > 0 {
-		pred, err := bindAll(remaining, cur, true)
-		if err != nil {
-			return block{}, err
-		}
-		rows, err := ex.filter(cur.rows, pred)
-		if err != nil {
-			return block{}, err
-		}
-		cur = &frame{bindings: cur.bindings, rows: rows, width: cur.width, owned: true}
-	}
-
-	// Projection, bound here and run by AppendRows. projs is never nil, so
-	// a block of finished rows (projs nil) is told apart from one projecting
-	// no columns.
-	projs := make([]operand, 0, len(s.Cols))
-	var names []string
-	for _, item := range s.Cols {
-		if item.Star {
-			bi := slices.IndexFunc(cur.bindings, func(b binding) bool { return b.alias == item.StarTable })
-			if bi < 0 {
-				return block{}, fmt.Errorf("engine: star over unknown alias %s", item.StarTable)
+			var rel []relational.Row
+			if t != nil {
+				rel = t.Rows()
+			} else {
+				rel = ex.ctes[st.slot]
 			}
-			for i, c := range cur.bindings[bi].cols {
-				projs = append(projs, operand{idx: cur.bindings[bi].offset + i})
-				names = append(names, c)
+			ex.work.Scanned += len(rel)
+			in := rel
+			if st.local != nil {
+				if in, err = ex.filter(rel, st.local); err != nil {
+					return block{}, err
+				}
 			}
-			continue
+			switch {
+			case i == 0:
+				rows, owned = in, st.local != nil
+			case len(st.keys) == 0 || ex.opts.ForceNestedLoop:
+				rows, err = ex.nestedLoopJoin(rows, in, st.keys, st.arena)
+			default:
+				rows, err = ex.hashJoin(rows, in, st.keys, st.arena)
+			}
 		}
-		p, err := bindOperand(item.Expr, cur)
+		if err == nil && st.covered != nil {
+			rows, err = ex.filter(rows, st.covered)
+			owned = true
+		}
 		if err != nil {
 			return block{}, err
 		}
-		name := item.As
-		if c, ok := item.Expr.(sqlast.ColRef); ok && name == "" {
-			name = c.Column
-		}
-		projs = append(projs, p)
-		names = append(names, name)
+		owned = owned || i > 0
 	}
-	if err := ex.charge(len(cur.rows)); err != nil {
+	if err := ex.charge(len(rows)); err != nil {
 		return block{}, err
 	}
-	return block{cols: names, rows: cur.rows, owned: cur.owned, projs: projs}, nil
+	return block{rows: rows, owned: owned, projs: s.projs}, nil
 }
 
 // window reports whether projs read the frame offsets lo..hi-1 in order.
@@ -489,114 +271,6 @@ func window(projs []operand) (lo, hi int, ok bool) {
 		}
 	}
 	return lo, lo + len(projs), true
-}
-
-func aliasOf(f sqlast.FromItem) string {
-	if f.Alias != "" {
-		return f.Alias
-	}
-	return f.Source
-}
-
-// joinStep joins the current frame with a new relation bound to alias,
-// consuming from `conjuncts` every predicate that becomes fully evaluable.
-// It returns the new frame and the still-pending conjuncts. The new frame
-// keeps the columns that need or a pending conjunct reads (see extend).
-func (ex *executor) joinStep(cur *frame, rel *relation, alias string, conjuncts []sqlast.Expr, need []sqlast.ColRef) (*frame, []sqlast.Expr, error) {
-	// Local predicates on the new relation alone.
-	solo := &frame{bindings: []binding{{alias: alias, cols: rel.cols}}, width: len(rel.cols)}
-	var local, pending []sqlast.Expr
-	var joinConds []sqlast.Cmp
-	for _, c := range conjuncts {
-		aliases := exprAliases(c, map[string]bool{})
-		switch {
-		case onlyAlias(aliases, alias):
-			local = append(local, c)
-		case cur != nil && isJoinEq(c, cur, alias):
-			joinConds = append(joinConds, c.(sqlast.Cmp))
-		default:
-			// applyCovered filters by it once the frame covers its aliases.
-			pending = append(pending, c)
-		}
-	}
-
-	rows := rel.rows
-	if len(local) > 0 {
-		pred, err := bindAll(local, solo, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		if rows, err = ex.filter(rows, pred); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	if cur == nil {
-		ex.work.Scanned += len(rel.rows)
-		return &frame{bindings: solo.bindings, rows: rows, width: solo.width, owned: len(local) > 0}, pending, nil
-	}
-
-	refs := slices.Clip(need)
-	for _, c := range pending {
-		walkRefs(c, func(c sqlast.ColRef) { refs = append(refs, c) })
-	}
-	next, src := cur.extend(alias, rel.cols, refs)
-	arena := newRowArena(cur.width, next.width, src)
-	keys, err := bindJoinKeys(joinConds, cur, solo, alias)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch {
-	case len(keys) == 0 || ex.opts.ForceNestedLoop:
-		ex.work.Scanned += len(rel.rows)
-		next.rows, err = ex.nestedLoopJoin(cur, rows, keys, arena)
-	case !ex.opts.DisableIndexes && len(keys) == 1 && len(local) == 0 && rel.table != nil && rel.table.HasIndex(keys[0].column):
-		// Index probe: a single equality join against an unfiltered base
-		// table with a persistent index on the join column avoids building
-		// the per-query hash table.
-		next.rows, err = ex.indexJoin(cur, rel.table, keys[0], arena)
-	default:
-		ex.work.Scanned += len(rel.rows)
-		next.rows, err = ex.hashJoin(cur, rows, keys, arena)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	next.owned = true
-	return ex.applyCovered(next, pending)
-}
-
-// applyCovered filters the frame by every pending conjunct that is now fully
-// evaluable, returning the filtered frame and the rest pending.
-func (ex *executor) applyCovered(f *frame, pending []sqlast.Expr) (*frame, []sqlast.Expr, error) {
-	var apply, rest []sqlast.Expr
-	for _, c := range pending {
-		aliases := exprAliases(c, map[string]bool{})
-		all := true
-		for a := range aliases {
-			if !f.hasAlias(a) {
-				all = false
-				break
-			}
-		}
-		if all {
-			apply = append(apply, c)
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	if len(apply) == 0 {
-		return f, rest, nil
-	}
-	pred, err := bindAll(apply, f, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := ex.filter(f.rows, pred)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &frame{bindings: f.bindings, rows: rows, width: f.width, owned: true}, rest, nil
 }
 
 // filter returns the rows pred accepts, polling for cancellation. It notes
@@ -626,26 +300,6 @@ func (ex *executor) filter(rows []relational.Row, pred predicate) ([]relational.
 type joinKey struct {
 	left, right int
 	column      string
-}
-
-func bindJoinKeys(conds []sqlast.Cmp, cur, solo *frame, alias string) ([]joinKey, error) {
-	keys := make([]joinKey, len(conds))
-	for i, c := range conds {
-		l, r := c.Left.(sqlast.ColRef), c.Right.(sqlast.ColRef)
-		if l.Table == alias { // normalize: l on current frame, r on new alias
-			l, r = r, l
-		}
-		li, err := cur.find(l.Table, l.Column)
-		if err != nil {
-			return nil, err
-		}
-		ri, err := solo.find(r.Table, r.Column)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = joinKey{left: li, right: ri, column: r.Column}
-	}
-	return keys, nil
 }
 
 // keysMatch reports whether every key joins l to r; NULL never joins.
@@ -741,10 +395,10 @@ func (a *rowArena) join(l, r relational.Row) relational.Row {
 
 // nestedLoopJoin pairs every current row with every right row the keys
 // accept (all of them when there are no keys).
-func (ex *executor) nestedLoopJoin(cur *frame, rightRows []relational.Row, keys []joinKey, arena rowArena) ([]relational.Row, error) {
+func (ex *executor) nestedLoopJoin(left, rightRows []relational.Row, keys []joinKey, arena rowArena) ([]relational.Row, error) {
 	var out []relational.Row
 	countdown := cancelCheckInterval
-	for _, lrow := range cur.rows {
+	for _, lrow := range left {
 		for _, rrow := range rightRows {
 			if err := ex.tick(&countdown); err != nil {
 				return nil, err
@@ -765,13 +419,13 @@ func (ex *executor) nestedLoopJoin(cur *frame, rightRows []relational.Row, keys 
 // output is allocated once, for the left rows times the index's mean bucket
 // size, rounded up, and at most one row per right row, so a selective or
 // skewed probe cannot over-allocate past the table.
-func (ex *executor) indexJoin(cur *frame, t *relational.Table, k joinKey, arena rowArena) ([]relational.Row, error) {
+func (ex *executor) indexJoin(left []relational.Row, t *relational.Table, k joinKey, arena rowArena) ([]relational.Row, error) {
 	var out, matches []relational.Row
 	if rows, keys := t.IndexShape(k.column); keys > 0 {
-		out = make([]relational.Row, 0, min(rows, (len(cur.rows)*rows+keys-1)/keys))
+		out = make([]relational.Row, 0, min(rows, (len(left)*rows+keys-1)/keys))
 	}
 	countdown := cancelCheckInterval
-	for _, lrow := range cur.rows {
+	for _, lrow := range left {
 		if err := ex.tick(&countdown); err != nil {
 			return nil, err
 		}
@@ -793,7 +447,7 @@ func (ex *executor) indexJoin(cur *frame, t *relational.Table, k joinKey, arena 
 // hashJoin chains the (usually smaller, pre-filtered) right rows by the
 // first key's value and probes the chains with the current frame's rows,
 // checking any further keys per candidate.
-func (ex *executor) hashJoin(cur *frame, rightRows []relational.Row, keys []joinKey, arena rowArena) ([]relational.Row, error) {
+func (ex *executor) hashJoin(left, rightRows []relational.Row, keys []joinKey, arena rowArena) ([]relational.Row, error) {
 	// head maps a value to its first right row (1-based); next links rows of
 	// equal value. Chaining from the last row keeps each chain in row order.
 	first, rest := keys[0], keys[1:]
@@ -807,7 +461,7 @@ func (ex *executor) hashJoin(cur *frame, rightRows []relational.Row, keys []join
 	}
 	var out []relational.Row
 	countdown := cancelCheckInterval
-	for _, lrow := range cur.rows {
+	for _, lrow := range left {
 		if err := ex.tick(&countdown); err != nil {
 			return nil, err
 		}
@@ -827,164 +481,4 @@ func (ex *executor) hashJoin(cur *frame, rightRows []relational.Row, keys []join
 		}
 	}
 	return out, nil
-}
-
-// exprAliases collects the table aliases an expression references.
-func exprAliases(e sqlast.Expr, acc map[string]bool) map[string]bool {
-	walkRefs(e, func(c sqlast.ColRef) { acc[c.Table] = true })
-	return acc
-}
-
-// walkRefs calls visit on every column reference in e.
-func walkRefs(e sqlast.Expr, visit func(sqlast.ColRef)) {
-	switch e := e.(type) {
-	case sqlast.ColRef:
-		visit(e)
-	case sqlast.Cmp:
-		walkRefs(e.Left, visit)
-		walkRefs(e.Right, visit)
-	case sqlast.In:
-		walkRefs(e.Left, visit)
-	case sqlast.IsNull:
-		walkRefs(e.Left, visit)
-	case sqlast.And:
-		for _, k := range e.Kids {
-			walkRefs(k, visit)
-		}
-	case sqlast.Or:
-		for _, k := range e.Kids {
-			walkRefs(k, visit)
-		}
-	}
-}
-
-func onlyAlias(aliases map[string]bool, alias string) bool {
-	for a := range aliases {
-		if a != alias {
-			return false
-		}
-	}
-	return len(aliases) > 0
-}
-
-// isJoinEq reports whether c is `left.col = right.col` connecting the current
-// frame to the new alias.
-func isJoinEq(e sqlast.Expr, cur *frame, alias string) bool {
-	c, ok := e.(sqlast.Cmp)
-	if !ok || c.Op != sqlast.OpEq {
-		return false
-	}
-	l, lok := c.Left.(sqlast.ColRef)
-	r, rok := c.Right.(sqlast.ColRef)
-	if !lok || !rok {
-		return false
-	}
-	if l.Table == alias && cur.hasAlias(r.Table) {
-		return true
-	}
-	if r.Table == alias && cur.hasAlias(l.Table) {
-		return true
-	}
-	return false
-}
-
-// predicate is a WHERE conjunct bound to frame offsets.
-type predicate func(relational.Row) bool
-
-// operand is a scalar bound to a frame offset, or a literal when idx < 0.
-type operand struct {
-	idx int
-	lit relational.Value
-}
-
-func (o operand) get(row relational.Row) relational.Value {
-	if o.idx < 0 {
-		return o.lit
-	}
-	return row[o.idx]
-}
-
-func bindOperand(e sqlast.Expr, f *frame) (operand, error) {
-	switch e := e.(type) {
-	case sqlast.ColRef:
-		idx, err := f.find(e.Table, e.Column)
-		return operand{idx: idx}, err
-	case sqlast.Lit:
-		return operand{idx: -1, lit: e.Value}, nil
-	}
-	return operand{}, fmt.Errorf("engine: expression %T is not scalar", e)
-}
-
-// bindPred resolves every column reference in e against f once, so the row
-// loops applying the result compare values at fixed offsets.
-func bindPred(e sqlast.Expr, f *frame) (predicate, error) {
-	switch e := e.(type) {
-	case sqlast.Cmp:
-		l, err := bindOperand(e.Left, f)
-		if err != nil {
-			return nil, err
-		}
-		r, err := bindOperand(e.Right, f)
-		if err != nil {
-			return nil, err
-		}
-		switch e.Op {
-		case sqlast.OpEq:
-			return func(row relational.Row) bool { return l.get(row).Equal(r.get(row)) }, nil
-		case sqlast.OpNe:
-			return func(row relational.Row) bool {
-				a, b := l.get(row), r.get(row)
-				return !a.IsNull() && !b.IsNull() && !a.Equal(b)
-			}, nil
-		}
-		return nil, fmt.Errorf("engine: unknown comparison op %v", e.Op)
-	case sqlast.In:
-		l, err := bindOperand(e.Left, f)
-		if err != nil {
-			return nil, err
-		}
-		return func(row relational.Row) bool {
-			v := l.get(row)
-			for _, lit := range e.List {
-				if v.Equal(lit.Value) {
-					return true
-				}
-			}
-			return false
-		}, nil
-	case sqlast.IsNull:
-		l, err := bindOperand(e.Left, f)
-		if err != nil {
-			return nil, err
-		}
-		return func(row relational.Row) bool { return l.get(row).IsNull() }, nil
-	case sqlast.And:
-		return bindAll(e.Kids, f, true)
-	case sqlast.Or:
-		return bindAll(e.Kids, f, false)
-	}
-	return nil, fmt.Errorf("engine: expression %T is not a predicate", e)
-}
-
-// bindAll binds the conjunction (all) or the disjunction (!all) of es: the
-// first kid whose verdict differs from all decides, and otherwise all does.
-func bindAll(es []sqlast.Expr, f *frame, all bool) (predicate, error) {
-	kids := make([]predicate, len(es))
-	for i, e := range es {
-		var err error
-		if kids[i], err = bindPred(e, f); err != nil {
-			return nil, err
-		}
-	}
-	if len(kids) == 1 {
-		return kids[0], nil
-	}
-	return func(row relational.Row) bool {
-		for _, k := range kids {
-			if k(row) != all {
-				return !all
-			}
-		}
-		return all
-	}, nil
 }

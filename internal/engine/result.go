@@ -3,8 +3,8 @@
 // The executor supports exactly the SQL fragment the translators emit:
 // SELECT-FROM-WHERE with conjunctive/disjunctive predicates, UNION ALL, and
 // WITH [RECURSIVE] common table expressions evaluated to a fixpoint.
-// Joins are executed left-deep in FROM order using hash joins on equality
-// predicates, with single-source predicates pushed to the scans.
+// A query compiles once (compile.go) and then runs left-deep, parents first,
+// by index probes or hash joins, with local predicates pushed to the scans.
 package engine
 
 import (
@@ -38,7 +38,6 @@ type Prepared struct {
 // block is one SELECT block's frame rows and the projection that turns each
 // into an answer row; a block with no projection holds finished rows.
 type block struct {
-	cols  []string
 	rows  []relational.Row
 	projs []operand
 	// owned is set when the block built its row slice (a filter or a join),
@@ -49,7 +48,7 @@ type block struct {
 // Finished wraps an already projected result as a Prepared whose rows are
 // appended as they are.
 func Finished(res *Result) *Prepared {
-	return &Prepared{Cols: res.Cols, Work: res.Work, blocks: []block{{cols: res.Cols, rows: res.Rows}}}
+	return &Prepared{Cols: res.Cols, Work: res.Work, blocks: []block{{rows: res.Rows}}}
 }
 
 // Len returns the number of answer rows.

@@ -61,11 +61,6 @@ type shard struct {
 type entry struct {
 	key   Key
 	value any
-	// rels are the relations the cached plan reads (its invalidation tags).
-	// Entries stored without tags are purged by any PurgeTagged call — not
-	// knowing a plan's footprint must never keep it alive when some
-	// relation's contents have been impeached.
-	rels []string
 }
 
 // DefaultCapacity is the total entry budget used when New is given a
@@ -125,23 +120,13 @@ func (c *Cache) Get(k Key) (any, bool) {
 
 // Put stores v under k, evicting the least recently used entry of the key's
 // shard if the shard is full. Storing an existing key refreshes its value
-// and recency. Entries stored with Put carry no relation tags and are
-// dropped by every PurgeTagged call; use PutTagged when the plan's relation
-// footprint is known.
-func (c *Cache) Put(k Key, v any) { c.PutTagged(k, v, nil) }
-
-// PutTagged stores v under k tagged with the relations the plan reads, so an
-// audit that pins violations on some relations can drop exactly the entries
-// whose plans read them (PurgeTagged) while unrelated hot entries keep
-// serving.
-func (c *Cache) PutTagged(k Key, v any, rels []string) {
+// and recency.
+func (c *Cache) Put(k Key, v any) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[k]; ok {
-		e := el.Value.(*entry)
-		e.value = v
-		e.rels = rels
+		el.Value.(*entry).value = v
 		s.ll.MoveToFront(el)
 		return
 	}
@@ -153,7 +138,7 @@ func (c *Cache) PutTagged(k Key, v any, rels []string) {
 			c.evictions.Add(1)
 		}
 	}
-	s.items[k] = s.ll.PushFront(&entry{key: k, value: v, rels: rels})
+	s.items[k] = s.ll.PushFront(&entry{key: k, value: v})
 }
 
 // Len returns the number of cached entries.
@@ -177,46 +162,6 @@ func (c *Cache) Purge() {
 		s.items = make(map[Key]*list.Element)
 		s.mu.Unlock()
 	}
-}
-
-// PurgeTagged drops every entry whose relation tags intersect rels, plus
-// every untagged entry (their footprint is unknown, so they cannot be
-// proven unaffected). Entries tagged with disjoint relations survive — the
-// scoped invalidation a trust demotion performs (writes purge nothing: a
-// translation does not depend on rows). Returns the number of entries
-// dropped.
-func (c *Cache) PurgeTagged(rels []string) int {
-	if len(rels) == 0 {
-		return 0
-	}
-	hit := make(map[string]bool, len(rels))
-	for _, r := range rels {
-		hit[r] = true
-	}
-	dropped := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for el := s.ll.Front(); el != nil; {
-			next := el.Next()
-			e := el.Value.(*entry)
-			doomed := len(e.rels) == 0
-			for _, r := range e.rels {
-				if hit[r] {
-					doomed = true
-					break
-				}
-			}
-			if doomed {
-				s.ll.Remove(el)
-				delete(s.items, e.key)
-				dropped++
-			}
-			el = next
-		}
-		s.mu.Unlock()
-	}
-	return dropped
 }
 
 // Stats is a point-in-time counter snapshot. The JSON tags are the wire

@@ -146,45 +146,3 @@ func TestConcurrent(t *testing.T) {
 		t.Fatalf("expected both hits and misses, got %+v", st)
 	}
 }
-
-func TestPurgeTaggedScope(t *testing.T) {
-	c := New(64)
-	c.PutTagged(key("s", "q-item"), "plan-item", []string{"Item", "InCat"})
-	c.PutTagged(key("s", "q-site"), "plan-site", []string{"Site"})
-	c.Put(key("s", "q-unknown"), "plan-unknown") // untagged: unknown footprint
-
-	dropped := c.PurgeTagged([]string{"InCat"})
-	// The InCat reader and the untagged entry go; the Site reader survives.
-	if dropped != 2 {
-		t.Fatalf("dropped %d entries, want 2", dropped)
-	}
-	if _, ok := c.Get(key("s", "q-item")); ok {
-		t.Fatal("entry tagged with a purged relation survived")
-	}
-	if _, ok := c.Get(key("s", "q-unknown")); ok {
-		t.Fatal("untagged entry survived a tagged purge")
-	}
-	if v, ok := c.Get(key("s", "q-site")); !ok || v.(string) != "plan-site" {
-		t.Fatal("entry with a disjoint footprint was dropped")
-	}
-
-	// An empty purge is a no-op, not a global purge.
-	if n := c.PurgeTagged(nil); n != 0 {
-		t.Fatalf("PurgeTagged(nil) dropped %d entries", n)
-	}
-	if _, ok := c.Get(key("s", "q-site")); !ok {
-		t.Fatal("PurgeTagged(nil) dropped entries")
-	}
-}
-
-func TestPutTaggedRefreshUpdatesTags(t *testing.T) {
-	c := New(64)
-	c.PutTagged(key("s", "q"), "v1", []string{"A"})
-	c.PutTagged(key("s", "q"), "v2", []string{"B"})
-	if n := c.PurgeTagged([]string{"A"}); n != 0 {
-		t.Fatalf("stale tags survived a refresh (dropped %d)", n)
-	}
-	if n := c.PurgeTagged([]string{"B"}); n != 1 {
-		t.Fatalf("refreshed tags not honored (dropped %d, want 1)", n)
-	}
-}

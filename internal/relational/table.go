@@ -376,12 +376,17 @@ func (t *Table) BuildIndex(column string) error {
 	return nil
 }
 
-// HasIndex reports whether the named column has a hash index.
+// isPK reports whether column is the primary key, whose uniqueness index
+// serves lookups like any hash index.
+func (t *Table) isPK(column string) bool { return t.pkIndex != nil && column == t.schema.PrimaryKey }
+
+// HasIndex reports whether the named column has a hash index: one built by
+// BuildIndex, or the primary key's.
 func (t *Table) HasIndex(column string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	_, ok := t.indexes[column]
-	return ok
+	return ok || t.isPK(column)
 }
 
 // IndexShape returns the table's row count and the number of distinct
@@ -392,6 +397,8 @@ func (t *Table) IndexShape(column string) (rows, keys int) {
 	defer t.mu.RUnlock()
 	if idx, ok := t.indexes[column]; ok {
 		keys = len(idx.buckets)
+	} else if t.isPK(column) {
+		keys = len(t.pkIndex)
 	}
 	return len(t.rows), keys
 }
@@ -404,6 +411,8 @@ func (t *Table) AppendLookup(dst []Row, column string, v Value) []Row {
 	defer t.mu.RUnlock()
 	if idx, ok := t.indexes[column]; ok {
 		dst = append(dst, idx.buckets[v]...)
+	} else if r, ok := t.pkIndex[v]; ok && t.isPK(column) {
+		dst = append(dst, r)
 	}
 	return dst
 }

@@ -10,6 +10,7 @@ package sqlast
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"xmlsql/internal/relational"
 )
@@ -318,11 +319,21 @@ type CTE struct {
 }
 
 // Query is the top-level statement: optional CTEs and a UNION ALL of
-// SELECT blocks.
+// SELECT blocks. A query must not be edited once it has run: its first run
+// memoises the executor's compiled plan on it (see Compiled).
 type Query struct {
 	With    []CTE
 	Selects []*Select
+
+	compiled atomic.Value
 }
+
+// Compiled returns the executor plan memoised on q by SetCompiled, or nil.
+func (q *Query) Compiled() any { return q.compiled.Load() }
+
+// SetCompiled memoises an executor's compiled plan on q unless one is
+// memoised already. The plan lives exactly as long as q does.
+func (q *Query) SetCompiled(plan any) { q.compiled.CompareAndSwap(nil, plan) }
 
 // SingleSelect wraps one Select into a Query.
 func SingleSelect(s *Select) *Query { return &Query{Selects: []*Select{s}} }

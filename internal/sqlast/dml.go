@@ -2,7 +2,6 @@ package sqlast
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"xmlsql/internal/relational"
@@ -250,39 +249,4 @@ func KeysFromWhere(e Expr, column string) (keys []relational.Value, ok bool) {
 		}
 	}
 	return nil, false
-}
-
-// Relations lists the base tables a query reads: every FROM source of every
-// branch and CTE body, excluding the CTE names themselves. Sorted and
-// deduplicated. The planner tags plan-cache entries with this set so
-// invalidation after a write can be scoped to the touched relations.
-func Relations(q *Query) []string {
-	if q == nil {
-		return nil
-	}
-	ctes := map[string]bool{}
-	for _, c := range q.With {
-		ctes[c.Name] = true
-	}
-	seen := map[string]bool{}
-	var visit func(qq *Query)
-	visit = func(qq *Query) {
-		for _, c := range qq.With {
-			visit(c.Body)
-		}
-		for _, s := range qq.Selects {
-			for _, f := range s.From {
-				if !ctes[f.Source] {
-					seen[f.Source] = true
-				}
-			}
-		}
-	}
-	visit(q)
-	out := make([]string, 0, len(seen))
-	for r := range seen {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -76,6 +76,11 @@ func (a *Applier) resolve(ctx context.Context, idx int, m Mutation, safe bool) (
 	}
 	rel := a.s.Node(sids[0]).Relation
 	if len(accepts) > 1 { // a second column names each row's relation
+		// Only a fresh translation may be edited: a query that has run
+		// carries the engine's plan compiled from its old text.
+		if tr.Query.Compiled() != nil {
+			return nil, fmt.Errorf("update: resolving %s would edit a query that has run", m.Path)
+		}
 		for _, sel := range tr.Query.Selects {
 			sel.Cols = append(sel.Cols[:1:1], sqlast.SelectItem{Expr: sqlast.StringLit(blockRelation(g, tr.Query.With, sel))})
 		}

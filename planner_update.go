@@ -108,11 +108,11 @@ func (p *Planner) Update(ctx context.Context, b UpdateBatch) (*UpdateResult, err
 		// trustworthy there.
 		p.violations.Add(int64(res.Audit.Total))
 		p.lastAudit.Store(res.Audit)
-		p.setTrust(TrustViolated, violatedRelations(res.Audit))
+		p.SetTrustState(TrustViolated)
 	case res.Preexisting != nil:
 		p.violations.Add(int64(res.Preexisting.Total))
 		p.lastAudit.Store(res.Preexisting)
-		p.setTrust(TrustViolated, violatedRelations(res.Preexisting))
+		p.SetTrustState(TrustViolated)
 	default:
 		// Neighborhood clean: a TrustVerified instance stays verified — the
 		// incremental audit is exactly the promotion proof, no global scan

@@ -21,7 +21,6 @@ import (
 	"database/sql"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -371,16 +370,6 @@ func Execute(ctx context.Context, store *Store, q *SQL, opts ExecuteOptions) (*R
 // CollectStatistics counts the rows of every table of an in-memory store.
 func CollectStatistics(store *Store) *Statistics { return stats.CollectStore(store) }
 
-// ChoosePlan applies the plan rule directly: naive is the baseline
-// translation, pruned the constraint-exploiting one (nil when translation
-// fell back). Pruned serves whenever it exists; otherwise the baseline serves
-// exactly as emitted. The Planner applies the same rule to every query it
-// serves; ChoosePlan is for tools and tests that want the decision without a
-// planner.
-func ChoosePlan(naive, pruned *SQL, s *Schema) *PlanDecision {
-	return translate.ChoosePlan(naive, pruned, s, nil)
-}
-
 // Eval is the end-to-end convenience: translate with the lossless
 // constraint and execute.
 func Eval(s *Schema, store *Store, query string) (*Result, error) {
@@ -580,7 +569,7 @@ func (p *Planner) planMode(query string, safe bool) (*cachedPlan, error) {
 		}
 	}
 	cp := &cachedPlan{tr: tr, dec: dec}
-	p.cache.PutTagged(k, cp, sqlast.Relations(tr.Query))
+	p.cache.Put(k, cp)
 	return cp, nil
 }
 
@@ -637,58 +626,15 @@ func (p *Planner) TrustState() TrustState { return TrustState(p.trust.Load()) }
 
 // SetTrustState overrides the trust state without running an audit — for
 // tests, or for operators who repaired (or deliberately distrust) the
-// instance out of band. Transitioning into TrustViolated purges the plan
-// cache, dropping the pruned plans the verdict invalidated.
-func (p *Planner) SetTrustState(st TrustState) { p.setTrust(st, nil) }
-
-// setTrust installs a trust verdict. On a transition into TrustViolated the
-// plans the verdict impeaches are dropped: all of them when rels is nil (the
-// whole instance is suspect — an operator override, or a truncated audit
-// whose full footprint is unknown), only the entries reading one of rels when
-// the violations are pinned to specific relations. Plans over untouched
-// relations keep serving from cache; under TrustViolated they are not *hit*
-// (Exec switches to safe-mode keys), but they resurface intact when a later
-// clean audit restores TrustVerified.
-func (p *Planner) setTrust(st TrustState, rels []string) {
-	if TrustState(p.trust.Swap(int32(st))) != st && st == TrustViolated {
-		if rels == nil {
-			p.cache.Purge()
-		} else {
-			p.cache.PurgeTagged(rels)
-		}
-	}
-}
-
-// violatedRelations extracts the sorted relation set a report pins violations
-// on, or nil when the set is unknowable (truncated report, or violations not
-// attributed to a relation) — nil tells setTrust to purge globally.
-func violatedRelations(rep *IntegrityReport) []string {
-	if rep == nil || rep.Truncated || rep.Total > len(rep.Violations) {
-		return nil
-	}
-	seen := map[string]bool{}
-	var rels []string
-	for _, v := range rep.Violations {
-		if v.Relation == "" {
-			return nil
-		}
-		if !seen[v.Relation] {
-			seen[v.Relation] = true
-			rels = append(rels, v.Relation)
-		}
-	}
-	if len(rels) == 0 {
-		return nil
-	}
-	sort.Strings(rels)
-	return rels
-}
+// instance out of band. It only stores the state: cached plans stay, and
+// Exec picks the mode's plan by key (see planMode).
+func (p *Planner) SetTrustState(st TrustState) { p.trust.Store(int32(st)) }
 
 // Audit probes the planner's backend for violations of the lossless-from-XML
 // constraint and installs the verdict: clean flips the trust state to
 // TrustVerified (pruned plans serve), violations flip it to TrustViolated
-// (Exec transparently re-plans with the baseline translation and the
-// invalidated pruned plans are dropped from the cache). Run it after loads,
+// (Exec transparently serves the baseline translation, cached under its own
+// keys; the pruned plans stay cached for the next clean audit). Run it after loads,
 // after fault recovery, or periodically from a background goroutine — the
 // state is atomic, so serving picks the new verdict up immediately.
 func (p *Planner) Audit(ctx context.Context) (*IntegrityReport, error) {
@@ -699,10 +645,10 @@ func (p *Planner) Audit(ctx context.Context) (*IntegrityReport, error) {
 	p.audits.Add(1)
 	p.lastAudit.Store(rep)
 	if rep.Clean() {
-		p.setTrust(TrustVerified, nil)
+		p.SetTrustState(TrustVerified)
 	} else {
 		p.violations.Add(int64(rep.Total))
-		p.setTrust(TrustViolated, violatedRelations(rep))
+		p.SetTrustState(TrustViolated)
 	}
 	return rep, nil
 }
