@@ -325,6 +325,26 @@ func updatePair(tb testing.TB, p *xmlsql.Planner, k int) {
 	}
 }
 
+// BenchmarkPlannerHotLiteral serves one literal-bearing read again and
+// again, after another text of its shape has made the shape's cached
+// template: a hot read that differs from another only in its literal.
+func BenchmarkPlannerHotLiteral(b *testing.B) {
+	p := updateFixture(b)
+	ctx := context.Background()
+	for _, q := range []string{"//Item[name='item-Af-19']/InCategory/Category", "//Item[name='item-Af-20']/InCategory/Category"} {
+		if _, err := p.Exec(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Exec(ctx, "//Item[name='item-Af-20']/InCategory/Category"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPlannerUpdate times one insert+delete pair through
 // Planner.Update on the mixed-rw-shaped instance.
 func BenchmarkPlannerUpdate(b *testing.B) {

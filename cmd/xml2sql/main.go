@@ -62,6 +62,7 @@ import (
 	"xmlsql/internal/integrity"
 	"xmlsql/internal/pathexpr"
 	"xmlsql/internal/pathid"
+	"xmlsql/internal/plancache"
 	"xmlsql/internal/relational"
 	"xmlsql/internal/schema"
 	"xmlsql/internal/sharded"
@@ -607,7 +608,7 @@ func runUpdate(s *schema.Schema, workload, mutsJSON string, dialect *sqlast.Dial
 		}
 		mem := backend.NewMemOn(store)
 		mem.SetCommitLog(mgr)
-		if applier, err = update.New(s, integrity.StoreSource(store), integrity.StoreProbe(store), mem, update.Options{}); err != nil {
+		if applier, err = update.New(s, integrity.StoreSource(store), integrity.StoreProbe(store), mem, plancache.Translator(s), update.Options{}); err != nil {
 			return err
 		}
 	}

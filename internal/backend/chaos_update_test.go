@@ -9,6 +9,7 @@ import (
 	"xmlsql/internal/backend"
 	"xmlsql/internal/backend/fakedb"
 	"xmlsql/internal/integrity"
+	"xmlsql/internal/plancache"
 	"xmlsql/internal/resilient"
 	"xmlsql/internal/schema"
 	"xmlsql/internal/sqlast"
@@ -103,7 +104,7 @@ func TestChaosUpdateBatchAtomicUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSourceProbe: %v", err)
 		}
-		a, err := update.New(s, wrapped, probe, db, update.Options{})
+		a, err := update.New(s, wrapped, probe, db, plancache.Translator(s), update.Options{})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}

@@ -230,7 +230,8 @@ func (c *compiler) selectPlan(s *sqlast.Select) (*selectPlan, error) {
 	sp := &selectPlan{steps: make([]joinStep, len(items))}
 	var cur *frame
 	pending := sqlast.Conjuncts(s.Where)
-	for k, i := range joinOrder(items, pending) {
+	var order [8]int
+	for k, i := range joinOrder(items, pending, order[:0]) {
 		var err error
 		if sp.steps[k], cur, pending, err = compileStep(cur, items[i], pending, need, k == len(items)-1); err != nil {
 			return nil, err
@@ -273,7 +274,10 @@ func (c *compiler) selectPlan(s *sqlast.Select) (*selectPlan, error) {
 // pending conjunct reads, see extend) and the conjuncts still pending.
 func compileStep(cur *frame, it fromItem, conjuncts []sqlast.Expr, need []sqlast.ColRef, last bool) (joinStep, *frame, []sqlast.Expr, error) {
 	st := joinStep{table: it.table, slot: it.slot}
-	solo := &frame{bindings: []binding{{alias: it.alias, cols: it.cols}}, width: len(it.cols)}
+	// solo lays out it alone, to bind its filter and join keys: it stays on
+	// the stack, and the first step copies it to the heap as the joined frame.
+	one := [1]binding{{alias: it.alias, cols: it.cols}}
+	solo := &frame{bindings: one[:], width: len(it.cols)}
 	var local, pending, covered, rest []sqlast.Expr
 	var keyErr error
 	for _, c := range conjuncts {
@@ -295,8 +299,11 @@ func compileStep(cur *frame, it fromItem, conjuncts []sqlast.Expr, need []sqlast
 	}
 	var err error
 	st.local, err = bindFilter(local, solo)
-	err, next := cmp.Or(err, keyErr), solo
-	if cur != nil && err == nil {
+	err = cmp.Or(err, keyErr)
+	next := cur
+	if cur == nil {
+		next = &frame{bindings: []binding{one[0]}, width: solo.width}
+	} else if err == nil {
 		refs := slices.Clip(need)
 		for _, c := range pending {
 			walkRefs(c, func(c sqlast.ColRef) { refs = append(refs, c) })
@@ -326,18 +333,24 @@ func compileStep(cur *frame, it fromItem, conjuncts []sqlast.Expr, need []sqlast
 // through its primary key (a parent, which its children reach by its id), it
 // takes over and over the first item an index probe reaches from those
 // joined, else the first an equality joins to them, else the next one. The
-// SQL text, and so the answer multiset, does not change.
-func joinOrder(items []fromItem, conj []sqlast.Expr) []int {
+// SQL text, and so the answer multiset, does not change. It appends the
+// order to order; on SELECTs of a few items it allocates nothing else.
+func joinOrder(items []fromItem, conj []sqlast.Expr, order []int) []int {
 	if len(items) == 1 {
-		return []int{0}
+		return append(order, 0)
 	}
 	// An edge is an equality on item i's col and a column of item j.
 	type edge struct {
 		i, j int
 		col  string
 	}
-	var edges []edge
-	filtered := make([]bool, len(items))
+	var edgeBuf [16]edge
+	var flagBuf [2 * 8]bool
+	edges, flags := edgeBuf[:0], flagBuf[:]
+	if len(items) > len(flagBuf)/2 {
+		flags = make([]bool, 2*len(items))
+	}
+	filtered, joined := flags[:len(items)], flags[len(items):2*len(items)]
 	for _, c := range conj {
 		l, r, eq := equiJoin(c)
 		i := slices.IndexFunc(items, func(o fromItem) bool { return o.alias == l.Table })
@@ -368,7 +381,7 @@ func joinOrder(items []fromItem, conj []sqlast.Expr) []int {
 		}
 		return reachProbe
 	}
-	order, joined, least := make([]int, 1, len(items)), make([]bool, len(items)), reachProbe+1
+	first, least := 0, reachProbe+1
 	for i := range items {
 		most := reachHash
 		for j := range items {
@@ -377,11 +390,12 @@ func joinOrder(items []fromItem, conj []sqlast.Expr) []int {
 			}
 		}
 		if most < least {
-			order[0], least = i, most
+			first, least = i, most
 		}
 	}
-	joined[order[0]] = true
-	for len(order) < len(items) {
+	base := len(order)
+	order, joined[first] = append(order, first), true
+	for len(order)-base < len(items) {
 		next, best := 0, -1
 		for i := range items {
 			if joined[i] {
@@ -614,15 +628,15 @@ func bindFilter(es []sqlast.Expr, f *frame) (predicate, error) {
 // bindAll binds the conjunction (all) or the disjunction (!all) of es: the
 // first kid whose verdict differs from all decides, and otherwise all does.
 func bindAll(es []sqlast.Expr, f *frame, all bool) (predicate, error) {
+	if len(es) == 1 {
+		return bindPred(es[0], f)
+	}
 	kids := make([]predicate, len(es))
 	for i, e := range es {
 		var err error
 		if kids[i], err = bindPred(e, f); err != nil {
 			return nil, err
 		}
-	}
-	if len(kids) == 1 {
-		return kids[0], nil
 	}
 	return func(row relational.Row) bool {
 		for _, k := range kids {

@@ -10,7 +10,9 @@ package pathexpr
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode"
 )
 
 // Wildcard is the label that matches any tag.
@@ -38,18 +40,84 @@ func (p *Path) String() string { return p.raw }
 
 // Parse parses an SPE such as "/Site/Regions//Item" or "//Category".
 func Parse(input string) (*Path, error) {
-	s := strings.TrimSpace(input)
+	p := &Path{}
+	raw, err := scan(input, func(st span) {
+		step := Step{Descendant: st.desc, Label: st.label}
+		if st.lo < st.hi {
+			step.Pred = &Pred{Child: st.child, Value: input[st.lo+1 : st.hi-1]}
+		}
+		p.Steps = append(p.Steps, step)
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.raw = raw
+	return p, nil
+}
+
+// Shape returns the shape of a query text and appends its literals to lits.
+// The shape is the text with each quoted predicate value ('…', quotes
+// included) replaced by the numbered slot $1, $2, … in text order, so texts
+// that differ only in their predicate values share one shape. A slot is
+// unquoted, so no shape with a slot is itself a query text, and a text
+// without ' (one without predicates) is its own shape. Shape refuses exactly
+// the texts Parse refuses, with Parse's error.
+func Shape(text string, lits []string) (string, []string, error) {
+	var b strings.Builder
+	last, n := 0, 0
+	_, err := scan(text, func(st span) {
+		if st.lo == st.hi {
+			return
+		}
+		if n == 0 {
+			b.Grow(len(text))
+		}
+		n++
+		b.WriteString(text[last:st.lo])
+		b.WriteByte('$')
+		b.WriteString(strconv.Itoa(n))
+		last = st.hi
+		lits = append(lits, text[st.lo+1:st.hi-1])
+	})
+	if err != nil || n == 0 {
+		return text, lits, err
+	}
+	b.WriteString(text[last:])
+	return b.String(), lits, nil
+}
+
+// span is one step as scan finds it: the axis, the label, and for a step
+// with a predicate its child label and the offsets of its quoted value
+// ('…', quotes included) in the input; lo == hi without a predicate.
+type span struct {
+	desc   bool
+	label  string
+	child  string
+	lo, hi int
+}
+
+// scan walks input by the SPE grammar, calling visit on each step in order,
+// and returns the trimmed text. Parse and Shape both read texts through it,
+// so they accept exactly the same ones.
+func scan(input string, visit func(span)) (string, error) {
+	left := strings.TrimLeftFunc(input, unicode.IsSpace)
+	off := len(input) - len(left)
+	s := strings.TrimRightFunc(left, unicode.IsSpace)
 	if s == "" {
-		return nil, fmt.Errorf("pathexpr: empty query")
+		return "", fmt.Errorf("pathexpr: empty query")
 	}
 	if s[0] != '/' {
-		return nil, fmt.Errorf("pathexpr: query %q must start with / or //", input)
+		return "", fmt.Errorf("pathexpr: query %q must start with / or //", input)
 	}
-	p := &Path{raw: s}
+	// At most one predicate per label, so predicate satisfaction is a
+	// single bit per element in the query automaton. A predicate's error
+	// comes after any error of the text's structure.
+	var predErr error
+	predOf := map[string]span{}
 	i := 0
 	for i < len(s) {
 		if s[i] != '/' {
-			return nil, fmt.Errorf("pathexpr: expected / at offset %d of %q", i, input)
+			return "", fmt.Errorf("pathexpr: expected / at offset %d of %q", i, input)
 		}
 		desc := false
 		i++
@@ -63,46 +131,38 @@ func Parse(input string) (*Path, error) {
 		}
 		label := s[i:j]
 		if label == "" {
-			return nil, fmt.Errorf("pathexpr: empty step label in %q", input)
+			return "", fmt.Errorf("pathexpr: empty step label in %q", input)
 		}
 		if err := validateLabel(label); err != nil {
-			return nil, fmt.Errorf("pathexpr: %v in %q", err, input)
+			return "", fmt.Errorf("pathexpr: %v in %q", err, input)
 		}
-		step := Step{Descendant: desc, Label: label}
+		st := span{desc: desc, label: label}
 		if j < len(s) && s[j] == '[' {
 			end := strings.IndexByte(s[j:], ']')
 			if end < 0 {
-				return nil, fmt.Errorf("pathexpr: unterminated predicate in %q", input)
+				return "", fmt.Errorf("pathexpr: unterminated predicate in %q", input)
 			}
-			pred, err := parsePred(s[j+1 : j+end])
+			child, lo, hi, err := parsePred(s[j+1 : j+end])
 			if err != nil {
-				return nil, fmt.Errorf("pathexpr: %v in %q", err, input)
+				return "", fmt.Errorf("pathexpr: %v in %q", err, input)
 			}
-			step.Pred = pred
+			st.child, st.lo, st.hi = child, off+j+1+lo, off+j+1+hi
+			prev, ok := predOf[label]
+			switch {
+			case predErr != nil:
+			case label == Wildcard:
+				predErr = fmt.Errorf("pathexpr: predicate on wildcard step in %q", input)
+			case ok && (prev.child != child || input[prev.lo:prev.hi] != input[st.lo:st.hi]):
+				predErr = fmt.Errorf("pathexpr: label %q carries two different predicates in %q", label, input)
+			case !ok:
+				predOf[label] = st
+			}
 			j += end + 1
 		}
-		p.Steps = append(p.Steps, step)
+		visit(st)
 		i = j
 	}
-	// At most one predicate per label, so predicate satisfaction is a
-	// single bit per element in the query automaton.
-	predOf := map[string]*Pred{}
-	for _, st := range p.Steps {
-		if st.Pred == nil {
-			continue
-		}
-		if st.Label == Wildcard {
-			return nil, fmt.Errorf("pathexpr: predicate on wildcard step in %q", input)
-		}
-		if prev, ok := predOf[st.Label]; ok && (prev.Child != st.Pred.Child || prev.Value != st.Pred.Value) {
-			return nil, fmt.Errorf("pathexpr: label %q carries two different predicates in %q", st.Label, input)
-		}
-		predOf[st.Label] = st.Pred
-	}
-	if len(p.Steps) == 0 {
-		return nil, fmt.Errorf("pathexpr: query %q has no steps", input)
-	}
-	return p, nil
+	return s, predErr
 }
 
 // MustParse parses and panics on error; for query literals.
@@ -114,21 +174,25 @@ func MustParse(input string) *Path {
 	return p
 }
 
-// parsePred parses the inside of a step predicate: child='value'.
-func parsePred(body string) (*Pred, error) {
-	child, rest, ok := strings.Cut(body, "=")
-	if !ok {
-		return nil, fmt.Errorf("bad predicate %q (want child='value')", body)
+// parsePred parses the inside of a step predicate, child='value', returning
+// the child label and the offsets of the quoted value in body.
+func parsePred(body string) (child string, lo, hi int, err error) {
+	eq := strings.IndexByte(body, '=')
+	if eq < 0 {
+		return "", 0, 0, fmt.Errorf("bad predicate %q (want child='value')", body)
 	}
-	child = strings.TrimSpace(child)
-	rest = strings.TrimSpace(rest)
+	child = strings.TrimSpace(body[:eq])
+	rest := strings.TrimLeftFunc(body[eq+1:], unicode.IsSpace)
+	lo = len(body) - len(rest)
+	rest = strings.TrimRightFunc(rest, unicode.IsSpace)
+	hi = lo + len(rest)
 	if err := validateLabel(child); err != nil {
-		return nil, err
+		return "", 0, 0, err
 	}
 	if len(rest) < 2 || rest[0] != '\'' || rest[len(rest)-1] != '\'' {
-		return nil, fmt.Errorf("predicate value %q must be single-quoted", rest)
+		return "", 0, 0, fmt.Errorf("predicate value %q must be single-quoted", rest)
 	}
-	return &Pred{Child: child, Value: rest[1 : len(rest)-1]}, nil
+	return child, lo, hi, nil
 }
 
 func validateLabel(l string) error {

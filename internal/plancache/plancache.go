@@ -3,7 +3,8 @@
 // The serving workload the ROADMAP targets is many concurrent clients
 // issuing a small set of hot path expressions against a slowly-changing
 // mapping. Translation (PathId cross-product + pruning) is pure and depends
-// only on (schema, query, translate options), so its result can be reused
+// only on (schema, query shape, translate options) — a predicate value only
+// ever becomes a literal of the SQL (plan.go) — so its result can be reused
 // across requests as long as the mapping is unchanged. Keys therefore embed
 // a structural schema fingerprint (schema.Fingerprint): when the mapping
 // changes, new requests carry a new fingerprint and simply stop hitting the
@@ -27,7 +28,11 @@ type Key struct {
 	// SchemaFP is the structural fingerprint of the mapping the plan was
 	// translated against (schema.Fingerprint()).
 	SchemaFP string
-	// Query is the path expression source text.
+	// Query is the path expression's shape (pathexpr.Shape): the text with
+	// its predicate values replaced by numbered slots, so that texts that
+	// differ only in those values share one entry. A text whose values may
+	// not bind another's plan (see Bindable) is keyed by itself; no valid
+	// text equals a shape with a slot, so the two kinds never collide.
 	Query string
 	// Options encodes the translate options the plan was produced under
 	// (plans for different option sets must not alias). The Planner derives
@@ -98,6 +103,18 @@ func (c *Cache) shardFor(k Key) *shard {
 
 // Get returns the cached plan for k, marking it most recently used.
 func (c *Cache) Get(k Key) (any, bool) {
+	v, ok := c.peek(k)
+	if !ok {
+		c.misses.Add(1)
+		return nil, false
+	}
+	c.hits.Add(1)
+	return v, true
+}
+
+// peek is Get without counting: a hit marks k most recently used, a miss
+// counts nothing.
+func (c *Cache) peek(k Key) (any, bool) {
 	s := c.shardFor(k)
 	s.mu.Lock()
 	el, ok := s.items[k]
@@ -110,12 +127,7 @@ func (c *Cache) Get(k Key) (any, bool) {
 		v = el.Value.(*entry).value
 	}
 	s.mu.Unlock()
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	return v, true
+	return v, ok
 }
 
 // Put stores v under k, evicting the least recently used entry of the key's

@@ -3,6 +3,8 @@ package schema
 import (
 	"fmt"
 	"sync"
+
+	"xmlsql/internal/relational"
 )
 
 // compiled holds the query-independent tables that translation reads on
@@ -11,10 +13,11 @@ import (
 // every goroutine that translates against the schema.
 type compiled struct {
 	once    sync.Once
-	labels  map[string]int // element label -> dense label id
-	labelOf []int          // node -> label id
-	annot   []annotation   // node -> Annot's answer
-	preds   [][]predColumn // node -> PredColumn's answer per child label
+	labels  map[string]int  // element label -> dense label id
+	labelOf []int           // node -> label id
+	annot   []annotation    // node -> Annot's answer
+	preds   [][]predColumn  // node -> PredColumn's answer per child label
+	consts  map[string]bool // the text of every condition's constant
 
 	// Built on first use too, apart: schemas that only translate need neither.
 	relOnce, auditOnce sync.Once
@@ -41,7 +44,16 @@ func (s *Schema) compiled() *compiled {
 		c.labelOf = make([]int, len(s.nodes))
 		c.annot = make([]annotation, len(s.nodes))
 		c.preds = make([][]predColumn, len(s.nodes))
+		c.consts = map[string]bool{}
 		for _, n := range s.nodes {
+			for _, cond := range n.Conds {
+				c.consts[constText(cond.Value)] = true
+			}
+			for _, e := range n.children {
+				if e.Cond != nil {
+					c.consts[constText(e.Cond.Value)] = true
+				}
+			}
 			id, ok := c.labels[n.Label]
 			if !ok {
 				id = len(c.labels)
@@ -97,6 +109,19 @@ func (s *Schema) LabelID(label string) (int, bool) {
 
 // NodeLabelID returns the id of the node's label.
 func (s *Schema) NodeLabelID(id NodeID) int { return s.compiled().labelOf[id] }
+
+// IsConstant reports whether v is the text of a constant that some
+// condition of the mapping, on a node or on an edge, compares a column to
+// (parentcode=1 has the text "1"). The plan cache shares a translation only
+// between texts whose literals are none of these (see plancache.Bindable).
+func (s *Schema) IsConstant(v string) bool { return s.compiled().consts[v] }
+
+func constText(v relational.Value) string {
+	if v.Kind() == relational.KindString {
+		return v.AsString()
+	}
+	return v.String()
+}
 
 // PredColumn resolves a child-axis step predicate "[childLabel='v']" at
 // node id: the value column of the node's own tuple that stores that

@@ -7,8 +7,9 @@
 // the pre-batch instance.
 //
 // The package leans on the same machinery queries use: targets are resolved
-// by running, once, the translation a read of the same path is served
-// (pruned, unless pruning falls back or the planner is in safe mode);
+// by running, once, the plan a read of the same path is served (pruned,
+// unless pruning falls back or the planner is in safe mode), taken from the
+// planner's cache entry for the path's shape;
 // inserted subtrees are aligned and decomposed exactly as the shredder would
 // (shred.AlignAt plus the same owner/pending-condition walk); and validity
 // is judged by the incremental auditor (integrity.AuditIncremental) over an
@@ -24,6 +25,7 @@ import (
 
 	"xmlsql/internal/backend"
 	"xmlsql/internal/integrity"
+	"xmlsql/internal/plancache"
 	"xmlsql/internal/relational"
 	"xmlsql/internal/schema"
 	"xmlsql/internal/sqlast"
@@ -171,6 +173,7 @@ type Applier struct {
 	src   integrity.Source
 	probe integrity.Probe
 	dml   backend.DML
+	plans func(path string, safe bool) (*plancache.Plan, error)
 	defs  map[string]*schema.RelationDef
 	tss   map[string]*relational.TableSchema
 	opts  Options
@@ -185,10 +188,12 @@ type Options struct {
 	Audit integrity.Options
 }
 
-// New prepares an applier. src resolves targets (any engine that executes
-// translated queries), probe answers the incremental audit's keyed fetches,
-// and dml applies the planned statements atomically.
-func New(s *schema.Schema, src integrity.Source, probe integrity.Probe, dml backend.DML, opts Options) (*Applier, error) {
+// New prepares an applier. plans serves a path's plan in trusted or safe
+// mode (a planner's cache, or plancache.Translator without one), src runs it
+// to resolve targets (any engine that executes translated queries), probe
+// answers the incremental audit's keyed fetches, and dml applies the planned
+// statements atomically.
+func New(s *schema.Schema, src integrity.Source, probe integrity.Probe, dml backend.DML, plans func(path string, safe bool) (*plancache.Plan, error), opts Options) (*Applier, error) {
 	defs, err := s.DeriveRelations()
 	if err != nil {
 		return nil, fmt.Errorf("update: %w", err)
@@ -197,13 +202,13 @@ func New(s *schema.Schema, src integrity.Source, probe integrity.Probe, dml back
 	for rel, def := range defs {
 		tss[rel] = def.TableSchema()
 	}
-	return &Applier{s: s, src: src, probe: probe, dml: dml, defs: defs, tss: tss, opts: opts}, nil
+	return &Applier{s: s, src: src, probe: probe, dml: dml, plans: plans, defs: defs, tss: tss, opts: opts}, nil
 }
 
 // ForStore builds an applier over a bare in-memory store, for tests and
 // tools that bypass the backend layer.
 func ForStore(s *schema.Schema, store *relational.Store, opts Options) (*Applier, error) {
-	return New(s, integrity.StoreSource(store), integrity.StoreProbe(store), backend.NewMemOn(store), opts)
+	return New(s, integrity.StoreSource(store), integrity.StoreProbe(store), backend.NewMemOn(store), plancache.Translator(s), opts)
 }
 
 // Apply plans, validates and applies one batch. On success the returned

@@ -14,6 +14,7 @@ import (
 
 	"xmlsql/internal/backend"
 	"xmlsql/internal/integrity"
+	"xmlsql/internal/plancache"
 	"xmlsql/internal/relational"
 	"xmlsql/internal/schema"
 	"xmlsql/internal/shred"
@@ -56,7 +57,7 @@ func openDurable(t *testing.T, dir string, opts wal.Options) *durable {
 	}
 	mem := backend.NewMemOn(store)
 	mem.SetCommitLog(mgr)
-	app, err := update.New(s, integrity.StoreSource(store), integrity.StoreProbe(store), mem, update.Options{})
+	app, err := update.New(s, integrity.StoreSource(store), integrity.StoreProbe(store), mem, plancache.Translator(s), update.Options{})
 	if err != nil {
 		t.Fatalf("update.New: %v", err)
 	}

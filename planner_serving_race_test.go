@@ -15,7 +15,8 @@ import (
 // readers while two writers insert and delete through Planner.Update, and
 // pins what writes may cost the readers: nothing. Every answer is the
 // reference multiset plus at most each writer's one live element, and no
-// cache entry is lost or duplicated. Run it under -race.
+// cache entry is lost or duplicated: the writers add their two path shapes'
+// entries and no more. Run it under -race.
 func TestPlannerUpdateServingUnderWrites(t *testing.T) {
 	ctx := context.Background()
 	p, _ := newUpdatePlanner(t, func(cfg *xmlsql.PlannerConfig) {
@@ -136,9 +137,11 @@ func TestPlannerUpdateServingUnderWrites(t *testing.T) {
 	if n < 4 || st.Updates != n {
 		t.Fatalf("%d updates applied, planner counted %d", n, st.Updates)
 	}
-	if st.Entries != len(queries) || st.Misses != st0.Misses {
-		t.Fatalf("plan cache: %d entries, misses %d -> %d; want %d entries and no new miss",
-			st.Entries, st0.Misses, st.Misses, len(queries))
+	// The writers' paths resolve through the cache too: their two shapes
+	// miss once each, whatever the literals, and nothing else misses.
+	if st.Entries != len(queries)+2 || st.Misses != st0.Misses+2 {
+		t.Fatalf("plan cache: %d entries, misses %d -> %d; want %d entries and two new misses",
+			st.Entries, st0.Misses, st.Misses, len(queries)+2)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"xmlsql/internal/backend"
 	"xmlsql/internal/integrity"
+	"xmlsql/internal/plancache"
 	"xmlsql/internal/update"
 )
 
@@ -160,7 +161,8 @@ func (p *Planner) updateApplier() (*update.Applier, error) {
 	// Target resolution and audit probes read through b itself, so a
 	// resilient wrapper's retries and circuit breaker still protect the
 	// read side of every update.
-	a, err := update.New(s, b, probe, dml, UpdateOptions{})
+	plans := func(path string, safe bool) (*plancache.Plan, error) { return p.planFor(s, path, safe, true) }
+	a, err := update.New(s, b, probe, dml, plans, UpdateOptions{})
 	if err != nil {
 		return nil, err
 	}

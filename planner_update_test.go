@@ -150,6 +150,11 @@ func TestPlannerUpdateScopedInvalidation(t *testing.T) {
 	}}}); err != nil {
 		t.Fatalf("update: %v", err)
 	}
+	// The write resolves its path through the cache: one miss, its own.
+	if m := p.Stats().Misses; m != m0+1 {
+		t.Fatalf("the write's own path: %d -> %d misses, want one", m0, m)
+	}
+	m0++
 
 	countRows(t, p, qUntouched)
 	if m := p.Stats().Misses; m != m0 {
@@ -243,6 +248,8 @@ func TestPlannerUpdateScopedInvalidationAdaptive(t *testing.T) {
 	}}}); err != nil {
 		t.Fatalf("update: %v", err)
 	}
+
+	st0.Misses++ // the write's own path, resolved through the cache
 
 	countRows(t, p, qUntouched)
 	if got := decision(qUntouched); got != decUntouched {

@@ -419,10 +419,13 @@ type PlannerConfig struct {
 
 // Planner is the concurrent query-serving fast path: a plan cache composed
 // with the executor. Translation (PathId + pruning) is pure and
-// depends only on (schema, query, options), so Planner caches the full
-// Translation keyed by the schema's structural fingerprint, the query text,
-// and the translate options; repeated queries skip parsing and translation
-// entirely and go straight to execution.
+// depends only on (schema, query shape, options), so Planner caches the full
+// Translation keyed by the schema's structural fingerprint, the query's
+// shape (its text with predicate values as slots), and the translate
+// options; repeated queries skip parsing and translation entirely and go
+// straight to execution, and a text that differs from a cached one only in
+// its predicate values is served the cached plan with its values bound.
+// Planner.Update resolves its targets through the same entries.
 //
 // A Planner is safe for concurrent use by multiple goroutines: the realistic
 // serving workload is many clients issuing a small set of hot path
@@ -515,18 +518,11 @@ func (p *Planner) SetSchema(s *Schema) {
 // baseline when pruning fell back. Serving (Exec) consults the trust
 // state and may substitute the safe-mode plan instead.
 func (p *Planner) Plan(query string) (*Translation, error) {
-	cp, err := p.planMode(query, false)
+	pl, err := p.planMode(query, false)
 	if err != nil {
 		return nil, err
 	}
-	return cp.tr, nil
-}
-
-// cachedPlan is one plan-cache entry: the translation served and the rule's
-// decision behind it.
-type cachedPlan struct {
-	tr  *Translation
-	dec *PlanDecision
+	return pl.Tr, nil
 }
 
 // planMode applies the plan rule to query in trusted or safe mode, with both
@@ -534,43 +530,19 @@ type cachedPlan struct {
 // a plan produced under the other mode. Trusted mode serves the pruned
 // translation unless it fell back; safe mode serves the baseline of [9],
 // correct on any instance, lossless or not. Either way the plan serves
-// exactly as its translator emitted it.
-func (p *Planner) planMode(query string, safe bool) (*cachedPlan, error) {
-	s := p.schema.Load()
+// exactly as its translator emitted it, bound to query's predicate values.
+func (p *Planner) planMode(query string, safe bool) (*plancache.Plan, error) {
+	return p.planFor(p.schema.Load(), query, safe, false)
+}
+
+// planFor is planMode under the schema s, for a read or a write (see
+// plancache.Cache.Serve).
+func (p *Planner) planFor(s *Schema, query string, safe, write bool) (*plancache.Plan, error) {
 	optKey := p.optKey
 	if safe {
 		optKey = safeModeKey + p.topoKey
 	}
-	k := plancache.Key{SchemaFP: s.Fingerprint(), Query: query, Options: optKey}
-	if v, ok := p.cache.Get(k); ok {
-		return v.(*cachedPlan), nil
-	}
-	q, err := ParseQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	var tr *Translation
-	var dec *PlanDecision
-	if safe {
-		nq, err := TranslateNaive(s, q)
-		if err != nil {
-			return nil, err
-		}
-		tr = &Translation{Query: nq, Fallback: true}
-		dec = &PlanDecision{Reason: translate.ReasonSafeMode, Query: nq}
-	} else {
-		if tr, err = TranslateWithOptions(s, q, p.cfg.Translate); err != nil {
-			return nil, err
-		}
-		if tr.Fallback {
-			dec = translate.ChoosePlan(tr.Query, nil, s, nil)
-		} else {
-			dec = translate.ChoosePlan(nil, tr.Query, s, nil)
-		}
-	}
-	cp := &cachedPlan{tr: tr, dec: dec}
-	p.cache.Put(k, cp)
-	return cp, nil
+	return p.cache.Serve(s, query, optKey, safe, write, p.cfg.Translate)
 }
 
 // safeModeKey is the plan-cache options key for safe-mode (baseline) plans;
@@ -600,11 +572,11 @@ type Explanation struct {
 // trust state, and why. It uses (and fills) the same cache as Exec, so
 // explaining then executing plans exactly once.
 func (p *Planner) Explain(ctx context.Context, query string) (*Explanation, error) {
-	cp, err := p.planMode(query, p.safeMode())
+	pl, err := p.planMode(query, p.safeMode())
 	if err != nil {
 		return nil, err
 	}
-	return &Explanation{Query: query, Decision: cp.dec, Plan: cp.tr}, nil
+	return &Explanation{Query: query, Decision: pl.Dec, Plan: pl.Tr}, nil
 }
 
 // safeMode reports whether Exec must serve the baseline translation right
@@ -669,7 +641,7 @@ func (p *Planner) LastAudit() *IntegrityReport { return p.lastAudit.Load() }
 // Stats().SafeModeServes.
 func (p *Planner) Exec(ctx context.Context, query string) (*Result, error) {
 	safe := p.safeMode()
-	cp, err := p.planMode(query, safe)
+	pl, err := p.planMode(query, safe)
 	if err != nil {
 		return nil, err
 	}
@@ -678,7 +650,7 @@ func (p *Planner) Exec(ctx context.Context, query string) (*Result, error) {
 	}
 	ctx, cancel := p.queryCtx(ctx)
 	defer cancel()
-	return p.backend().Execute(ctx, cp.tr.Query)
+	return p.backend().Execute(ctx, pl.Tr.Query)
 }
 
 // queryCtx applies the per-query deadline, if configured.
