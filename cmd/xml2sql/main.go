@@ -637,8 +637,12 @@ func runUpdate(s *schema.Schema, workload, mutsJSON string, dialect *sqlast.Dial
 	}
 	fmt.Printf("-- touched: %v (%d written, %d deleted tuples)\n",
 		res.Touched.Relations(), len(res.Touched.Written), len(res.Touched.Deleted))
-	fmt.Printf("-- incremental audit of the touched neighborhood: clean=%v (%d tuples probed in %v)\n",
-		res.Audit.Clean(), res.Audit.Tuples, res.Audit.Elapsed.Round(time.Microsecond))
+	if res.AuditErr != nil {
+		fmt.Printf("-- incremental audit of the touched neighborhood did not complete: %v\n", res.AuditErr)
+	} else {
+		fmt.Printf("-- incremental audit of the touched neighborhood: clean=%v (%d tuples probed in %v)\n",
+			res.Audit.Clean(), res.Audit.Tuples, res.Audit.Elapsed.Round(time.Microsecond))
+	}
 	if res.Preexisting != nil {
 		fmt.Printf("-- note: %d violation(s) predate the batch and were not introduced by it\n", res.Preexisting.Total)
 	}

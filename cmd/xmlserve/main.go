@@ -16,11 +16,10 @@
 // Each tenant is "name=workload[:backend]" where workload is a built-in
 // (xmark, xmarkfull, xmarkauctions, s1, s2, s3, adex, with an optional
 // "-edge" suffix) and backend is mem (default) or fakedb (the in-repo
-// database/sql driver; wrapped with the resilient retry/breaker layer
-// unless -resilient=false). -scale N generates N default-sized workload
-// documents per tenant (shredded and loaded at startup); -shards N
-// document-partitions each mem tenant across N stores and serves it through
-// the scatter-gather composite.
+// database/sql driver; its faults reach the client). -scale N generates N
+// default-sized workload documents per tenant (shredded and loaded at
+// startup); -shards N document-partitions each mem tenant across N stores
+// and serves it through the scatter-gather composite.
 //
 // Endpoints: GET/POST /query (?tenant=&q= or JSON {"tenant","query"}),
 // GET/POST /explain, POST /audit?tenant=, GET /healthz, GET /stats.
@@ -41,7 +40,6 @@ import (
 	"xmlsql/internal/backend"
 	"xmlsql/internal/backend/fakedb"
 	"xmlsql/internal/cli"
-	"xmlsql/internal/resilient"
 	"xmlsql/internal/server"
 	"xmlsql/internal/sqlast"
 	"xmlsql/internal/wal"
@@ -59,7 +57,6 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "per-query execution deadline")
 	drainTimeout := flag.Duration("drain-timeout", server.DefaultDrainTimeout, "graceful-shutdown bound for in-flight queries")
 	cacheSize := flag.Int("cache-size", 0, "per-tenant plan cache entries; 0 means the plancache default")
-	useResilient := flag.Bool("resilient", true, "wrap database-backed tenants with the retry/circuit-breaker layer")
 	logRequests := flag.Bool("log-requests", false, "log every served query and shed event")
 	dataDir := flag.String("data-dir", "", "root directory for durable tenants: each tenant recovers from (and write-ahead logs to) <data-dir>/<name>; mem backends only")
 	fsyncEvery := flag.Duration("fsync", 0, "group-commit window for durable tenants' logs; unset or 0 fsyncs every commit")
@@ -103,7 +100,7 @@ func main() {
 	for _, spec := range specs {
 		ten, err := addTenant(srv, spec, tenantOptions{
 			timeout: *timeout, cacheSize: *cacheSize,
-			useResilient: *useResilient, dataDir: *dataDir, fsyncEvery: *fsyncEvery,
+			dataDir: *dataDir, fsyncEvery: *fsyncEvery,
 			shards: *shards, scale: *scale,
 		})
 		if err != nil {
@@ -149,21 +146,20 @@ func main() {
 // tenantOptions carries the per-server flags addTenant applies to every
 // tenant spec.
 type tenantOptions struct {
-	timeout      time.Duration
-	cacheSize    int
-	useResilient bool
-	dataDir      string
-	fsyncEvery   time.Duration
-	shards       int
-	scale        int
+	timeout    time.Duration
+	cacheSize  int
+	dataDir    string
+	fsyncEvery time.Duration
+	shards     int
+	scale      int
 }
 
 // addTenant materializes one tenant spec: built-in schema, scale generated
-// default-sized documents, and a loaded mem or fakedb backend (the latter
-// wrapped with the resilient layer when enabled). With dataDir the tenant is
-// durable: its store recovers from <dataDir>/<name> (first boot shreds the
-// generated documents and checkpoints) and commits are write-ahead logged —
-// mem backends only, since a real database is its own durability domain.
+// default-sized documents, and a loaded mem or fakedb backend. With dataDir
+// the tenant is durable: its store recovers from <dataDir>/<name> (first
+// boot shreds the generated documents and checkpoints) and commits are
+// write-ahead logged — mem backends only, since a real database is its own
+// durability domain.
 // With shards > 1 a mem tenant is document-partitioned across that many
 // stores and served through the scatter-gather composite (per-shard logs
 // under <dataDir>/<name>/shard-<k> when durable).
@@ -212,12 +208,7 @@ func addTenant(srv *server.Server, spec server.TenantSpec, opt tenantOptions) (*
 	case "mem", "":
 		b = backend.NewMem()
 	case "fakedb":
-		db := backend.NewDB(fakedb.Open(), sqlast.DialectSQLite)
-		if opt.useResilient {
-			b = resilient.Wrap(db, resilient.Options{})
-		} else {
-			b = db
-		}
+		b = backend.NewDB(fakedb.Open(), sqlast.DialectSQLite)
 	default:
 		return nil, fmt.Errorf("unknown backend %q", spec.Backend)
 	}

@@ -10,7 +10,6 @@ import (
 	"xmlsql/internal/backend/fakedb"
 	"xmlsql/internal/integrity"
 	"xmlsql/internal/plancache"
-	"xmlsql/internal/resilient"
 	"xmlsql/internal/schema"
 	"xmlsql/internal/sqlast"
 	"xmlsql/internal/update"
@@ -19,14 +18,16 @@ import (
 )
 
 // The mutation-batch chaos suite: the same batch runs against a faulting
-// fakedb backend across many seeded fault schedules. Whenever a fault lands —
-// whether during target resolution, the pre-apply audit's fetches, or
-// mid-batch inside the DML transaction — the store must come out
-// byte-identical to its pre-batch snapshot and a subsequent audit of the
-// batch's would-be neighborhood must report clean. Whenever the batch gets
-// through, the resulting store must be byte-identical to a fault-free
-// in-memory reference that applied the same batch — the differential
-// property, extended from queries to writes.
+// fakedb backend across many seeded fault schedules, with no retries
+// anywhere. Whenever Apply fails — the fault landed during target
+// resolution, the pre-apply audit's fetches, or mid-batch inside the DML
+// transaction — the store must come out byte-identical to its pre-batch
+// snapshot and a subsequent audit of the batch's would-be neighborhood must
+// report clean. Whenever the DML commits — whether or not a fault then cuts
+// the post-apply audit short — Apply returns the batch's result and the
+// store must be byte-identical to a fault-free in-memory reference that
+// applied the same batch: the differential property, extended from queries
+// to writes.
 
 // chaosBatch is the update workload: two inserts bracketing a delete, so a
 // mid-batch fault can strand any mix of insert and delete statements if the
@@ -79,7 +80,7 @@ func TestChaosUpdateBatchAtomicUnderFaults(t *testing.T) {
 	batch := chaosBatch()
 	refPre, refPost, touched := memReference(t, s, doc, batch)
 
-	var faulted, midDML, applied int
+	var faulted, midDML, postAudit, applied int
 	for seed := int64(0); seed < 48; seed++ {
 		inst := fakedb.New()
 		db := backend.NewDB(sql.OpenDB(inst.Connector()), sqlast.DialectSQLite)
@@ -92,24 +93,16 @@ func TestChaosUpdateBatchAtomicUnderFaults(t *testing.T) {
 		if pre := inst.Store().Dump(); pre != refPre {
 			t.Fatalf("seed %d: fakedb and mem disagree before the batch:\nfakedb:\n%s\nmem:\n%s", seed, pre, refPre)
 		}
-		// Route reads through the resilient wrapper (faults there are
-		// absorbed by retries, as in production) but apply DML on the primary
-		// directly — a retry must never re-send a possibly-half-committed
-		// batch, so faults inside the transaction surface as batch failures.
-		wrapped := resilient.Wrap(db, resilient.Options{
-			Retry:   chaosRetry,
-			Breaker: resilient.BreakerConfig{FailureThreshold: 1 << 30},
-		})
-		probe, err := integrity.NewSourceProbe(wrapped, s)
+		probe, err := integrity.NewSourceProbe(db, s)
 		if err != nil {
 			t.Fatalf("NewSourceProbe: %v", err)
 		}
-		a, err := update.New(s, wrapped, probe, db, plancache.Translator(s), update.Options{})
+		a, err := update.New(s, db, probe, db, plancache.Translator(s), update.Options{})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
 
-		inst.SetFaults(fakedb.FaultConfig{Seed: seed, ExecErrorRate: 0.05, RowErrorRate: 0.05})
+		inst.SetFaults(fakedb.FaultConfig{Seed: seed, ExecErrorRate: 0.02, RowErrorRate: 0.02})
 		res, err := a.Apply(ctx, batch)
 		inst.ClearFaults()
 
@@ -130,6 +123,13 @@ func TestChaosUpdateBatchAtomicUnderFaults(t *testing.T) {
 			if !rep.Clean() {
 				t.Fatalf("seed %d: post-fault incremental audit dirty: %v", seed, rep)
 			}
+		} else if res.AuditErr != nil {
+			// The fault cut the post-apply audit short: the batch is
+			// committed, and the store holds exactly its effects.
+			postAudit++
+			if got := inst.Store().Dump(); got != refPost {
+				t.Fatalf("seed %d: committed batch whose audit faulted (%v) diverges from the fault-free mem reference:\ngot:\n%s\nwant:\n%s", seed, res.AuditErr, got, refPost)
+			}
 		} else {
 			applied++
 			if !res.Audit.Clean() {
@@ -142,13 +142,13 @@ func TestChaosUpdateBatchAtomicUnderFaults(t *testing.T) {
 		db.Close()
 	}
 
-	if faulted == 0 || applied == 0 {
-		t.Fatalf("vacuous schedule: %d faulted, %d applied — both paths must be exercised", faulted, applied)
+	if faulted == 0 || applied == 0 || postAudit == 0 {
+		t.Fatalf("vacuous schedule: %d faulted, %d post-audit faults, %d applied — every path must be exercised", faulted, postAudit, applied)
 	}
 	if midDML == 0 {
 		t.Fatal("no fault ever landed inside the DML transaction; mid-batch rollback went untested")
 	}
-	t.Logf("chaos updates: %d faulted (%d mid-DML), %d applied clean", faulted, midDML, applied)
+	t.Logf("chaos updates: %d faulted (%d mid-DML), %d post-audit faults, %d applied clean", faulted, midDML, postAudit, applied)
 }
 
 // TestChaosMemUpdateRollsBackMidBatch is the in-memory face of batch

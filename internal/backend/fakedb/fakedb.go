@@ -39,8 +39,8 @@ const DriverName = "xmlsql-fakedb"
 //
 // An instance can also be programmed to misbehave: SetFaults installs a
 // deterministic fault plan (error rates, fail-N-then-succeed, latency,
-// mid-resultset errors — see FaultConfig) so resilience layers can be tested
-// against a backend that fails like a real one, offline.
+// mid-resultset errors — see FaultConfig) so callers can be tested against a
+// backend that fails like a real one, offline.
 type DB struct {
 	store  *relational.Store
 	faults atomic.Pointer[faultInjector]

@@ -8,11 +8,11 @@ import (
 )
 
 // InjectedError is the error the fault injector returns for a simulated
-// backend failure. It implements the net.Error-style Temporary method, which
-// is how internal/resilient (and any caller following the same convention)
-// classifies it as transient without importing this package. The error
-// crosses the database/sql boundary intact, so retry layers above the
-// *sql.DB see exactly what they would see from a flaky real driver.
+// backend failure. It implements the net.Error-style Temporary method, so a
+// caller can tell it transient without importing this package. The error
+// crosses the database/sql boundary intact: callers above the *sql.DB see
+// exactly what they would see from a flaky real driver, and errors.As finds
+// it through the backend's wrapping.
 type InjectedError struct {
 	// Op names the operation the fault interrupted: "exec", "query", or
 	// "row" for a mid-resultset failure.
@@ -38,9 +38,8 @@ type FaultConfig struct {
 	// (Exec or Query entry) fails with an *InjectedError before running.
 	ExecErrorRate float64
 	// FailFirst makes the first N operations fail unconditionally, then
-	// stops injecting by count (rates still apply). This is the
-	// "fail-N-then-succeed" pattern for exercising retry-until-success and
-	// breaker half-open recovery.
+	// stops injecting by count (rates still apply): the
+	// "fail-N-then-succeed" pattern.
 	FailFirst int
 	// Latency is added to every operation before it runs, simulating a slow
 	// or saturated backend. Sleeps are context-aware where a context is
@@ -49,7 +48,7 @@ type FaultConfig struct {
 	// RowErrorRate is the probability in [0,1] that a query's resultset
 	// fails mid-iteration: the rows deliver normally until a random
 	// position, then Next returns an *InjectedError — the partial-resultset
-	// failure mode retry layers must treat as a whole-query retry.
+	// failure mode, which must fail the whole query, never truncate it.
 	RowErrorRate float64
 }
 

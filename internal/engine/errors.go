@@ -17,8 +17,7 @@ const (
 // guards (Options.MaxRows, Options.MaxCTEIterations). It is a distinct type
 // so servers can tell a budget-exceeded query — the caller's query is too
 // expensive and retrying it cannot help — apart from transient backend
-// faults, which are retryable, and from cancellation, which the caller asked
-// for. internal/resilient classifies it as ClassBudget and never retries it.
+// faults and from cancellation, which the caller asked for.
 type ResourceError struct {
 	// Resource is which guard tripped.
 	Resource Resource

@@ -16,7 +16,6 @@ import (
 	"xmlsql/internal/engine"
 	"xmlsql/internal/pathexpr"
 	"xmlsql/internal/relational"
-	"xmlsql/internal/resilient"
 )
 
 // queryRequest is the POST /query and /explain body; GET requests pass the
@@ -171,9 +170,11 @@ type updateResponse struct {
 	Written   int      `json:"written_tuples"`
 	Deleted   int      `json:"deleted_tuples"`
 	// AuditClean is the post-apply incremental audit's verdict over the
-	// batch's neighborhood; Preexisting flags violations that predate the
-	// batch (the batch itself was valid and applied).
+	// batch's neighborhood; AuditError says why that audit did not complete
+	// (the batch is applied all the same); Preexisting flags violations that
+	// predate the batch (the batch itself was valid and applied).
 	AuditClean  bool   `json:"audit_clean"`
+	AuditError  string `json:"audit_error,omitempty"`
 	Preexisting bool   `json:"preexisting_violations,omitempty"`
 	Trust       string `json:"trust"`
 	ElapsedNs   int64  `json:"elapsed_ns"`
@@ -239,18 +240,23 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeExecError(w, req.Tenant, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, updateResponse{
+	ur := updateResponse{
 		Tenant:      req.Tenant,
 		Mutations:   len(batch.Muts),
 		Stmts:       res.Stmts,
 		Touched:     res.Touched.Relations(),
 		Written:     len(res.Touched.Written),
 		Deleted:     len(res.Touched.Deleted),
-		AuditClean:  res.Audit.Clean(),
 		Preexisting: res.Preexisting != nil,
 		Trust:       t.planner.TrustState().String(),
 		ElapsedNs:   elapsed.Nanoseconds(),
-	})
+	}
+	if res.AuditErr != nil {
+		ur.AuditError = res.AuditErr.Error()
+	} else {
+		ur.AuditClean = res.Audit.Clean()
+	}
+	writeJSON(w, http.StatusOK, ur)
 }
 
 // explainResponse is /explain's JSON: the plan rule's decision for the query
@@ -354,7 +360,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // writeExecError maps an execution-path error to its HTTP shape: typed shed
 // errors to 429/503 with Retry-After, timeouts to 504, resource guards and
 // rejected update batches to 422, unsupported-update backends to 501,
-// breaker-open to 503, everything else to 500.
+// everything else (a backend's own faults among them) to 500.
 func (s *Server) writeExecError(w http.ResponseWriter, tenant string, err error) {
 	var shed *ShedError
 	var ue *xmlsql.UpdateError
@@ -375,8 +381,6 @@ func (s *Server) writeExecError(w http.ResponseWriter, tenant string, err error)
 		writeError(w, http.StatusGatewayTimeout, "timeout", tenant, err.Error(), 0)
 	case errors.Is(err, context.Canceled):
 		writeError(w, http.StatusInternalServerError, "canceled", tenant, err.Error(), 0)
-	case errors.Is(err, resilient.ErrBreakerOpen):
-		writeError(w, http.StatusServiceUnavailable, "unavailable", tenant, err.Error(), s.cfg.RetryAfter)
 	case func() bool { var re *engine.ResourceError; return errors.As(err, &re) }():
 		writeError(w, http.StatusUnprocessableEntity, "resource_limit", tenant, err.Error(), 0)
 	default:

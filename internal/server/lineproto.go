@@ -15,7 +15,6 @@ import (
 	"xmlsql/internal/engine"
 	"xmlsql/internal/pathexpr"
 	"xmlsql/internal/relational"
-	"xmlsql/internal/resilient"
 )
 
 // The line protocol: one request per line, one (or, for D, a framed block
@@ -197,8 +196,6 @@ func writeLineError(w *bufio.Writer, err error) {
 		writeLineErrorCode(w, string(shed.Reason), shed.RetryAfter, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
 		writeLineErrorCode(w, "timeout", 0, err.Error())
-	case errors.Is(err, resilient.ErrBreakerOpen):
-		writeLineErrorCode(w, "unavailable", DefaultRetryAfter, err.Error())
 	case errors.As(err, &re):
 		writeLineErrorCode(w, "resource_limit", 0, err.Error())
 	default:

@@ -9,15 +9,14 @@
 // before any engine work happens:
 //
 //	connection limit → per-tenant rate limit → per-tenant in-flight
-//	semaphore → per-query timeout → (resilient backend: retry/breaker,
-//	planner: safe mode)
+//	semaphore → per-query timeout → planner safe mode
 //
 // Every refusal is a typed retry-after answer (*ShedError; HTTP 429/503 with
 // a Retry-After header, "ERR shed_* <retry_after_ms>" on the line protocol),
 // so overload turns into fast, bounded backpressure instead of queueing
-// collapse. The first four stages are the server's; the last composes the
-// existing internal/resilient layer and the planner's integrity safe mode
-// unchanged underneath.
+// collapse. The first four stages are the server's; the last is the
+// planner's integrity safe mode, unchanged underneath. A backend's own
+// faults are not retried: they reach the client as errors.
 package server
 
 import (

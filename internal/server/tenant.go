@@ -10,7 +10,6 @@ import (
 
 	"xmlsql"
 	"xmlsql/internal/backend"
-	"xmlsql/internal/resilient"
 	"xmlsql/internal/sharded"
 	"xmlsql/internal/wal"
 )
@@ -291,8 +290,7 @@ type PlanCacheStats struct {
 
 // TenantStats is one tenant's /stats entry: serving counters, shed
 // counters, plan-cache and integrity counters from the tenant's private
-// planner, and — where the backend exposes them — resilience counters.
-// Everything here is per tenant, not process-global.
+// planner. Everything here is per tenant, not process-global.
 type TenantStats struct {
 	Queries  int64 `json:"queries"`
 	Errors   int64 `json:"errors"`
@@ -314,8 +312,6 @@ type TenantStats struct {
 	// Recovery is the durability lifecycle state ("volatile" when the tenant
 	// has no write-ahead log).
 	Recovery string `json:"recovery"`
-
-	Resilient *resilient.Stats `json:"resilient,omitempty"`
 
 	Limits Limits `json:"limits"`
 }
@@ -343,10 +339,6 @@ func (t *Tenant) Stats() TenantStats {
 	}
 	if q := st.Queries; q > 0 {
 		st.MeanExecNs = float64(t.execNs.Load()) / float64(q)
-	}
-	if rb, ok := t.planner.Backend().(*resilient.Backend); ok {
-		rs := rb.Stats()
-		st.Resilient = &rs
 	}
 	return st
 }

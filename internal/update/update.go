@@ -156,8 +156,13 @@ type Result struct {
 	// Audit is the post-apply incremental audit over the live instance. A
 	// batch only applies if its pre-apply overlay audit was clean, so Audit
 	// is clean unless the instance was already dirty outside the batch's
-	// neighborhood responsibility.
+	// neighborhood responsibility. It is nil when AuditErr is set.
 	Audit *integrity.Report
+	// AuditErr, when non-nil, is why the post-apply audit did not complete
+	// (a backend fault, a canceled context). The batch is applied all the
+	// same — committed, and never to be re-sent — but its neighborhood went
+	// unaudited.
+	AuditErr error
 	// Preexisting, when non-nil, is the overlay audit showing violations
 	// that predate the batch (the same violations reproduce without the
 	// batch's effects). The batch itself is valid and was applied; callers
@@ -211,10 +216,12 @@ func ForStore(s *schema.Schema, store *relational.Store, opts Options) (*Applier
 	return New(s, integrity.StoreSource(store), integrity.StoreProbe(store), backend.NewMemOn(store), plancache.Translator(s), opts)
 }
 
-// Apply plans, validates and applies one batch. On success the returned
-// Result carries the batch's footprint and the post-apply audit. On failure
-// the error is a *Error (planning or validation rejections — nothing was
-// applied) or the backend's error (the backend rolled the batch back).
+// Apply plans, validates and applies one batch. A returned error means the
+// batch is not applied: it is a *Error (a planning or validation rejection,
+// before anything was written), or the backend's error from a read before
+// the DML or from the DML itself, which the backend rolled back. Once the
+// DML commits, Apply returns the batch's Result — its footprint and the
+// post-apply audit, or, if that audit could not complete, Result.AuditErr.
 // Targets resolve by the translation a trusting planner serves reads.
 func (a *Applier) Apply(ctx context.Context, b Batch) (*Result, error) {
 	return a.ApplyMode(ctx, b, false)
@@ -285,11 +292,11 @@ func (a *Applier) ApplyMode(ctx context.Context, b Batch, safe bool) (*Result, e
 		}
 	}
 
-	post, err := integrity.AuditIncrementalOpts(ctx, a.probe, a.s, touched, a.opts.Audit)
-	if err != nil {
-		return nil, fmt.Errorf("update: post-apply audit: %w", err)
+	res := &Result{Touched: touched, Stmts: len(stmts), Statements: stmts, Preexisting: preexisting}
+	if res.Audit, err = integrity.AuditIncrementalOpts(ctx, a.probe, a.s, touched, a.opts.Audit); err != nil {
+		res.AuditErr = fmt.Errorf("update: post-apply audit: %w", err)
 	}
-	return &Result{Touched: touched, Stmts: len(stmts), Statements: stmts, Audit: post, Preexisting: preexisting}, nil
+	return res, nil
 }
 
 // newViolation reports a violation present in rep but not in base, if any.

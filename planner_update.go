@@ -22,7 +22,8 @@ type (
 	// (snapshot semantics).
 	UpdateBatch = update.Batch
 	// UpdateResult reports one applied batch: its tuple footprint, the DML
-	// statement count, and the incremental audits around it.
+	// statement count, and the incremental audits around it (AuditErr when
+	// the post-apply audit could not complete).
 	UpdateResult = update.Result
 	// UpdateError is the typed rejection of an invalid batch; it names the
 	// violating mutation and, for integrity rejections, carries the
@@ -85,9 +86,12 @@ func NewUpdateApplier(s *Schema, store *Store, opts UpdateOptions) (*UpdateAppli
 //
 // Updates are accepted in every trust state — on a TrustViolated instance
 // they are the repair vector (each batch is still validated against P1–P3
-// before applying, so updates never make the instance dirtier). A failed or
-// faulted batch changes nothing: validation happens before any write, and the
-// backend applies the statements transactionally.
+// before applying, so updates never make the instance dirtier). A returned
+// error means the batch changed nothing: validation happens before any write,
+// and the backend applies the statements transactionally. A batch that
+// committed is returned, never an error, even when its post-apply audit
+// could not complete (UpdateResult.AuditErr): a TrustVerified planner then
+// drops to TrustUnverified, since nothing checked where the batch wrote.
 func (p *Planner) Update(ctx context.Context, b UpdateBatch) (*UpdateResult, error) {
 	a, err := p.updateApplier()
 	if err != nil {
@@ -102,7 +106,7 @@ func (p *Planner) Update(ctx context.Context, b UpdateBatch) (*UpdateResult, err
 	p.updates.Add(1)
 
 	switch {
-	case !res.Audit.Clean():
+	case res.Audit != nil && !res.Audit.Clean():
 		// The post-apply audit of the touched neighborhood found dirt. The
 		// batch itself validated clean pre-apply, so this is pre-existing
 		// (or a concurrent external writer); either way the instance is not
@@ -114,6 +118,10 @@ func (p *Planner) Update(ctx context.Context, b UpdateBatch) (*UpdateResult, err
 		p.violations.Add(int64(res.Preexisting.Total))
 		p.lastAudit.Store(res.Preexisting)
 		p.SetTrustState(TrustViolated)
+	case res.AuditErr != nil:
+		// Committed but unaudited: the verified verdict no longer has its
+		// proof. Unverified and Violated stand as they are.
+		p.trust.CompareAndSwap(int32(TrustVerified), int32(TrustUnverified))
 	default:
 		// Neighborhood clean: a TrustVerified instance stays verified — the
 		// incremental audit is exactly the promotion proof, no global scan
@@ -134,13 +142,15 @@ func (p *Planner) updateApplier() (*update.Applier, error) {
 		return p.applier, nil
 	}
 	b := p.backend()
-	dml, ok := dmlCapability(b)
+	dml, ok := b.(backend.DML)
 	if !ok {
 		return nil, &update.Error{Kind: update.ErrUnsupported,
 			Msg: "backend cannot apply DML atomically"}
 	}
 	var probe integrity.Probe
-	if rp, ok := probeCapability(b); ok {
+	if rp, ok := b.(interface {
+		IntegrityProbe() (integrity.Probe, error)
+	}); ok {
 		// A backend that can route keyed fetches itself (the sharded
 		// composite) beats both store probes and scatter queries: the audit
 		// neighborhood loads with point lookups on the owning shard only.
@@ -149,7 +159,7 @@ func (p *Planner) updateApplier() (*update.Applier, error) {
 			return nil, err
 		}
 		probe = pp
-	} else if m, ok := memBackend(b); ok {
+	} else if m, ok := b.(*backend.Mem); ok {
 		probe = integrity.StoreProbe(m.Store())
 	} else {
 		sp, err := integrity.NewSourceProbe(b, s)
@@ -158,9 +168,6 @@ func (p *Planner) updateApplier() (*update.Applier, error) {
 		}
 		probe = sp
 	}
-	// Target resolution and audit probes read through b itself, so a
-	// resilient wrapper's retries and circuit breaker still protect the
-	// read side of every update.
 	plans := func(path string, safe bool) (*plancache.Plan, error) { return p.planFor(s, path, safe, true) }
 	a, err := update.New(s, b, probe, dml, plans, UpdateOptions{})
 	if err != nil {
@@ -168,58 +175,4 @@ func (p *Planner) updateApplier() (*update.Applier, error) {
 	}
 	p.applier, p.applierFor = a, s
 	return a, nil
-}
-
-// dmlCapability finds a backend's transactional DML capability, unwrapping
-// resilience layers via their Primary() accessor: a retry loop must not
-// re-apply a possibly-half-committed batch, so updates go straight to the
-// primary, whose ApplyDML is all-or-nothing by contract.
-func dmlCapability(b Backend) (backend.DML, bool) {
-	for b != nil {
-		if d, ok := b.(backend.DML); ok {
-			return d, true
-		}
-		w, ok := b.(interface{ Primary() Backend })
-		if !ok {
-			return nil, false
-		}
-		b = w.Primary()
-	}
-	return nil, false
-}
-
-// probeCapability finds a backend that supplies its own routed
-// integrity.Probe (the sharded composite), unwrapping resilience layers.
-func probeCapability(b Backend) (interface {
-	IntegrityProbe() (integrity.Probe, error)
-}, bool) {
-	for b != nil {
-		if p, ok := b.(interface {
-			IntegrityProbe() (integrity.Probe, error)
-		}); ok {
-			return p, true
-		}
-		w, ok := b.(interface{ Primary() Backend })
-		if !ok {
-			return nil, false
-		}
-		b = w.Primary()
-	}
-	return nil, false
-}
-
-// memBackend unwraps to the in-memory backend, if that is what ultimately
-// holds the tuples (possibly behind a resilience layer).
-func memBackend(b Backend) (*backend.Mem, bool) {
-	for b != nil {
-		if m, ok := b.(*backend.Mem); ok {
-			return m, true
-		}
-		w, ok := b.(interface{ Primary() Backend })
-		if !ok {
-			return nil, false
-		}
-		b = w.Primary()
-	}
-	return nil, false
 }

@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"xmlsql"
+	"xmlsql/internal/backend"
+	"xmlsql/internal/backend/fakedb"
 	"xmlsql/internal/bench"
 	"xmlsql/internal/integrity"
 	"xmlsql/internal/relational"
+	"xmlsql/internal/sqlast"
 	"xmlsql/internal/workloads"
 )
 
@@ -314,10 +318,92 @@ func TestPlannerUpdateTrustPromotion(t *testing.T) {
 	}
 }
 
-// TestPlannerUpdateThroughResilientBackend routes updates through a resilient
-// wrapper: reads retry through the wrapper, DML unwraps to the primary, and
-// the batch applies.
-func TestPlannerUpdateThroughResilientBackend(t *testing.T) {
+// TestPlannerUpdateOverDBBackend drives Planner.Update over a database
+// backend: targets resolve and the audits probe through SQL, the DML applies
+// in one database transaction, and the batch is visible to Exec.
+func TestPlannerUpdateOverDBBackend(t *testing.T) {
+	ctx := context.Background()
+	s := workloads.XMark()
+	doc := workloads.GenerateXMark(workloads.XMarkConfig{
+		ItemsPerContinent: 3, CategoriesPerItem: 1, NumCategories: 5, Seed: 3,
+	})
+	db := xmlsql.NewDBBackend(fakedb.Open(), xmlsql.DialectSQLite)
+	t.Cleanup(func() { db.Close() })
+	if err := db.EnsureSchema(s); err != nil {
+		t.Fatalf("EnsureSchema: %v", err)
+	}
+	if _, err := db.Load(s, doc); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	p := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: db})
+
+	const q = "//Item/InCategory/Category"
+	before := countRows(t, p, q)
+	res, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{{
+		Op:   xmlsql.UpdateInsert,
+		Path: "/Site/Regions/Africa/Item",
+		XML:  "<InCategory><Category>via-db</Category></InCategory>",
+	}}})
+	if err != nil {
+		t.Fatalf("update over the DB backend: %v", err)
+	}
+	if !res.Audit.Clean() {
+		t.Fatalf("post-apply audit dirty: %v", res.Audit)
+	}
+	if got := countRows(t, p, q); got != before+3 {
+		t.Fatalf("category rows %d -> %d, want +3", before, got)
+	}
+}
+
+// errAuditProbe is the fault auditFaultBackend's probe injects.
+var errAuditProbe = errors.New("audit probe fault")
+
+// auditFaultBackend serves a Mem store whose audit probe fails on its first
+// call after a batch's DML commits: the post-apply audit cannot complete,
+// though the batch is in the store.
+type auditFaultBackend struct {
+	*backend.Mem
+	armed atomic.Bool
+}
+
+func (b *auditFaultBackend) ApplyDML(ctx context.Context, stmts []sqlast.DMLStmt) error {
+	if err := b.Mem.ApplyDML(ctx, stmts); err != nil {
+		return err
+	}
+	b.armed.Store(true)
+	return nil
+}
+
+func (b *auditFaultBackend) IntegrityProbe() (integrity.Probe, error) {
+	return auditFaultProbe{b, integrity.StoreProbe(b.Store())}, nil
+}
+
+type auditFaultProbe struct {
+	b *auditFaultBackend
+	integrity.Probe
+}
+
+func (p auditFaultProbe) FetchByID(ctx context.Context, rel string, ids []int64) ([]relational.Row, error) {
+	if p.b.armed.CompareAndSwap(true, false) {
+		return nil, errAuditProbe
+	}
+	return p.Probe.FetchByID(ctx, rel, ids)
+}
+
+func (p auditFaultProbe) FetchByParent(ctx context.Context, rel string, parents []int64) ([]relational.Row, error) {
+	if p.b.armed.CompareAndSwap(true, false) {
+		return nil, errAuditProbe
+	}
+	return p.Probe.FetchByParent(ctx, rel, parents)
+}
+
+// TestPlannerUpdateCommittedButUnaudited faults the post-apply audit of a
+// committed batch. The batch is applied, so Update returns its result and
+// counts it as an update, not a reject; the audit's failure is on the result,
+// and a verified planner drops to unverified, since nothing checked where
+// the batch wrote. Reporting the batch as failed would invite a client to
+// re-send an insert that is already in the store.
+func TestPlannerUpdateCommittedButUnaudited(t *testing.T) {
 	ctx := context.Background()
 	s := workloads.XMark()
 	store := xmlsql.NewStore()
@@ -327,20 +413,32 @@ func TestPlannerUpdateThroughResilientBackend(t *testing.T) {
 	if _, err := xmlsql.Shred(s, store, doc); err != nil {
 		t.Fatalf("shred: %v", err)
 	}
-	rb := xmlsql.NewResilientBackend(xmlsql.NewMemBackendOn(store), xmlsql.ResilientOptions{})
-	p := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: rb})
+	p := xmlsql.NewPlannerWith(s, xmlsql.PlannerConfig{Backend: &auditFaultBackend{Mem: backend.NewMemOn(store)}})
+	if rep, err := p.Audit(ctx); err != nil || !rep.Clean() {
+		t.Fatalf("initial audit: %v %v", rep, err)
+	}
 
 	const q = "//Item/InCategory/Category"
 	before := countRows(t, p, q)
-	if _, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{{
+	res, err := p.Update(ctx, xmlsql.UpdateBatch{Muts: []xmlsql.UpdateMutation{{
 		Op:   xmlsql.UpdateInsert,
 		Path: "/Site/Regions/Africa/Item",
-		XML:  "<InCategory><Category>via-resilient</Category></InCategory>",
-	}}}); err != nil {
-		t.Fatalf("update through resilient backend: %v", err)
+		XML:  "<InCategory><Category>unaudited</Category></InCategory>",
+	}}})
+	if err != nil {
+		t.Fatalf("a committed batch was reported as failed: %v", err)
+	}
+	if !errors.Is(res.AuditErr, errAuditProbe) || res.Audit != nil {
+		t.Fatalf("result audit = %v, audit err = %v; want no audit and the probe fault", res.Audit, res.AuditErr)
 	}
 	if got := countRows(t, p, q); got != before+3 {
-		t.Fatalf("category rows %d -> %d, want +3", before, got)
+		t.Fatalf("category rows %d -> %d, want +3: the batch is in the store", before, got)
+	}
+	if got := p.TrustState(); got != xmlsql.TrustUnverified {
+		t.Fatalf("trust after an unaudited batch = %v, want TrustUnverified", got)
+	}
+	if st := p.Stats(); st.Updates != 1 || st.UpdateRejects != 0 {
+		t.Fatalf("updates=%d rejects=%d, want 1 and 0", st.Updates, st.UpdateRejects)
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"xmlsql/internal/pathid"
 	"xmlsql/internal/plancache"
 	"xmlsql/internal/relational"
-	"xmlsql/internal/resilient"
 	"xmlsql/internal/schema"
 	"xmlsql/internal/sharded"
 	"xmlsql/internal/shred"
@@ -78,16 +77,6 @@ type (
 	// ResourceError is the typed error a query returns when it exceeds an
 	// execution resource guard.
 	ResourceError = engine.ResourceError
-	// ResilientOptions configures NewResilientBackend: retry policy,
-	// circuit-breaker thresholds, and the degraded-mode fallback backend.
-	ResilientOptions = resilient.Options
-	// RetryPolicy tunes transient-failure retries (backoff and jitter).
-	RetryPolicy = resilient.RetryPolicy
-	// BreakerConfig tunes the per-backend circuit breaker.
-	BreakerConfig = resilient.BreakerConfig
-	// ResilientStats snapshots a resilient backend's retry/breaker/fallback
-	// counters.
-	ResilientStats = resilient.Stats
 	// ShardedBackend is the scatter-gather composite over document-
 	// partitioned shard stores (see NewShardedBackend).
 	ShardedBackend = sharded.Sharded
@@ -247,14 +236,6 @@ func NewShardedMemBackend(n int, opts ShardedOptions) (*sharded.Sharded, error) 
 	return sharded.NewMem(n, opts)
 }
 
-// NewResilientBackend wraps a backend with transient-failure retries, a
-// circuit breaker, and optional graceful degradation to a fallback backend
-// (see ResilientOptions). The result implements Backend, so it can be
-// handed straight to PlannerConfig.Backend.
-func NewResilientBackend(primary Backend, opts ResilientOptions) *resilient.Backend {
-	return resilient.Wrap(primary, opts)
-}
-
 // NewSchemaBuilder starts a programmatic schema definition.
 func NewSchemaBuilder(name string) *SchemaBuilder { return schema.NewBuilder(name) }
 
@@ -402,8 +383,6 @@ type PlannerConfig struct {
 	// Backend, when non-nil, is where Exec runs cached plans. Execute
 	// options apply only to the in-memory engine; a DB backend executes
 	// however its database does.
-	// Wrap it with NewResilientBackend to add retries, a circuit breaker,
-	// and degraded-mode fallback without touching the planner.
 	Backend Backend
 	// Timeout, when positive, is the per-query deadline Exec applies on
 	// top of the caller's context. A query that
@@ -475,28 +454,14 @@ func NewPlannerWith(s *Schema, cfg PlannerConfig) *Planner {
 	// A backend with a shard topology contributes it to every cache key, so
 	// plans cached for one topology can never be served to another (nor to an
 	// unsharded backend) across planner rebuilds over a shared cache.
-	if topo := backendTopology(cfg.Backend); topo != "" {
-		p.topoKey = "|topo=" + topo
-		p.optKey += p.topoKey
+	if t, ok := cfg.Backend.(interface{ Topology() string }); ok {
+		if topo := t.Topology(); topo != "" {
+			p.topoKey = "|topo=" + topo
+			p.optKey += p.topoKey
+		}
 	}
 	p.schema.Store(s)
 	return p
-}
-
-// backendTopology reports the backend's shard-layout identity, unwrapping
-// resilience layers; non-sharded backends have none.
-func backendTopology(b Backend) string {
-	for b != nil {
-		if t, ok := b.(interface{ Topology() string }); ok {
-			return t.Topology()
-		}
-		w, ok := b.(interface{ Primary() Backend })
-		if !ok {
-			return ""
-		}
-		b = w.Primary()
-	}
-	return ""
 }
 
 // Schema returns the mapping the planner currently serves.
@@ -633,8 +598,7 @@ func (p *Planner) LastAudit() *IntegrityReport { return p.lastAudit.Load() }
 // backend under ctx plus the configured Timeout. A Planner whose config
 // names no backend gets a fresh in-memory one on first use, so Exec works
 // out of the box; point cfg.Backend at a DB backend to serve the same
-// cached plans from a real database, or at a NewResilientBackend wrapper to
-// add retries and degradation.
+// cached plans from a real database.
 // Exec consults the trust state first: under TrustViolated (or TrustStrict
 // with an unverified instance) it serves the safe-mode baseline plan, whose
 // answers are correct on dirty data, and counts the degradation in
@@ -693,15 +657,15 @@ type PlannerStats struct {
 	Audits          int64 `json:"audits"`
 	ViolationsFound int64 `json:"violations_found"`
 	// SafeModeServes counts Exec calls answered with the baseline
-	// translation because the instance was not trusted — the integrity
-	// counterpart of the resilience layer's Fallbacks counter.
+	// translation because the instance was not trusted.
 	SafeModeServes int64 `json:"safe_mode_serves"`
 	// StatsCollects is a compile-only shim: it is always 0, since no plan
 	// collects statistics. It stays because the repository benchmark reads it.
 	StatsCollects int64 `json:"-"`
-	// Updates counts mutation batches applied through Update;
-	// UpdateRejects counts batches rejected (invalid, conflicting, or
-	// failed) — rejected batches left the instance untouched.
+	// Updates counts mutation batches applied through Update, including
+	// those whose post-apply audit did not complete; UpdateRejects counts
+	// batches rejected (invalid, conflicting, or failed) — rejected batches
+	// left the instance untouched.
 	Updates       int64 `json:"updates"`
 	UpdateRejects int64 `json:"update_rejects"`
 	// Trust is the planner's current audit disposition.
